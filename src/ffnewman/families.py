@@ -5,24 +5,33 @@ polynomials of odd degree (Newman constants should creep up to 0 as the genus
 grows), and a fixed integer cubic reduced modulo every odd prime p, where the
 genus-1 closed form ties Lambda to the Frobenius trace a_p and the angle
 statistics follow the semicircle law.
+
+The fixed-q sweep works in blocks of FAMILY_CHUNK consecutive indices of one
+degree: the explicit formula (lfunction.family_coefficients) gives c_0..c_g
+and the squarefree mask for the whole block, and the estimator runs on each
+squarefree D. The reciprocity ladder is not used here; it cross-checks the
+explicit formula in the tests.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .finite_field import check_odd_prime
-from .fp_poly import (
-    FpPolynomial,
-    is_squarefree,
-    monic_by_index,
-    reduce_int_poly,
+from .fp_poly import monic_by_index, reduce_int_poly
+from .lfunction import (
+    FAMILY_CHUNK,
+    NumericalError,
+    complete_coefficients,
+    family_coefficients,
+    good_pair_check,
+    lfunction_from_coefficients,
 )
-from .lfunction import NumericalError, build_lfunction, good_pair_check
 from .newman import (
     NewmanEstimate,
     double_zero_lower_bound,
@@ -115,25 +124,41 @@ def primes_up_to(n: int) -> list:
     return out
 
 
-def _estimate(q: int, D: FpPolynomial, method: str):
-    L = build_lfunction(q, D, mode="half")
-    if method == "double_zero":
-        return L.c, double_zero_lower_bound(L)
-    if method == "bisect":
-        return L.c, lambda_bisect(L)
-    raise ValueError("method must be 'double_zero' or 'bisect'")
+def _sweep_chunk(args):
+    """Estimates for the squarefree D with indices lo <= k < hi of one degree:
+    (degree, number skipped, [(index, status, d_coeffs, c, estimate or error
+    text)])."""
+    q, degree, lo, hi, method = args
+    estimator = double_zero_lower_bound if method == "double_zero" else lambda_bisect
+    c_half, squarefree = family_coefficients(q, degree, lo, hi)
+    rows = []
+    with warnings.catch_warnings():
+        # the item's kind "exact" and its notes already record this case
+        warnings.filterwarnings(
+            "ignore", message="Xi_0 has an exact double zero", category=UserWarning
+        )
+        for k, row, ok in zip(range(lo, hi), c_half.tolist(), squarefree.tolist()):
+            if not ok:
+                continue
+            D = monic_by_index(q, degree, k)
+            try:
+                L = lfunction_from_coefficients(q, D, complete_coefficients(q, row))
+                rows.append((k, "ok", D.coeffs, L.c, estimator(L)))
+            except Exception as e:  # recorded, never fatal to the sweep
+                rows.append((k, "error", D.coeffs, None, "%s: %s" % (type(e).__name__, e)))
+    return degree, hi - lo - len(rows), rows
 
 
-def _sweep_task(args):
-    q, degree, index, method = args
-    D = monic_by_index(q, degree, index)
-    if not is_squarefree(D):
-        return (degree, index, "skip", None, None, None)
-    try:
-        c, est = _estimate(q, D, method)
-        return (degree, index, "ok", D.coeffs, c, est)
-    except Exception as e:  # recorded, never fatal to the sweep
-        return (degree, index, "error", D.coeffs, None, "%s: %s" % (type(e).__name__, e))
+def _chunk_tasks(q: int, max_genus: int, method: str, start):
+    for degree in range(3, 2 * max_genus + 2, 2):
+        lo = 0
+        if start is not None:
+            if degree < start[0]:
+                continue
+            if degree == start[0]:
+                lo = max(start[1], 0)
+        for k in range(lo, q**degree, FAMILY_CHUNK):
+            yield (q, degree, k, min(k + FAMILY_CHUNK, q**degree), method)
 
 
 def sweep_fixed_q(
@@ -147,8 +172,9 @@ def sweep_fixed_q(
     """Estimate Lambda_D for every monic squarefree D of odd degree up to
     2*max_genus + 1 over F_q, in enumeration order.
 
-    Deterministic regardless of worker count: tasks are indexed, results are
-    consumed in index order, and integer/character arithmetic is exact.
+    Deterministic regardless of worker count: each task is a block of
+    consecutive indices of one degree, results are consumed in index order,
+    and the coefficient arithmetic is exact integer arithmetic.
     start=(degree, index) resumes mid-enumeration; on_item, when given, sees
     each SweepItem as soon as its turn in the canonical order arrives.
     """
@@ -157,13 +183,7 @@ def sweep_fixed_q(
         raise ValueError("max_genus must be >= 1")
     if method not in ("double_zero", "bisect"):
         raise ValueError("method must be 'double_zero' or 'bisect'")
-    tasks = []
-    for degree in range(3, 2 * max_genus + 2, 2):
-        for index in range(q**degree):
-            if start is not None:
-                if (degree, index) < tuple(start):
-                    continue
-            tasks.append((q, degree, index, method))
+    tasks = _chunk_tasks(q, max_genus, method, start)
     items = []
     running_sup = []
     sup = None
@@ -171,26 +191,25 @@ def sweep_fixed_q(
     skipped = 0
     if workers > 1:
         pool = multiprocessing.Pool(workers)
-        results = pool.imap(_sweep_task, tasks, chunksize=64)
+        results = pool.imap(_sweep_chunk, tasks)
     else:
         pool = None
-        results = map(_sweep_task, tasks)
+        results = map(_sweep_chunk, tasks)
     try:
-        for degree, index, status, dco, c, payload in results:
-            if status == "skip":
-                skipped += 1
-                continue
-            processed += 1
-            if status == "ok":
-                item = SweepItem(degree, index, dco, c, payload, None)
-                if payload.value is not None:
-                    sup = payload.value if sup is None else max(sup, payload.value)
-            else:
-                item = SweepItem(degree, index, dco, None, None, payload)
-            items.append(item)
-            running_sup.append(sup)
-            if on_item is not None:
-                on_item(item)
+        for degree, n_skipped, rows in results:
+            skipped += n_skipped
+            for index, status, dco, c, payload in rows:
+                processed += 1
+                if status == "ok":
+                    item = SweepItem(degree, index, dco, c, payload, None)
+                    if payload.value is not None:
+                        sup = payload.value if sup is None else max(sup, payload.value)
+                else:
+                    item = SweepItem(degree, index, dco, None, None, payload)
+                items.append(item)
+                running_sup.append(sup)
+                if on_item is not None:
+                    on_item(item)
     finally:
         if pool is not None:
             pool.terminate()

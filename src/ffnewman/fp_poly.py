@@ -2,8 +2,9 @@
 
 Ring operations, gcd, derivative, evaluation, squarefree and irreducibility
 tests, deterministic enumeration of monic polynomials, the text codec used by
-the CLI, and a smallest-irreducible-factor sieve that powers the fast
-multiplicative character tables.
+the CLI, and a smallest-irreducible-factor sieve that supplies the
+irreducibles for the multiplicative character tables and the family
+coefficient tables.
 
 Internally polynomials are tuples of ints in ascending degree order with no
 trailing zeros; the zero polynomial is the empty tuple. The FpPolynomial class

@@ -7,8 +7,16 @@ line it becomes the real trigonometric polynomial
     Xi_t(x) = Phi_0 + sum_{n=1}^{g} Phi_n e^(t n^2) (e^(inx) + e^(-inx)),
 
 with Phi_n = c_(g-n) q^(n/2); t is the deformation time. This module computes
-the coefficients (with an exact functional-equation fill or by full
-enumeration), evaluates Xi_t, and extracts its 2g zeros per period.
+the coefficients, evaluates Xi_t, and extracts its 2g zeros per period.
+
+Two routes give the same exact integers c_0..c_g. Single-discriminant calls
+(build_lfunction, dirichlet_coefficients) sum the reciprocity-ladder
+character over every monic f of degree n; family sweeps use
+family_coefficients, the explicit formula over the irreducibles of degree
+<= g, vectorised over a whole index range of D. Each route is a cross-check
+of the other. The upper half comes from the exact integer functional
+equation c_(g+n) = q^n c_(g-n); dirichlet_coefficients(mode="full")
+enumerates it instead, so tests can verify it.
 """
 
 from __future__ import annotations
@@ -21,10 +29,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .finite_field import is_prime, legendre_table
+from .finite_field import check_odd_prime, is_prime, legendre_table
 from .fp_poly import (
     FpPolynomial,
     _monic_tuple_by_index,
+    factor_sieve,
     is_squarefree,
     poly_to_text,
 )
@@ -34,6 +43,10 @@ from .quad_character import _chi_ladder, _validate_modulus, chi_table
 _TABLE_THRESHOLD = 2000
 
 GRID_POINTS = 4096
+
+# discriminants per block of family_coefficients; bounds its working arrays
+# and is the task size of a fixed-q sweep
+FAMILY_CHUNK = 256
 
 
 class NumericalError(RuntimeError):
@@ -93,8 +106,9 @@ def _sum_chi_worker(args) -> int:
 
 def _coefficient_direct(q: int, D: FpPolynomial, n: int, workers: int = 1) -> int:
     """c_n by literal enumeration: one reciprocity-ladder character value per
-    monic polynomial of degree n. Order-independent integer summation, so
-    splitting the index range across workers cannot change the result."""
+    monic polynomial of degree n (the single-D route, and the cross-check of
+    family_coefficients). Order-independent integer summation, so splitting
+    the index range across workers cannot change the result."""
     if n == 0:
         return 1
     total = q**n
@@ -119,8 +133,9 @@ def coefficient_by_enumeration(
 
     Used to verify that coefficients vanish from degree deg D on. engine
     selects the character evaluation route: "ladder" is one reciprocity ladder
-    per f; "table" tabulates chi from its values on irreducibles (identical
-    values, exhaustively cross-checked in tests); "auto" picks by size.
+    per f; "table" tabulates chi from its values on irreducibles (a
+    cross-check: identical values, exhaustively compared in tests); "auto"
+    picks by size.
     """
     require_good_pair(q, D)
     if n < 0:
@@ -166,9 +181,143 @@ def dirichlet_coefficients(
     else:
         raise ValueError("unknown engine %r" % engine)
     if mode == "half":
-        for n in range(1, g + 1):
-            c.append(q**n * c[g - n])
+        return complete_coefficients(q, c)
     return tuple(c)
+
+
+def complete_coefficients(q: int, c_half) -> tuple:
+    """c_0..c_2g from c_0..c_g by the exact integer functional equation
+    c_(g+n) = q^n c_(g-n)."""
+    c = [int(v) for v in c_half]
+    g = len(c) - 1
+    for n in range(1, g + 1):
+        c.append(q**n * c[g - n])
+    return tuple(c)
+
+
+def _powers_mod(P: np.ndarray, count: int, q: int) -> np.ndarray:
+    """T^i mod P for i < count and every monic row P (ascending, shape
+    (m, d + 1)); returns shape (count, m, d)."""
+    m, d = P.shape[0], P.shape[1] - 1
+    out = np.zeros((count, m, d), dtype=np.int64)
+    r = np.zeros((m, d), dtype=np.int64)
+    r[:, 0] = 1
+    for i in range(count):
+        out[i] = r
+        top = r[:, -1].copy()
+        r = np.roll(r, 1, axis=1)
+        r[:, 0] = 0
+        r = (r - top[:, None] * P[:, :d]) % q
+    return out
+
+
+def _digits(q: int, width: int, ks: np.ndarray) -> np.ndarray:
+    """Base-q digits of each k, least significant first: shape (len(ks), width)."""
+    return (ks[:, None] // q ** np.arange(width, dtype=np.int64)) % q
+
+
+@lru_cache(maxsize=16)
+def _family_tables(q: int, degree: int) -> tuple:
+    """Per irreducible degree d = 1..g: (d, R1, R2, chi), where R1 and R2
+    map the coefficient vector of a degree-`degree` D to D mod P and
+    D mod P^2 for every monic irreducible P of degree d, stacked P-major,
+    and chi[j, r] is chi_D(P_j) for D mod P_j = r, the residue indexed by
+    sum r_i q^i: the quadratic character of r in F_q[T]/(P_j) times the
+    reciprocity sign (-1)^(((q-1)/2) d)."""
+    g = (degree - 1) // 2
+    sieve = factor_sieve(q, g)
+    out = []
+    for d in range(1, g + 1):
+        P = np.array(
+            [_monic_tuple_by_index(q, d, k) for k in sieve.irreducible_indices[d]],
+            dtype=np.int64,
+        )
+        m = len(P)
+        P2 = np.zeros((m, 2 * d + 1), dtype=np.int64)
+        for i in range(d + 1):
+            P2[:, i : i + d + 1] += P[:, i : i + 1] * P
+        P2 %= q
+        R1 = _powers_mod(P, degree + 1, q).reshape(degree + 1, m * d)
+        R2 = _powers_mod(P2, degree + 1, q).reshape(degree + 1, m * 2 * d)
+        # r^2 mod P for every residue r: square the digit vectors, then reduce
+        # through T^k mod P for k <= 2d - 2
+        r = _digits(q, d, np.arange(q**d, dtype=np.int64))
+        sq = np.zeros((q**d, 2 * d - 1), dtype=np.int64)
+        for i in range(d):
+            sq[:, i : i + d] += r[:, i : i + 1] * r
+        low = _powers_mod(P, 2 * d - 1, q)
+        place = q ** np.arange(d, dtype=np.int64)
+        sign = -1 if ((q - 1) // 2 * d) % 2 else 1
+        chi = np.full((m, q**d), -sign, dtype=np.int8)
+        for j in range(m):
+            chi[j, ((sq @ low[:, j, :]) % q)[1:] @ place] = sign
+        chi[:, 0] = 0
+        for a in (R1, R2, chi):
+            a.flags.writeable = False
+        out.append((d, R1, R2, chi))
+    return tuple(out)
+
+
+def family_coefficients(q: int, degree: int, start: int, stop: int):
+    """c_0..c_g and the squarefree mask for the monic D of one odd degree
+    whose enumeration indices (monic_by_index order) are start <= k < stop.
+
+    The explicit formula, i.e. the log-derivative route of Kedlaya-Sutherland
+    (ANTS VIII, 2008), over the whole range at once in integer numpy: for
+    every monic irreducible P of degree d <= g, D mod P comes from one matmul
+    and chi_D(P) from a per-P table (_family_tables). Then
+    S_k = sum over d | k of sum over deg P = d of d chi_D(P)^(k/d), and
+    Newton's identities n c_n = sum_{k=1..n} S_k c_(n-k) give c_1..c_g
+    exactly. D is squarefree iff no such P^2 divides it, read off D mod P^2
+    in the same pass.
+
+    Returns (c, squarefree): int64 of shape (stop - start, g + 1) and bool of
+    shape (stop - start,). For squarefree D a row equals
+    dirichlet_coefficients(q, D)[:g + 1]; other rows are not the coefficients
+    of a good pair. Work runs in blocks of FAMILY_CHUNK D, so memory beyond
+    the outputs is bounded whatever the range.
+    """
+    check_odd_prime(q)
+    if degree < 3 or degree % 2 == 0:
+        raise ValueError("degree must be odd and >= 3")
+    if not 0 <= start <= stop <= q**degree:
+        raise ValueError("index range [%d, %d) out of range" % (start, stop))
+    g = (degree - 1) // 2
+    tables = _family_tables(q, degree)
+    c = np.zeros((stop - start, g + 1), dtype=np.int64)
+    squarefree = np.ones(stop - start, dtype=bool)
+    for lo in range(start, stop, FAMILY_CHUNK):
+        hi = min(lo + FAMILY_CHUNK, stop)
+        ks = np.arange(lo, hi, dtype=np.int64)
+        # coefficient vectors c_0..c_degree: c_0 is the most significant digit
+        C = np.ones((hi - lo, degree + 1), dtype=np.int64)
+        C[:, :degree] = _digits(q, degree, ks)[:, ::-1]
+        # A[d], B[d]: sums of chi_D(P) and of chi_D(P)^2 over deg P = d
+        A = [None] * (g + 1)
+        B = [None] * (g + 1)
+        sf = squarefree[lo - start : hi - start]
+        for d, R1, R2, chi in tables:
+            m = chi.shape[0]
+            res = ((C @ R1) % q).reshape(hi - lo, m, d)
+            idx = res @ (q ** np.arange(d, dtype=np.int64))
+            vals = chi.ravel()[idx + q**d * np.arange(m, dtype=np.int64)]
+            A[d] = vals.sum(axis=1, dtype=np.int64)
+            B[d] = np.count_nonzero(vals, axis=1)
+            res2 = ((C @ R2) % q).reshape(hi - lo, m, 2 * d)
+            sf &= res2.any(axis=2).all(axis=1)
+        S = np.zeros((hi - lo, g + 1), dtype=np.int64)
+        for k in range(1, g + 1):
+            for d in range(1, k + 1):
+                if k % d == 0:
+                    S[:, k] += d * (A[d] if (k // d) % 2 else B[d])
+        block = c[lo - start : hi - start]
+        block[:, 0] = 1
+        for n in range(1, g + 1):
+            num = (S[:, 1 : n + 1] * block[:, n - 1 :: -1]).sum(axis=1)
+            if np.any(num % n):
+                raise ArithmeticError("Newton identity left a remainder at n=%d" % n)
+            block[:, n] = num // n
+    return c, squarefree
 
 
 def fourier_coefficients(q: int, g: int, c: tuple):
@@ -190,8 +339,14 @@ def build_lfunction(
     q: int, D: FpPolynomial, mode: str = "half", engine: str = "auto", workers: int = 1
 ) -> LFunctionData:
     require_good_pair(q, D)
-    g = (D.degree - 1) // 2
     c = dirichlet_coefficients(q, D, mode=mode, engine=engine, workers=workers)
+    return lfunction_from_coefficients(q, D, c)
+
+
+def lfunction_from_coefficients(q: int, D: FpPolynomial, c: tuple) -> LFunctionData:
+    """LFunctionData from the full coefficient vector c_0..c_2g of a good pair
+    (not re-checked here)."""
+    g = (D.degree - 1) // 2
     phi, phi_exact = fourier_coefficients(q, g, c)
     return LFunctionData(q=q, D=D, g=g, c=c, phi=phi, phi_exact=phi_exact)
 

@@ -195,6 +195,15 @@ def lambda_bisect(
     )
 
 
+def _horner(coeffs: list, y: float) -> float:
+    """np.polyval(coeffs, y) for a scalar y in plain floats: the same
+    multiplications and additions in the same order, so the same bits."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * y + c
+    return acc
+
+
 def double_zero_lower_bound(L: LFunctionData, at_pi: bool = False) -> NewmanEstimate:
     """Largest t solving Xi_t(0) = 0; such a t is a double zero time (evenness
     makes x = 0 a zero of order >= 2), hence a lower bound on Lambda_D.
@@ -231,10 +240,11 @@ def double_zero_lower_bound(L: LFunctionData, at_pi: bool = False) -> NewmanEsti
     else:
         k = changes[-1]
         lo, hi = float(ys[k]), float(ys[k + 1])
-        flo = float(np.polyval(a[::-1], lo))
+        coeffs = a[::-1].tolist()
+        flo = _horner(coeffs, lo)
         while hi - lo > 1e-12:
             mid = 0.5 * (lo + hi)
-            fm = float(np.polyval(a[::-1], mid))
+            fm = _horner(coeffs, mid)
             if (fm < 0) == (flo < 0):
                 lo, flo = mid, fm
             else:

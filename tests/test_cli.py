@@ -189,6 +189,14 @@ def test_sweep_workers_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sweep_workers_byte_identical_across_chunks(tmp_path):
+    a = tmp_path / "w1.csv"
+    b = tmp_path / "w2.csv"
+    assert main(["sweep", "--q", "3", "--max-genus", "3", "--workers", "1", "--out", str(a)]) == EXIT_OK
+    assert main(["sweep", "--q", "3", "--max-genus", "3", "--workers", "2", "--out", str(b)]) == EXIT_OK
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_sweep_resume_suffix(tmp_path):
     full = tmp_path / "full.csv"
     part = tmp_path / "part.csv"
@@ -336,7 +344,8 @@ def test_console_entry_point():
 
 
 def test_interrupted_sweep_writes_resume_token(tmp_path):
-    # drive main() in a child process and interrupt it mid-sweep
+    # drive main() in a child process and interrupt it mid-sweep; bisection
+    # keeps this sweep running for seconds, well past the first flushed rows
     import os
     import signal
     import time
@@ -345,7 +354,7 @@ def test_interrupted_sweep_writes_resume_token(tmp_path):
     code = (
         "import sys\n"
         "from ffnewman.cli import main\n"
-        "sys.exit(main(['sweep', '--q', '5', '--max-genus', '2',"
+        "sys.exit(main(['sweep', '--q', '5', '--max-genus', '2', '--method', 'bisect',"
         " '--workers', '1', '--out', %r]))\n" % str(out)
     )
     proc = subprocess.Popen([sys.executable, "-c", code])

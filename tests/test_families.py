@@ -1,6 +1,7 @@
 """Family sweeps, elliptic-curve traces, and angle-distribution statistics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from ffnewman.families import (
 )
 from ffnewman.finite_field import legendre_int
 from ffnewman.fp_poly import FpPolynomial, reduce_int_poly
-from ffnewman.lfunction import build_lfunction, good_pair_check
+from ffnewman.lfunction import FAMILY_CHUNK, build_lfunction, good_pair_check
 
 DZ_A = (1, 1, 0, 1)  # y^2 = x^3 + x + 1
 DZ_B = (1, 2, 0, 1)  # y^2 = x^3 + 2x + 1
@@ -232,6 +233,50 @@ def test_sweep_resume_matches_suffix():
     assert len(tail.items) == len(expect)
     for a, b in zip(expect, tail.items):
         assert (a.degree, a.index, a.c) == (b.degree, b.index, b.c)
+
+
+def test_sweep_workers_deterministic_across_chunks():
+    # genus <= 3 spans several FAMILY_CHUNK blocks per degree
+    one = sweep_fixed_q(3, 3, workers=1)
+    two = sweep_fixed_q(3, 3, workers=2)
+    assert len(one.items) > FAMILY_CHUNK
+    assert one.items == two.items
+    assert one.running_sup == two.running_sup
+    assert one.statistics == two.statistics
+
+
+def test_sweep_resume_mid_chunk_matches_suffix():
+    start = (7, 700)
+    assert start[1] % FAMILY_CHUNK != 0
+    full = sweep_fixed_q(3, 3)
+    tail = sweep_fixed_q(3, 3, start=start)
+    expect = tuple(it for it in full.items if (it.degree, it.index) >= start)
+    assert tail.items == expect
+    assert tail.skipped == 3**7 - start[1] - len(expect)
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_bisect_sweep_records_exact_double_zero_without_warning():
+    # T^5 + 4T over F_5 has an exact double zero of Xi_0; it sits at index 500
+    seen = []
+
+    def stop_after_first(item):
+        seen.append(item)
+        raise _Stop
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(_Stop):
+            sweep_fixed_q(5, 2, method="bisect", start=(5, 500), on_item=stop_after_first)
+    assert [str(w.message) for w in caught] == []
+    (item,) = seen
+    assert (item.degree, item.index, item.d_coeffs) == (5, 500, (0, 4, 0, 0, 0, 1))
+    assert item.estimate.kind == "exact"
+    assert item.estimate.value == 0.0
+    assert "double zero" in item.estimate.notes
 
 
 def test_sweep_best_per_genus_ordering():

@@ -9,6 +9,7 @@ from ffnewman.fp_poly import FpPolynomial, enumerate_monic, is_squarefree
 from ffnewman.lfunction import ZeroSet, build_lfunction, zeros_at_t
 from ffnewman.newman import (
     NewmanEstimate,
+    _horner,
     all_zeros_real,
     count_nonzero_phi,
     crude_condition_check,
@@ -193,6 +194,14 @@ def test_double_zero_bound_at_pi():
         break
     else:
         pytest.fail("no cubic with positive c_1 found")
+
+
+def test_horner_matches_polyval_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for degree in (1, 4, 9, 16, 49):
+        coeffs = rng.normal(scale=10.0, size=degree + 1).tolist()
+        for y in rng.uniform(0.0, 3.0, size=20).tolist():
+            assert _horner(coeffs, y) == float(np.polyval(coeffs, y))
 
 
 def test_bound_never_exceeds_bisect():
