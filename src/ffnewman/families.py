@@ -35,7 +35,7 @@ from .lfunction import (
 from .newman import (
     NewmanEstimate,
     double_zero_lower_bound,
-    lambda_bisect,
+    lambda_bisect_block,
 )
 
 __all__ = [
@@ -127,25 +127,37 @@ def primes_up_to(n: int) -> list:
 def _sweep_chunk(args):
     """Estimates for the squarefree D with indices lo <= k < hi of one degree:
     (degree, number skipped, [(index, status, d_coeffs, c, estimate or error
-    text)])."""
+    text)]). Bisection runs on the whole block at once (lambda_bisect_block)."""
     q, degree, lo, hi, method = args
-    estimator = double_zero_lower_bound if method == "double_zero" else lambda_bisect
     c_half, squarefree = family_coefficients(q, degree, lo, hi)
-    rows = []
+    ks = []
+    Ls = []
+    for k, row, ok in zip(range(lo, hi), c_half.tolist(), squarefree.tolist()):
+        if ok:
+            ks.append(k)
+            D = monic_by_index(q, degree, k)
+            Ls.append(lfunction_from_coefficients(q, D, complete_coefficients(q, row)))
     with warnings.catch_warnings():
         # the item's kind "exact" and its notes already record this case
         warnings.filterwarnings(
             "ignore", message="Xi_0 has an exact double zero", category=UserWarning
         )
-        for k, row, ok in zip(range(lo, hi), c_half.tolist(), squarefree.tolist()):
-            if not ok:
-                continue
-            D = monic_by_index(q, degree, k)
-            try:
-                L = lfunction_from_coefficients(q, D, complete_coefficients(q, row))
-                rows.append((k, "ok", D.coeffs, L.c, estimator(L)))
-            except Exception as e:  # recorded, never fatal to the sweep
-                rows.append((k, "error", D.coeffs, None, "%s: %s" % (type(e).__name__, e)))
+        if method == "bisect":
+            results = lambda_bisect_block(Ls)
+        else:
+            results = []
+            for L in Ls:
+                try:
+                    results.append(double_zero_lower_bound(L))
+                except Exception as e:  # recorded, never fatal to the sweep
+                    results.append(e)
+    rows = []
+    for k, L, r in zip(ks, Ls, results):
+        if isinstance(r, Exception):
+            text = "%s: %s" % (type(r).__name__, r)
+            rows.append((k, "error", L.D.coeffs, None, text))
+        else:
+            rows.append((k, "ok", L.D.coeffs, L.c, r))
     return degree, hi - lo - len(rows), rows
 
 

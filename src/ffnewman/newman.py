@@ -2,17 +2,24 @@
 
 Lambda_D is the infimum of deformation times t at which Xi_t still has only
 real zeros; real zeros stay real as t increases, so the all-real predicate is
-monotone and bisection applies. Routes provided:
+monotone and bisection applies. The predicate uses the Chebyshev form
+Xi_t(x) = P_t(cos x) = sum_n w_n T_n(cos x), w_0 = Phi_0,
+w_n = 2 Phi_n e^(t n^2): the g roots of P_t are eigenvalues of its colleague
+matrix, mapped back to x by complex arccos, and Xi_t is all-real when every
+zero has |Im x| <= tol. No grid is sampled. Routes provided:
 
   lambda_exact_genus1      closed form log(|Phi_0| / (2 sqrt q)) for g = 1
-  lambda_bisect            monotone bisection on the all-zeros-real predicate
+  lambda_bisect            monotone bisection on the all-zeros-real predicate;
+                           lambda_bisect_block runs it for a block of D of
+                           one genus in lockstep, one eigvals call per round
   double_zero_lower_bound  largest t with Xi_t(0) = 0, a polynomial of degree
                            g^2 in e^t: any double zero time is <= Lambda_D
   stopple_lower_bound      a bound from an unusually small first zero via the
                            inverse-square gap sum G
 
 Lambda_D = -infinity happens exactly when at most one Fourier coefficient is
-nonzero; that case is detected algebraically, never by search.
+nonzero, and Lambda_D = 0 when L has a repeated root (a double zero of Xi_0);
+both cases are decided in exact arithmetic, never by search.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,9 +35,12 @@ from .lfunction import (
     LFunctionData,
     NumericalError,
     ZeroSet,
-    grid_sign_changes,
     zeros_at_t,
 )
+
+# modulus of has_repeated_root's prefilter: a prime above every field size q,
+# so it divides no leading coefficient q^g of an L-polynomial
+_GCD_PRIME = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -114,21 +125,249 @@ def lambda_exact_genus1(L: LFunctionData) -> NewmanEstimate:
     )
 
 
+def _gcd_degree(a: list, b: list, p: int | None) -> int:
+    """Degree of gcd(a, b) for nonzero integer coefficient lists (constant
+    term first), over F_p, or over Q when p is None.
+
+    Euclid by pseudo-division: a <- lc(b) a - lc(a) T^k b stays in the
+    integers, and scaling by a nonzero constant keeps the gcd. Remainders are
+    reduced mod p, or over Q divided by their content so they do not grow.
+    """
+
+    def reduce(v):
+        v = [x % p for x in v] if p else list(v)
+        while v and v[-1] == 0:
+            v.pop()
+        if not p and v:
+            content = math.gcd(*v)
+            v = [x // content for x in v]
+        return v
+
+    a, b = reduce(a), reduce(b)
+    while b:
+        while len(a) >= len(b):
+            f, shift = a[-1], len(a) - len(b)
+            a = [x * b[-1] for x in a]
+            for i, v in enumerate(b):
+                a[shift + i] -= f * v
+            a = reduce(a)
+        a, b = b, a
+    return len(a) - 1
+
+
+def has_repeated_root(L: LFunctionData) -> bool:
+    """Exact test: does the L-polynomial sum c_n u^n have a repeated root?
+
+    By RH for curves every root lies on |u| = q^(-1/2), so a repeated root is
+    a double zero of Xi_0, and the double-zero lemma with RH gives
+    Lambda_D = 0. Decided by gcd(L, L') over Q, in exact integers. A unit
+    gcd modulo the prime 2^31 - 1, which divides no leading coefficient q^g,
+    already rules a repeated root out; only the rare rest runs Euclid over Q.
+    """
+    c = list(L.c)
+    dc = [n * v for n, v in enumerate(c)][1:]
+    if _gcd_degree(c, dc, _GCD_PRIME) == 0:
+        return False
+    return _gcd_degree(c, dc, None) > 0
+
+
+@lru_cache(maxsize=None)
+def _colleague_parts(g: int):
+    """(n^2 for n = 0..g, the constant part of the rotated colleague matrix,
+    the factor on its first column): numpy's scaled Chebyshev companion
+    (chebcompanion), flipped on both axes as chebroots does."""
+    base = np.zeros((g, g))
+    scl = np.full(g, math.sqrt(0.5))
+    scl[0] = 1.0
+    if g > 1:
+        off = np.full(g - 1, 0.5)
+        off[0] = math.sqrt(0.5)
+        k = np.arange(g - 1)
+        base[k, k + 1] = off
+        base[k + 1, k] = off
+    fac = (scl / scl[-1] * 0.5)[::-1]
+    for a in (base, fac):
+        a.flags.writeable = False
+    return np.arange(g + 1) ** 2, base[::-1, ::-1].copy(), fac
+
+
+def _real_rows(phi: np.ndarray, t: np.ndarray, tol: float):
+    """The all-real predicate for a stack of rows of one genus g.
+
+    Row i is Xi at time t[i]: P(u) = sum_n w_n T_n(u) with u = cos x,
+    w_0 = Phi_0 and w_n = 2 Phi_n e^(t n^2). The g roots u of all
+    rows come from one np.linalg.eigvals call on the stacked colleague
+    matrices; LAPACK solves each matrix on its own, so a row's answer does
+    not depend on the rest of the stack. A row is all-real when every root
+    has |Im arccos(u)| <= tol. Returns (real, errors): a bool array and a
+    dict from row to the NumericalError message of a row whose weights are
+    not finite or whose leading weight underflows; such rows never reach
+    eigvals, where one NaN would fail the whole stack.
+    """
+    g = phi.shape[1] - 1
+    n2, base, fac = _colleague_parts(g)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = phi * np.exp(t[:, None] * n2)
+        w[:, 1:] *= 2.0
+        ratio = w / w[:, -1:]  # last column: 1 unless w_g is 0 or not finite
+    ok = np.isfinite(ratio).all(axis=1)
+    errors = {}
+    real = np.zeros(len(t), dtype=bool)
+    if not ok.all():
+        for i in np.nonzero(~ok)[0].tolist():
+            errors[i] = (
+                "leading coefficient underflowed at t=%g"
+                if np.isfinite(w[i]).all()
+                else "Xi_t coefficients overflowed at t=%g"
+            ) % t[i]
+        ratio = ratio[ok]
+    if len(ratio):
+        if g == 1:
+            mat = -ratio[:, :1, None]
+        else:
+            mat = np.repeat(base[None], len(ratio), axis=0)
+            mat[:, :, 0] -= ratio[:, -2::-1] * fac
+        u = np.linalg.eigvals(mat).astype(complex)
+        real[ok] = (np.abs(np.arccos(u).imag) <= tol).all(axis=1)
+    return real, errors
+
+
 def all_zeros_real(L: LFunctionData, t: float, tol: float = 1e-9) -> bool:
     """Does Xi_t have only real zeros?
 
-    A full count of 2g sign changes on the circle grid is authoritative (a
-    degree-g cosine polynomial cannot have more zeros); anything less falls
-    through to eigenvalue classification, which avoids the grid's blindness
-    to tangential (just-coalesced) zero pairs.
+    Xi_t(x) = P_t(cos x) with P_t a degree-g Chebyshev series, so the 2g
+    zeros per period are real exactly when the g roots u of P_t lie in
+    [-1, 1]. The roots are colleague-matrix eigenvalues (_real_rows), mapped
+    back by complex arccos; every zero must have |Im x| <= tol, the criterion
+    zeros_at_t applies. No grid sampling and no degree-2g solve.
     """
     if count_nonzero_phi(L) <= 1:
         # Pure cosine (or constant): zeros stay pinned on the real axis for
         # every t, including t so negative that e^{t n^2} underflows.
         return True
-    if grid_sign_changes(L, t) == 2 * L.g:
-        return True
-    return len(zeros_at_t(L, t, tol).nonreal) == 0
+    real, errors = _real_rows(np.array([L.phi]), np.array([float(t)]), tol)
+    if errors:
+        raise NumericalError(errors[0])
+    return bool(real[0])
+
+
+def _repeated_root_estimate(L: LFunctionData) -> NewmanEstimate:
+    warnings.warn(
+        "Xi_0 has an exact double zero (a repeated root of L) for D=%s over "
+        "F_%d: Lambda_D = 0" % (L.D, L.q),
+        stacklevel=3,
+    )
+    return NewmanEstimate(
+        kind="exact",
+        value=0.0,
+        notes="L has a repeated root (exact gcd(L, L')): the double zero of "
+        "Xi_0 forces Lambda_D = 0",
+    )
+
+
+def lambda_bisect_block(
+    Ls: list,
+    tol_t: float = 1e-10,
+    bracket_floor: float = -50.0,
+    tol: float = 1e-9,
+) -> list:
+    """lambda_bisect for every L of one genus, in lockstep.
+
+    Per row this is the algorithm lambda_bisect documents: the algebraic
+    minus-infinity and axis double-zero checks, the t = 0 check, expansion
+    through -1, -2, -4, ... down to bracket_floor, then midpoint bisection
+    until the bracket is no wider than tol_t. Each round asks the predicate
+    of all unfinished rows with one _real_rows call. A row whose t = 0 check
+    fails, or whose bracket ends within 2 tol_t of 0, is tested for a
+    repeated root of L exactly (has_repeated_root); one gives kind exact,
+    value 0. Returns, per row, its NewmanEstimate or the exception
+    lambda_bisect would raise for it.
+    """
+    out = [None] * len(Ls)
+    live = []
+    for i, L in enumerate(Ls):
+        if count_nonzero_phi(L) <= 1:
+            out[i] = NewmanEstimate(
+                kind="minus_infinity",
+                value=float("-inf"),
+                notes="at most one nonzero Fourier coefficient: zeros are real at every t",
+            )
+        elif has_double_zero_at_axis(L):
+            warnings.warn(
+                "Xi_0 has an exact double zero at x = 0 or pi for D=%s over F_%d: "
+                "Lambda_D = 0" % (L.D, L.q),
+                stacklevel=2,
+            )
+            out[i] = NewmanEstimate(
+                kind="exact",
+                value=0.0,
+                notes="exact double zero of Xi_0 on the symmetry axis forces Lambda_D = 0",
+            )
+        else:
+            live.append(i)
+    if not live:
+        return out
+    if len({Ls[i].g for i in live}) > 1:
+        raise ValueError("lambda_bisect_block needs rows of one genus")
+    rows = np.array(live)
+    phi = np.array([Ls[i].phi for i in live])
+    real, errors = _real_rows(phi, np.zeros(len(live)), tol)
+    for j, i in enumerate(live):
+        if j in errors:
+            out[i] = NumericalError(errors[j])
+        elif real[j]:
+            continue
+        elif has_repeated_root(Ls[i]):
+            out[i] = _repeated_root_estimate(Ls[i])
+        else:
+            out[i] = NumericalError("zeros of Xi_0 not all real; numerical breakdown")
+    rows, phi = rows[real], phi[real]
+    hi = np.zeros(len(rows))
+    lo = np.full(len(rows), -1.0)  # while expanding: the next time to try
+    expanding = np.ones(len(rows), dtype=bool)
+    while len(rows):
+        t = np.where(expanding, lo, 0.5 * (lo + hi))
+        real, errors = _real_rows(phi, t, tol)
+        hi = np.where(real, t, hi)
+        grown = np.where(expanding, np.maximum(2.0 * t, bracket_floor), lo)
+        lo = np.where(real, grown, t)
+        exhausted = expanding & real & (t <= bracket_floor)
+        expanding &= real
+        done = exhausted | (~expanding & (hi - lo <= tol_t))
+        if errors:
+            done[list(errors)] = True
+        elif not done.any():
+            continue
+        for j in np.nonzero(done)[0].tolist():
+            L = Ls[rows[j]]
+            lo_j, hi_j = float(lo[j]), float(hi[j])
+            if j in errors:
+                e = NumericalError(errors[j])
+            elif exhausted[j]:
+                e = NewmanEstimate(
+                    kind="bracket_exhausted",
+                    value=bracket_floor,
+                    bracket=(bracket_floor, hi_j),
+                    tol=tol_t,
+                    notes="predicate never failed above the floor: Lambda_D <= %g"
+                    % bracket_floor,
+                )
+            elif hi_j >= -2.0 * tol_t and has_repeated_root(L):
+                e = _repeated_root_estimate(L)
+            else:
+                e = NewmanEstimate(
+                    kind="bisect",
+                    value=0.5 * (lo_j + hi_j),
+                    bracket=(lo_j, hi_j),
+                    tol=tol_t,
+                    notes="bisection of the all-zeros-real predicate",
+                )
+            out[rows[j]] = e
+        keep = ~done
+        rows, phi, lo, hi, expanding = (
+            rows[keep], phi[keep], lo[keep], hi[keep], expanding[keep]
+        )
+    return out
 
 
 def lambda_bisect(
@@ -144,55 +383,13 @@ def lambda_bisect(
     eventually, and in-scope constants are O(0.1) so expansion ends fast. A
     floor of bracket_floor is kept as a safety net and reported distinctly
     (bracket_exhausted, meaning Lambda_D <= floor), never conflated with the
-    algebraic minus-infinity case.
+    algebraic minus-infinity case. A repeated root of L, decided exactly, is
+    kind exact with value 0. This is the one-row case of lambda_bisect_block.
     """
-    if count_nonzero_phi(L) <= 1:
-        return NewmanEstimate(
-            kind="minus_infinity",
-            value=float("-inf"),
-            notes="at most one nonzero Fourier coefficient: zeros are real at every t",
-        )
-    if has_double_zero_at_axis(L):
-        warnings.warn(
-            "Xi_0 has an exact double zero at x = 0 or pi for D=%s over F_%d: "
-            "Lambda_D = 0" % (L.D, L.q),
-            stacklevel=2,
-        )
-        return NewmanEstimate(
-            kind="exact",
-            value=0.0,
-            notes="exact double zero of Xi_0 on the symmetry axis forces Lambda_D = 0",
-        )
-    if not all_zeros_real(L, 0.0, tol):
-        raise NumericalError("zeros of Xi_0 not all real; numerical breakdown")
-    hi = 0.0
-    t = -1.0
-    while all_zeros_real(L, t, tol):
-        hi = t
-        if t <= bracket_floor:
-            return NewmanEstimate(
-                kind="bracket_exhausted",
-                value=bracket_floor,
-                bracket=(bracket_floor, hi),
-                tol=tol_t,
-                notes="predicate never failed above the floor: Lambda_D <= %g"
-                % bracket_floor,
-            )
-        t = max(2.0 * t, bracket_floor)
-    lo = t
-    while hi - lo > tol_t:
-        mid = 0.5 * (lo + hi)
-        if all_zeros_real(L, mid, tol):
-            hi = mid
-        else:
-            lo = mid
-    return NewmanEstimate(
-        kind="bisect",
-        value=0.5 * (lo + hi),
-        bracket=(lo, hi),
-        tol=tol_t,
-        notes="bisection of the all-zeros-real predicate",
-    )
+    (e,) = lambda_bisect_block([L], tol_t, bracket_floor, tol)
+    if isinstance(e, Exception):
+        raise e
+    return e
 
 
 def _horner(coeffs: list, y: float) -> float:
@@ -323,7 +520,14 @@ def stopple_lower_bound(gamma1: float, G: float) -> NewmanEstimate:
 
 
 def stopple_data(L: LFunctionData, zeros: ZeroSet | None = None) -> StoppleData:
-    """Assemble the first-zero bound report for a discriminant."""
+    """Assemble the first-zero bound report for a discriminant. A repeated
+    root of L (exact test) is a double zero of Xi_0, where G is undefined:
+    ValueError, before any zeros are computed."""
+    if has_repeated_root(L):
+        raise ValueError(
+            "repeated zero: G undefined (L has a repeated root, so Xi_0 has a "
+            "double zero and Lambda_D = 0)"
+        )
     if zeros is None:
         zeros = zeros_at_t(L, 0.0)
     if len(zeros.gammas) != L.g:

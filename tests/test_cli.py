@@ -197,6 +197,22 @@ def test_sweep_workers_byte_identical_across_chunks(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_bisect_sweep_workers_byte_identical(tmp_path):
+    a = tmp_path / "w1.csv"
+    b = tmp_path / "w2.csv"
+    args = ["sweep", "--q", "5", "--max-genus", "2", "--method", "bisect"]
+    assert main(args + ["--workers", "1", "--out", str(a)]) == EXIT_OK
+    assert main(args + ["--workers", "2", "--out", str(b)]) == EXIT_OK
+    assert a.read_bytes() == b.read_bytes()
+    _, _, rows, comments = parse_csv(a.read_text())
+    # the 15 repeated-root D (e.g. T^5 + T, L = (1 + 5u^2)^2) are exact 0
+    assert not [c for c in comments if c.startswith("# error:")]
+    by_d = {r[1]: r for r in rows if r[3] == "bisect"}
+    assert len(by_d) == 2600
+    assert by_d["0,1,0,0,0,1"][2:] == ["1,0,10", "bisect", "0"]
+    assert sum(1 for r in by_d.values() if r[4] == "0") == 16
+
+
 def test_sweep_resume_suffix(tmp_path):
     full = tmp_path / "full.csv"
     part = tmp_path / "part.csv"
@@ -345,7 +361,8 @@ def test_console_entry_point():
 
 def test_interrupted_sweep_writes_resume_token(tmp_path):
     # drive main() in a child process and interrupt it mid-sweep; bisection
-    # keeps this sweep running for seconds, well past the first flushed rows
+    # up to genus 3 over F_5 keeps it running for about ten seconds, well
+    # past the first flushed rows
     import os
     import signal
     import time
@@ -354,7 +371,7 @@ def test_interrupted_sweep_writes_resume_token(tmp_path):
     code = (
         "import sys\n"
         "from ffnewman.cli import main\n"
-        "sys.exit(main(['sweep', '--q', '5', '--max-genus', '2', '--method', 'bisect',"
+        "sys.exit(main(['sweep', '--q', '5', '--max-genus', '3', '--method', 'bisect',"
         " '--workers', '1', '--out', %r]))\n" % str(out)
     )
     proc = subprocess.Popen([sys.executable, "-c", code])

@@ -1,21 +1,40 @@
 """Lower bounds and exact values for the deformation constant Lambda_D."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from ffnewman.fp_poly import FpPolynomial, enumerate_monic, is_squarefree
-from ffnewman.lfunction import ZeroSet, build_lfunction, zeros_at_t
+import ffnewman.lfunction as lfunction
+from ffnewman.fp_poly import (
+    FpPolynomial,
+    enumerate_monic,
+    is_squarefree,
+    monic_by_index,
+)
+from ffnewman.lfunction import (
+    NumericalError,
+    ZeroSet,
+    build_lfunction,
+    complete_coefficients,
+    family_coefficients,
+    lfunction_from_coefficients,
+    zeros_at_t,
+)
 from ffnewman.newman import (
     NewmanEstimate,
+    _gcd_degree,
     _horner,
     all_zeros_real,
     count_nonzero_phi,
     crude_condition_check,
     double_zero_lower_bound,
     has_double_zero_at_axis,
+    has_repeated_root,
     lambda_bisect,
+    lambda_bisect_block,
     lambda_exact_genus1,
     newman_jsonable,
     stopple_G,
@@ -38,6 +57,18 @@ def P(coeffs, p):
 
 def L_main():
     return build_lfunction(5, P(D_MAIN, 5))
+
+
+def family(q, degree):
+    """LFunctionData of every squarefree D of one degree, in index order."""
+    c, squarefree = family_coefficients(q, degree, 0, q**degree)
+    return [
+        lfunction_from_coefficients(
+            q, monic_by_index(q, degree, k), complete_coefficients(q, row)
+        )
+        for k, (row, ok) in enumerate(zip(c.tolist(), squarefree.tolist()))
+        if ok
+    ]
 
 
 def quartic_log_root(phi0):
@@ -133,6 +164,7 @@ def test_exact_double_zero_detected():
     assert L.c == (1, 0, -10, 0, 25)
     assert xi0_axis_values_exact(L) == ((0, 0), (0, 0))
     assert has_double_zero_at_axis(L)
+    assert has_repeated_root(L)
     with pytest.warns(UserWarning):
         e = lambda_bisect(L)
     assert e.kind == "exact"
@@ -349,3 +381,102 @@ def test_lambda_nonpositive_across_samples():
             continue
         e = lambda_bisect(build_lfunction(3, D))
         assert e.value <= 0.0
+
+
+def test_predicate_uses_neither_grid_nor_degree_2g_roots(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("grid or np.roots called")
+
+    monkeypatch.setattr(lfunction, "xi_on_grid", boom)
+    monkeypatch.setattr(np, "roots", boom)
+    L = L_main()
+    assert all_zeros_real(L, 0.0)
+    assert not all_zeros_real(L, -0.25)
+    assert lambda_bisect(L).kind == "bisect"
+
+
+def test_bisect_odd_harmonics_closed_form():
+    # genus 3 with c_1 = c_3 = 0: Xi_t = 2 cos x (Phi_1 e^t + Phi_3 e^(9t)
+    # (4 cos^2 x - 3)) with Phi_1 = c_2 sqrt q, Phi_3 = q^(3/2). Besides
+    # cos x = 0 the zeros have cos^2 x = (3 - r)/4, r = c_2 / (q e^(8t)), all
+    # real iff -1 <= r <= 3: Lambda = log(c_2 / 3q) / 8 for c_2 > 0 and
+    # log(-c_2 / q) / 8 for c_2 < 0. At c_2 > 0 the collision is a triple
+    # zero at cos x = 0. The degree-2g z-polynomial route missed these
+    # constants by up to 1.5e-8.
+    q = 3
+    seen = set()
+    for L in family(q, 7):
+        c2 = L.c[2]
+        if L.c[1] != 0 or L.c[3] != 0 or c2 == 0:
+            continue
+        want = math.log(c2 / (3.0 * q) if c2 > 0 else -c2 / q) / 8.0
+        e = lambda_bisect(L)
+        assert e.kind == "bisect"
+        assert abs(e.value - want) <= 1e-9, (L.D, L.c, e.value, want)
+        seen.add(c2)
+    assert 4 in seen and any(v < 0 for v in seen)
+    assert math.log(4 / 9.0) / 8.0 == pytest.approx(-0.101366277027, abs=1e-12)
+
+
+def test_gcd_degree_over_fp_and_q():
+    # (1 + 5u^2)^2 and its derivative share 1 + 5u^2
+    sq = [1, 0, 10, 0, 25]
+    dsq = [0, 20, 0, 100]
+    assert _gcd_degree(sq, dsq, None) == 2
+    assert _gcd_degree(sq, dsq, 2**31 - 1) == 2
+    # u^2 - p is squarefree over Q but a square mod p: the prefilter can
+    # only rule a repeated root out, never in
+    p = 2**31 - 1
+    assert _gcd_degree([-p, 0, 1], [0, 2], p) == 1
+    assert _gcd_degree([-p, 0, 1], [0, 2], None) == 0
+
+
+def test_repeated_root_interior_double_zero_is_exact_zero():
+    # T^5 + T over F_5: L = (1 + 5u^2)^2, a double zero of Xi_0 off the axis
+    L = build_lfunction(5, P([0, 1, 0, 0, 0, 1], 5))
+    assert L.c == (1, 0, 10, 0, 25)
+    assert not has_double_zero_at_axis(L)
+    assert has_repeated_root(L)
+    assert not has_repeated_root(L_main())
+    with pytest.warns(UserWarning, match="^Xi_0 has an exact double zero"):
+        e = lambda_bisect(L)
+    assert (e.kind, e.value, e.bracket) == ("exact", 0.0, None)
+    assert "repeated root" in e.notes
+    with pytest.raises(ValueError, match="^repeated zero: G undefined"):
+        stopple_data(L)
+
+
+@pytest.mark.parametrize("q,degree", [(5, 5), (3, 7)])
+def test_bisect_block_equals_per_row_bit_for_bit(q, degree):
+    Ls = family(q, degree)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        block = lambda_bisect_block(Ls)
+        for L, got in zip(Ls, block):
+            assert got == lambda_bisect(L), (L.D, got)
+    kinds = {e.kind for e in block}
+    assert kinds <= {"bisect", "exact", "minus_infinity"}
+    assert "bisect" in kinds and "exact" in kinds
+
+
+def test_bisect_block_isolates_a_bad_row():
+    L = L_main()
+    over = dataclasses.replace(L, phi=(L.phi[0], 1e308, L.phi[2]))
+    under = dataclasses.replace(L, phi=(L.phi[0], L.phi[1], 1e-320))
+    variant = build_lfunction(5, P(D_VARIANT, 5))
+    out = lambda_bisect_block([L, over, variant, under])
+    assert out[0] == lambda_bisect(L)
+    assert out[2] == lambda_bisect(variant)
+    assert isinstance(out[1], NumericalError)
+    assert "overflowed" in str(out[1])
+    assert isinstance(out[3], NumericalError)
+    assert "underflowed" in str(out[3])
+    with pytest.raises(NumericalError, match="overflowed"):
+        lambda_bisect(over)
+    with pytest.raises(NumericalError, match="overflowed"):
+        all_zeros_real(over, 0.0)
+
+
+def test_bisect_block_rejects_mixed_genera():
+    with pytest.raises(ValueError):
+        lambda_bisect_block([L_main(), build_lfunction(3, P([1, 2, 0, 1], 3))])
