@@ -11,7 +11,7 @@ from .families import (
     sweep_fixed_q,
     trace_of_frobenius,
 )
-from .finite_field import FpElement, legendre_int
+from .finite_field import legendre_int
 from .fp_poly import FpPolynomial, enumerate_monic, is_irreducible, is_squarefree
 from .lfunction import (
     LFunctionData,
@@ -34,7 +34,6 @@ from .newman import (
 from .quad_character import chi, chi_oracle, chi_table
 
 __all__ = [
-    "FpElement",
     "FpPolynomial",
     "LFunctionData",
     "NewmanEstimate",

@@ -37,6 +37,7 @@ from .lfunction import (
 )
 from .newman import (
     double_zero_lower_bound,
+    has_repeated_root,
     lambda_bisect,
     lambda_exact_genus1,
     newman_jsonable,
@@ -112,6 +113,9 @@ def cmd_lfun(args) -> int:
     }
     payload.update(lfunction_jsonable(L))
     payload["gammas"] = [float("%.12g" % v) for v in zeros.gammas]
+    # exact: a repeated root of L is a multiple zero of Xi_0, which the
+    # floating-point solve may split off the real axis and leave out of gammas
+    payload["repeated_root"] = has_repeated_root(L)
     with _output(args.out) as f:
         _emit_json(f, payload)
     return EXIT_OK

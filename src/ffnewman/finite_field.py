@@ -1,8 +1,9 @@
-"""Exact arithmetic in the prime field F_p (p an odd prime) and the scalar Legendre symbol."""
+"""Prime-field helpers for F_p, p an odd prime: primality, the modulus
+check, and the Legendre symbol. Elements of F_p are plain ints in [0, p);
+the polynomial kernels in fp_poly reduce every result themselves."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -29,82 +30,6 @@ def check_odd_prime(p: int) -> None:
         raise ValueError("modulus must be an odd prime, got %r" % (p,))
 
 
-@dataclass(frozen=True)
-class FpElement:
-    """A residue in [0, p). Immutable; all arithmetic stays reduced mod p.
-
-    Supports +, -, *, unary -, ** (any integer exponent, negative via inverse),
-    and .inv(). Mixed arithmetic with plain ints reduces them mod p first.
-    """
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        check_odd_prime(self.modulus)
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FpElement):
-            if other.modulus != self.modulus:
-                raise ValueError(
-                    "modulus mismatch: %d vs %d" % (self.modulus, other.modulus)
-                )
-            return other.value
-        if isinstance(other, int):
-            return other % self.modulus
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElement((self.value + v) % self.modulus, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElement((self.value - v) % self.modulus, self.modulus)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElement((v - self.value) % self.modulus, self.modulus)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElement((self.value * v) % self.modulus, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElement(-self.value % self.modulus, self.modulus)
-
-    def inv(self) -> "FpElement":
-        if self.value == 0:
-            raise ZeroDivisionError("inversion of zero in F_%d" % self.modulus)
-        return FpElement(pow(self.value, self.modulus - 2, self.modulus), self.modulus)
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            return self.inv() ** (-e)
-        return FpElement(pow(self.value, e, self.modulus), self.modulus)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return "FpElement(%d, mod %d)" % (self.value, self.modulus)
-
-
 def legendre_int(a: int, p: int) -> int:
     """Legendre symbol of the integer a mod the odd prime p, by Euler's criterion.
 
@@ -115,11 +40,6 @@ def legendre_int(a: int, p: int) -> int:
     if r <= 1:
         return r
     return -1  # Euler gives p - 1 here
-
-
-def legendre_scalar(a: FpElement) -> int:
-    """Legendre symbol of a residue (Euler's criterion on its value)."""
-    return legendre_int(a.value, a.modulus)
 
 
 @lru_cache(maxsize=None)

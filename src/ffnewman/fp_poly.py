@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .finite_field import FpElement, check_odd_prime
+from .finite_field import check_odd_prime
 
 # degree() of the zero polynomial; any comparison against a real degree is safe
 ZERO_DEGREE = -1
@@ -150,10 +150,6 @@ class FpPolynomial:
             return other.coeffs
         if isinstance(other, int):
             return _trim([other % self.p])
-        if isinstance(other, FpElement):
-            if other.modulus != self.p:
-                raise ValueError("modulus mismatch: %d vs %d" % (self.p, other.modulus))
-            return _trim([other.value])
         return NotImplemented
 
     def __add__(self, other):
@@ -200,12 +196,9 @@ class FpPolynomial:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __call__(self, x) -> FpElement:
-        if isinstance(x, FpElement):
-            if x.modulus != self.p:
-                raise ValueError("modulus mismatch")
-            x = x.value
-        return FpElement(_eval(self.coeffs, int(x) % self.p, self.p), self.p)
+    def __call__(self, x: int) -> int:
+        """The value at x (an integer, reduced mod p), as an int in [0, p)."""
+        return _eval(self.coeffs, int(x) % self.p, self.p)
 
     def derivative(self) -> "FpPolynomial":
         return FpPolynomial(_deriv(self.coeffs, self.p), self.p)

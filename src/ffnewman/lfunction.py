@@ -9,6 +9,11 @@ line it becomes the real trigonometric polynomial
 with Phi_n = c_(g-n) q^(n/2); t is the deformation time. This module computes
 the coefficients, evaluates Xi_t, and extracts its 2g zeros per period.
 
+Its _colleague_roots is the one solver for those zeros: Xi_t(x) = P_t(cos x)
+with P_t a degree-g Chebyshev series, whose roots are colleague-matrix
+eigenvalues. zeros_at_t maps each root u to the pair x = +-arccos(u), and the
+all-real predicate of the newman module stacks many rows into one call.
+
 Two routes give the same exact integers c_0..c_g. Single-discriminant calls
 (build_lfunction, dirichlet_coefficients) sum the reciprocity-ladder
 character over every monic f of degree n; family sweeps use
@@ -23,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import multiprocessing
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,8 +45,6 @@ from .quad_character import _chi_ladder, _validate_modulus, chi_table
 
 # enumeration sizes at or above this use the multiplicative character table
 _TABLE_THRESHOLD = 2000
-
-GRID_POINTS = 4096
 
 # discriminants per block of family_coefficients; bounds its working arrays
 # and is the task size of a fixed-q sweep
@@ -92,34 +94,17 @@ class LFunctionData:
     phi_exact: tuple
 
 
-def _sum_chi_over_degree(p: int, d_coeffs: tuple, n: int, k0: int, k1: int) -> int:
-    leg = legendre_table(p)
-    tot = 0
-    for k in range(k0, k1):
-        tot += _chi_ladder(_monic_tuple_by_index(p, n, k), d_coeffs, p, leg)
-    return tot
-
-
-def _sum_chi_worker(args) -> int:
-    return _sum_chi_over_degree(*args)
-
-
-def _coefficient_direct(q: int, D: FpPolynomial, n: int, workers: int = 1) -> int:
+def _coefficient_direct(q: int, D: FpPolynomial, n: int) -> int:
     """c_n by literal enumeration: one reciprocity-ladder character value per
     monic polynomial of degree n (the single-D route, and the cross-check of
-    family_coefficients). Order-independent integer summation, so splitting
-    the index range across workers cannot change the result."""
+    family_coefficients)."""
     if n == 0:
         return 1
-    total = q**n
-    if workers > 1 and total >= 4 * workers:
-        bounds = [total * i // workers for i in range(workers + 1)]
-        tasks = [
-            (q, D.coeffs, n, bounds[i], bounds[i + 1]) for i in range(workers)
-        ]
-        with multiprocessing.Pool(workers) as pool:
-            return sum(pool.map(_sum_chi_worker, tasks))
-    return _sum_chi_over_degree(q, D.coeffs, n, 0, total)
+    leg = legendre_table(q)
+    return sum(
+        _chi_ladder(_monic_tuple_by_index(q, n, k), D.coeffs, q, leg)
+        for k in range(q**n)
+    )
 
 
 def _use_table(q: int, D: FpPolynomial) -> bool:
@@ -127,7 +112,7 @@ def _use_table(q: int, D: FpPolynomial) -> bool:
 
 
 def coefficient_by_enumeration(
-    q: int, D: FpPolynomial, n: int, engine: str = "auto", workers: int = 1
+    q: int, D: FpPolynomial, n: int, engine: str = "auto"
 ) -> int:
     """c_n = sum of chi_D over all monic f of degree n, for any n >= 0.
 
@@ -148,7 +133,7 @@ def coefficient_by_enumeration(
         table = chi_table(D, max(n, D.degree))
         return int(sum(table[n]))
     if engine == "ladder":
-        return _coefficient_direct(q, D, n, workers=workers)
+        return _coefficient_direct(q, D, n)
     raise ValueError("unknown engine %r" % engine)
 
 
@@ -157,7 +142,6 @@ def dirichlet_coefficients(
     D: FpPolynomial,
     mode: str = "half",
     engine: str = "auto",
-    workers: int = 1,
 ) -> tuple:
     """The integer coefficients c_0..c_2g of L(s, chi_D).
 
@@ -177,7 +161,7 @@ def dirichlet_coefficients(
         table = chi_table(D, max(top, D.degree))
         c = [int(sum(table[n])) if n else 1 for n in range(top + 1)]
     elif engine == "ladder":
-        c = [_coefficient_direct(q, D, n, workers=workers) for n in range(top + 1)]
+        c = [_coefficient_direct(q, D, n) for n in range(top + 1)]
     else:
         raise ValueError("unknown engine %r" % engine)
     if mode == "half":
@@ -336,10 +320,10 @@ def fourier_coefficients(q: int, g: int, c: tuple):
 
 
 def build_lfunction(
-    q: int, D: FpPolynomial, mode: str = "half", engine: str = "auto", workers: int = 1
+    q: int, D: FpPolynomial, mode: str = "half", engine: str = "auto"
 ) -> LFunctionData:
     require_good_pair(q, D)
-    c = dirichlet_coefficients(q, D, mode=mode, engine=engine, workers=workers)
+    c = dirichlet_coefficients(q, D, mode=mode, engine=engine)
     return lfunction_from_coefficients(q, D, c)
 
 
@@ -354,7 +338,9 @@ def lfunction_from_coefficients(q: int, D: FpPolynomial, c: tuple) -> LFunctionD
 def xi_eval(L: LFunctionData, t: float, x):
     """Xi_t(x). Real x gives a float (the sum is exactly real); complex x is
     evaluated with the two-sided exponential kernel and the imaginary part is
-    dropped when below 1e-12 in magnitude."""
+    dropped when below 1e-12 in magnitude. The complex branch is the oracle
+    the tests check the nonreal zeros of zeros_at_t against: it evaluates
+    Xi_t directly, not through P_t or arccos."""
     if isinstance(x, complex):
         val = complex(L.phi[0])
         for n in range(1, L.g + 1):
@@ -369,58 +355,6 @@ def xi_eval(L: LFunctionData, t: float, x):
         if L.phi[n]:
             val += 2.0 * L.phi[n] * math.exp(t * n * n) * math.cos(n * x)
     return val
-
-
-@lru_cache(maxsize=32)
-def _cos_matrix(g: int, m: int):
-    x = np.arange(m) * (2.0 * math.pi / m)
-    return np.cos(np.outer(np.arange(g + 1), x))
-
-
-def _weights(L: LFunctionData, t: float) -> np.ndarray:
-    w = np.zeros(L.g + 1)
-    w[0] = L.phi[0]
-    for n in range(1, L.g + 1):
-        if L.phi[n]:
-            w[n] = 2.0 * L.phi[n] * math.exp(t * n * n)
-    return w
-
-
-def xi_on_grid(L: LFunctionData, t: float, m: int = GRID_POINTS) -> np.ndarray:
-    """Xi_t sampled on the uniform m-point grid of [0, 2pi)."""
-    return _weights(L, t) @ _cos_matrix(L.g, m)
-
-
-def grid_sign_changes(L: LFunctionData, t: float, m: int = GRID_POINTS) -> int:
-    """Number of sign changes of Xi_t around the m-point circle grid.
-
-    A degree-g cosine polynomial has at most 2g zeros per period, so a count
-    of 2g certifies that every zero is real and simple.
-    """
-    v = xi_on_grid(L, t, m)
-    s = np.sign(v)
-    return int(np.count_nonzero(s * np.roll(s, -1) < 0))
-
-
-def _grid_real_zeros(L: LFunctionData, t: float, m: int = GRID_POINTS):
-    """Refine every sign change of Xi_t on the grid by bisection."""
-    v = xi_on_grid(L, t, m)
-    s = np.sign(v)
-    idx = np.nonzero(s * np.roll(s, -1) < 0)[0]
-    h = 2.0 * math.pi / m
-    zeros = []
-    for k in idx:
-        lo, hi = k * h, (k + 1) * h
-        flo = xi_eval(L, t, lo)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fm = xi_eval(L, t, mid)
-            if (fm < 0) == (flo < 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        zeros.append(0.5 * (lo + hi))
-    return zeros
 
 
 @dataclass(frozen=True)
@@ -440,44 +374,84 @@ class ZeroSet:
     xs: tuple
 
 
-def zeros_at_t(L: LFunctionData, t: float, tol: float = 1e-9) -> ZeroSet:
-    """All 2g zeros of Xi_t via the substitution z = e^(ix).
+@lru_cache(maxsize=None)
+def _colleague_parts(g: int):
+    """(n^2 for n = 0..g, the constant part of the rotated colleague matrix,
+    the factor on its first column): numpy's scaled Chebyshev companion
+    (chebcompanion), flipped on both axes as chebroots does."""
+    base = np.zeros((g, g))
+    scl = np.full(g, math.sqrt(0.5))
+    scl[0] = 1.0
+    if g > 1:
+        off = np.full(g - 1, 0.5)
+        off[0] = math.sqrt(0.5)
+        k = np.arange(g - 1)
+        base[k, k + 1] = off
+        base[k + 1, k] = off
+    fac = (scl / scl[-1] * 0.5)[::-1]
+    for a in (base, fac):
+        a.flags.writeable = False
+    return np.arange(g + 1) ** 2, base[::-1, ::-1].copy(), fac
 
-    e^(2igx) Xi_t(x) is the palindromic polynomial
-    Q_t(z) = Phi_0 z^g + sum_n Phi_n e^(t n^2) (z^(g+n) + z^(g-n)),
-    solved by companion-matrix eigenvalues; x = -i log z. If at t >= 0 any
-    root strays off the unit circle (where all of them must sit) the real
-    zeros are recovered instead by grid bisection and the count cross-checked.
+
+def _colleague_roots(phi: np.ndarray, t: np.ndarray):
+    """The g roots u = cos x of P_t, where Xi_t(x) = P_t(cos x), for a stack
+    of rows of one genus g: the one solver for the zeros of Xi_t.
+
+    Row i is Xi at time t[i] with Fourier coefficients phi[i]. In Chebyshev
+    form Xi_t(x) = P_t(cos x), P_t(u) = sum_n w_n T_n(u) with w_0 = Phi_0 and
+    w_n = 2 Phi_n e^(t n^2), so the 2g zeros per period are x = +-arccos(u)
+    over the g roots u of P_t. Those are the eigenvalues of P_t's colleague
+    matrix (I. J. Good, Q. J. Math. 1961), all rows in one
+    np.linalg.eigvals call; LAPACK solves each matrix on its own, so a row's
+    roots do not depend on the rest of the stack.
+
+    Returns (u, ok, errors): ok marks the rows that were solved, u holds
+    their roots as complex, shape (ok.sum(), g), and errors maps every other
+    row to its NumericalError message: weights that are not finite, or a
+    leading weight that underflows (the ratio to it overflows). Such rows
+    never reach eigvals, where one NaN would fail the whole stack.
     """
-    g = L.g
-    a = np.zeros(2 * g + 1)
-    a[g] = L.phi[0]
-    for n in range(1, g + 1):
-        w = L.phi[n] * math.exp(t * n * n)
-        a[g + n] = w
-        a[g - n] = w
-    if not np.all(np.isfinite(a)):
-        raise NumericalError("Xi_t coefficients overflowed at t=%g" % t)
-    if a[2 * g] == 0.0:
-        raise NumericalError("leading coefficient underflowed at t=%g" % t)
-    z = np.roots(a[::-1])
-    if len(z) != 2 * g:
-        raise NumericalError(
-            "root finder returned %d of %d roots at t=%g" % (len(z), 2 * g, t)
-        )
-    if t >= 0 and np.max(np.abs(np.abs(z) - 1.0)) > 1e-6:
-        # RH for curves puts every root on |z| = 1; fall back to the real line
-        real = _grid_real_zeros(L, t)
-        if len(real) != 2 * g:
-            raise NumericalError(
-                "eigenvalues left the unit circle at t=%g and the grid found "
-                "%d of %d zeros" % (t, len(real), 2 * g)
-            )
-        xs = tuple(complex(v, 0.0) for v in sorted(real))
-        gammas = tuple(v for v in sorted(real) if 0.0 < v < math.pi)
-        return ZeroSet(t=t, gammas=gammas, nonreal=(), delta=0.0, xs=xs)
-    re = np.mod(np.angle(z), 2.0 * math.pi)
-    im = -np.log(np.abs(z))
+    g = phi.shape[1] - 1
+    n2, base, fac = _colleague_parts(g)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = phi * np.exp(t[:, None] * n2)
+        w[:, 1:] *= 2.0
+        ratio = w / w[:, -1:]  # last column: 1 unless w_g is 0 or not finite
+    ok = np.isfinite(ratio).all(axis=1)
+    errors = {}
+    if not ok.all():
+        for i in np.nonzero(~ok)[0].tolist():
+            errors[i] = (
+                "leading coefficient underflowed at t=%g"
+                if np.isfinite(w[i]).all()
+                else "Xi_t coefficients overflowed at t=%g"
+            ) % t[i]
+        ratio = ratio[ok]
+    if not len(ratio):
+        return np.zeros((0, g), dtype=complex), ok, errors
+    if g == 1:
+        mat = -ratio[:, :1, None]
+    else:
+        mat = np.repeat(base[None], len(ratio), axis=0)
+        mat[:, :, 0] -= ratio[:, -2::-1] * fac
+    return np.linalg.eigvals(mat).astype(complex), ok, errors
+
+
+def zeros_at_t(L: LFunctionData, t: float, tol: float = 1e-9) -> ZeroSet:
+    """All 2g zeros of Xi_t in one period.
+
+    Each root u of P_t (_colleague_roots) gives the pair x = +-arccos(u)
+    mod 2pi, with arccos on its complex principal branch; x is real exactly
+    when u is real in [-1, 1]. Raises NumericalError when the weights
+    overflow or the leading weight underflows.
+    """
+    u, _, errors = _colleague_roots(np.array([L.phi]), np.array([float(t)]))
+    if errors:
+        raise NumericalError(errors[0])
+    a = np.arccos(u[0])
+    re = np.mod(np.concatenate((a.real, -a.real)), 2.0 * math.pi)
+    im = np.concatenate((a.imag, -a.imag))
     order = np.lexsort((im, re))
     xs = tuple(complex(re[i], im[i]) for i in order)
     delta = float(np.max(np.abs(im)))

@@ -6,7 +6,8 @@ monotone and bisection applies. The predicate uses the Chebyshev form
 Xi_t(x) = P_t(cos x) = sum_n w_n T_n(cos x), w_0 = Phi_0,
 w_n = 2 Phi_n e^(t n^2): the g roots of P_t are eigenvalues of its colleague
 matrix, mapped back to x by complex arccos, and Xi_t is all-real when every
-zero has |Im x| <= tol. No grid is sampled. Routes provided:
+zero has |Im x| <= tol. The root solve is lfunction's, the same one
+zeros_at_t uses. No grid is sampled. Routes provided:
 
   lambda_exact_genus1      closed form log(|Phi_0| / (2 sqrt q)) for g = 1
   lambda_bisect            monotone bisection on the all-zeros-real predicate;
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .lfunction import (
     LFunctionData,
     NumericalError,
     ZeroSet,
+    _colleague_roots,
     zeros_at_t,
 )
 
@@ -171,64 +172,17 @@ def has_repeated_root(L: LFunctionData) -> bool:
     return _gcd_degree(c, dc, None) > 0
 
 
-@lru_cache(maxsize=None)
-def _colleague_parts(g: int):
-    """(n^2 for n = 0..g, the constant part of the rotated colleague matrix,
-    the factor on its first column): numpy's scaled Chebyshev companion
-    (chebcompanion), flipped on both axes as chebroots does."""
-    base = np.zeros((g, g))
-    scl = np.full(g, math.sqrt(0.5))
-    scl[0] = 1.0
-    if g > 1:
-        off = np.full(g - 1, 0.5)
-        off[0] = math.sqrt(0.5)
-        k = np.arange(g - 1)
-        base[k, k + 1] = off
-        base[k + 1, k] = off
-    fac = (scl / scl[-1] * 0.5)[::-1]
-    for a in (base, fac):
-        a.flags.writeable = False
-    return np.arange(g + 1) ** 2, base[::-1, ::-1].copy(), fac
-
-
 def _real_rows(phi: np.ndarray, t: np.ndarray, tol: float):
-    """The all-real predicate for a stack of rows of one genus g.
-
-    Row i is Xi at time t[i]: P(u) = sum_n w_n T_n(u) with u = cos x,
-    w_0 = Phi_0 and w_n = 2 Phi_n e^(t n^2). The g roots u of all
-    rows come from one np.linalg.eigvals call on the stacked colleague
-    matrices; LAPACK solves each matrix on its own, so a row's answer does
-    not depend on the rest of the stack. A row is all-real when every root
-    has |Im arccos(u)| <= tol. Returns (real, errors): a bool array and a
-    dict from row to the NumericalError message of a row whose weights are
-    not finite or whose leading weight underflows; such rows never reach
-    eigvals, where one NaN would fail the whole stack.
+    """The all-real predicate for a stack of rows of one genus g: row i
+    (Fourier coefficients phi[i] at time t[i]) is all-real when every root u
+    of its P_t from the stacked colleague solve (_colleague_roots) has
+    |Im arccos(u)| <= tol. Returns (real, errors): a bool array and the
+    solver's dict from row to the NumericalError message of a row whose
+    weights are not finite or whose leading weight underflows.
     """
-    g = phi.shape[1] - 1
-    n2, base, fac = _colleague_parts(g)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w = phi * np.exp(t[:, None] * n2)
-        w[:, 1:] *= 2.0
-        ratio = w / w[:, -1:]  # last column: 1 unless w_g is 0 or not finite
-    ok = np.isfinite(ratio).all(axis=1)
-    errors = {}
+    u, ok, errors = _colleague_roots(phi, t)
     real = np.zeros(len(t), dtype=bool)
-    if not ok.all():
-        for i in np.nonzero(~ok)[0].tolist():
-            errors[i] = (
-                "leading coefficient underflowed at t=%g"
-                if np.isfinite(w[i]).all()
-                else "Xi_t coefficients overflowed at t=%g"
-            ) % t[i]
-        ratio = ratio[ok]
-    if len(ratio):
-        if g == 1:
-            mat = -ratio[:, :1, None]
-        else:
-            mat = np.repeat(base[None], len(ratio), axis=0)
-            mat[:, :, 0] -= ratio[:, -2::-1] * fac
-        u = np.linalg.eigvals(mat).astype(complex)
-        real[ok] = (np.abs(np.arccos(u).imag) <= tol).all(axis=1)
+    real[ok] = (np.abs(np.arccos(u).imag) <= tol).all(axis=1)
     return real, errors
 
 

@@ -11,7 +11,9 @@ at the monic irreducible factors of D. Two independent evaluators live here:
 
 plus chi_table, which tabulates chi_D on all monic polynomials up to a degree
 bound by running the ladder on irreducibles only and extending by complete
-multiplicativity through the factor sieve; also a cross-check. Family sweeps
+multiplicativity through the factor sieve; also a cross-check, and the engine
+behind dirichlet_coefficients(mode="full") once q^deg D reaches 2000, where
+one table serves every degree 0..2g. Family sweeps
 use none of these: lfunction.family_coefficients reads chi_D(P) for the
 irreducibles P of degree <= g from per-P square tables, and the ladder and
 chi_oracle cross-check it in the tests.

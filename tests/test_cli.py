@@ -66,6 +66,21 @@ def test_lfun_json(capsys):
     assert doc["c"] == [1, -3, 3]
     assert doc["phi"] == [-3.0, 1.73205080757]
     assert doc["gammas"] == pytest.approx([math.pi / 6.0], abs=1e-9)
+    assert doc["repeated_root"] is False
+
+
+def test_lfun_repeated_root(capsys):
+    # genus 7 over F_3 with c_odd = 0 and a repeated root of L: Xi_0 has a
+    # triple zero at pi/2, which the floating-point solve splits into one real
+    # zero and a pair slightly off the axis, so gammas holds 5 of the 7 zeros
+    d = "1,1,0,2,2,0,0,0,0,2,2,0,2,1,0,1"
+    code, out, err = run_cli(["lfun", "--q", "3", "--d", d], capsys)
+    assert code == EXIT_OK, err
+    doc = json.loads(out)
+    assert doc["g"] == 7
+    assert doc["repeated_root"] is True
+    assert len(doc["gammas"]) < 7
+    assert min(abs(v - math.pi / 2.0) for v in doc["gammas"]) < 1e-5
 
 
 def test_lfun_worked_pair(capsys):

@@ -53,9 +53,11 @@ def test_gcd_example():
 def test_eval_example():
     # (T^3+2T+1)(2) = 8+4+1 = 13 = 1 over F_3
     f = P([1, 2, 0, 1], 3)
-    assert f(2).value == 1
-    assert f(0).value == 1
-    assert f(1).value == 1
+    assert f(2) == 1
+    assert f(0) == 1
+    assert f(1) == 1
+    # a plain int in [0, p): the argument is reduced first
+    assert type(f(5)) is int and f(5) == f(2)
 
 
 def test_ring_axioms_random():
@@ -146,10 +148,10 @@ def test_irreducible_examples():
 def test_irreducible_agrees_with_root_and_product_structure():
     # degree <= 3: reducible iff it has a root or (deg 2 factor) pair
     for f in enumerate_monic(3, 2):
-        has_root = any(f(a).value == 0 for a in range(3))
+        has_root = any(f(a) == 0 for a in range(3))
         assert is_irreducible(f) == (not has_root)
     for f in enumerate_monic(3, 3):
-        has_root = any(f(a).value == 0 for a in range(3))
+        has_root = any(f(a) == 0 for a in range(3))
         assert is_irreducible(f) == (not has_root)
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from ffnewman.fp_poly import FpPolynomial, enumerate_monic, is_irreducible, is_squarefree
 from ffnewman.lfunction import (
-    GRID_POINTS,
     LFunctionData,
     NumericalError,
     build_lfunction,
@@ -14,7 +13,6 @@ from ffnewman.lfunction import (
     dirichlet_coefficients,
     fourier_coefficients,
     good_pair_check,
-    grid_sign_changes,
     lfunction_jsonable,
     xi_eval,
     zeros_at_t,
@@ -103,14 +101,6 @@ def test_continuation_coefficients_vanish():
     for D in list(good_pairs(3, 3))[::3]:
         assert coefficient_by_enumeration(3, D, 3) == 0
         assert coefficient_by_enumeration(3, D, 4) == 0
-
-
-def test_workers_do_not_change_sums():
-    D = P(D_MAIN, 5)
-    for n in [2, 3]:
-        assert coefficient_by_enumeration(
-            5, D, n, engine="ladder", workers=2
-        ) == coefficient_by_enumeration(5, D, n, engine="ladder", workers=1)
 
 
 def test_fourier_data_worked_pair():
@@ -267,11 +257,30 @@ def test_zeros_on_unit_circle_at_t0():
             assert z.delta < 1e-8
 
 
-def test_grid_sign_changes_counts():
-    L = build_lfunction(5, P(D_MAIN, 5))
-    assert grid_sign_changes(L, 0.0) == 4
-    assert grid_sign_changes(L, -0.25) == 2
-    assert GRID_POINTS >= 1024
+def test_zeros_are_zeros_of_xi():
+    # checked without P_t or arccos: the zeros pair up as x <-> 2pi - x
+    # (evenness) and the two-sided complex kernel of xi_eval vanishes at each
+    for q, deg in [(3, 5), (5, 5)]:
+        for D in good_pairs(q, deg):
+            L = build_lfunction(q, D)
+            for t in [-0.25, 0.0, 0.1]:
+                xs = zeros_at_t(L, t).xs
+                assert len(xs) == 2 * L.g
+                scale = abs(L.phi[0]) + sum(
+                    2.0 * abs(L.phi[n]) * math.exp(t * n * n)
+                    for n in range(1, L.g + 1)
+                )
+                for x in xs:
+                    assert abs(xi_eval(L, t, x)) < 1e-8 * scale, (D, t, x)
+                for x in xs:
+                    partner = complex(2.0 * math.pi - x.real, -x.imag)
+                    gap = min(_circle_distance(y, partner) for y in xs)
+                    assert gap < 1e-7, (D, t, x)
+
+
+def _circle_distance(a: complex, b: complex) -> float:
+    d = (a.real - b.real) % (2.0 * math.pi)
+    return math.hypot(min(d, 2.0 * math.pi - d), a.imag - b.imag)
 
 
 def test_extreme_t_raises_numerical_error():

