@@ -26,7 +26,6 @@ __all__ = [
     "phi_series",
     "phi_u",
     "xi_t_classical",
-    "xi_t_classical_two_sided",
 ]
 
 # Consecutive-term ratio bound for u >= 0: ((n+1)/n)^4 e^{-(2n+1) pi e^{2u}}
@@ -122,24 +121,3 @@ def xi_t_classical(
         return float(2.0 * np.sum(base * np.cos(nodes * xc.real)))
     val = 2.0 * np.sum(base * np.cos(nodes * xc))
     return complex(val)
-
-
-def xi_t_classical_two_sided(
-    t: float,
-    x: float,
-    u_max: float = 6.0,
-    n_max: int = 32,
-    quad_points: int = 2000,
-):
-    """Same value through the symmetric window: integral over [-u_max, u_max]
-    of e^{tu^2} Phi(u) e^{iux} du, exploiting Phi(-u) = Phi(u).  Exists as an
-    independent route for cross-checking the half-line cosine form; the
-    imaginary part cancels to rounding and is discarded for real x."""
-    if abs(t) > 2.0:
-        raise ValueError("|t| must be <= 2")
-    half_nodes, half_weights = _panel_nodes(float(u_max), quad_points)
-    nodes = np.concatenate((-half_nodes[::-1], half_nodes))
-    weights = np.concatenate((half_weights[::-1], half_weights))
-    base = weights * np.exp(t * nodes * nodes) * phi_u(nodes, n_max=n_max)
-    val = np.sum(base * np.exp(1j * nodes * float(x)))
-    return float(val.real)

@@ -2,9 +2,9 @@
 
 Ring operations, gcd, derivative, evaluation, squarefree and irreducibility
 tests, deterministic enumeration of monic polynomials, the text codec used by
-the CLI, and a smallest-irreducible-factor sieve that supplies the
-irreducibles for the multiplicative character tables and the family
-coefficient tables.
+the CLI, the monic irreducibles of each degree (the primes of the explicit
+formula for L-function coefficients), and a smallest-irreducible-factor sieve
+for the multiplicative character tables.
 
 Internally polynomials are tuples of ints in ascending degree order with no
 trailing zeros; the zero polynomial is the empty tuple. The FpPolynomial class
@@ -369,3 +369,20 @@ def _tuple_to_index(f: tuple, p: int) -> int:
 @lru_cache(maxsize=8)
 def factor_sieve(p: int, maxdeg: int) -> FactorSieve:
     return FactorSieve(p, maxdeg)
+
+
+@lru_cache(maxsize=None)
+def monic_irreducibles(p: int, n: int) -> tuple:
+    """The monic irreducible polynomials of degree n >= 1 over F_p as
+    coefficient tuples, in enumeration order: every monic f of degree n that
+    no product of a monic irreducible of degree e <= n/2 with a monic cofactor
+    of degree n - e hits. About p^n/n of them; cached per (p, n)."""
+    composite = bytearray(p**n)
+    for e in range(1, n // 2 + 1):
+        cofactors = [_monic_tuple_by_index(p, n - e, j) for j in range(p ** (n - e))]
+        for P in monic_irreducibles(p, e):
+            for f in cofactors:
+                composite[_tuple_to_index(_mul(P, f, p), p)] = 1
+    return tuple(
+        _monic_tuple_by_index(p, n, k) for k in range(p**n) if not composite[k]
+    )

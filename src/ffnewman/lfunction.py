@@ -14,14 +14,16 @@ with P_t a degree-g Chebyshev series, whose roots are colleague-matrix
 eigenvalues. zeros_at_t maps each root u to the pair x = +-arccos(u), and the
 all-real predicate of the newman module stacks many rows into one call.
 
-Two routes give the same exact integers c_0..c_g. Single-discriminant calls
-(build_lfunction, dirichlet_coefficients) sum the reciprocity-ladder
-character over every monic f of degree n; family sweeps use
-family_coefficients, the explicit formula over the irreducibles of degree
-<= g, vectorised over a whole index range of D. Each route is a cross-check
-of the other. The upper half comes from the exact integer functional
-equation c_(g+n) = q^n c_(g-n); dirichlet_coefficients(mode="full")
-enumerates it instead, so tests can verify it.
+The exact integers c_0..c_g come from the explicit formula: chi_D(P) at the
+monic irreducible P of degree d <= g gives the power sums S_k, and Newton's
+identities give the c_n (_newton_coefficients). build_lfunction runs it for
+one D with the reciprocity ladder at each P; family_coefficients runs it over
+a whole index range of D at once in integer numpy. dirichlet_coefficients and
+coefficient_by_enumeration sum chi_D over every monic f of degree n instead;
+they are the oracle the tests compare both routes against. The upper half
+comes from the exact integer functional equation c_(g+n) = q^n c_(g-n);
+dirichlet_coefficients(mode="full") enumerates it instead, so tests can
+verify it.
 """
 
 from __future__ import annotations
@@ -37,11 +39,11 @@ from .finite_field import check_odd_prime, is_prime, legendre_table
 from .fp_poly import (
     FpPolynomial,
     _monic_tuple_by_index,
-    factor_sieve,
     is_squarefree,
+    monic_irreducibles,
     poly_to_text,
 )
-from .quad_character import _chi_ladder, _validate_modulus, chi_table
+from .quad_character import _chi_ladder, chi_table
 
 # enumeration sizes at or above this use the multiplicative character table
 _TABLE_THRESHOLD = 2000
@@ -96,8 +98,8 @@ class LFunctionData:
 
 def _coefficient_direct(q: int, D: FpPolynomial, n: int) -> int:
     """c_n by literal enumeration: one reciprocity-ladder character value per
-    monic polynomial of degree n (the single-D route, and the cross-check of
-    family_coefficients)."""
+    monic polynomial of degree n. A test oracle for build_lfunction and
+    family_coefficients."""
     if n == 0:
         return 1
     leg = legendre_table(q)
@@ -116,11 +118,11 @@ def coefficient_by_enumeration(
 ) -> int:
     """c_n = sum of chi_D over all monic f of degree n, for any n >= 0.
 
-    Used to verify that coefficients vanish from degree deg D on. engine
-    selects the character evaluation route: "ladder" is one reciprocity ladder
-    per f; "table" tabulates chi from its values on irreducibles (a
-    cross-check: identical values, exhaustively compared in tests); "auto"
-    picks by size.
+    A test oracle, also used to verify that coefficients vanish from degree
+    deg D on. engine selects the character evaluation route: "ladder" is one
+    reciprocity ladder per f; "table" tabulates chi from its values on
+    irreducibles (a cross-check: identical values, exhaustively compared in
+    tests); "auto" picks by size.
     """
     require_good_pair(q, D)
     if n < 0:
@@ -143,7 +145,8 @@ def dirichlet_coefficients(
     mode: str = "half",
     engine: str = "auto",
 ) -> tuple:
-    """The integer coefficients c_0..c_2g of L(s, chi_D).
+    """The integer coefficients c_0..c_2g of L(s, chi_D) by enumeration: the
+    oracle the tests compare build_lfunction and family_coefficients against.
 
     mode="half" enumerates only degrees 0..g (q^n character values for c_n)
     and fills the upper half through the exact integer functional equation
@@ -209,13 +212,9 @@ def _family_tables(q: int, degree: int) -> tuple:
     sum r_i q^i: the quadratic character of r in F_q[T]/(P_j) times the
     reciprocity sign (-1)^(((q-1)/2) d)."""
     g = (degree - 1) // 2
-    sieve = factor_sieve(q, g)
     out = []
     for d in range(1, g + 1):
-        P = np.array(
-            [_monic_tuple_by_index(q, d, k) for k in sieve.irreducible_indices[d]],
-            dtype=np.int64,
-        )
+        P = np.array(monic_irreducibles(q, d), dtype=np.int64)
         m = len(P)
         P2 = np.zeros((m, 2 * d + 1), dtype=np.int64)
         for i in range(d + 1):
@@ -252,8 +251,8 @@ def family_coefficients(q: int, degree: int, start: int, stop: int):
     and chi_D(P) from a per-P table (_family_tables). Then
     S_k = sum over d | k of sum over deg P = d of d chi_D(P)^(k/d), and
     Newton's identities n c_n = sum_{k=1..n} S_k c_(n-k) give c_1..c_g
-    exactly. D is squarefree iff no such P^2 divides it, read off D mod P^2
-    in the same pass.
+    exactly (_newton_coefficients). D is squarefree iff no such P^2 divides
+    it, read off D mod P^2 in the same pass.
 
     Returns (c, squarefree): int64 of shape (stop - start, g + 1) and bool of
     shape (stop - start,). For squarefree D a row equals
@@ -289,19 +288,31 @@ def family_coefficients(q: int, degree: int, start: int, stop: int):
             B[d] = np.count_nonzero(vals, axis=1)
             res2 = ((C @ R2) % q).reshape(hi - lo, m, 2 * d)
             sf &= res2.any(axis=2).all(axis=1)
-        S = np.zeros((hi - lo, g + 1), dtype=np.int64)
-        for k in range(1, g + 1):
-            for d in range(1, k + 1):
-                if k % d == 0:
-                    S[:, k] += d * (A[d] if (k // d) % 2 else B[d])
-        block = c[lo - start : hi - start]
-        block[:, 0] = 1
-        for n in range(1, g + 1):
-            num = (S[:, 1 : n + 1] * block[:, n - 1 :: -1]).sum(axis=1)
-            if np.any(num % n):
-                raise ArithmeticError("Newton identity left a remainder at n=%d" % n)
-            block[:, n] = num // n
+        for n, cn in enumerate(_newton_coefficients(A, B)):
+            c[lo - start : hi - start, n] = cn
     return c, squarefree
+
+
+def _newton_coefficients(A: list, B: list) -> list:
+    """c_0..c_g of the explicit formula from A[d] and B[d] (index 0 unused),
+    the sums of chi_D(P) and of chi_D(P)^2 over the monic irreducible P of
+    degree d = 1..g: S_k = sum over d | k of d A[d] (odd k/d) or d B[d]
+    (even k/d), then Newton's identities n c_n = sum_{k=1..n} S_k c_(n-k),
+    exact, with a remainder check. Python ints give one D; int64 arrays give
+    a stack of D, elementwise."""
+    g = len(A) - 1
+    S = [0] * (g + 1)
+    for k in range(1, g + 1):
+        for d in range(1, k + 1):
+            if k % d == 0:
+                S[k] += d * (A[d] if (k // d) % 2 else B[d])
+    c = [1]
+    for n in range(1, g + 1):
+        num = sum(S[k] * c[n - k] for k in range(1, n + 1))
+        if np.any(num % n):
+            raise ArithmeticError("Newton identity left a remainder at n=%d" % n)
+        c.append(num // n)
+    return c
 
 
 def fourier_coefficients(q: int, g: int, c: tuple):
@@ -319,11 +330,21 @@ def fourier_coefficients(q: int, g: int, c: tuple):
     return tuple(phi), tuple(phi_exact)
 
 
-def build_lfunction(
-    q: int, D: FpPolynomial, mode: str = "half", engine: str = "auto"
-) -> LFunctionData:
+def build_lfunction(q: int, D: FpPolynomial) -> LFunctionData:
+    """LFunctionData of a good pair by the explicit formula: the reciprocity
+    ladder gives chi_D(P) only at the monic irreducible P of degree d <= g
+    (about q^d/d of them per degree), and _newton_coefficients turns their
+    sums into c_0..c_g; the functional equation fills the rest."""
     require_good_pair(q, D)
-    c = dirichlet_coefficients(q, D, mode=mode, engine=engine)
+    g = (D.degree - 1) // 2
+    leg = legendre_table(q)
+    A = [0] * (g + 1)
+    B = [0] * (g + 1)
+    for d in range(1, g + 1):
+        vals = [_chi_ladder(P, D.coeffs, q, leg) for P in monic_irreducibles(q, d)]
+        A[d] = sum(vals)
+        B[d] = len(vals) - vals.count(0)
+    c = complete_coefficients(q, _newton_coefficients(A, B))
     return lfunction_from_coefficients(q, D, c)
 
 
@@ -406,11 +427,20 @@ def _colleague_roots(phi: np.ndarray, t: np.ndarray):
     np.linalg.eigvals call; LAPACK solves each matrix on its own, so a row's
     roots do not depend on the rest of the stack.
 
+    Where the leading weight underflows (e^(t g^2) is subnormal or 0 at
+    very negative t), the ratios w_n / w_g are taken instead as
+    (Phi_n / Phi_g) e^(t (n^2 - g^2)), halved at n = 0, with Phi_n = 0
+    giving 0; the product is formed in logs, so it overflows only when the
+    ratio itself does. Then the row is certified not all-real:
+    g roots of P_t in [-1, 1] would give sum |w_n| <= 2^(2g-1) |w_g|, since
+    the l1 norm of Chebyshev coefficients is submultiplicative and each
+    factor u - r has norm <= 2.
+
     Returns (u, ok, errors): ok marks the rows that were solved, u holds
-    their roots as complex, shape (ok.sum(), g), and errors maps every other
-    row to its NumericalError message: weights that are not finite, or a
-    leading weight that underflows (the ratio to it overflows). Such rows
-    never reach eigvals, where one NaN would fail the whole stack.
+    their roots as complex, shape (ok.sum(), g), and errors maps a row whose
+    weights are not finite, or whose Phi_n / Phi_g is not, to its
+    NumericalError message. The remaining unsolved rows are the certified
+    ones. No such row reaches eigvals, where one NaN would fail the stack.
     """
     g = phi.shape[1] - 1
     n2, base, fac = _colleague_parts(g)
@@ -418,16 +448,22 @@ def _colleague_roots(phi: np.ndarray, t: np.ndarray):
         w = phi * np.exp(t[:, None] * n2)
         w[:, 1:] *= 2.0
         ratio = w / w[:, -1:]  # last column: 1 unless w_g is 0 or not finite
-    ok = np.isfinite(ratio).all(axis=1)
-    errors = {}
-    if not ok.all():
-        for i in np.nonzero(~ok)[0].tolist():
-            errors[i] = (
-                "leading coefficient underflowed at t=%g"
-                if np.isfinite(w[i]).all()
-                else "Xi_t coefficients overflowed at t=%g"
-            ) % t[i]
-        ratio = ratio[ok]
+        ok = np.isfinite(ratio).all(axis=1)
+        errors = {}
+        if not ok.all():
+            under = ~ok & np.isfinite(w).all(axis=1)
+            for i in np.nonzero(~ok & ~under)[0].tolist():
+                errors[i] = "Xi_t coefficients overflowed at t=%g" % t[i]
+            if under.any():
+                split = phi[under] / phi[under, -1:]
+                split[:, 0] *= 0.5
+                rows = np.nonzero(under)[0][~np.isfinite(split).all(axis=1)]
+                for i in rows.tolist():
+                    errors[i] = "leading coefficient underflowed at t=%g" % t[i]
+                log = np.log(np.abs(split)) + t[under, None] * (n2 - g * g)
+                ratio[under] = np.copysign(np.exp(log), split)
+                ok = np.isfinite(ratio).all(axis=1)
+            ratio = ratio[ok]
     if not len(ratio):
         return np.zeros((0, g), dtype=complex), ok, errors
     if g == 1:
@@ -444,11 +480,13 @@ def zeros_at_t(L: LFunctionData, t: float, tol: float = 1e-9) -> ZeroSet:
     Each root u of P_t (_colleague_roots) gives the pair x = +-arccos(u)
     mod 2pi, with arccos on its complex principal branch; x is real exactly
     when u is real in [-1, 1]. Raises NumericalError when the weights
-    overflow or the leading weight underflows.
+    overflow or the leading weight underflows too far to solve the row.
     """
-    u, _, errors = _colleague_roots(np.array([L.phi]), np.array([float(t)]))
+    u, ok, errors = _colleague_roots(np.array([L.phi]), np.array([float(t)]))
     if errors:
         raise NumericalError(errors[0])
+    if not ok[0]:
+        raise NumericalError("leading coefficient underflowed at t=%g" % t)
     a = np.arccos(u[0])
     re = np.mod(np.concatenate((a.real, -a.real)), 2.0 * math.pi)
     im = np.concatenate((a.imag, -a.imag))

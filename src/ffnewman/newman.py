@@ -176,9 +176,10 @@ def _real_rows(phi: np.ndarray, t: np.ndarray, tol: float):
     """The all-real predicate for a stack of rows of one genus g: row i
     (Fourier coefficients phi[i] at time t[i]) is all-real when every root u
     of its P_t from the stacked colleague solve (_colleague_roots) has
-    |Im arccos(u)| <= tol. Returns (real, errors): a bool array and the
-    solver's dict from row to the NumericalError message of a row whose
-    weights are not finite or whose leading weight underflows.
+    |Im arccos(u)| <= tol. A row the solver certifies to have a root off
+    [-1, 1] without solving it (its leading weight underflows too far) is
+    not all-real. Returns (real, errors): a bool array and the solver's dict
+    from row to the NumericalError message of a row it cannot decide.
     """
     u, ok, errors = _colleague_roots(phi, t)
     real = np.zeros(len(t), dtype=bool)
@@ -436,23 +437,6 @@ def stopple_G(zeros: ZeroSet) -> float:
     for gj in gam[1:]:
         total += 0.5 / math.sin(0.5 * (g1 - gj)) ** 2
         total += 0.5 / math.sin(0.5 * (g1 + gj)) ** 2
-    return total
-
-
-def stopple_G_direct(gammas, ell_max: int) -> float:
-    """Truncated defining sum for G: 2/(gamma_1 - rho)^2 over periodized
-    zeros rho = +-gamma_j + 2 pi l, |l| <= ell_max, skipping rho = +-gamma_1.
-    Test oracle for the closed form; tail is O(g / ell_max)."""
-    g1 = gammas[0]
-    total = 0.0
-    two_pi = 2.0 * math.pi
-    for j, gj in enumerate(gammas):
-        for eps in (1.0, -1.0):
-            for ell in range(-ell_max, ell_max + 1):
-                if j == 0 and ell == 0:
-                    continue  # skips both +gamma_1 and -gamma_1
-                d = g1 - (eps * gj + two_pi * ell)
-                total += 2.0 / (d * d)
     return total
 
 

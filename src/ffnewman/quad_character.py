@@ -4,17 +4,18 @@ chi_D(f) is the Jacobi symbol (f/D): the character of f modulo D, which is 0
 when gcd(f, D) != 1 and otherwise the product of Euler-criterion values of f
 at the monic irreducible factors of D. Two independent evaluators live here:
 
-  chi        reciprocity ladder, gcd-like, no factoring; the character behind
-             single-D coefficients (build_lfunction, newman/lfun/table)
+  chi        reciprocity ladder, gcd-like, no factoring; build_lfunction
+             (newman/lfun/table) runs it at the monic irreducible P of
+             degree <= g only, for the explicit formula of one D
   chi_oracle factor D by trial division, then Euler's criterion per factor;
              a cross-check of chi
 
 plus chi_table, which tabulates chi_D on all monic polynomials up to a degree
 bound by running the ladder on irreducibles only and extending by complete
-multiplicativity through the factor sieve; also a cross-check, and the engine
-behind dirichlet_coefficients(mode="full") once q^deg D reaches 2000, where
-one table serves every degree 0..2g. Family sweeps
-use none of these: lfunction.family_coefficients reads chi_D(P) for the
+multiplicativity through the factor sieve; a cross-check, and the engine of
+the enumeration oracle dirichlet_coefficients(mode="full") once q^deg D
+reaches 2000, where one table serves every degree 0..2g. Family sweeps use
+none of these: lfunction.family_coefficients reads chi_D(P) for the
 irreducibles P of degree <= g from per-P square tables, and the ladder and
 chi_oracle cross-check it in the tests.
 """

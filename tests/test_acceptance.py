@@ -207,6 +207,8 @@ def test_criterion_5_structural_identities(capsys):
                 if coefficient_by_enumeration(q, D, deg) != 0:
                     bad.append("continuation coefficient nonzero for %s/%d" % (D, q))
                 L = build_lfunction(q, D)
+                if L.c != c:
+                    bad.append("build_lfunction c != enumeration for %s/%d" % (D, q))
                 z = zeros_at_t(L, 0.0, tol=1e-8)
                 worst_circle = max(worst_circle, z.delta)
                 if z.nonreal or z.delta > 1e-8 or len(z.xs) != 2 * g:

@@ -13,6 +13,7 @@ from ffnewman.fp_poly import (
     is_squarefree,
     monic_by_index,
     monic_index,
+    monic_irreducibles,
     parse_int_coeffs,
     poly_from_text,
     poly_to_text,
@@ -224,6 +225,17 @@ def test_factor_sieve_agrees_with_trial_division():
                 if is_irreducible(f)
             )
             assert sieve.irreducible_indices[n] == expect
+
+
+def test_monic_irreducibles_match_the_sieve():
+    for p, maxdeg in [(3, 6), (5, 4), (7, 3)]:
+        sieve = factor_sieve(p, maxdeg)
+        for n in range(1, maxdeg + 1):
+            got = monic_irreducibles(p, n)
+            assert got == tuple(
+                monic_by_index(p, n, k).coeffs for k in sieve.irreducible_indices[n]
+            )
+            assert len(got) == mobius_irreducible_count(p, n)
 
 
 def test_factor_sieve_split_products():

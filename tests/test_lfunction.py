@@ -1,13 +1,23 @@
 """L(s, chi_D) coefficients, Fourier data, Xi_t evaluation and zeros."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
-from ffnewman.fp_poly import FpPolynomial, enumerate_monic, is_irreducible, is_squarefree
+from ffnewman import lfunction
+from ffnewman.fp_poly import (
+    FpPolynomial,
+    enumerate_monic,
+    is_irreducible,
+    is_squarefree,
+    monic_by_index,
+)
 from ffnewman.lfunction import (
     LFunctionData,
     NumericalError,
+    _colleague_roots,
     build_lfunction,
     coefficient_by_enumeration,
     dirichlet_coefficients,
@@ -53,6 +63,39 @@ def test_good_pair_check_reasons():
     assert not ok and reason == "D must be squarefree"
     ok, reason = good_pair_check(3, P([1, 1], 3) * P([2], 3))
     assert not ok and reason == "D must be monic"
+
+
+def _no_enumeration(*args, **kwargs):
+    raise AssertionError("build_lfunction must not enumerate every monic f")
+
+
+def seeded_good_pairs(p, deg, count=10):
+    rng = random.Random(1000 * p + deg)
+    out = []
+    while len(out) < count:
+        D = monic_by_index(p, deg, rng.randrange(p**deg))
+        if is_squarefree(D):
+            out.append(D)
+    return out
+
+
+@pytest.mark.parametrize(
+    "q,deg,every",
+    [(3, 3, True), (3, 5, True), (3, 7, True), (5, 3, True), (5, 5, True),
+     (7, 3, True), (3, 13, False), (3, 15, False), (7, 9, False),
+     (11, 7, False), (13, 7, False)],
+)
+def test_build_lfunction_matches_enumeration(q, deg, every, monkeypatch):
+    # the explicit formula against the sum of chi_D over every monic f, with
+    # the enumeration routes disabled while build_lfunction runs
+    Ds = list(good_pairs(q, deg)) if every else seeded_good_pairs(q, deg)
+    expected = [dirichlet_coefficients(q, D) for D in Ds]
+    monkeypatch.setattr(lfunction, "_coefficient_direct", _no_enumeration)
+    monkeypatch.setattr(lfunction, "chi_table", _no_enumeration)
+    for D, c in zip(Ds, expected):
+        assert build_lfunction(q, D).c == c, D
+    if every:
+        assert len(Ds) == q**deg - q ** (deg - 1)
 
 
 def test_coefficients_cubic_example():
@@ -330,3 +373,17 @@ def test_lfunction_data_is_frozen():
     assert isinstance(L, LFunctionData)
     with pytest.raises(Exception):
         L.g = 7
+
+
+def test_colleague_roots_past_leading_underflow():
+    # P_t for (phi, t) is P_0 for phi_n e^(t (n^2 - g^2)) up to a positive
+    # factor, so both give the same roots; at t = -16 the first row's w_6 and
+    # w_7 underflow to 0, and the second row never underflows
+    g, t = 7, -16.0
+    phi = np.array([1e-200, 0, 0, 0, 0, 0, 1e-120, 1.0])
+    half = np.exp(0.5 * t * (np.arange(g + 1) ** 2 - g * g))
+    moved = phi * half * half  # e^784 alone would overflow
+    u, ok, errors = _colleague_roots(np.array([phi, moved]), np.array([t, 0.0]))
+    assert ok.all() and not errors
+    a, b = (np.sort_complex(r) for r in u)
+    assert np.allclose(a, b, rtol=1e-12, atol=0)

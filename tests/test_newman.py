@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ffnewman.families import F3_GENUS_SERIES
 from ffnewman.fp_poly import (
     FpPolynomial,
     enumerate_monic,
@@ -37,7 +38,6 @@ from ffnewman.newman import (
     lambda_exact_genus1,
     newman_jsonable,
     stopple_G,
-    stopple_G_direct,
     stopple_data,
     stopple_jsonable,
     stopple_lower_bound,
@@ -56,6 +56,23 @@ def P(coeffs, p):
 
 def L_main():
     return build_lfunction(5, P(D_MAIN, 5))
+
+
+def stopple_G_direct(gammas, ell_max: int) -> float:
+    """Truncated defining sum for G: 2/(gamma_1 - rho)^2 over periodized
+    zeros rho = +-gamma_j + 2 pi l, |l| <= ell_max, skipping rho = +-gamma_1.
+    Test oracle for the closed form; tail is O(g / ell_max)."""
+    g1 = gammas[0]
+    total = 0.0
+    two_pi = 2.0 * math.pi
+    for j, gj in enumerate(gammas):
+        for eps in (1.0, -1.0):
+            for ell in range(-ell_max, ell_max + 1):
+                if j == 0 and ell == 0:
+                    continue  # skips both +gamma_1 and -gamma_1
+                d = g1 - (eps * gj + two_pi * ell)
+                total += 2.0 / (d * d)
+    return total
 
 
 def family(q, degree):
@@ -475,6 +492,37 @@ def test_bisect_block_isolates_a_bad_row():
         lambda_bisect(over)
     with pytest.raises(NumericalError, match="overflowed"):
         all_zeros_real(over, 0.0)
+
+
+def test_predicate_past_leading_underflow_is_certified_not_real():
+    # genus 7 at t <= -14.5: w_7 = 2 Phi_7 e^(49 t) is subnormal or 0, and a
+    # ratio w_n / w_7 overflows even as (Phi_n / Phi_7) e^(t (n^2 - 49))
+    L = build_lfunction(3, P(F3_GENUS_SERIES[-1], 3))
+    assert L.g == 7
+    for t in [-14.5, -15.0, -20.0, -50.0]:
+        assert all_zeros_real(L, t) is False
+        with pytest.raises(NumericalError, match="underflowed"):
+            zeros_at_t(L, t)
+
+
+def test_predicate_solves_rows_whose_weights_underflow():
+    # Phi_6 / Phi_7 = 1e-120: at t = -16 both weights underflow to 0, but the
+    # ratio w_6 / w_7 = 1e-120 e^(13 |t|) is finite; the row is all-real
+    # until it passes about 1, between t = -21 and -21.5
+    base = build_lfunction(3, P(F3_GENUS_SERIES[-1], 3))
+    L = dataclasses.replace(
+        base,
+        phi=(0.0,) * 6 + (1e-120, 1.0),
+        # phi_exact only marks which Phi_n are nonzero (2 of them)
+        phi_exact=tuple((int(n >= 6), n) for n in range(8)),
+    )
+    assert 1e-120 * math.exp(-16.0 * 36) == 0.0 and math.exp(-16.0 * 49) == 0.0
+    assert all_zeros_real(L, -16.0)
+    assert all_zeros_real(L, -21.0)
+    assert not all_zeros_real(L, -21.5)
+    e = lambda_bisect(L)
+    assert e.kind == "bisect"
+    assert -21.5 < e.bracket[0] <= e.value <= e.bracket[1] < -21.0
 
 
 def test_bisect_block_rejects_mixed_genera():
