@@ -31,7 +31,7 @@ from .newman import (
     stopple_data,
     strip_bound,
 )
-from .quad_character import chi, chi_oracle, chi_table
+from .quad_character import chi, chi_oracle
 
 __all__ = [
     "FpPolynomial",
@@ -43,7 +43,6 @@ __all__ = [
     "build_lfunction",
     "chi",
     "chi_oracle",
-    "chi_table",
     "dirichlet_coefficients",
     "double_zero_lower_bound",
     "enumerate_monic",

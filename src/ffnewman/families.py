@@ -161,14 +161,9 @@ def _sweep_chunk(args):
     return degree, hi - lo - len(rows), rows
 
 
-def _chunk_tasks(q: int, max_genus: int, method: str, start):
-    for degree in range(3, 2 * max_genus + 2, 2):
-        lo = 0
-        if start is not None:
-            if degree < start[0]:
-                continue
-            if degree == start[0]:
-                lo = max(start[1], 0)
+def _chunk_tasks(q: int, max_genus: int, method: str, start: tuple):
+    for degree in range(start[0], 2 * max_genus + 2, 2):
+        lo = start[1] if degree == start[0] else 0
         for k in range(lo, q**degree, FAMILY_CHUNK):
             yield (q, degree, k, min(k + FAMILY_CHUNK, q**degree), method)
 
@@ -187,7 +182,10 @@ def sweep_fixed_q(
     Deterministic regardless of worker count: each task is a block of
     consecutive indices of one degree, results are consumed in index order,
     and the coefficient arithmetic is exact integer arithmetic.
-    start=(degree, index) resumes mid-enumeration; on_item, when given, sees
+    start=(degree, index) resumes mid-enumeration at monic_by_index(q,
+    degree, index); a degree past the last gives an empty sweep, which is
+    what the resume token of a finished sweep names. Any other position
+    outside the enumeration raises ValueError. on_item, when given, sees
     each SweepItem as soon as its turn in the canonical order arrives.
     """
     check_odd_prime(q)
@@ -195,6 +193,15 @@ def sweep_fixed_q(
         raise ValueError("max_genus must be >= 1")
     if method not in ("double_zero", "bisect"):
         raise ValueError("method must be 'double_zero' or 'bisect'")
+    start = start or (3, 0)
+    degree, index = start
+    # past the last degree any index is the empty tail of the sweep
+    inside = degree <= 2 * max_genus + 1
+    if degree < 3 or degree % 2 == 0 or index < 0 or (inside and index >= q**degree):
+        raise ValueError(
+            "resume position %d:%d names no monic D of odd degree >= 3 over F_%d"
+            % (degree, index, q)
+        )
     tasks = _chunk_tasks(q, max_genus, method, start)
     items = []
     running_sup = []

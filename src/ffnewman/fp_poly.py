@@ -2,9 +2,8 @@
 
 Ring operations, gcd, derivative, evaluation, squarefree and irreducibility
 tests, deterministic enumeration of monic polynomials, the text codec used by
-the CLI, the monic irreducibles of each degree (the primes of the explicit
-formula for L-function coefficients), and a smallest-irreducible-factor sieve
-for the multiplicative character tables.
+the CLI, and the monic irreducibles of each degree (the primes of the
+explicit formula for L-function coefficients).
 
 Internally polynomials are tuples of ints in ascending degree order with no
 trailing zeros; the zero polynomial is the empty tuple. The FpPolynomial class
@@ -276,11 +275,7 @@ def monic_index(P: FpPolynomial) -> int:
     """Inverse of monic_by_index for a monic polynomial of its own degree."""
     if not P.is_monic:
         raise ValueError("monic_index of a non-monic polynomial")
-    n = P.degree
-    k = 0
-    for i in range(n):
-        k = k * P.p + P.coeffs[i]
-    return k
+    return _tuple_to_index(P.coeffs, P.p)
 
 
 def enumerate_monic(p: int, n: int):
@@ -323,52 +318,11 @@ def parse_int_coeffs(s: str) -> tuple:
         raise ValueError("bad polynomial text %r: expected comma-separated integers" % s)
 
 
-class FactorSieve:
-    """Smallest-irreducible-factor table for all monic polynomials of degree
-    1..maxdeg over F_p.
-
-    split[n][k] is None when the k-th monic degree-n polynomial is irreducible,
-    else a tuple (d1, k1, d2, k2) with the polynomial equal to the product of
-    the (d1, k1) and (d2, k2) entries. Any completely multiplicative function
-    can then be tabulated from its values on irreducibles alone.
-    """
-
-    def __init__(self, p: int, maxdeg: int):
-        check_odd_prime(p)
-        if maxdeg < 1:
-            raise ValueError("maxdeg must be >= 1")
-        self.p = p
-        self.maxdeg = maxdeg
-        split = {n: [None] * p**n for n in range(1, maxdeg + 1)}
-        irred = {n: [] for n in range(1, maxdeg + 1)}
-        for n in range(1, maxdeg + 1):
-            sn = split[n]
-            for k in range(p**n):
-                if sn[k] is not None:
-                    continue
-                irred[n].append(k)
-                P = _monic_tuple_by_index(p, n, k)
-                for m in range(1, maxdeg - n + 1):
-                    for j in range(p**m):
-                        f = _mul(P, _monic_tuple_by_index(p, m, j), p)
-                        d = len(f) - 1
-                        idx = _tuple_to_index(f, p)
-                        if split[d][idx] is None:
-                            split[d][idx] = (n, k, m, j)
-        self.split = split
-        self.irreducible_indices = {n: tuple(v) for n, v in irred.items()}
-
-
 def _tuple_to_index(f: tuple, p: int) -> int:
     k = 0
     for i in range(len(f) - 1):
         k = k * p + f[i]
     return k
-
-
-@lru_cache(maxsize=8)
-def factor_sieve(p: int, maxdeg: int) -> FactorSieve:
-    return FactorSieve(p, maxdeg)
 
 
 @lru_cache(maxsize=None)

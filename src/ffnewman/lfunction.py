@@ -20,10 +20,12 @@ identities give the c_n (_newton_coefficients). build_lfunction runs it for
 one D with the reciprocity ladder at each P; family_coefficients runs it over
 a whole index range of D at once in integer numpy. dirichlet_coefficients and
 coefficient_by_enumeration sum chi_D over every monic f of degree n instead;
-they are the oracle the tests compare both routes against. The upper half
-comes from the exact integer functional equation c_(g+n) = q^n c_(g-n);
-dirichlet_coefficients(mode="full") enumerates it instead, so tests can
-verify it.
+they are the oracle the tests compare both routes against. Their character
+values come from _chi_rows, which factors D and applies Euler's criterion
+at each factor, so the oracle shares no code with the ladder or with the
+family tables. The upper half comes from the exact integer functional
+equation c_(g+n) = q^n c_(g-n); dirichlet_coefficients(mode="full")
+enumerates it instead, so tests can verify it.
 """
 
 from __future__ import annotations
@@ -36,17 +38,8 @@ from functools import lru_cache
 import numpy as np
 
 from .finite_field import check_odd_prime, is_prime, legendre_table
-from .fp_poly import (
-    FpPolynomial,
-    _monic_tuple_by_index,
-    is_squarefree,
-    monic_irreducibles,
-    poly_to_text,
-)
-from .quad_character import _chi_ladder, chi_table
-
-# enumeration sizes at or above this use the multiplicative character table
-_TABLE_THRESHOLD = 2000
+from .fp_poly import FpPolynomial, is_squarefree, monic_irreducibles, poly_to_text
+from .quad_character import _chi_ladder, _factorize_monic, _validate_modulus
 
 # discriminants per block of family_coefficients; bounds its working arrays
 # and is the task size of a fixed-q sweep
@@ -96,55 +89,17 @@ class LFunctionData:
     phi_exact: tuple
 
 
-def _coefficient_direct(q: int, D: FpPolynomial, n: int) -> int:
-    """c_n by literal enumeration: one reciprocity-ladder character value per
-    monic polynomial of degree n. A test oracle for build_lfunction and
-    family_coefficients."""
-    if n == 0:
-        return 1
-    leg = legendre_table(q)
-    return sum(
-        _chi_ladder(_monic_tuple_by_index(q, n, k), D.coeffs, q, leg)
-        for k in range(q**n)
-    )
-
-
-def _use_table(q: int, D: FpPolynomial) -> bool:
-    return q**D.degree >= _TABLE_THRESHOLD
-
-
-def coefficient_by_enumeration(
-    q: int, D: FpPolynomial, n: int, engine: str = "auto"
-) -> int:
-    """c_n = sum of chi_D over all monic f of degree n, for any n >= 0.
-
-    A test oracle, also used to verify that coefficients vanish from degree
-    deg D on. engine selects the character evaluation route: "ladder" is one
-    reciprocity ladder per f; "table" tabulates chi from its values on
-    irreducibles (a cross-check: identical values, exhaustively compared in
-    tests); "auto" picks by size.
-    """
+def coefficient_by_enumeration(q: int, D: FpPolynomial, n: int) -> int:
+    """c_n = sum of chi_D over all monic f of degree n, for any n >= 0, from
+    the enumeration oracle _chi_rows. Tests also use it to verify that the
+    coefficients vanish from degree deg D on."""
     require_good_pair(q, D)
     if n < 0:
         raise ValueError("coefficient index must be >= 0")
-    if n == 0:
-        return 1
-    if engine == "auto":
-        engine = "table" if _use_table(q, D) else "ladder"
-    if engine == "table":
-        table = chi_table(D, max(n, D.degree))
-        return int(sum(table[n]))
-    if engine == "ladder":
-        return _coefficient_direct(q, D, n)
-    raise ValueError("unknown engine %r" % engine)
+    return int(_chi_rows(q, D, n)[n].sum())
 
 
-def dirichlet_coefficients(
-    q: int,
-    D: FpPolynomial,
-    mode: str = "half",
-    engine: str = "auto",
-) -> tuple:
+def dirichlet_coefficients(q: int, D: FpPolynomial, mode: str = "half") -> tuple:
     """The integer coefficients c_0..c_2g of L(s, chi_D) by enumeration: the
     oracle the tests compare build_lfunction and family_coefficients against.
 
@@ -157,16 +112,8 @@ def dirichlet_coefficients(
     if mode not in ("half", "full"):
         raise ValueError("mode must be 'half' or 'full'")
     g = (D.degree - 1) // 2
-    top = g if mode == "half" else 2 * g
-    if engine == "auto":
-        engine = "table" if mode == "full" and _use_table(q, D) else "ladder"
-    if engine == "table":
-        table = chi_table(D, max(top, D.degree))
-        c = [int(sum(table[n])) if n else 1 for n in range(top + 1)]
-    elif engine == "ladder":
-        c = [_coefficient_direct(q, D, n) for n in range(top + 1)]
-    else:
-        raise ValueError("unknown engine %r" % engine)
+    rows = _chi_rows(q, D, g if mode == "half" else 2 * g)
+    c = [int(row.sum()) for row in rows]
     if mode == "half":
         return complete_coefficients(q, c)
     return tuple(c)
@@ -201,6 +148,83 @@ def _powers_mod(P: np.ndarray, count: int, q: int) -> np.ndarray:
 def _digits(q: int, width: int, ks: np.ndarray) -> np.ndarray:
     """Base-q digits of each k, least significant first: shape (len(ks), width)."""
     return (ks[:, None] // q ** np.arange(width, dtype=np.int64)) % q
+
+
+@lru_cache(maxsize=4)
+def _monic_rows(q: int, top: int) -> np.ndarray:
+    """Every monic f of degree 0..top as a row of coefficients c_0..c_top,
+    degree by degree, each in monic_by_index order."""
+    sizes = [q**n for n in range(top + 1)]
+    F = np.zeros((sum(sizes), top + 1), dtype=np.int64)
+    lo = 0
+    for n, size in enumerate(sizes):
+        # c_0 is the most significant digit of the enumeration index
+        F[lo : lo + size, :n] = _digits(q, n, np.arange(size, dtype=np.int64))[:, ::-1]
+        F[lo : lo + size, n] = 1
+        lo += size
+    F.flags.writeable = False
+    return F
+
+
+def _chi_rows(q: int, D: FpPolynomial, top: int) -> tuple:
+    """chi_D(f) for every monic f of degree 0..top: one int64 array per
+    degree n, indexed like monic_by_index(q, n, k). The enumeration oracle.
+
+    It shares no code with the reciprocity ladder or _family_tables: D is
+    factored once by trial division, and at each monic irreducible factor P
+    of degree d, f mod P comes from one matmul against T^i mod P and the
+    character of f mod P from Euler's criterion (_euler_values), evaluated
+    on the distinct residues only. chi_D(f) is the product over P.
+    """
+    if D.p != q:
+        raise ValueError("D is over F_%d, not F_%d" % (D.p, q))
+    _validate_modulus(q, D.coeffs)
+    if top < 0:
+        raise ValueError("top degree must be >= 0")
+    F = _monic_rows(q, top)
+    chi = np.ones(len(F), dtype=np.int64)
+    for P in _factorize_monic(q, D.coeffs):
+        d = len(P) - 1
+        powers = _powers_mod(np.array([P]), max(top + 1, 2 * d - 1), q)[:, 0]
+        residues, inverse = np.unique(
+            ((F @ powers[: top + 1]) % q) @ q ** np.arange(d, dtype=np.int64),
+            return_inverse=True,
+        )
+        r = np.ascontiguousarray(_digits(q, d, residues).T)
+        chi *= _euler_values(q, P, powers[: 2 * d - 1].T.copy(), r)[inverse]
+    return tuple(np.split(chi, np.cumsum([q**n for n in range(top)])))
+
+
+def _euler_values(q: int, P: tuple, low: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Euler's criterion r^((q^d - 1)/2) mod P at the monic irreducible P of
+    degree d, by repeated squaring in int64, read off as 0 or +-1. Column j
+    of r (shape (d, m)) holds the ascending coefficients of the j-th residue;
+    column k of low (shape (d, 2d - 1)) holds T^k mod P."""
+    d = len(P) - 1
+
+    def mulmod(a, b):
+        prod = np.zeros((2 * d - 1, a.shape[1]), dtype=np.int64)
+        for i in range(d):
+            prod[i : i + d] += a[i] * b
+        return (low @ prod) % q
+
+    acc = None
+    e = (q**d - 1) // 2
+    while e:
+        if e & 1:
+            acc = r if acc is None else mulmod(acc, r)
+        e >>= 1
+        if e:
+            r = mulmod(r, r)
+    scalar = ~acc[1:].any(axis=0)
+    plus = scalar & (acc[0] == 1)
+    minus = scalar & (acc[0] == q - 1)
+    if not (plus | minus | ~acc.any(axis=0)).all():
+        raise ArithmeticError(
+            "Euler criterion did not land on a sign; %r is not irreducible mod %d"
+            % (P, q)
+        )
+    return plus.astype(np.int64) - minus
 
 
 @lru_cache(maxsize=16)

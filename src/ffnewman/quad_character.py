@@ -8,16 +8,14 @@ at the monic irreducible factors of D. Two independent evaluators live here:
              (newman/lfun/table) runs it at the monic irreducible P of
              degree <= g only, for the explicit formula of one D
   chi_oracle factor D by trial division, then Euler's criterion per factor;
-             a cross-check of chi
+             a cross-check of chi, one f at a time
 
-plus chi_table, which tabulates chi_D on all monic polynomials up to a degree
-bound by running the ladder on irreducibles only and extending by complete
-multiplicativity through the factor sieve; a cross-check, and the engine of
-the enumeration oracle dirichlet_coefficients(mode="full") once q^deg D
-reaches 2000, where one table serves every degree 0..2g. Family sweeps use
-none of these: lfunction.family_coefficients reads chi_D(P) for the
-irreducibles P of degree <= g from per-P square tables, and the ladder and
-chi_oracle cross-check it in the tests.
+The enumeration oracle lfunction._chi_rows is chi_oracle's route vectorised
+over every monic f up to a degree: it reuses the factorisation here, never
+the ladder. Family sweeps use none of these: lfunction.family_coefficients
+reads chi_D(P) for the irreducibles P of degree <= g from per-P square
+tables, and the ladder and the enumeration oracle cross-check it in the
+tests.
 """
 
 from __future__ import annotations
@@ -31,9 +29,7 @@ from .fp_poly import (
     _mod_monic,
     _monic_tuple_by_index,
     _mul,
-    factor_sieve,
     is_squarefree,
-    poly_to_text,
 )
 
 
@@ -147,42 +143,3 @@ def chi_oracle(D: FpPolynomial, f: FpPolynomial) -> int:
             return 0
         val *= s
     return val
-
-
-@lru_cache(maxsize=8)
-def _chi_table_cached(p: int, d_coeffs: tuple, maxdeg: int) -> tuple:
-    leg = legendre_table(p)
-    sieve = factor_sieve(p, maxdeg)
-    table = [None] * (maxdeg + 1)
-    table[0] = (1,)
-    for n in range(1, maxdeg + 1):
-        row = [0] * (p**n)
-        split = sieve.split[n]
-        for k in sieve.irreducible_indices[n]:
-            row[k] = _chi_ladder(_monic_tuple_by_index(p, n, k), d_coeffs, p, leg)
-        for k in range(p**n):
-            s = split[k]
-            if s is not None:
-                row[k] = table[s[0]][s[1]] * table[s[2]][s[3]]
-        table[n] = tuple(row)
-    return tuple(table)
-
-
-def chi_table(D: FpPolynomial, maxdeg: int) -> tuple:
-    """chi_D on every monic polynomial of degree 0..maxdeg.
-
-    Returns a tuple of rows; row n is indexed by the enumerate_monic index.
-    The ladder runs only on irreducibles, everything else follows by complete
-    multiplicativity (chi is a character). Values agree with chi pointwise;
-    tests enforce this on exhaustive grids.
-    """
-    _validate_modulus(D.p, D.coeffs)
-    if maxdeg < 0:
-        raise ValueError("maxdeg must be >= 0")
-    if maxdeg == 0:
-        return ((1,),)
-    return _chi_table_cached(D.p, D.coeffs, maxdeg)
-
-
-def character_summary(D: FpPolynomial) -> str:
-    return "chi_%s over F_%d" % (poly_to_text(D), D.p)

@@ -267,6 +267,32 @@ def test_sweep_rejects_bad_resume_token(capsys):
     assert "DEGREE:INDEX" in err
 
 
+@pytest.mark.parametrize("token", ["4:0", "1:0", "3:-5", "3:27", "3:99", "5:243"])
+def test_sweep_rejects_resume_position_outside_the_enumeration(token, capsys):
+    code, _, err = run_cli(
+        ["sweep", "--q", "3", "--max-genus", "2", "--resume-from", token], capsys
+    )
+    assert code == EXIT_INVALID
+    assert "resume position" in err
+
+
+def test_sweep_resume_from_last_positions(capsys):
+    # the last D of the last degree is still swept; the token a finished
+    # sweep writes (the degree after the last, index 0) is an empty sweep
+    code, out, _ = run_cli(
+        ["sweep", "--q", "3", "--max-genus", "2", "--resume-from", "5:242"], capsys
+    )
+    assert code == EXIT_OK
+    _, _, rows, _ = parse_csv(out)
+    assert [r[1] for r in rows if r[3] == "double_zero"] == ["2,2,2,2,2,1"]
+    code, out, _ = run_cli(
+        ["sweep", "--q", "3", "--max-genus", "2", "--resume-from", "7:0"], capsys
+    )
+    assert code == EXIT_OK
+    _, _, rows, _ = parse_csv(out)
+    assert rows == []
+
+
 def test_sato_tate_csv(capsys):
     code, out, _ = run_cli(["sato-tate", "--dz", "1,1,0,1", "--pmax", "100"], capsys)
     assert code == EXIT_OK

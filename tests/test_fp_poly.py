@@ -7,7 +7,6 @@ import pytest
 from ffnewman.fp_poly import (
     FpPolynomial,
     enumerate_monic,
-    factor_sieve,
     gcd,
     is_irreducible,
     is_squarefree,
@@ -215,41 +214,14 @@ def test_irreducible_counts_match_necklace_formula():
             assert direct[n] == mobius_irreducible_count(p, n)
 
 
-def test_factor_sieve_agrees_with_trial_division():
-    for p, maxdeg in [(3, 5), (5, 3)]:
-        sieve = factor_sieve(p, maxdeg)
-        for n in range(1, maxdeg + 1):
-            expect = tuple(
-                k
-                for k, f in enumerate(enumerate_monic(p, n))
-                if is_irreducible(f)
-            )
-            assert sieve.irreducible_indices[n] == expect
-
-
-def test_monic_irreducibles_match_the_sieve():
+def test_monic_irreducibles_match_trial_division():
     for p, maxdeg in [(3, 6), (5, 4), (7, 3)]:
-        sieve = factor_sieve(p, maxdeg)
         for n in range(1, maxdeg + 1):
             got = monic_irreducibles(p, n)
             assert got == tuple(
-                monic_by_index(p, n, k).coeffs for k in sieve.irreducible_indices[n]
+                f.coeffs for f in enumerate_monic(p, n) if is_irreducible(f)
             )
             assert len(got) == mobius_irreducible_count(p, n)
-
-
-def test_factor_sieve_split_products():
-    sieve = factor_sieve(3, 4)
-    for n in range(1, 5):
-        for k, entry in enumerate(sieve.split[n]):
-            f = monic_by_index(3, n, k)
-            if entry is None:
-                assert is_irreducible(f)
-            else:
-                d1, k1, d2, k2 = entry
-                g = monic_by_index(3, d1, k1) * monic_by_index(3, d2, k2)
-                assert g.coeffs == f.coeffs
-                assert is_irreducible(monic_by_index(3, d1, k1))
 
 
 def test_reduce_int_poly_examples():

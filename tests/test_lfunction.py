@@ -27,6 +27,7 @@ from ffnewman.lfunction import (
     xi_eval,
     zeros_at_t,
 )
+from ffnewman.quad_character import chi
 
 SQ5 = math.sqrt(5.0)
 
@@ -87,11 +88,10 @@ def seeded_good_pairs(p, deg, count=10):
 )
 def test_build_lfunction_matches_enumeration(q, deg, every, monkeypatch):
     # the explicit formula against the sum of chi_D over every monic f, with
-    # the enumeration routes disabled while build_lfunction runs
+    # the enumeration oracle disabled while build_lfunction runs
     Ds = list(good_pairs(q, deg)) if every else seeded_good_pairs(q, deg)
     expected = [dirichlet_coefficients(q, D) for D in Ds]
-    monkeypatch.setattr(lfunction, "_coefficient_direct", _no_enumeration)
-    monkeypatch.setattr(lfunction, "chi_table", _no_enumeration)
+    monkeypatch.setattr(lfunction, "_chi_rows", _no_enumeration)
     for D, c in zip(Ds, expected):
         assert build_lfunction(q, D).c == c, D
     if every:
@@ -132,12 +132,13 @@ def test_half_equals_full():
     assert dirichlet_coefficients(5, P(D_MAIN, 5), mode="half") == C_MAIN
 
 
-def test_engines_agree():
+def test_enumeration_matches_ladder_sum():
+    # the factor-and-Euler oracle against a per-f reciprocity-ladder sum
     for D in list(good_pairs(3, 5))[::7]:
         for n in range(0, 6):
-            assert coefficient_by_enumeration(
-                3, D, n, engine="ladder"
-            ) == coefficient_by_enumeration(3, D, n, engine="table")
+            assert coefficient_by_enumeration(3, D, n) == sum(
+                chi(D, f) for f in enumerate_monic(3, n)
+            )
 
 
 def test_continuation_coefficients_vanish():

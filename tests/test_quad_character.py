@@ -1,4 +1,4 @@
-"""Quadratic character chi_D on F_p[T]: ladder, Euler oracle, tabulation."""
+"""Quadratic character chi_D on F_p[T]: the ladder against the Euler oracles."""
 
 import random
 
@@ -13,7 +13,8 @@ from ffnewman.fp_poly import (
     is_squarefree,
     monic_index,
 )
-from ffnewman.quad_character import chi, chi_oracle, chi_table
+from ffnewman.lfunction import _chi_rows
+from ffnewman.quad_character import chi, chi_oracle
 
 
 def P(coeffs, p):
@@ -121,13 +122,15 @@ def test_non_monic_f_scaling():
                     assert chi(D, f * P([a], p)) == legendre_int(a, p) ** D.degree * base
 
 
-def test_table_matches_pointwise_chi():
+def test_chi_rows_match_pointwise_chi():
+    # the enumeration oracle of lfunction against the ladder, value by value
     for p, degs, maxdeg in [(3, [1, 2, 3], 4), (5, [3], 3)]:
         for D in good_moduli(p, degs):
-            table = chi_table(D, maxdeg)
-            assert table[0] == (1,)
+            rows = _chi_rows(p, D, maxdeg)
+            assert len(rows) == maxdeg + 1
+            assert rows[0].tolist() == [1]
             for n in range(1, maxdeg + 1):
-                row = table[n]
+                row = rows[n]
                 assert len(row) == p**n
                 for f in enumerate_monic(p, n):
                     assert row[monic_index(f)] == chi(D, f)
@@ -143,7 +146,7 @@ def test_invalid_modulus_rejected():
     with pytest.raises(ValueError):
         chi(P([1, 0, 1], 3), P([1, 1], 5))  # field mismatch
     with pytest.raises(ValueError):
-        chi_table(P([0, 0, 1], 3), 3)
+        _chi_rows(3, P([0, 0, 1], 3), 3)
 
 
 def test_chi_of_zero_polynomial():
