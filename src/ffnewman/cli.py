@@ -25,7 +25,7 @@ import sys
 
 from . import __version__
 from .classical import xi_t_classical
-from .families import F3_GENUS_SERIES, sato_tate_sweep, sweep_fixed_q
+from .families import F3_GENUS_SERIES, check_sweep, sato_tate_sweep, sweep_fixed_q
 from .finite_field import is_prime
 from .fp_poly import FpPolynomial, parse_int_coeffs, reduce_int_poly
 from .lfunction import (
@@ -191,8 +191,6 @@ def _next_enum_position(q: int, degree: int, index: int):
 
 
 def cmd_sweep(args) -> int:
-    if args.max_genus < 1:
-        raise ValueError("max-genus must be >= 1")
     method = args.method.replace("-", "_")
     start = None
     if args.resume_from:
@@ -201,6 +199,8 @@ def cmd_sweep(args) -> int:
             start = (int(deg_s), int(idx_s))
         except ValueError:
             raise ValueError("resume token must look like DEGREE:INDEX")
+    # rejected input leaves no output behind, not even the CSV header
+    check_sweep(args.q, args.max_genus, method, start)
     config = {
         "subcommand": "sweep",
         "q": args.q,

@@ -34,7 +34,7 @@ from .lfunction import (
 )
 from .newman import (
     NewmanEstimate,
-    double_zero_lower_bound,
+    double_zero_block,
     lambda_bisect_block,
 )
 
@@ -44,6 +44,7 @@ __all__ = [
     "SweepItem",
     "SweepReport",
     "F3_GENUS_SERIES",
+    "check_sweep",
     "cubic_discriminant",
     "good_pair_check",
     "ks_distance",
@@ -127,7 +128,8 @@ def primes_up_to(n: int) -> list:
 def _sweep_chunk(args):
     """Estimates for the squarefree D with indices lo <= k < hi of one degree:
     (degree, number skipped, [(index, status, d_coeffs, c, estimate or error
-    text)]). Bisection runs on the whole block at once (lambda_bisect_block)."""
+    text)]). Either estimator runs on the whole block at once
+(lambda_bisect_block, double_zero_block)."""
     q, degree, lo, hi, method = args
     c_half, squarefree = family_coefficients(q, degree, lo, hi)
     ks = []
@@ -145,12 +147,7 @@ def _sweep_chunk(args):
         if method == "bisect":
             results = lambda_bisect_block(Ls)
         else:
-            results = []
-            for L in Ls:
-                try:
-                    results.append(double_zero_lower_bound(L))
-                except Exception as e:  # recorded, never fatal to the sweep
-                    results.append(e)
+            results = double_zero_block(Ls)
     rows = []
     for k, L, r in zip(ks, Ls, results):
         if isinstance(r, Exception):
@@ -168,6 +165,28 @@ def _chunk_tasks(q: int, max_genus: int, method: str, start: tuple):
             yield (q, degree, k, min(k + FAMILY_CHUNK, q**degree), method)
 
 
+def check_sweep(q: int, max_genus: int, method: str, start: tuple | None) -> tuple:
+    """Validate the inputs of sweep_fixed_q, raising ValueError before any
+    work, and return the start position, (3, 0) when start is None. A degree
+    past the last gives an empty sweep, which is what the resume token of a
+    finished sweep names; any other position outside the enumeration is
+    rejected."""
+    check_odd_prime(q)
+    if max_genus < 1:
+        raise ValueError("max-genus must be >= 1")
+    if method not in ("double_zero", "bisect"):
+        raise ValueError("method must be 'double_zero' or 'bisect'")
+    degree, index = start or (3, 0)
+    # past the last degree any index is the empty tail of the sweep
+    inside = degree <= 2 * max_genus + 1
+    if degree < 3 or degree % 2 == 0 or index < 0 or (inside and index >= q**degree):
+        raise ValueError(
+            "resume position %d:%d names no monic D of odd degree >= 3 over F_%d"
+            % (degree, index, q)
+        )
+    return degree, index
+
+
 def sweep_fixed_q(
     q: int,
     max_genus: int,
@@ -183,25 +202,11 @@ def sweep_fixed_q(
     consecutive indices of one degree, results are consumed in index order,
     and the coefficient arithmetic is exact integer arithmetic.
     start=(degree, index) resumes mid-enumeration at monic_by_index(q,
-    degree, index); a degree past the last gives an empty sweep, which is
-    what the resume token of a finished sweep names. Any other position
-    outside the enumeration raises ValueError. on_item, when given, sees
-    each SweepItem as soon as its turn in the canonical order arrives.
+    degree, index); check_sweep says which inputs are rejected. on_item,
+    when given, sees each SweepItem as soon as its turn in the canonical
+    order arrives.
     """
-    check_odd_prime(q)
-    if max_genus < 1:
-        raise ValueError("max_genus must be >= 1")
-    if method not in ("double_zero", "bisect"):
-        raise ValueError("method must be 'double_zero' or 'bisect'")
-    start = start or (3, 0)
-    degree, index = start
-    # past the last degree any index is the empty tail of the sweep
-    inside = degree <= 2 * max_genus + 1
-    if degree < 3 or degree % 2 == 0 or index < 0 or (inside and index >= q**degree):
-        raise ValueError(
-            "resume position %d:%d names no monic D of odd degree >= 3 over F_%d"
-            % (degree, index, q)
-        )
+    start = check_sweep(q, max_genus, method, start)
     tasks = _chunk_tasks(q, max_genus, method, start)
     items = []
     running_sup = []

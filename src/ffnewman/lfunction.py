@@ -145,6 +145,15 @@ def _powers_mod(P: np.ndarray, count: int, q: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1024)
+def _factor_powers(q: int, P: tuple, count: int) -> np.ndarray:
+    """_powers_mod for the one monic P, shape (count, d), cached: the small
+    irreducible factors recur across the D of one field. Read-only."""
+    powers = _powers_mod(np.array([P]), count, q)[:, 0]
+    powers.flags.writeable = False
+    return powers
+
+
 def _digits(q: int, width: int, ks: np.ndarray) -> np.ndarray:
     """Base-q digits of each k, least significant first: shape (len(ks), width)."""
     return (ks[:, None] // q ** np.arange(width, dtype=np.int64)) % q
@@ -185,7 +194,7 @@ def _chi_rows(q: int, D: FpPolynomial, top: int) -> tuple:
     chi = np.ones(len(F), dtype=np.int64)
     for P in _factorize_monic(q, D.coeffs):
         d = len(P) - 1
-        powers = _powers_mod(np.array([P]), max(top + 1, 2 * d - 1), q)[:, 0]
+        powers = _factor_powers(q, P, max(top + 1, 2 * d - 1))
         residues, inverse = np.unique(
             ((F @ powers[: top + 1]) % q) @ q ** np.arange(d, dtype=np.int64),
             return_inverse=True,

@@ -13,8 +13,11 @@ zeros_at_t uses. No grid is sampled. Routes provided:
   lambda_bisect            monotone bisection on the all-zeros-real predicate;
                            lambda_bisect_block runs it for a block of D of
                            one genus in lockstep, one eigvals call per round
-  double_zero_lower_bound  largest t with Xi_t(0) = 0, a polynomial of degree
-                           g^2 in e^t: any double zero time is <= Lambda_D
+  double_zero_lower_bound  largest t with Xi_t(0) = 0, a root of a sum of
+                           g + 1 powers of e^t: any double zero time is
+                           <= Lambda_D; a Rolle chain of derivatives isolates
+                           the roots, and double_zero_block runs it for a
+                           block of D of one genus in lockstep
   stopple_lower_bound      a bound from an unusually small first zero via the
                            inverse-square gap sum G
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -347,68 +351,213 @@ def lambda_bisect(
     return e
 
 
-def _horner(coeffs: list, y: float) -> float:
-    """np.polyval(coeffs, y) for a scalar y in plain floats: the same
-    multiplications and additions in the same order, so the same bits."""
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * y + c
-    return acc
+@lru_cache(maxsize=None)
+def _rolle_chain(g: int):
+    """The levels of the Rolle chain of P(y) = sum_{n<=g} a_n y^(n^2):
+    G_k(y) = sum_n M[k, n] a_n y^E[k, n], with M[k, n] = prod_{j<k} (n^2 - j^2)
+    and E[k, n] = n^2 - k^2 (M is 0 for n < k, where E is set to 0). Then
+    dG_k/dy = y^(2k) G_(k+1), so G_k is monotone between consecutive positive
+    roots of G_(k+1). Column j of W[k] weighs the terms of y^j d^jG_k/dy^j,
+    column 3 divided by 3. The arrays are shared: read-only."""
+    n2 = np.arange(g + 1) ** 2
+    M = np.ones((g + 1, g + 1))
+    for k in range(1, g + 1):
+        M[k] = M[k - 1] * (n2 - (k - 1) ** 2)
+    E = np.maximum(n2[None, :] - n2[:, None], 0).astype(float)
+    W = np.stack(
+        [np.ones_like(E), E, E * (E - 1.0), E * (E - 1.0) * (E - 2.0) / 3.0], axis=2
+    )
+    for v in (M, E, W):
+        v.flags.writeable = False
+    return M, E, W
+
+
+def _refine(C, E, lo, hi, tol):
+    """The root of G(y) = sum_n C[i, n, 0] y^E[n] in each bracket
+    (lo[i], hi[i]), where G has exactly one root, is negative left of it and
+    positive right of it; all brackets in lockstep. C[i, :, 1:] weigh the
+    same powers to give y G', y^2 G'' and y^3 G''' / 3.
+
+    Each round evaluates G at a point x and at x (1 -+ tol / (2 hi)), a probe
+    pair that closes the bracket to width <= tol once x is that close to the
+    root; a point where G is exactly 0 closes it to that point. The next x is
+    Householder's third-order step from x (Newton's step corrected by G'' and
+    G''', quartic near the root) when it lands inside the bracket, else the
+    bracket's midpoint. A bracket is done at width <= tol (or at adjacent
+    floats); its midpoint is the root.
+    """
+    width = np.maximum(tol, 2.0 * np.spacing(hi))
+    scale = 1.0 + (0.5 * tol / hi)[:, None] * np.array([0.0, -1.0, 1.0])
+    root = np.empty(len(lo))
+    rows = np.arange(len(lo))
+    x = 0.5 * (lo + hi)
+    while len(rows):
+        pts = x[:, None] * scale
+        v = (pts[:, :, None] ** E) @ C
+        f = v[:, :, 0]
+        lo = np.maximum(lo, np.maximum.reduce(pts * (f <= 0), axis=1))
+        hi = np.minimum(hi, np.minimum.reduce(pts / (f >= 0), axis=1))
+        u, w, z = (v[:, 0, 1:] / f[:, :1]).T
+        uu = u * u
+        x = x - x * (uu + uu - w) / (2.0 * u * (uu - w) + z)
+        done = hi - lo <= width
+        if np.logical_or.reduce(done):
+            root[rows[done]] = 0.5 * (lo[done] + hi[done])
+            keep = ~done
+            rows, C, lo, hi, width, scale, x = (
+                v[keep] for v in (rows, C, lo, hi, width, scale, x)
+            )
+        x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
+    return root
+
+
+def _largest_positive_roots(a: np.ndarray):
+    """The largest positive root of P(y) = sum_n a[i, n] y^(n^2) for each row
+    i of a (shape (rows, g + 1), g >= 1), NaN where there is none, and
+    whether the row could be solved: a row that is not finite or has a_g = 0
+    cannot. Evaluate under np.errstate(all="ignore").
+
+    The roots come down the Rolle chain G_k of _rolle_chain. By Descartes'
+    rule a G_k whose coefficients a_k..a_g have no sign variation has no
+    positive root and one with a single variation has exactly one, and so
+    has every G_j, j > k. A row's chain starts at the lowest such k. Below
+    that, G_k is monotone between consecutive positive roots of G_(k+1), 0
+    and a bound B on every root, so each such interval whose end signs
+    differ holds exactly one root of G_k, and a root of G_(k+1) where G_k is
+    exactly 0 is one too. A G_k of two terms has its one root in closed
+    form; the other brackets of a level, over all rows, are refined together
+    (_refine) to width 1e-12. At level 0 only the largest root is solved
+    for. A row's chain does not depend on the other rows, so neither do the
+    bits of its root.
+    """
+    g = a.shape[1] - 1
+    M, E, W = _rolle_chain(g)
+    a = a * np.sign(a[:, g:])  # the same roots, with a_g > 0
+    # a root y >= 1 of G_k has y^(2g-1) <= sum_{n<g} |c_kn| / c_kg, which is
+    # at most sum_{n<g} |a_n| / a_g as M[k, n] <= M[k, g]
+    bound = (np.add.reduce(np.abs(a), axis=1) / a[:, g] - 1.0) ** (1.0 / (2 * g - 1))
+    B = 1.001 * np.maximum(1.0, bound)[:, None]
+    ok = np.isfinite(B[:, 0])
+    if not np.logical_and.reduce(ok):
+        # an unsolvable row becomes y^(g^2), with no positive root
+        a[~ok] = np.arange(g + 1) == g
+        B[~ok] = 1.0
+    # first[:, k]: the lowest n >= k with a_n != 0; s[:, k] its sign, that
+    # of G_k just above 0; terms[:, k]: the number of terms of G_k
+    nonzero = a != 0
+    first = np.minimum.accumulate(
+        np.where(nonzero, np.arange(g + 1), g)[:, ::-1], axis=1
+    )[:, ::-1]
+    rows = np.arange(len(a))[:, None]
+    s = np.sign(a)[rows, first]
+    terms = np.add.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
+    # a row's chain starts at the lowest level where a_k..a_g has at most
+    # one sign variation
+    variations = np.add.accumulate(s[:, :0:-1] != s[:, -2::-1], axis=1, dtype=int)
+    start = np.count_nonzero(variations > 1, axis=1)[:, None]
+    # breakpoints of a level: 0, the roots of G_(k+1), then B (repeated)
+    P = B * np.array([0.0, 1.0])
+    for k in range(int(np.maximum.reduce(start, axis=None)), -1, -1):
+        C = a * M[k]
+        S = np.sign((P[:, :, None] ** E[k]) @ C[:, :, None])[:, :, 0]
+        S[:, 0] = s[:, k]
+        S[:, -1] = 1.0
+        # interval i is (P_i, P_(i+1)); its root, or P_(i+1) if G_k is 0
+        # there, goes in column i; rows whose chain starts below k have none
+        change = (S[:, :-1] * S[:, 1:] < 0) & (start >= k)
+        zero = (S[:, 1:] == 0) & (start >= k)
+        if k == 0:
+            event = change | zero
+            last = np.arange(event.shape[1]) == (
+                event.shape[1] - 1 - np.argmax(event[:, ::-1], axis=1)
+            )[:, None]
+            change &= last
+            zero &= last
+        roots = np.where(zero, P[:, 1:], np.nan)
+        bi, bj = np.nonzero(change)
+        two = terms[bi, k] == 2
+        if two.any():
+            # c_n y^E_n + c_g y^E_g = 0 at y = (-c_n / c_g)^(1 / (E_g - E_n))
+            ti, tj = bi[two], bj[two]
+            n = first[ti, k]
+            roots[ti, tj] = (-C[ti, n] / C[ti, g]) ** (1.0 / (E[k, g] - E[k, n]))
+            bi, bj = bi[~two], bj[~two]
+        if len(bi):
+            roots[bi, bj] = _refine(
+                (C[bi] * -S[bi, bj, None])[:, :, None] * W[k],
+                E[k],
+                P[bi, bj],
+                P[bi, bj + 1],
+                1e-12,
+            )
+        if k:
+            # ascending, the NaN of intervals without a root last
+            P = np.sort(np.concatenate([P[:, :1], roots, B], axis=1), axis=1)
+            P = np.where(np.isnan(P), B, P)
+    return np.fmax.reduce(roots, axis=1), ok
+
+
+def double_zero_block(Ls: list, at_pi: bool = False) -> list:
+    """double_zero_lower_bound for every L of one genus, in lockstep: the
+    largest positive roots of their double-zero polynomials P(y) =
+    sum_n a_n y^(n^2), y = e^t, with a_0 = Phi_0 and a_n = 2 Phi_n (odd n
+    negated at x = pi), from _largest_positive_roots. Returns, per row, its
+    NewmanEstimate, or a NumericalError for a row whose coefficients are
+    not finite.
+    """
+    if len({L.g for L in Ls}) > 1:
+        raise ValueError("double_zero_block needs rows of one genus")
+    if not Ls:
+        return []
+    a = np.array([L.phi for L in Ls])
+    a[:, 1:] *= 2.0
+    if at_pi:
+        a[:, 1::2] *= -1.0
+    with np.errstate(all="ignore"):
+        largest, ok = _largest_positive_roots(a)
+    where = "x=pi" if at_pi else "x=0"
+    # one notes string per block, shared by its estimates
+    none = NewmanEstimate(
+        kind="no_bound",
+        value=None,
+        notes="double-zero polynomial at %s has no positive real root" % where,
+    )
+    notes = "largest positive root of the degree-g^2 double-zero polynomial at %s" % where
+    out = []
+    for y, solved in zip(largest.tolist(), ok.tolist()):
+        if not solved:
+            out.append(NumericalError("double-zero polynomial has non-finite coefficients"))
+        elif math.isnan(y):
+            out.append(none)
+        else:
+            out.append(
+                NewmanEstimate(
+                    kind="double_zero_lower_bound", value=math.log(y), tol=1e-12, notes=notes
+                )
+            )
+    return out
 
 
 def double_zero_lower_bound(L: LFunctionData, at_pi: bool = False) -> NewmanEstimate:
     """Largest t solving Xi_t(0) = 0; such a t is a double zero time (evenness
     makes x = 0 a zero of order >= 2), hence a lower bound on Lambda_D.
 
-    In y = e^t this is P(y) = Phi_0 + 2 sum_n Phi_n y^(n^2), degree g^2 <= 49
-    in scope. The largest positive root is isolated by a 4096-sample scan up
-    to a Cauchy-style bound and refined by bisection. No positive root is a
-    legal outcome (kind no_bound). at_pi=True uses the mirror point x = pi
-    (alternating signs); it is an extra, not part of the published table.
+    In y = e^t this is the largest positive root of P(y) = Phi_0 + 2 sum_n
+    Phi_n y^(n^2), a sum of g + 1 powers. No grid is scanned: a Rolle chain
+    of derivatives counts and isolates every positive root (Descartes'
+    rule starts it), each in a bracket where exactly one lies, so two close
+    roots are never taken for none. Householder steps (Newton's step with
+    G'' and G''') with a bisection fallback refine the last root until a
+    probe pair at most 1e-12 apart in y shows the sign change; where P is
+    exactly 0 at a probe, that point is the root. No positive root is a
+    legal outcome (kind no_bound). at_pi=True uses
+    the mirror point x = pi (alternating signs); it is an extra, not part of
+    the published table. This is the one-row case of double_zero_block.
     """
-    g = L.g
-    a = np.zeros(g * g + 1)
-    a[0] = L.phi[0]
-    for n in range(1, g + 1):
-        sign = -1.0 if (at_pi and n % 2) else 1.0
-        a[n * n] += 2.0 * sign * L.phi[n]
-    lead = a[-1]  # 2 Phi_g > 0 always
-    y_max = 1.0 + float(np.max(np.abs(a[:-1]))) / abs(lead)
-    m = 4096
-    ys = y_max * np.arange(1, m + 1) / m
-    vals = np.polyval(a[::-1], ys)
-    s = np.sign(vals)
-    where = "x=pi" if at_pi else "x=0"
-    hits = np.nonzero(s == 0)[0]
-    changes = np.nonzero(s[:-1] * s[1:] < 0)[0]
-    if len(hits) == 0 and len(changes) == 0:
-        return NewmanEstimate(
-            kind="no_bound",
-            value=None,
-            notes="double-zero polynomial at %s has no positive real root" % where,
-        )
-    if len(hits) and (len(changes) == 0 or hits[-1] > changes[-1] + 1):
-        ystar = float(ys[hits[-1]])  # sampled the root exactly
-    else:
-        k = changes[-1]
-        lo, hi = float(ys[k]), float(ys[k + 1])
-        coeffs = a[::-1].tolist()
-        flo = _horner(coeffs, lo)
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            fm = _horner(coeffs, mid)
-            if (fm < 0) == (flo < 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        ystar = 0.5 * (lo + hi)
-    return NewmanEstimate(
-        kind="double_zero_lower_bound",
-        value=math.log(ystar),
-        tol=1e-12,
-        notes="largest positive root of the degree-g^2 double-zero polynomial at %s"
-        % where,
-    )
+    (e,) = double_zero_block([L], at_pi)
+    if isinstance(e, Exception):
+        raise e
+    return e
 
 
 def stopple_G(zeros: ZeroSet) -> float:

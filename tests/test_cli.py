@@ -269,11 +269,28 @@ def test_sweep_rejects_bad_resume_token(capsys):
 
 @pytest.mark.parametrize("token", ["4:0", "1:0", "3:-5", "3:27", "3:99", "5:243"])
 def test_sweep_rejects_resume_position_outside_the_enumeration(token, capsys):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         ["sweep", "--q", "3", "--max-genus", "2", "--resume-from", token], capsys
     )
     assert code == EXIT_INVALID
     assert "resume position" in err
+    assert out == ""
+
+
+def test_sweep_rejects_bad_q_before_writing(capsys):
+    code, out, err = run_cli(["sweep", "--q", "4", "--max-genus", "1"], capsys)
+    assert code == EXIT_INVALID
+    assert "odd prime" in err
+    assert out == ""
+
+
+def test_sweep_rejected_input_creates_no_out_file(tmp_path, capsys):
+    out_file = tmp_path / "sweep.csv"
+    for args in (["--q", "4", "--max-genus", "1"], ["--q", "3", "--max-genus", "2", "--resume-from", "4:0"]):
+        code, out, err = run_cli(["sweep", *args, "--out", str(out_file)], capsys)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert not out_file.exists()
 
 
 def test_sweep_resume_from_last_positions(capsys):

@@ -26,10 +26,10 @@ from ffnewman.lfunction import (
 from ffnewman.newman import (
     NewmanEstimate,
     _gcd_degree,
-    _horner,
     all_zeros_real,
     count_nonzero_phi,
     crude_condition_check,
+    double_zero_block,
     double_zero_lower_bound,
     has_double_zero_at_axis,
     has_repeated_root,
@@ -242,14 +242,6 @@ def test_double_zero_bound_at_pi():
         break
     else:
         pytest.fail("no cubic with positive c_1 found")
-
-
-def test_horner_matches_polyval_bit_for_bit():
-    rng = np.random.default_rng(7)
-    for degree in (1, 4, 9, 16, 49):
-        coeffs = rng.normal(scale=10.0, size=degree + 1).tolist()
-        for y in rng.uniform(0.0, 3.0, size=20).tolist():
-            assert _horner(coeffs, y) == float(np.polyval(coeffs, y))
 
 
 def test_bound_never_exceeds_bisect():
@@ -528,3 +520,73 @@ def test_predicate_solves_rows_whose_weights_underflow():
 def test_bisect_block_rejects_mixed_genera():
     with pytest.raises(ValueError):
         lambda_bisect_block([L_main(), build_lfunction(3, P([1, 2, 0, 1], 3))])
+
+
+def dense_double_zero_oracle(L, at_pi):
+    """Test oracle: the largest positive real root of the dense degree-g^2
+    double-zero polynomial from np.roots, as (kind, y)."""
+    a = np.zeros(L.g * L.g + 1)
+    for n, phi in enumerate(L.phi):
+        a[n * n] = phi if n == 0 else 2.0 * phi * (-1.0 if at_pi and n % 2 else 1.0)
+    roots = np.roots(a[::-1])
+    real = [r.real for r in roots if abs(r.imag) <= 1e-9 * abs(r) and r.real > 0]
+    if not real:
+        return "no_bound", None
+    return "double_zero_lower_bound", max(real)
+
+
+@pytest.mark.parametrize("q,degree", [(3, 7), (5, 5)])
+@pytest.mark.parametrize("at_pi", [False, True])
+def test_double_zero_block_equals_per_row_bit_for_bit(q, degree, at_pi):
+    Ls = family(q, degree)
+    block = double_zero_block(Ls, at_pi)
+    for L, got in zip(Ls, block):
+        assert got == double_zero_lower_bound(L, at_pi), (L.D, got)
+    assert {e.kind for e in block} == {"double_zero_lower_bound", "no_bound"}
+
+
+@pytest.mark.parametrize("q,degree", [(3, 3), (3, 5), (3, 7), (5, 3), (5, 5)])
+@pytest.mark.parametrize("at_pi", [False, True])
+def test_double_zero_matches_dense_roots_oracle(q, degree, at_pi):
+    for L, e in zip(family(q, degree), double_zero_block(family(q, degree), at_pi)):
+        kind, y = dense_double_zero_oracle(L, at_pi)
+        assert e.kind == kind, (L.D, e, y)
+        if y is not None:
+            assert abs(math.exp(e.value) - y) <= 1e-10, (L.D, e, y)
+
+
+def test_double_zero_finds_two_roots_in_one_grid_cell():
+    # P(y) = a_0 + a_1 y + y^4 with roots 0.8999546 and 0.9000454, 9e-5
+    # apart: one cell of a 4096-point scan up to 1 + max|a_n| holds both
+    a0, a1, a2 = 3 * 0.9**4 - 1e-8, -4 * 0.9**3, 1.0
+    L = dataclasses.replace(
+        build_lfunction(3, P([1, 1, 0, 1, 0, 1], 3)), phi=(a0, a1 / 2, a2 / 2)
+    )
+    e = double_zero_lower_bound(L)
+    assert e.kind == "double_zero_lower_bound"
+    assert abs(math.exp(e.value) - 0.9000453601593582882) <= 1e-12
+
+
+def test_double_zero_exact_root_stays_exact():
+    # T^9 + 2T over F_3: c = (1, 0, 0, 0, -18), P(y) = -18 + 18 y^16 = 0 at
+    # y = 1, so t = 0 exactly; the genus-4 best row of a q=3 sweep prints 0
+    L = build_lfunction(3, P([0, 2, 0, 0, 0, 0, 0, 0, 0, 1], 3))
+    assert L.c[:5] == (1, 0, 0, 0, -18)
+    e = double_zero_lower_bound(L)
+    assert (e.kind, e.value) == ("double_zero_lower_bound", 0.0)
+    assert "%.12g" % e.value == "0"
+
+
+def test_double_zero_block_isolates_a_non_finite_row():
+    L = L_main()
+    bad = dataclasses.replace(L, phi=(L.phi[0], math.inf, L.phi[2]))
+    out = double_zero_block([L, bad])
+    assert out[0] == double_zero_lower_bound(L)
+    assert isinstance(out[1], NumericalError)
+    with pytest.raises(NumericalError, match="non-finite"):
+        double_zero_lower_bound(bad)
+
+
+def test_double_zero_block_rejects_mixed_genera():
+    with pytest.raises(ValueError):
+        double_zero_block([L_main(), build_lfunction(3, P([1, 2, 0, 1], 3))])
