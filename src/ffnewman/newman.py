@@ -357,55 +357,58 @@ def _rolle_chain(g: int):
     G_k(y) = sum_n M[k, n] a_n y^E[k, n], with M[k, n] = prod_{j<k} (n^2 - j^2)
     and E[k, n] = n^2 - k^2 (M is 0 for n < k, where E is set to 0). Then
     dG_k/dy = y^(2k) G_(k+1), so G_k is monotone between consecutive positive
-    roots of G_(k+1). Column j of W[k] weighs the terms of y^j d^jG_k/dy^j,
-    column 3 divided by 3. The arrays are shared: read-only."""
+    roots of G_(k+1). Column j of W[k] weighs the terms of y^(j+1) times
+    the (j+1)-th derivative of G_k, the last one divided by 3. The arrays
+    are shared: read-only."""
     n2 = np.arange(g + 1) ** 2
     M = np.ones((g + 1, g + 1))
     for k in range(1, g + 1):
         M[k] = M[k - 1] * (n2 - (k - 1) ** 2)
     E = np.maximum(n2[None, :] - n2[:, None], 0).astype(float)
-    W = np.stack(
-        [np.ones_like(E), E, E * (E - 1.0), E * (E - 1.0) * (E - 2.0) / 3.0], axis=2
-    )
+    W = np.stack([E, E * (E - 1.0), E * (E - 1.0) * (E - 2.0) / 3.0], axis=2)
     for v in (M, E, W):
         v.flags.writeable = False
     return M, E, W
 
 
-def _refine(C, E, lo, hi, tol):
-    """The root of G(y) = sum_n C[i, n, 0] y^E[n] in each bracket
-    (lo[i], hi[i]), where G has exactly one root, is negative left of it and
-    positive right of it; all brackets in lockstep. C[i, :, 1:] weigh the
-    same powers to give y G', y^2 G'' and y^3 G''' / 3.
+def _refine(C, E, W, lo, hi, tol):
+    """The root of G(y) = sum_n C[i, n] y^E[n] in each bracket (lo[i], hi[i]),
+    where G has exactly one root, is negative left of it and positive right
+    of it; all brackets in lockstep. The columns of W weigh the same powers
+    to give y G', y^2 G'' and y^3 G''' / 3.
 
-    Each round evaluates G at a point x and at x (1 -+ tol / (2 hi)), a probe
-    pair that closes the bracket to width <= tol once x is that close to the
-    root; a point where G is exactly 0 closes it to that point. The next x is
-    Householder's third-order step from x (Newton's step corrected by G'' and
-    G''', quartic near the root) when it lands inside the bracket, else the
-    bracket's midpoint. A bracket is done at width <= tol (or at adjacent
-    floats); its midpoint is the root.
+    Each round evaluates G at a point x and at x (1 -+ tol / 4), a probe pair
+    that closes the bracket to width <= tol once x (<= 4) is that close to
+    the root; a point where G is exactly 0 closes it to that point. The next
+    x is Householder's third-order step from x (Newton's step corrected by
+    G'' and G''', quartic near the root) when it lands inside the bracket,
+    else the bracket's midpoint. A bracket is done at width <= tol (or at
+    adjacent floats); its midpoint is the root.
     """
-    width = np.maximum(tol, 2.0 * np.spacing(hi))
-    scale = 1.0 + (0.5 * tol / hi)[:, None] * np.array([0.0, -1.0, 1.0])
+    D = C[:, :, None] * W
+    C = C[:, None, :]
+    # two ulps of hi: a bracket between adjacent floats is done
+    width = np.maximum(tol, 4.5e-16 * hi)
+    scale = np.array([1.0, 1.0 - 0.25 * tol, 1.0 + 0.25 * tol])
     root = np.empty(len(lo))
     rows = np.arange(len(lo))
     x = 0.5 * (lo + hi)
     while len(rows):
         pts = x[:, None] * scale
-        v = (pts[:, :, None] ** E) @ C
-        f = v[:, :, 0]
+        pw = pts[:, :, None] ** E
+        f = np.add.reduce(pw * C, axis=2)
         lo = np.maximum(lo, np.maximum.reduce(pts * (f <= 0), axis=1))
-        hi = np.minimum(hi, np.minimum.reduce(pts / (f >= 0), axis=1))
-        u, w, z = (v[:, 0, 1:] / f[:, :1]).T
+        hi = np.minimum(hi, np.minimum.reduce(np.where(f >= 0, pts, np.inf), axis=1))
+        # y G'/G, y^2 G''/G and y^3 G'''/(3 G) at x
+        u, w, z = (np.add.reduce(pw[:, 0, :, None] * D, axis=1) / f[:, :1]).T
         uu = u * u
         x = x - x * (uu + uu - w) / (2.0 * u * (uu - w) + z)
         done = hi - lo <= width
         if np.logical_or.reduce(done):
             root[rows[done]] = 0.5 * (lo[done] + hi[done])
             keep = ~done
-            rows, C, lo, hi, width, scale, x = (
-                v[keep] for v in (rows, C, lo, hi, width, scale, x)
+            rows, C, D, lo, hi, width, x = (
+                v[keep] for v in (rows, C, D, lo, hi, width, x)
             )
         x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
     return root
@@ -414,8 +417,8 @@ def _refine(C, E, lo, hi, tol):
 def _largest_positive_roots(a: np.ndarray):
     """The largest positive root of P(y) = sum_n a[i, n] y^(n^2) for each row
     i of a (shape (rows, g + 1), g >= 1), NaN where there is none, and
-    whether the row could be solved: a row that is not finite or has a_g = 0
-    cannot. Evaluate under np.errstate(all="ignore").
+    whether the row could be solved: a row that is not finite or has
+    a_g <= 0 cannot. Evaluate under np.errstate(all="ignore").
 
     The roots come down the Rolle chain G_k of _rolle_chain. By Descartes'
     rule a G_k whose coefficients a_k..a_g have no sign variation has no
@@ -432,7 +435,6 @@ def _largest_positive_roots(a: np.ndarray):
     """
     g = a.shape[1] - 1
     M, E, W = _rolle_chain(g)
-    a = a * np.sign(a[:, g:])  # the same roots, with a_g > 0
     # a root y >= 1 of G_k has y^(2g-1) <= sum_{n<g} |c_kn| / c_kg, which is
     # at most sum_{n<g} |a_n| / a_g as M[k, n] <= M[k, g]
     bound = (np.add.reduce(np.abs(a), axis=1) / a[:, g] - 1.0) ** (1.0 / (2 * g - 1))
@@ -440,6 +442,7 @@ def _largest_positive_roots(a: np.ndarray):
     ok = np.isfinite(B[:, 0])
     if not np.logical_and.reduce(ok):
         # an unsolvable row becomes y^(g^2), with no positive root
+        a = a.copy()
         a[~ok] = np.arange(g + 1) == g
         B[~ok] = 1.0
     # first[:, k]: the lowest n >= k with a_n != 0; s[:, k] its sign, that
@@ -454,18 +457,21 @@ def _largest_positive_roots(a: np.ndarray):
     # a row's chain starts at the lowest level where a_k..a_g has at most
     # one sign variation
     variations = np.add.accumulate(s[:, :0:-1] != s[:, -2::-1], axis=1, dtype=int)
-    start = np.count_nonzero(variations > 1, axis=1)[:, None]
+    start = np.add.reduce(variations > 1, axis=1)
+    # above its start a row's G_k counts as positive just above 0, which
+    # leaves it no root there
+    s = np.where(start[:, None] >= np.arange(g + 1), s, 1.0)
     # breakpoints of a level: 0, the roots of G_(k+1), then B (repeated)
     P = B * np.array([0.0, 1.0])
-    for k in range(int(np.maximum.reduce(start, axis=None)), -1, -1):
+    for k in range(int(np.maximum.reduce(start)), -1, -1):
         C = a * M[k]
-        S = np.sign((P[:, :, None] ** E[k]) @ C[:, :, None])[:, :, 0]
+        S = np.sign(np.add.reduce(P[:, :, None] ** E[k] * C[:, None, :], axis=2))
         S[:, 0] = s[:, k]
         S[:, -1] = 1.0
         # interval i is (P_i, P_(i+1)); its root, or P_(i+1) if G_k is 0
-        # there, goes in column i; rows whose chain starts below k have none
-        change = (S[:, :-1] * S[:, 1:] < 0) & (start >= k)
-        zero = (S[:, 1:] == 0) & (start >= k)
+        # there, goes in column i
+        change = S[:, :-1] * S[:, 1:] < 0
+        zero = S[:, 1:] == 0
         if k == 0:
             event = change | zero
             last = np.arange(event.shape[1]) == (
@@ -473,7 +479,7 @@ def _largest_positive_roots(a: np.ndarray):
             )[:, None]
             change &= last
             zero &= last
-        roots = np.where(zero, P[:, 1:], np.nan)
+        roots = np.where(zero, P[:, 1:], np.inf)  # inf: no root in the interval
         bi, bj = np.nonzero(change)
         two = terms[bi, k] == 2
         if two.any():
@@ -484,24 +490,23 @@ def _largest_positive_roots(a: np.ndarray):
             bi, bj = bi[~two], bj[~two]
         if len(bi):
             roots[bi, bj] = _refine(
-                (C[bi] * -S[bi, bj, None])[:, :, None] * W[k],
-                E[k],
-                P[bi, bj],
-                P[bi, bj + 1],
-                1e-12,
+                C[bi] * -S[bi, bj, None], E[k], W[k], P[bi, bj], P[bi, bj + 1], 1e-12
             )
-        if k:
-            # ascending, the NaN of intervals without a root last
-            P = np.sort(np.concatenate([P[:, :1], roots, B], axis=1), axis=1)
-            P = np.where(np.isnan(P), B, P)
-    return np.fmax.reduce(roots, axis=1), ok
+        # the running minimum from the right repeats the breakpoint after an
+        # interval without a root, leaving an empty interval in its place
+        P = np.minimum.accumulate(
+            np.concatenate([P[:, :1], roots, B], axis=1)[:, ::-1], axis=1
+        )[:, ::-1]
+    largest = np.minimum.reduce(roots, axis=1)  # level 0 keeps at most one
+    return np.where(largest < np.inf, largest, np.nan), ok
 
 
 def double_zero_block(Ls: list, at_pi: bool = False) -> list:
     """double_zero_lower_bound for every L of one genus, in lockstep: the
     largest positive roots of their double-zero polynomials P(y) =
     sum_n a_n y^(n^2), y = e^t, with a_0 = Phi_0 and a_n = 2 Phi_n (odd n
-    negated at x = pi), from _largest_positive_roots. Returns, per row, its
+    negated at x = pi, then all of them if g is odd, so that a_g =
+    2 q^(g/2) > 0), from _largest_positive_roots. Returns, per row, its
     NewmanEstimate, or a NumericalError for a row whose coefficients are
     not finite.
     """
@@ -512,7 +517,7 @@ def double_zero_block(Ls: list, at_pi: bool = False) -> list:
     a = np.array([L.phi for L in Ls])
     a[:, 1:] *= 2.0
     if at_pi:
-        a[:, 1::2] *= -1.0
+        a[:, (Ls[0].g + 1) % 2 :: 2] *= -1.0
     with np.errstate(all="ignore"):
         largest, ok = _largest_positive_roots(a)
     where = "x=pi" if at_pi else "x=0"
