@@ -353,13 +353,12 @@ def lambda_bisect(
 
 @lru_cache(maxsize=None)
 def _rolle_chain(g: int):
-    """The levels of the Rolle chain of P(y) = sum_{n<=g} a_n y^(n^2):
-    G_k(y) = sum_n M[k, n] a_n y^E[k, n], with M[k, n] = prod_{j<k} (n^2 - j^2)
-    and E[k, n] = n^2 - k^2 (M is 0 for n < k, where E is set to 0). Then
-    dG_k/dy = y^(2k) G_(k+1), so G_k is monotone between consecutive positive
-    roots of G_(k+1). Column j of W[k] weighs the terms of y^(j+1) times
-    the (j+1)-th derivative of G_k, the last one divided by 3. The arrays
-    are shared: read-only."""
+    """Level k of the Rolle chain of P(y) = sum_{n<=g} a_n y^(n^2) is
+    G_k(y) = sum_n M[k, n] a_n y^E[k, n], with E[k, n] = n^2 - k^2 and
+    M[k, n] = prod_{j<k} (n^2 - j^2), 0 for n < k. As dG_k/dy = y^(2k)
+    G_(k+1), G_k is monotone between consecutive positive roots of G_(k+1).
+    W[k] weighs the terms of y G_k', y^2 G_k'' and y^3 G_k''' / 3. The
+    arrays are shared: read-only."""
     n2 = np.arange(g + 1) ** 2
     M = np.ones((g + 1, g + 1))
     for k in range(1, g + 1):
@@ -373,21 +372,17 @@ def _rolle_chain(g: int):
 
 def _refine(C, E, W, lo, hi, tol):
     """The root of G(y) = sum_n C[i, n] y^E[n] in each bracket (lo[i], hi[i]),
-    where G has exactly one root, is negative left of it and positive right
-    of it; all brackets in lockstep. The columns of W weigh the same powers
-    to give y G', y^2 G'' and y^3 G''' / 3.
-
-    Each round evaluates G at a point x and at x (1 -+ tol / 4), a probe pair
-    that closes the bracket to width <= tol once x (<= 4) is that close to
-    the root; a point where G is exactly 0 closes it to that point. The next
-    x is Householder's third-order step from x (Newton's step corrected by
-    G'' and G''', quartic near the root) when it lands inside the bracket,
-    else the bracket's midpoint. A bracket is done at width <= tol (or at
-    adjacent floats); its midpoint is the root.
+    where G has one root and goes from negative to positive; all brackets in
+    lockstep, W as in _rolle_chain. Each round evaluates G at x and at the
+    probes x (1 -+ tol / 4), which close the bracket to width <= tol once x
+    (<= 4) is that close to the root; an exact zero of G closes it to that
+    point. The next x is Householder's third-order step (Newton's step with
+    G'' and G''') if it lands inside the bracket, else the midpoint. A
+    bracket no wider than tol, or than two ulps, is done: its root is that
+    step if it stays inside, else the midpoint.
     """
     D = C[:, :, None] * W
     C = C[:, None, :]
-    # two ulps of hi: a bracket between adjacent floats is done
     width = np.maximum(tol, 4.5e-16 * hi)
     scale = np.array([1.0, 1.0 - 0.25 * tol, 1.0 + 0.25 * tol])
     root = np.empty(len(lo))
@@ -405,7 +400,8 @@ def _refine(C, E, W, lo, hi, tol):
         x = x - x * (uu + uu - w) / (2.0 * u * (uu - w) + z)
         done = hi - lo <= width
         if np.logical_or.reduce(done):
-            root[rows[done]] = 0.5 * (lo[done] + hi[done])
+            xd, lod, hid = x[done], lo[done], hi[done]
+            root[rows[done]] = np.where((xd >= lod) & (xd <= hid), xd, 0.5 * (lod + hid))
             keep = ~done
             rows, C, D, lo, hi, width, x = (
                 v[keep] for v in (rows, C, D, lo, hi, width, x)
@@ -416,60 +412,48 @@ def _refine(C, E, W, lo, hi, tol):
 
 def _largest_positive_roots(a: np.ndarray):
     """The largest positive root of P(y) = sum_n a[i, n] y^(n^2) for each row
-    i of a (shape (rows, g + 1), g >= 1), NaN where there is none, and
-    whether the row could be solved: a row that is not finite or has
-    a_g <= 0 cannot. Evaluate under np.errstate(all="ignore").
+    of a (g >= 1), NaN where there is none, and whether the row is solvable:
+    finite with a_g > 0. Call under np.errstate(all="ignore").
 
-    The roots come down the Rolle chain G_k of _rolle_chain. By Descartes'
-    rule a G_k whose coefficients a_k..a_g have no sign variation has no
-    positive root and one with a single variation has exactly one, and so
-    has every G_j, j > k. A row's chain starts at the lowest such k. Below
-    that, G_k is monotone between consecutive positive roots of G_(k+1), 0
-    and a bound B on every root, so each such interval whose end signs
-    differ holds exactly one root of G_k, and a root of G_(k+1) where G_k is
-    exactly 0 is one too. A G_k of two terms has its one root in closed
-    form; the other brackets of a level, over all rows, are refined together
-    (_refine) to width 1e-12. At level 0 only the largest root is solved
-    for. A row's chain does not depend on the other rows, so neither do the
-    bits of its root.
+    Down the Rolle chain of _rolle_chain: by Descartes' rule, a G_k whose
+    a_k..a_g have at most one sign variation has that many positive roots,
+    so a row starts at the lowest such k. Below it, G_k is monotone between
+    0, the roots of G_(k+1) and a bound B, so each of these intervals whose
+    end signs differ holds one root, and a root of G_(k+1) where G_k is
+    exactly 0 is one too. A two-term G_k is solved in closed form; the other
+    brackets of a level, over all rows, go to _refine with tol 1e-12. Level
+    0 solves only for the largest root. No row's bits depend on the others.
     """
     g = a.shape[1] - 1
     M, E, W = _rolle_chain(g)
-    # a root y >= 1 of G_k has y^(2g-1) <= sum_{n<g} |c_kn| / c_kg, which is
-    # at most sum_{n<g} |a_n| / a_g as M[k, n] <= M[k, g]
+    # a root y >= 1 of G_k has y^(2g-1) <= sum_{n<g} |M[k, n] a_n| / (M[k, g]
+    # a_g), at most sum_{n<g} |a_n| / a_g
     bound = (np.add.reduce(np.abs(a), axis=1) / a[:, g] - 1.0) ** (1.0 / (2 * g - 1))
     B = 1.001 * np.maximum(1.0, bound)[:, None]
     ok = np.isfinite(B[:, 0])
     if not np.logical_and.reduce(ok):
-        # an unsolvable row becomes y^(g^2), with no positive root
         a = a.copy()
-        a[~ok] = np.arange(g + 1) == g
+        a[~ok] = np.arange(g + 1) == g  # y^(g^2): no positive root
         B[~ok] = 1.0
-    # first[:, k]: the lowest n >= k with a_n != 0; s[:, k] its sign, that
+    # first[:, k]: the lowest n >= k with a_n != 0, so s[:, k] is the sign
     # of G_k just above 0; terms[:, k]: the number of terms of G_k
     nonzero = a != 0
     first = np.minimum.accumulate(
         np.where(nonzero, np.arange(g + 1), g)[:, ::-1], axis=1
     )[:, ::-1]
-    rows = np.arange(len(a))[:, None]
-    s = np.sign(a)[rows, first]
+    s = np.sign(a)[np.arange(len(a))[:, None], first]
     terms = np.add.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
-    # a row's chain starts at the lowest level where a_k..a_g has at most
-    # one sign variation
     variations = np.add.accumulate(s[:, :0:-1] != s[:, -2::-1], axis=1, dtype=int)
     start = np.add.reduce(variations > 1, axis=1)
-    # above its start a row's G_k counts as positive just above 0, which
-    # leaves it no root there
-    s = np.where(start[:, None] >= np.arange(g + 1), s, 1.0)
-    # breakpoints of a level: 0, the roots of G_(k+1), then B (repeated)
+    s = np.where(start[:, None] >= np.arange(g + 1), s, 1.0)  # no root above start
+    # breakpoints: 0, the roots of G_(k+1), then B (repeated)
     P = B * np.array([0.0, 1.0])
     for k in range(int(np.maximum.reduce(start)), -1, -1):
         C = a * M[k]
         S = np.sign(np.add.reduce(P[:, :, None] ** E[k] * C[:, None, :], axis=2))
         S[:, 0] = s[:, k]
         S[:, -1] = 1.0
-        # interval i is (P_i, P_(i+1)); its root, or P_(i+1) if G_k is 0
-        # there, goes in column i
+        # column i: the root in (P_i, P_(i+1)), or P_(i+1) where G_k is 0
         change = S[:, :-1] * S[:, 1:] < 0
         zero = S[:, 1:] == 0
         if k == 0:
@@ -479,7 +463,7 @@ def _largest_positive_roots(a: np.ndarray):
             )[:, None]
             change &= last
             zero &= last
-        roots = np.where(zero, P[:, 1:], np.inf)  # inf: no root in the interval
+        roots = np.where(zero, P[:, 1:], np.inf)  # inf: no root
         bi, bj = np.nonzero(change)
         two = terms[bi, k] == 2
         if two.any():
@@ -492,23 +476,20 @@ def _largest_positive_roots(a: np.ndarray):
             roots[bi, bj] = _refine(
                 C[bi] * -S[bi, bj, None], E[k], W[k], P[bi, bj], P[bi, bj + 1], 1e-12
             )
-        # the running minimum from the right repeats the breakpoint after an
-        # interval without a root, leaving an empty interval in its place
+        # a running minimum from the right turns each inf into an empty interval
         P = np.minimum.accumulate(
             np.concatenate([P[:, :1], roots, B], axis=1)[:, ::-1], axis=1
         )[:, ::-1]
-    largest = np.minimum.reduce(roots, axis=1)  # level 0 keeps at most one
+    largest = np.minimum.reduce(roots, axis=1)
     return np.where(largest < np.inf, largest, np.nan), ok
 
 
 def double_zero_block(Ls: list, at_pi: bool = False) -> list:
-    """double_zero_lower_bound for every L of one genus, in lockstep: the
-    largest positive roots of their double-zero polynomials P(y) =
-    sum_n a_n y^(n^2), y = e^t, with a_0 = Phi_0 and a_n = 2 Phi_n (odd n
-    negated at x = pi, then all of them if g is odd, so that a_g =
-    2 q^(g/2) > 0), from _largest_positive_roots. Returns, per row, its
-    NewmanEstimate, or a NumericalError for a row whose coefficients are
-    not finite.
+    """double_zero_lower_bound for every L of one genus, in lockstep. The
+    double-zero polynomial is sum_n a_n y^(n^2) with a_0 = Phi_0, a_n =
+    2 Phi_n; at x = pi odd n are negated, and for odd g then every n, so
+    that a_g = 2 q^(g/2) > 0. Returns, per row, its NewmanEstimate, or a
+    NumericalError for a row that is not finite.
     """
     if len({L.g for L in Ls}) > 1:
         raise ValueError("double_zero_block needs rows of one genus")
@@ -521,7 +502,7 @@ def double_zero_block(Ls: list, at_pi: bool = False) -> list:
     with np.errstate(all="ignore"):
         largest, ok = _largest_positive_roots(a)
     where = "x=pi" if at_pi else "x=0"
-    # one notes string per block, shared by its estimates
+    # the estimates of a block share their notes strings
     none = NewmanEstimate(
         kind="no_bound",
         value=None,
@@ -549,15 +530,14 @@ def double_zero_lower_bound(L: LFunctionData, at_pi: bool = False) -> NewmanEsti
 
     In y = e^t this is the largest positive root of P(y) = Phi_0 + 2 sum_n
     Phi_n y^(n^2), a sum of g + 1 powers. No grid is scanned: a Rolle chain
-    of derivatives counts and isolates every positive root (Descartes'
-    rule starts it), each in a bracket where exactly one lies, so two close
-    roots are never taken for none. Householder steps (Newton's step with
-    G'' and G''') with a bisection fallback refine the last root until a
-    probe pair at most 1e-12 apart in y shows the sign change; where P is
-    exactly 0 at a probe, that point is the root. No positive root is a
-    legal outcome (kind no_bound). at_pi=True uses
-    the mirror point x = pi (alternating signs); it is an extra, not part of
-    the published table. This is the one-row case of double_zero_block.
+    of derivatives, started by Descartes' rule, isolates every positive root
+    in a bracket that holds exactly one, so close roots are never missed.
+    Householder steps with a bisection fallback refine the largest until
+    probes at most 1e-12 apart in y show the sign change; where P is exactly
+    0 at a probe, that point is the root. No positive root is a legal
+    outcome (kind no_bound). at_pi=True uses the mirror point x = pi
+    (alternating signs); it is an extra, not part of the published table.
+    This is the one-row case of double_zero_block.
     """
     (e,) = double_zero_block([L], at_pi)
     if isinstance(e, Exception):
