@@ -129,7 +129,7 @@ def _sweep_chunk(args):
     """Estimates for the squarefree D with indices lo <= k < hi of one degree:
     (degree, number skipped, [(index, status, d_coeffs, c, estimate or error
     text)]). Either estimator runs on the whole block at once
-(lambda_bisect_block, double_zero_block)."""
+    (lambda_bisect_block, double_zero_block)."""
     q, degree, lo, hi, method = args
     c_half, squarefree = family_coefficients(q, degree, lo, hi)
     ks = []

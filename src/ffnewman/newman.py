@@ -351,7 +351,7 @@ def lambda_bisect(
     return e
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _rolle_chain(g: int):
     """Level k of the Rolle chain of P(y) = sum_{n<=g} a_n y^(n^2) is
     G_k(y) = sum_n M[k, n] a_n y^E[k, n], with E[k, n] = n^2 - k^2 and
