@@ -413,7 +413,8 @@ def _refine(C, E, W, lo, hi, tol):
 def _largest_positive_roots(a: np.ndarray):
     """The largest positive root of P(y) = sum_n a[i, n] y^(n^2) for each row
     of a (g >= 1), NaN where there is none, and whether the row is solvable:
-    finite with a_g > 0. Call under np.errstate(all="ignore").
+    finite, a_g != 0, and no term of the chain overflowing below the root
+    bound. Call under np.errstate(all="ignore").
 
     Down the Rolle chain of _rolle_chain: by Descartes' rule, a G_k whose
     a_k..a_g have at most one sign variation has that many positive roots,
@@ -426,13 +427,14 @@ def _largest_positive_roots(a: np.ndarray):
     """
     g = a.shape[1] - 1
     M, E, W = _rolle_chain(g)
-    # a root y >= 1 of G_k has y^(2g-1) <= sum_{n<g} |M[k, n] a_n| / (M[k, g]
-    # a_g), at most sum_{n<g} |a_n| / a_g
-    bound = (np.add.reduce(np.abs(a), axis=1) / a[:, g] - 1.0) ** (1.0 / (2 * g - 1))
+    a = a / a[:, g:]  # the same roots, with a_g = 1
+    # a root y >= 1 of G_k has y^(2g-1) <= sum_{n<g} |M[k, n] a_n| / M[k, g],
+    # at most sum_{n<g} |a_n|; below B every term of every level (and of its
+    # derivatives) is at most 2 M[g, g] B^(g^2 + 2g - 1) E^3 in size
+    bound = (np.add.reduce(np.abs(a), axis=1) - 1.0) ** (1.0 / (2 * g - 1))
     B = 1.001 * np.maximum(1.0, bound)[:, None]
-    ok = np.isfinite(B[:, 0])
+    ok = B[:, 0] ** (g * g + 2 * g) * M[g, g] < 1e280
     if not np.logical_and.reduce(ok):
-        a = a.copy()
         a[~ok] = np.arange(g + 1) == g  # y^(g^2): no positive root
         B[~ok] = 1.0
     # first[:, k]: the lowest n >= k with a_n != 0, so s[:, k] is the sign
@@ -487,9 +489,8 @@ def _largest_positive_roots(a: np.ndarray):
 def double_zero_block(Ls: list, at_pi: bool = False) -> list:
     """double_zero_lower_bound for every L of one genus, in lockstep. The
     double-zero polynomial is sum_n a_n y^(n^2) with a_0 = Phi_0, a_n =
-    2 Phi_n; at x = pi odd n are negated, and for odd g then every n, so
-    that a_g = 2 q^(g/2) > 0. Returns, per row, its NewmanEstimate, or a
-    NumericalError for a row that is not finite.
+    2 Phi_n, odd n negated at x = pi. Returns, per row, its NewmanEstimate,
+    or a NumericalError for a row that is not finite or would overflow.
     """
     if len({L.g for L in Ls}) > 1:
         raise ValueError("double_zero_block needs rows of one genus")
@@ -498,7 +499,7 @@ def double_zero_block(Ls: list, at_pi: bool = False) -> list:
     a = np.array([L.phi for L in Ls])
     a[:, 1:] *= 2.0
     if at_pi:
-        a[:, (Ls[0].g + 1) % 2 :: 2] *= -1.0
+        a[:, 1::2] *= -1.0
     with np.errstate(all="ignore"):
         largest, ok = _largest_positive_roots(a)
     where = "x=pi" if at_pi else "x=0"
@@ -512,7 +513,9 @@ def double_zero_block(Ls: list, at_pi: bool = False) -> list:
     out = []
     for y, solved in zip(largest.tolist(), ok.tolist()):
         if not solved:
-            out.append(NumericalError("double-zero polynomial has non-finite coefficients"))
+            out.append(
+                NumericalError("double-zero polynomial is not finite or would overflow")
+            )
         elif math.isnan(y):
             out.append(none)
         else:

@@ -577,14 +577,18 @@ def test_double_zero_exact_root_stays_exact():
     assert "%.12g" % e.value == "0"
 
 
-def test_double_zero_block_isolates_a_non_finite_row():
+def test_double_zero_block_isolates_rows_it_cannot_solve():
+    # a non-finite row, and one whose leading weight is so small that the
+    # root bound B ~ 1e50 would overflow B^(g^2)
     L = L_main()
-    bad = dataclasses.replace(L, phi=(L.phi[0], math.inf, L.phi[2]))
-    out = double_zero_block([L, bad])
-    assert out[0] == double_zero_lower_bound(L)
-    assert isinstance(out[1], NumericalError)
-    with pytest.raises(NumericalError, match="non-finite"):
-        double_zero_lower_bound(bad)
+    inf = dataclasses.replace(L, phi=(L.phi[0], math.inf, L.phi[2]))
+    tiny = dataclasses.replace(L, phi=(L.phi[0], L.phi[1], 1e-150))
+    out = double_zero_block([inf, L, tiny])
+    assert out[1] == double_zero_lower_bound(L)
+    for bad, e in ((inf, out[0]), (tiny, out[2])):
+        assert isinstance(e, NumericalError)
+        with pytest.raises(NumericalError, match="not finite or would overflow"):
+            double_zero_lower_bound(bad)
 
 
 def test_double_zero_block_rejects_mixed_genera():
