@@ -438,13 +438,14 @@ def _largest_positive_roots(a: np.ndarray):
         a[~ok] = np.arange(g + 1) == g  # y^(g^2): no positive root
         B[~ok] = 1.0
     # first[:, k]: the lowest n >= k with a_n != 0, so s[:, k] is the sign
-    # of G_k just above 0; terms[:, k]: the number of terms of G_k
+    # of G_k just above 0; two[:, k]: G_k has two terms
     nonzero = a != 0
     first = np.minimum.accumulate(
         np.where(nonzero, np.arange(g + 1), g)[:, ::-1], axis=1
     )[:, ::-1]
     s = np.sign(a)[np.arange(len(a))[:, None], first]
-    terms = np.add.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
+    two = np.add.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1] == 2
+    any_two = np.logical_or.reduce(two, axis=0).tolist()
     variations = np.add.accumulate(s[:, :0:-1] != s[:, -2::-1], axis=1, dtype=int)
     start = np.add.reduce(variations > 1, axis=1)
     s = np.where(start[:, None] >= np.arange(g + 1), s, 1.0)  # no root above start
@@ -467,13 +468,13 @@ def _largest_positive_roots(a: np.ndarray):
             zero &= last
         roots = np.where(zero, P[:, 1:], np.inf)  # inf: no root
         bi, bj = np.nonzero(change)
-        two = terms[bi, k] == 2
-        if two.any():
+        if any_two[k]:
             # c_n y^E_n + c_g y^E_g = 0 at y = (-c_n / c_g)^(1 / (E_g - E_n))
-            ti, tj = bi[two], bj[two]
+            t = two[bi, k]
+            ti, tj = bi[t], bj[t]
             n = first[ti, k]
             roots[ti, tj] = (-C[ti, n] / C[ti, g]) ** (1.0 / (E[k, g] - E[k, n]))
-            bi, bj = bi[~two], bj[~two]
+            bi, bj = bi[~t], bj[~t]
         if len(bi):
             roots[bi, bj] = _refine(
                 C[bi] * -S[bi, bj, None], E[k], W[k], P[bi, bj], P[bi, bj + 1], 1e-12
