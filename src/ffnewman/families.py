@@ -10,7 +10,10 @@ The fixed-q sweep works in blocks of FAMILY_CHUNK consecutive indices of one
 degree: the explicit formula (lfunction.family_coefficients) gives c_0..c_g
 and the squarefree mask for the whole block, and the estimator runs on each
 squarefree D. The reciprocity ladder is not used here; it cross-checks the
-explicit formula in the tests.
+explicit formula in the tests. The sweep is a stream: each row goes to the
+caller's on_item and is dropped, and its SweepReport keeps only counts and
+bests, so memory does not grow with the family. The Sato-Tate sweep keeps
+every prime's record in its SatoTateReport.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +45,7 @@ from .newman import (
 __all__ = [
     "BadReduction",
     "SatoTateRecord",
+    "SatoTateReport",
     "SweepItem",
     "SweepReport",
     "F3_GENUS_SERIES",
@@ -99,16 +104,32 @@ class SatoTateRecord:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Outcome of a family sweep: ordered per-item results, counts, the
-    running supremum after each item, per-key bests, and a statistics block."""
+    """Outcome of a fixed-q sweep. Its rows went to on_item as they came and
+    are not kept: processed counts the squarefree D estimated (errors
+    included), skipped the D with a repeated factor, best_per_genus maps each
+    genus to its row of largest Lambda value, and best_overall is the row of
+    largest value over the sweep; ties go to the first row in enumeration
+    order, and rows without a value never count as a best."""
+
+    family: str
+    processed: int
+    skipped: int
+    best_per_genus: dict
+    best_overall: SweepItem | None
+
+
+@dataclass(frozen=True)
+class SatoTateReport:
+    """Outcome of a Sato-Tate sweep: one SatoTateRecord per odd prime in
+    order, the counts of good and bad-reduction primes, the running supremum
+    of lambda_p after each record, and a statistics block (sup_lambda,
+    argmax_p, ks_distance, processed, skipped)."""
 
     family: str
     items: tuple
     processed: int
     skipped: int
     running_sup: tuple
-    best_per_genus: dict
-    best_overall: SweepItem | None
     statistics: dict
 
 
@@ -125,11 +146,27 @@ def primes_up_to(n: int) -> list:
     return out
 
 
+@contextmanager
+def _ordered_map(fn, tasks, workers: int, chunksize: int = 1):
+    """fn over tasks, results in task order: the builtin map for one worker,
+    otherwise the imap of a pool of that many processes, which is torn down
+    on exit, also when the caller stops early or raises."""
+    if workers <= 1:
+        yield map(fn, tasks)
+        return
+    pool = multiprocessing.Pool(workers)
+    try:
+        yield pool.imap(fn, tasks, chunksize)
+    finally:
+        pool.terminate()
+        pool.join()
+
+
 def _sweep_chunk(args):
     """Estimates for the squarefree D with indices lo <= k < hi of one degree:
-    (degree, number skipped, [(index, status, d_coeffs, c, estimate or error
-    text)]). Either estimator runs on the whole block at once
-    (lambda_bisect_block, double_zero_block)."""
+    (degree, number skipped, rows), each row the SweepItem fields after the
+    degree, (index, d_coeffs, c, estimate, error). Either estimator runs on
+    the whole block at once (lambda_bisect_block, double_zero_block)."""
     q, degree, lo, hi, method = args
     c_half, squarefree = family_coefficients(q, degree, lo, hi)
     ks = []
@@ -152,9 +189,9 @@ def _sweep_chunk(args):
     for k, L, r in zip(ks, Ls, results):
         if isinstance(r, Exception):
             text = "%s: %s" % (type(r).__name__, r)
-            rows.append((k, "error", L.D.coeffs, None, text))
+            rows.append((k, L.D.coeffs, None, None, text))
         else:
-            rows.append((k, "ok", L.D.coeffs, L.c, r))
+            rows.append((k, L.D.coeffs, L.c, r, None))
     return degree, hi - lo - len(rows), rows
 
 
@@ -204,64 +241,39 @@ def sweep_fixed_q(
     start=(degree, index) resumes mid-enumeration at monic_by_index(q,
     degree, index); check_sweep says which inputs are rejected. on_item,
     when given, sees each SweepItem as soon as its turn in the canonical
-    order arrives.
+    order arrives. The sweep keeps no item but the bests of its report, so
+    its memory does not grow with the family.
     """
     start = check_sweep(q, max_genus, method, start)
     tasks = _chunk_tasks(q, max_genus, method, start)
-    items = []
-    running_sup = []
-    sup = None
     processed = 0
     skipped = 0
-    if workers > 1:
-        pool = multiprocessing.Pool(workers)
-        results = pool.imap(_sweep_chunk, tasks)
-    else:
-        pool = None
-        results = map(_sweep_chunk, tasks)
-    try:
+    best_per_genus: dict = {}
+    with _ordered_map(_sweep_chunk, tasks, workers) as results:
         for degree, n_skipped, rows in results:
             skipped += n_skipped
-            for index, status, dco, c, payload in rows:
-                processed += 1
-                if status == "ok":
-                    item = SweepItem(degree, index, dco, c, payload, None)
-                    if payload.value is not None:
-                        sup = payload.value if sup is None else max(sup, payload.value)
-                else:
-                    item = SweepItem(degree, index, dco, None, None, payload)
-                items.append(item)
-                running_sup.append(sup)
+            processed += len(rows)
+            g = (degree - 1) // 2
+            for row in rows:
+                item = SweepItem(degree, *row)
                 if on_item is not None:
                     on_item(item)
-    finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-    best_per_genus: dict = {}
-    best_overall = None
-    for item in items:
-        if item.estimate is None or item.estimate.value is None:
-            continue
-        g = (item.degree - 1) // 2
-        cur = best_per_genus.get(g)
-        if cur is None or item.estimate.value > cur.estimate.value:
-            best_per_genus[g] = item
-        if best_overall is None or item.estimate.value > best_overall.estimate.value:
-            best_overall = item
+                if item.estimate is None or item.estimate.value is None:
+                    continue
+                cur = best_per_genus.get(g)
+                if cur is None or item.estimate.value > cur.estimate.value:
+                    best_per_genus[g] = item
+    # genera enter the dict in enumeration order and max keeps the first of
+    # equal values, so ties go to the first row here too
+    best_overall = max(
+        best_per_genus.values(), key=lambda it: it.estimate.value, default=None
+    )
     return SweepReport(
         family="fixed_q(q=%d, max_genus=%d, method=%s)" % (q, max_genus, method),
-        items=tuple(items),
         processed=processed,
         skipped=skipped,
-        running_sup=tuple(running_sup),
         best_per_genus=best_per_genus,
         best_overall=best_overall,
-        statistics={
-            "processed": processed,
-            "skipped": skipped,
-            "sup": None if best_overall is None else best_overall.estimate.value,
-        },
     )
 
 
@@ -319,7 +331,7 @@ def _sato_task(args):
     return _sato_record(*args)
 
 
-def sato_tate_sweep(dz, p_max: int, workers: int = 1) -> SweepReport:
+def sato_tate_sweep(dz, p_max: int, workers: int = 1) -> SatoTateReport:
     """Reduce a fixed squarefree integer cubic mod every odd prime p <= p_max
     and record (p, a_p, theta_p, lambda_p); bad-reduction primes are recorded
     as skips. The statistics block carries the running supremum of lambda_p
@@ -336,11 +348,8 @@ def sato_tate_sweep(dz, p_max: int, workers: int = 1) -> SweepReport:
         raise ValueError("p_max must be >= 3")
     ps = [p for p in primes_up_to(p_max) if p > 2]
     tasks = [(dz, p) for p in ps]
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            records = list(pool.imap(_sato_task, tasks, chunksize=64))
-    else:
-        records = [_sato_record(dz, p) for p in ps]
+    with _ordered_map(_sato_task, tasks, workers, chunksize=64) as results:
+        records = list(results)
     sup = None
     argmax_p = None
     running_sup = []
@@ -358,14 +367,12 @@ def sato_tate_sweep(dz, p_max: int, workers: int = 1) -> SweepReport:
                 argmax_p = r.p
         running_sup.append(sup)
     ks = ks_distance(thetas) if thetas else None
-    return SweepReport(
+    return SatoTateReport(
         family="sato_tate(dz=%s, p_max=%d)" % (",".join(map(str, dz)), p_max),
         items=tuple(records),
         processed=processed,
         skipped=skipped,
         running_sup=tuple(running_sup),
-        best_per_genus={},
-        best_overall=None,
         statistics={
             "sup_lambda": sup,
             "argmax_p": argmax_p,

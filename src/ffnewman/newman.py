@@ -82,35 +82,6 @@ def count_nonzero_phi(L: LFunctionData) -> int:
     return sum(1 for a, _ in L.phi_exact if a != 0)
 
 
-def xi0_axis_values_exact(L: LFunctionData):
-    """Xi_0 at x = 0 and x = pi, exactly, as integer pairs (A, B) meaning
-    A + B sqrt(q). Both vanish iff A = B = 0 (sqrt q is irrational), and the
-    even/odd split makes the two axis values A + B sqrt(q) and A - B sqrt(q).
-    """
-    q = L.q
-    A = 0
-    B = 0
-    for a, n in L.phi_exact:
-        coef = a if n == 0 else 2 * a
-        if n % 2 == 0:
-            A += coef * q ** (n // 2)
-        else:
-            B += coef * q ** ((n - 1) // 2)
-    return (A, B), (A, -B)
-
-
-def has_double_zero_at_axis(L: LFunctionData) -> bool:
-    """Exact detection of Xi_0(0) = 0 (equivalently Xi_0(pi) = 0).
-
-    Evenness forces a zero at x = 0 or pi to have order >= 2, which by the
-    double-zero lemma gives Lambda_D >= 0. No in-scope discriminant does this;
-    the check exists so the estimators can flag such a find loudly instead of
-    bisecting across a degenerate configuration.
-    """
-    (A, B), _ = xi0_axis_values_exact(L)
-    return A == 0 and B == 0
-
-
 def lambda_exact_genus1(L: LFunctionData) -> NewmanEstimate:
     """Closed form for genus 1: the two zeros merge at x = 0 or pi, at time
     log(|Phi_0| / (2 sqrt q)); Phi_0 = 0 means always-real (minus infinity)."""
@@ -165,9 +136,11 @@ def has_repeated_root(L: LFunctionData) -> bool:
 
     By RH for curves every root lies on |u| = q^(-1/2), so a repeated root is
     a double zero of Xi_0, and the double-zero lemma with RH gives
-    Lambda_D = 0. Decided by gcd(L, L') over Q, in exact integers. A unit
-    gcd modulo the prime 2^31 - 1, which divides no leading coefficient q^g,
-    already rules a repeated root out; only the rare rest runs Euclid over Q.
+    Lambda_D = 0. A zero of Xi_0 on the symmetry axis x = 0 or pi is one of
+    them: evenness makes its order >= 2, a repeated root u = +-q^(-1/2).
+    Decided by gcd(L, L') over Q, in exact integers. A unit gcd modulo the
+    prime 2^31 - 1, which divides no leading coefficient q^g, already rules
+    a repeated root out; only the rare rest runs Euclid over Q.
     """
     c = list(L.c)
     dc = [n * v for n, v in enumerate(c)][1:]
@@ -233,10 +206,10 @@ def lambda_bisect_block(
     """lambda_bisect for every L of one genus, in lockstep.
 
     Per row this is the algorithm lambda_bisect documents: the algebraic
-    minus-infinity and axis double-zero checks, the t = 0 check, expansion
-    through -1, -2, -4, ... down to bracket_floor, then midpoint bisection
-    until the bracket is no wider than tol_t. Each round asks the predicate
-    of all unfinished rows with one _real_rows call. A row whose t = 0 check
+    minus-infinity check, the t = 0 check, expansion through -1, -2, -4, ...
+    down to bracket_floor, then midpoint bisection until the bracket is no
+    wider than tol_t. Each round asks the predicate of all unfinished rows
+    with one _real_rows call. A row whose t = 0 check
     fails, or whose bracket ends within 2 tol_t of 0, is tested for a
     repeated root of L exactly (has_repeated_root); one gives kind exact,
     value 0. Returns, per row, its NewmanEstimate or the exception
@@ -250,17 +223,6 @@ def lambda_bisect_block(
                 kind="minus_infinity",
                 value=float("-inf"),
                 notes="at most one nonzero Fourier coefficient: zeros are real at every t",
-            )
-        elif has_double_zero_at_axis(L):
-            warnings.warn(
-                "Xi_0 has an exact double zero at x = 0 or pi for D=%s over F_%d: "
-                "Lambda_D = 0" % (L.D, L.q),
-                stacklevel=2,
-            )
-            out[i] = NewmanEstimate(
-                kind="exact",
-                value=0.0,
-                notes="exact double zero of Xi_0 on the symmetry axis forces Lambda_D = 0",
             )
         else:
             live.append(i)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -182,26 +183,32 @@ def test_sato_tate_rejects_bad_cubic():
         sato_tate_sweep(DZ_A, 2)
 
 
+def sweep_items(*args, **kwargs):
+    """(report, every SweepItem the sweep passed to on_item, in order)."""
+    seen = []
+    report = sweep_fixed_q(*args, on_item=seen.append, **kwargs)
+    return report, seen
+
+
 def test_sweep_fixed_q_genus1():
-    report = sweep_fixed_q(3, 1)
+    report, items = sweep_items(3, 1)
     # 27 monic cubics over F_3, 9 of them with a repeated factor
     assert report.skipped == 9
     assert report.processed == 18
-    assert len(report.items) == 18
-    assert all(it.estimate is not None and it.error is None for it in report.items)
+    assert len(items) == 18
+    assert all(it.estimate is not None and it.error is None for it in items)
     best = report.best_overall
     assert best.estimate.value == pytest.approx(-0.14384103622589045, abs=1e-9)
     # the best cubics are exactly those with |c_1| = 3
     assert abs(best.c[1]) == 3
     assert report.best_per_genus[1].estimate.value == best.estimate.value
-    sups = [v for v in report.running_sup if v is not None]
-    assert all(b >= a for a, b in zip(sups, sups[1:]))
 
 
 def test_sweep_methods_agree_on_cubics():
-    by_dz = sweep_fixed_q(3, 1, method="double_zero")
-    by_bisect = sweep_fixed_q(3, 1, method="bisect")
-    for a, b in zip(by_dz.items, by_bisect.items):
+    _, by_dz = sweep_items(3, 1, method="double_zero")
+    _, by_bisect = sweep_items(3, 1, method="bisect")
+    assert len(by_dz) == len(by_bisect) == 18
+    for a, b in zip(by_dz, by_bisect):
         assert a.d_coeffs == b.d_coeffs
         if a.estimate is None or a.estimate.kind == "no_bound":
             continue
@@ -211,48 +218,63 @@ def test_sweep_methods_agree_on_cubics():
             assert a.estimate.value == pytest.approx(b.estimate.value, abs=1e-6)
 
 
+def same_counts_and_bests(a, b):
+    assert (a.processed, a.skipped) == (b.processed, b.skipped)
+    assert a.best_per_genus == b.best_per_genus
+    assert a.best_overall == b.best_overall
+
+
 def test_sweep_workers_deterministic():
-    one = sweep_fixed_q(3, 2, workers=1)
-    two = sweep_fixed_q(3, 2, workers=2)
-    assert len(one.items) == len(two.items)
-    for a, b in zip(one.items, two.items):
+    one, one_items = sweep_items(3, 2, workers=1)
+    two, two_items = sweep_items(3, 2, workers=2)
+    assert len(one_items) == len(two_items) == one.processed
+    for a, b in zip(one_items, two_items):
         assert (a.degree, a.index, a.d_coeffs, a.c) == (b.degree, b.index, b.d_coeffs, b.c)
         if a.estimate is None:
             assert b.estimate is None
         else:
             assert a.estimate.kind == b.estimate.kind
             assert a.estimate.value == b.estimate.value
-    assert one.statistics == two.statistics
+    same_counts_and_bests(one, two)
 
 
 def test_sweep_resume_matches_suffix():
-    full = sweep_fixed_q(3, 2)
+    _, full = sweep_items(3, 2)
     start = (5, 100)
-    tail = sweep_fixed_q(3, 2, start=start)
-    expect = [it for it in full.items if (it.degree, it.index) >= start]
-    assert len(tail.items) == len(expect)
-    for a, b in zip(expect, tail.items):
+    _, tail = sweep_items(3, 2, start=start)
+    expect = [it for it in full if (it.degree, it.index) >= start]
+    assert len(tail) == len(expect) > 0
+    for a, b in zip(expect, tail):
         assert (a.degree, a.index, a.c) == (b.degree, b.index, b.c)
 
 
 def test_sweep_workers_deterministic_across_chunks():
     # genus <= 3 spans several FAMILY_CHUNK blocks per degree
-    one = sweep_fixed_q(3, 3, workers=1)
-    two = sweep_fixed_q(3, 3, workers=2)
-    assert len(one.items) > FAMILY_CHUNK
-    assert one.items == two.items
-    assert one.running_sup == two.running_sup
-    assert one.statistics == two.statistics
+    one, one_items = sweep_items(3, 3, workers=1)
+    two, two_items = sweep_items(3, 3, workers=2)
+    assert len(one_items) > FAMILY_CHUNK
+    assert one_items == two_items
+    same_counts_and_bests(one, two)
 
 
 def test_sweep_resume_mid_chunk_matches_suffix():
     start = (7, 700)
     assert start[1] % FAMILY_CHUNK != 0
-    full = sweep_fixed_q(3, 3)
-    tail = sweep_fixed_q(3, 3, start=start)
-    expect = tuple(it for it in full.items if (it.degree, it.index) >= start)
-    assert tail.items == expect
+    _, full = sweep_items(3, 3)
+    tail, tail_items = sweep_items(3, 3, start=start)
+    expect = [it for it in full if (it.degree, it.index) >= start]
+    assert tail_items == expect
     assert tail.skipped == 3**7 - start[1] - len(expect)
+
+
+def test_sweep_keeps_only_the_best_items():
+    # a stream: once on_item has seen a row, only a best may keep it alive
+    refs = []
+    report = sweep_fixed_q(3, 2, on_item=lambda item: refs.append(weakref.ref(item)))
+    assert len(refs) == report.processed == 180
+    bests = list(report.best_per_genus.values()) + [report.best_overall]
+    alive = [r() for r in refs if r() is not None]
+    assert alive and all(any(it is b for b in bests) for it in alive)
 
 
 class _Stop(Exception):
@@ -290,9 +312,9 @@ def test_sweep_best_per_genus_ordering():
 
 
 def test_sweep_on_item_callback_order():
-    seen = []
-    report = sweep_fixed_q(3, 1, on_item=seen.append)
-    assert seen == list(report.items)
+    report, seen = sweep_items(3, 1)
+    assert len(seen) == report.processed
+    assert any(it is report.best_overall for it in seen)
     idx = [it.index for it in seen]
     assert idx == sorted(idx)
     assert len(idx) == 18

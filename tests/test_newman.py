@@ -31,7 +31,6 @@ from ffnewman.newman import (
     crude_condition_check,
     double_zero_block,
     double_zero_lower_bound,
-    has_double_zero_at_axis,
     has_repeated_root,
     lambda_bisect,
     lambda_bisect_block,
@@ -42,7 +41,6 @@ from ffnewman.newman import (
     stopple_jsonable,
     stopple_lower_bound,
     strip_bound,
-    xi0_axis_values_exact,
 )
 
 SQ5 = math.sqrt(5.0)
@@ -178,22 +176,12 @@ def test_exact_double_zero_detected():
     # T^5 - T over F_5: Xi_t = 10 e^(4t) cos 2x - 10, double zeros at t = 0
     L = build_lfunction(5, P([0, 4, 0, 0, 0, 1], 5))
     assert L.c == (1, 0, -10, 0, 25)
-    assert xi0_axis_values_exact(L) == ((0, 0), (0, 0))
-    assert has_double_zero_at_axis(L)
     assert has_repeated_root(L)
     with pytest.warns(UserWarning):
         e = lambda_bisect(L)
     assert e.kind == "exact"
     assert e.value == 0.0
-
-
-def test_xi0_axis_values():
-    # Xi_0(0) = A + B sqrt q and Xi_0(pi) = A - B sqrt q with integer A, B
-    L = L_main()
-    (a0, b0), (a1, b1) = xi0_axis_values_exact(L)
-    assert (a0, b0) == (9, -2)
-    assert (a1, b1) == (9, 2)
-    assert not has_double_zero_at_axis(L)
+    assert "double zero" in e.notes
 
 
 def test_double_zero_bound_genus1():
@@ -444,7 +432,6 @@ def test_repeated_root_interior_double_zero_is_exact_zero():
     # T^5 + T over F_5: L = (1 + 5u^2)^2, a double zero of Xi_0 off the axis
     L = build_lfunction(5, P([0, 1, 0, 0, 0, 1], 5))
     assert L.c == (1, 0, 10, 0, 25)
-    assert not has_double_zero_at_axis(L)
     assert has_repeated_root(L)
     assert not has_repeated_root(L_main())
     with pytest.warns(UserWarning, match="^Xi_0 has an exact double zero"):
