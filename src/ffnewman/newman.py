@@ -209,11 +209,11 @@ def lambda_bisect_block(
     minus-infinity check, the t = 0 check, expansion through -1, -2, -4, ...
     down to bracket_floor, then midpoint bisection until the bracket is no
     wider than tol_t. Each round asks the predicate of all unfinished rows
-    with one _real_rows call. A row whose t = 0 check
-    fails, or whose bracket ends within 2 tol_t of 0, is tested for a
-    repeated root of L exactly (has_repeated_root); one gives kind exact,
-    value 0. Returns, per row, its NewmanEstimate or the exception
-    lambda_bisect would raise for it.
+    with one _real_rows call. A row whose t = 0 check fails, or whose
+    bracket ends within 2 tol_t of 0, is tested for a repeated root of L
+    exactly (has_repeated_root); one gives kind exact, value 0. Returns, per
+    row, its NewmanEstimate or the exception lambda_bisect would raise for
+    it.
     """
     out = [None] * len(Ls)
     live = []
