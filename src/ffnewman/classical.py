@@ -5,10 +5,11 @@ e^{-n^2 pi e^{2u}} decays double-exponentially, so a short truncation plus a
 modest quadrature window already gives absolute errors far below the
 tolerances used anywhere in this package.  The deformed function is
 
-    XI_t(x) = 2 * integral_0^umax e^{t u^2} Phi(u) cos(u x) du,
+    XI_t(x) = 2 * integral_0^U_MAX e^{t u^2} Phi(u) cos(u x) du,
 
-computed by composite Gauss-Legendre on a fixed panelization so that results
-are bit-for-bit reproducible for fixed parameters.  No attempt is made to
+with Phi truncated after N_MAX terms, computed by composite Gauss-Legendre on
+a fixed panelization so that results are bit-for-bit reproducible for a fixed
+number of quadrature points.  No attempt is made to
 bound the classical Newman constant; this module is a sanity anchor for the
 function-field code, not a record chase.
 """
@@ -33,6 +34,10 @@ __all__ = [
 _TERM_RATIO = 16.0 * math.exp(-3.0 * math.pi)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+# quadrature window [0, U_MAX] and Phi series length of xi_t_classical
+U_MAX = 6.0
+N_MAX = 32
 
 
 @dataclass(frozen=True)
@@ -95,27 +100,19 @@ def _panel_nodes(u_max: float, quad_points: int):
     return nodes, weights
 
 
-def xi_t_classical(
-    t: float,
-    x,
-    u_max: float = 6.0,
-    n_max: int = 32,
-    quad_points: int = 2000,
-):
-    """Deformed xi value XI_t(x) = 2 int_0^{u_max} e^{tu^2} Phi(u) cos(ux) du.
+def xi_t_classical(t: float, x, quad_points: int = 2000):
+    """Deformed xi value XI_t(x) = 2 int_0^{U_MAX} e^{tu^2} Phi(u) cos(ux) du.
 
     Fixed-panel composite 16-point Gauss-Legendre quadrature: deterministic
-    for fixed parameters, and doubling quad_points moves the value by well
+    for fixed quad_points, and doubling quad_points moves the value by well
     under 1e-8. |t| <= 2 keeps e^{tu^2} dominated by the kernel decay inside
-    the default window. Complex x is accepted (the kernel extends to
+    the window. Complex x is accepted (the kernel extends to
     cos(u x) on the complex plane); real x returns a float.
     """
     if abs(t) > 2.0:
         raise ValueError("|t| must be <= 2")
-    if u_max <= 0:
-        raise ValueError("u_max must be positive")
-    nodes, weights = _panel_nodes(float(u_max), quad_points)
-    base = weights * np.exp(t * nodes * nodes) * phi_u(nodes, n_max=n_max)
+    nodes, weights = _panel_nodes(U_MAX, quad_points)
+    base = weights * np.exp(t * nodes * nodes) * phi_u(nodes, n_max=N_MAX)
     xc = complex(x)
     if xc.imag == 0.0:
         return float(2.0 * np.sum(base * np.cos(nodes * xc.real)))

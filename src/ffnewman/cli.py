@@ -7,8 +7,9 @@ primes, CSV), classical (deformed Riemann xi samples, CSV).
 
 Conventions: polynomials are ascending comma-separated integers (constant
 term first); every CSV starts with two comment lines carrying the tool
-version and the effective configuration; floats print with 12 significant
-digits and -inf prints as "-inf". Exit codes: 0 success, 2 invalid input,
+version and the effective configuration; floats in CSV and JSON print with
+12 significant digits (_fmt, the one place that format lives) and -inf
+prints as "-inf". Exit codes: 0 success, 2 invalid input,
 3 numerical failure, 130 interrupted sweep (partial rows plus a resume
 token are flushed).
 """
@@ -27,22 +28,22 @@ from . import __version__
 from .classical import xi_t_classical
 from .families import F3_GENUS_SERIES, check_sweep, sato_tate_sweep, sweep_fixed_q
 from .finite_field import is_prime
-from .fp_poly import FpPolynomial, parse_int_coeffs, reduce_int_poly
+from .fp_poly import FpPolynomial, parse_int_coeffs, poly_to_text, reduce_int_poly
 from .lfunction import (
+    LFunctionData,
     NumericalError,
     build_lfunction,
     good_pair_check,
-    lfunction_jsonable,
     zeros_at_t,
 )
 from .newman import (
+    NewmanEstimate,
+    StoppleData,
     double_zero_lower_bound,
     has_repeated_root,
     lambda_bisect,
     lambda_exact_genus1,
-    newman_jsonable,
     stopple_data,
-    stopple_jsonable,
 )
 
 EXIT_OK = 0
@@ -52,8 +53,8 @@ EXIT_INTERRUPT = 130
 
 
 def _fmt(v) -> str:
-    """One value as CSV text: 12 significant digits, '-inf' sentinel, empty
-    for missing."""
+    """One value as output text: 12 significant digits, '-inf' sentinel,
+    empty for missing. JSON floats are rounded through it (_json_value)."""
     if v is None:
         return ""
     if isinstance(v, float):
@@ -61,6 +62,45 @@ def _fmt(v) -> str:
             return "-inf"
         return "%.12g" % v
     return str(v)
+
+
+def _json_value(v):
+    """A float for JSON, rounded as _fmt prints it; -inf stays "-inf"."""
+    if v is None:
+        return None
+    text = _fmt(v)
+    return text if text == "-inf" else float(text)
+
+
+def lfunction_jsonable(L: LFunctionData) -> dict:
+    """JSON-ready view: q, D text, g, integer c, phi at 12 significant digits."""
+    return {
+        "q": L.q,
+        "D": poly_to_text(L.D),
+        "g": L.g,
+        "c": list(L.c),
+        "phi": [_json_value(v) for v in L.phi],
+    }
+
+
+def newman_jsonable(e: NewmanEstimate) -> dict:
+    return {
+        "kind": e.kind,
+        "value": _json_value(e.value),
+        "bracket": None if e.bracket is None else [_json_value(v) for v in e.bracket],
+        "tol": _json_value(e.tol),
+        "notes": e.notes,
+    }
+
+
+def stopple_jsonable(sd: StoppleData) -> dict:
+    return {
+        "gamma": [_json_value(v) for v in sd.gamma],
+        "gamma_tilde": [_json_value(v) for v in sd.gamma_tilde],
+        "G": _json_value(sd.G),
+        "condition_ok": sd.condition_ok,
+        "bound": _json_value(sd.bound),
+    }
 
 
 @contextlib.contextmanager
@@ -112,7 +152,7 @@ def cmd_lfun(args) -> int:
         "config": {"subcommand": "lfun", "q": args.q, "d": args.d},
     }
     payload.update(lfunction_jsonable(L))
-    payload["gammas"] = [float("%.12g" % v) for v in zeros.gammas]
+    payload["gammas"] = [_json_value(v) for v in zeros.gammas]
     # exact: a repeated root of L is a multiple zero of Xi_0, which the
     # floating-point solve may split off the real axis and leave out of gammas
     payload["repeated_root"] = has_repeated_root(L)

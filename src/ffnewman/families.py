@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -36,11 +35,7 @@ from .lfunction import (
     good_pair_check,
     lfunction_from_coefficients,
 )
-from .newman import (
-    NewmanEstimate,
-    double_zero_block,
-    lambda_bisect_block,
-)
+from .newman import NewmanEstimate, double_zero_block, genus1_lambda, lambda_bisect_block
 
 __all__ = [
     "BadReduction",
@@ -111,7 +106,6 @@ class SweepReport:
     largest value over the sweep; ties go to the first row in enumeration
     order, and rows without a value never count as a best."""
 
-    family: str
     processed: int
     skipped: int
     best_per_genus: dict
@@ -125,7 +119,6 @@ class SatoTateReport:
     of lambda_p after each record, and a statistics block (sup_lambda,
     argmax_p, ks_distance, processed, skipped)."""
 
-    family: str
     items: tuple
     processed: int
     skipped: int
@@ -176,15 +169,10 @@ def _sweep_chunk(args):
             ks.append(k)
             D = monic_by_index(q, degree, k)
             Ls.append(lfunction_from_coefficients(q, D, complete_coefficients(q, row)))
-    with warnings.catch_warnings():
-        # the item's kind "exact" and its notes already record this case
-        warnings.filterwarnings(
-            "ignore", message="Xi_0 has an exact double zero", category=UserWarning
-        )
-        if method == "bisect":
-            results = lambda_bisect_block(Ls)
-        else:
-            results = double_zero_block(Ls)
+    if method == "bisect":
+        results = lambda_bisect_block(Ls)
+    else:
+        results = double_zero_block(Ls)
     rows = []
     for k, L, r in zip(ks, Ls, results):
         if isinstance(r, Exception):
@@ -269,7 +257,6 @@ def sweep_fixed_q(
         best_per_genus.values(), key=lambda it: it.estimate.value, default=None
     )
     return SweepReport(
-        family="fixed_q(q=%d, max_genus=%d, method=%s)" % (q, max_genus, method),
         processed=processed,
         skipped=skipped,
         best_per_genus=best_per_genus,
@@ -321,10 +308,8 @@ def _sato_record(dz: tuple, p: int) -> SatoTateRecord:
         a_p = trace_of_frobenius(dz, p)
     except BadReduction as e:
         return SatoTateRecord(p, None, None, None, str(e))
-    ratio = a_p / (2.0 * math.sqrt(p))
-    theta = math.acos(ratio)
-    lam = float("-inf") if a_p == 0 else math.log(abs(ratio))
-    return SatoTateRecord(p, a_p, theta, lam, None)
+    theta = math.acos(a_p / (2.0 * math.sqrt(p)))
+    return SatoTateRecord(p, a_p, theta, genus1_lambda(a_p, p), None)
 
 
 def _sato_task(args):
@@ -368,7 +353,6 @@ def sato_tate_sweep(dz, p_max: int, workers: int = 1) -> SatoTateReport:
         running_sup.append(sup)
     ks = ks_distance(thetas) if thetas else None
     return SatoTateReport(
-        family="sato_tate(dz=%s, p_max=%d)" % (",".join(map(str, dz)), p_max),
         items=tuple(records),
         processed=processed,
         skipped=skipped,

@@ -8,7 +8,9 @@ explicit formula for L-function coefficients).
 Internally polynomials are tuples of ints in ascending degree order with no
 trailing zeros; the zero polynomial is the empty tuple. The FpPolynomial class
 wraps these tuples; the underscore kernels below operate on raw tuples and are
-shared with the character module's hot paths.
+shared with the character module's hot paths. _factorize_monic, trial
+division, is the one factoring kernel: is_irreducible, the character oracle
+and the enumeration oracle of the lfunction module all use it.
 """
 
 from __future__ import annotations
@@ -239,16 +241,35 @@ def is_squarefree(D: FpPolynomial) -> bool:
 
 
 def is_irreducible(f: FpPolynomial) -> bool:
-    """Trial division by all monic polynomials of degree <= deg f / 2."""
-    n = f.degree
-    if n < 1:
+    """True iff f has exactly one monic irreducible factor, counted with
+    multiplicity (_factorize_monic of its monic multiple)."""
+    if f.degree < 1:
         raise ValueError("irreducibility is about polynomials of degree >= 1")
-    for d in range(1, n // 2 + 1):
-        for k in range(f.p**d):
-            g = _monic_tuple_by_index(f.p, d, k)
-            if not _mod_monic(f.coeffs, g, f.p):
-                return False
-    return True
+    return len(_factorize_monic(f.p, f.monic_scaled().coeffs)) == 1
+
+
+@lru_cache(maxsize=512)
+def _factorize_monic(p: int, coeffs: tuple) -> tuple:
+    """Monic irreducible factors (with multiplicity) by trial division,
+    smallest degree first. Returns a tuple of coefficient tuples."""
+    rem = coeffs
+    out = []
+    d = 1
+    while len(rem) - 1 >= 2 * d:
+        k = 0
+        while k < p**d:
+            g = _monic_tuple_by_index(p, d, k)
+            if not _mod_monic(rem, g, p):
+                out.append(g)
+                rem, r = _divmod(rem, g, p)
+                if r:
+                    raise AssertionError("non-exact division in factorization")
+                continue  # same g may divide again (multiplicity)
+            k += 1
+        d += 1
+    if len(rem) - 1 >= 1:
+        out.append(rem)
+    return tuple(sorted(out, key=lambda t: (len(t), t)))
 
 
 def _monic_tuple_by_index(p: int, n: int, k: int) -> tuple:

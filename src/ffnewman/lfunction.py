@@ -12,7 +12,8 @@ the coefficients, evaluates Xi_t, and extracts its 2g zeros per period.
 Its _colleague_roots is the one solver for those zeros: Xi_t(x) = P_t(cos x)
 with P_t a degree-g Chebyshev series, whose roots are colleague-matrix
 eigenvalues. zeros_at_t maps each root u to the pair x = +-arccos(u), and the
-all-real predicate of the newman module stacks many rows into one call.
+all-real predicate of the newman module stacks many rows into one call. Both
+call a zero real when its |Im x| is at most REAL_TOL.
 
 The exact integers c_0..c_g come from the explicit formula: chi_D(P) at the
 monic irreducible P of degree d <= g gives the power sums S_k, and Newton's
@@ -25,7 +26,8 @@ values come from _chi_rows, which factors D and applies Euler's criterion
 at each factor, so the oracle shares no code with the ladder or with the
 family tables. The upper half comes from the exact integer functional
 equation c_(g+n) = q^n c_(g-n); dirichlet_coefficients(mode="full")
-enumerates it instead, so tests can verify it.
+enumerates it instead, so tests can verify it. The JSON view of this data
+is the CLI's.
 """
 
 from __future__ import annotations
@@ -38,12 +40,15 @@ from functools import lru_cache
 import numpy as np
 
 from .finite_field import check_odd_prime, is_prime, legendre_table
-from .fp_poly import FpPolynomial, is_squarefree, monic_irreducibles, poly_to_text
-from .quad_character import _chi_ladder, _factorize_monic, _validate_modulus
+from .fp_poly import FpPolynomial, _factorize_monic, is_squarefree, monic_irreducibles
+from .quad_character import _chi_ladder, _validate_modulus
 
 # discriminants per block of family_coefficients; bounds its working arrays
 # and is the task size of a fixed-q sweep
 FAMILY_CHUNK = 256
+
+# a zero x of Xi_t is real when |Im x| <= REAL_TOL
+REAL_TOL = 1e-9
 
 
 class NumericalError(RuntimeError):
@@ -507,7 +512,7 @@ def _colleague_roots(phi: np.ndarray, t: np.ndarray):
     return np.linalg.eigvals(mat).astype(complex), ok, errors
 
 
-def zeros_at_t(L: LFunctionData, t: float, tol: float = 1e-9) -> ZeroSet:
+def zeros_at_t(L: LFunctionData, t: float, tol: float = REAL_TOL) -> ZeroSet:
     """All 2g zeros of Xi_t in one period.
 
     Each root u of P_t (_colleague_roots) gives the pair x = +-arccos(u)
@@ -532,13 +537,3 @@ def zeros_at_t(L: LFunctionData, t: float, tol: float = 1e-9) -> ZeroSet:
     nonreal = tuple(x for x in xs if abs(x.imag) > tol)
     return ZeroSet(t=t, gammas=gammas, nonreal=nonreal, delta=delta, xs=xs)
 
-
-def lfunction_jsonable(L: LFunctionData) -> dict:
-    """JSON-ready view: q, D text, g, integer c, phi at 12 significant digits."""
-    return {
-        "q": L.q,
-        "D": poly_to_text(L.D),
-        "g": L.g,
-        "c": list(L.c),
-        "phi": [float("%.12g" % v) for v in L.phi],
-    }

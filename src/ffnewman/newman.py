@@ -6,11 +6,14 @@ monotone and bisection applies. The predicate uses the Chebyshev form
 Xi_t(x) = P_t(cos x) = sum_n w_n T_n(cos x), w_0 = Phi_0,
 w_n = 2 Phi_n e^(t n^2): the g roots of P_t are eigenvalues of its colleague
 matrix, mapped back to x by complex arccos, and Xi_t is all-real when every
-zero has |Im x| <= tol. The root solve is lfunction's, the same one
-zeros_at_t uses. No grid is sampled. Routes provided:
+zero has |Im x| <= lfunction.REAL_TOL. The root solve is lfunction's, the
+same one zeros_at_t uses. No grid is sampled. Routes provided:
 
-  lambda_exact_genus1      closed form log(|Phi_0| / (2 sqrt q)) for g = 1
-  lambda_bisect            monotone bisection on the all-zeros-real predicate;
+  lambda_exact_genus1      closed form log(|Phi_0| / (2 sqrt q)) for g = 1,
+                           from genus1_lambda, which the Sato-Tate sweep
+                           shares
+  lambda_bisect            monotone bisection on the all-zeros-real predicate,
+                           its bracket expanded down to BRACKET_FLOOR at most;
                            lambda_bisect_block runs it for a block of D of
                            one genus in lockstep, one eigvals call per round
   double_zero_lower_bound  largest t with Xi_t(0) = 0, a root of a sum of
@@ -23,7 +26,9 @@ zeros_at_t uses. No grid is sampled. Routes provided:
 
 Lambda_D = -infinity happens exactly when at most one Fourier coefficient is
 nonzero, and Lambda_D = 0 when L has a repeated root (a double zero of Xi_0);
-both cases are decided in exact arithmetic, never by search.
+both cases are decided in exact arithmetic, never by search. Only the one-row
+lambda_bisect warns about the latter; the block routines have no side
+effects. The JSON views of these results are the CLI's.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lfunction import (
+    REAL_TOL,
     LFunctionData,
     NumericalError,
     ZeroSet,
@@ -46,6 +52,10 @@ from .lfunction import (
 # modulus of has_repeated_root's prefilter: a prime above every field size q,
 # so it divides no leading coefficient q^g of an L-polynomial
 _GCD_PRIME = 2**31 - 1
+
+# lambda_bisect expands its bracket no further down than this; a predicate
+# still true there is kind bracket_exhausted
+BRACKET_FLOOR = -50.0
 
 
 @dataclass(frozen=True)
@@ -82,21 +92,29 @@ def count_nonzero_phi(L: LFunctionData) -> int:
     return sum(1 for a, _ in L.phi_exact if a != 0)
 
 
+def genus1_lambda(a: int, q: int) -> float:
+    """Lambda of the genus-1 L-polynomial 1 + a u + q u^2 (a = c_1, or -a_p
+    of an elliptic curve): log(|a| / (2 sqrt q)), -inf exactly when a = 0."""
+    if a == 0:
+        return float("-inf")
+    return math.log(abs(a) / (2.0 * math.sqrt(q)))
+
+
 def lambda_exact_genus1(L: LFunctionData) -> NewmanEstimate:
     """Closed form for genus 1: the two zeros merge at x = 0 or pi, at time
     log(|Phi_0| / (2 sqrt q)); Phi_0 = 0 means always-real (minus infinity)."""
     if L.g != 1:
         raise ValueError("closed form requires genus 1, got g=%d" % L.g)
-    a = L.c[1]
-    if a == 0:
+    value = genus1_lambda(L.c[1], L.q)
+    if value == float("-inf"):
         return NewmanEstimate(
             kind="minus_infinity",
-            value=float("-inf"),
+            value=value,
             notes="Phi_0 = 0: Xi_t is a pure cosine for every t",
         )
     return NewmanEstimate(
         kind="exact",
-        value=math.log(abs(a) / (2.0 * math.sqrt(L.q))),
+        value=value,
         notes="genus-1 closed form log(|Phi_0|/(2 sqrt q))",
     )
 
@@ -149,71 +167,61 @@ def has_repeated_root(L: LFunctionData) -> bool:
     return _gcd_degree(c, dc, None) > 0
 
 
-def _real_rows(phi: np.ndarray, t: np.ndarray, tol: float):
+def _real_rows(phi: np.ndarray, t: np.ndarray):
     """The all-real predicate for a stack of rows of one genus g: row i
     (Fourier coefficients phi[i] at time t[i]) is all-real when every root u
     of its P_t from the stacked colleague solve (_colleague_roots) has
-    |Im arccos(u)| <= tol. A row the solver certifies to have a root off
+    |Im arccos(u)| <= REAL_TOL. A row the solver certifies to have a root off
     [-1, 1] without solving it (its leading weight underflows too far) is
     not all-real. Returns (real, errors): a bool array and the solver's dict
     from row to the NumericalError message of a row it cannot decide.
     """
     u, ok, errors = _colleague_roots(phi, t)
     real = np.zeros(len(t), dtype=bool)
-    real[ok] = (np.abs(np.arccos(u).imag) <= tol).all(axis=1)
+    real[ok] = (np.abs(np.arccos(u).imag) <= REAL_TOL).all(axis=1)
     return real, errors
 
 
-def all_zeros_real(L: LFunctionData, t: float, tol: float = 1e-9) -> bool:
+def all_zeros_real(L: LFunctionData, t: float) -> bool:
     """Does Xi_t have only real zeros?
 
     Xi_t(x) = P_t(cos x) with P_t a degree-g Chebyshev series, so the 2g
     zeros per period are real exactly when the g roots u of P_t lie in
     [-1, 1]. The roots are colleague-matrix eigenvalues (_real_rows), mapped
-    back by complex arccos; every zero must have |Im x| <= tol, the criterion
-    zeros_at_t applies. No grid sampling and no degree-2g solve.
+    back by complex arccos; every zero must have |Im x| <= REAL_TOL, the
+    criterion zeros_at_t applies. No grid sampling and no degree-2g solve.
     """
     if count_nonzero_phi(L) <= 1:
         # Pure cosine (or constant): zeros stay pinned on the real axis for
         # every t, including t so negative that e^{t n^2} underflows.
         return True
-    real, errors = _real_rows(np.array([L.phi]), np.array([float(t)]), tol)
+    real, errors = _real_rows(np.array([L.phi]), np.array([float(t)]))
     if errors:
         raise NumericalError(errors[0])
     return bool(real[0])
 
 
-def _repeated_root_estimate(L: LFunctionData) -> NewmanEstimate:
-    warnings.warn(
-        "Xi_0 has an exact double zero (a repeated root of L) for D=%s over "
-        "F_%d: Lambda_D = 0" % (L.D, L.q),
-        stacklevel=3,
-    )
-    return NewmanEstimate(
-        kind="exact",
-        value=0.0,
-        notes="L has a repeated root (exact gcd(L, L')): the double zero of "
-        "Xi_0 forces Lambda_D = 0",
-    )
+# the estimate of every L with a repeated root; it does not depend on L
+_REPEATED_ROOT = NewmanEstimate(
+    kind="exact",
+    value=0.0,
+    notes="L has a repeated root (exact gcd(L, L')): the double zero of "
+    "Xi_0 forces Lambda_D = 0",
+)
 
 
-def lambda_bisect_block(
-    Ls: list,
-    tol_t: float = 1e-10,
-    bracket_floor: float = -50.0,
-    tol: float = 1e-9,
-) -> list:
+def lambda_bisect_block(Ls: list, tol_t: float = 1e-10) -> list:
     """lambda_bisect for every L of one genus, in lockstep.
 
     Per row this is the algorithm lambda_bisect documents: the algebraic
     minus-infinity check, the t = 0 check, expansion through -1, -2, -4, ...
-    down to bracket_floor, then midpoint bisection until the bracket is no
+    down to BRACKET_FLOOR, then midpoint bisection until the bracket is no
     wider than tol_t. Each round asks the predicate of all unfinished rows
     with one _real_rows call. A row whose t = 0 check fails, or whose
     bracket ends within 2 tol_t of 0, is tested for a repeated root of L
-    exactly (has_repeated_root); one gives kind exact, value 0. Returns, per
-    row, its NewmanEstimate or the exception lambda_bisect would raise for
-    it.
+    exactly (has_repeated_root); one gives kind exact, value 0, without a
+    warning. Returns, per row, its NewmanEstimate or the exception
+    lambda_bisect would raise for it.
     """
     out = [None] * len(Ls)
     live = []
@@ -232,14 +240,14 @@ def lambda_bisect_block(
         raise ValueError("lambda_bisect_block needs rows of one genus")
     rows = np.array(live)
     phi = np.array([Ls[i].phi for i in live])
-    real, errors = _real_rows(phi, np.zeros(len(live)), tol)
+    real, errors = _real_rows(phi, np.zeros(len(live)))
     for j, i in enumerate(live):
         if j in errors:
             out[i] = NumericalError(errors[j])
         elif real[j]:
             continue
         elif has_repeated_root(Ls[i]):
-            out[i] = _repeated_root_estimate(Ls[i])
+            out[i] = _REPEATED_ROOT
         else:
             out[i] = NumericalError("zeros of Xi_0 not all real; numerical breakdown")
     rows, phi = rows[real], phi[real]
@@ -248,11 +256,11 @@ def lambda_bisect_block(
     expanding = np.ones(len(rows), dtype=bool)
     while len(rows):
         t = np.where(expanding, lo, 0.5 * (lo + hi))
-        real, errors = _real_rows(phi, t, tol)
+        real, errors = _real_rows(phi, t)
         hi = np.where(real, t, hi)
-        grown = np.where(expanding, np.maximum(2.0 * t, bracket_floor), lo)
+        grown = np.where(expanding, np.maximum(2.0 * t, BRACKET_FLOOR), lo)
         lo = np.where(real, grown, t)
-        exhausted = expanding & real & (t <= bracket_floor)
+        exhausted = expanding & real & (t <= BRACKET_FLOOR)
         expanding &= real
         done = exhausted | (~expanding & (hi - lo <= tol_t))
         if errors:
@@ -267,14 +275,14 @@ def lambda_bisect_block(
             elif exhausted[j]:
                 e = NewmanEstimate(
                     kind="bracket_exhausted",
-                    value=bracket_floor,
-                    bracket=(bracket_floor, hi_j),
+                    value=BRACKET_FLOOR,
+                    bracket=(BRACKET_FLOOR, hi_j),
                     tol=tol_t,
                     notes="predicate never failed above the floor: Lambda_D <= %g"
-                    % bracket_floor,
+                    % BRACKET_FLOOR,
                 )
             elif hi_j >= -2.0 * tol_t and has_repeated_root(L):
-                e = _repeated_root_estimate(L)
+                e = _REPEATED_ROOT
             else:
                 e = NewmanEstimate(
                     kind="bisect",
@@ -291,25 +299,27 @@ def lambda_bisect_block(
     return out
 
 
-def lambda_bisect(
-    L: LFunctionData,
-    tol_t: float = 1e-10,
-    bracket_floor: float = -50.0,
-    tol: float = 1e-9,
-) -> NewmanEstimate:
+def lambda_bisect(L: LFunctionData, tol_t: float = 1e-10) -> NewmanEstimate:
     """Bisect the monotone all-zeros-real predicate to width tol_t.
 
     The bracket expands downward from 0 by doubling (-1, -2, -4, ...); with at
     least two nonzero Fourier coefficients the predicate is guaranteed to fail
     eventually, and in-scope constants are O(0.1) so expansion ends fast. A
-    floor of bracket_floor is kept as a safety net and reported distinctly
+    floor of BRACKET_FLOOR is kept as a safety net and reported distinctly
     (bracket_exhausted, meaning Lambda_D <= floor), never conflated with the
     algebraic minus-infinity case. A repeated root of L, decided exactly, is
-    kind exact with value 0. This is the one-row case of lambda_bisect_block.
+    kind exact with value 0, and warns; the warning names the caller. This
+    is the one-row case of lambda_bisect_block.
     """
-    (e,) = lambda_bisect_block([L], tol_t, bracket_floor, tol)
+    (e,) = lambda_bisect_block([L], tol_t)
     if isinstance(e, Exception):
         raise e
+    if e is _REPEATED_ROOT:
+        warnings.warn(
+            "Xi_0 has an exact double zero (a repeated root of L) for D=%s over "
+            "F_%d: Lambda_D = 0" % (L.D, L.q),
+            stacklevel=2,
+        )
     return e
 
 
@@ -557,7 +567,7 @@ def stopple_lower_bound(gamma1: float, G: float) -> NewmanEstimate:
     )
 
 
-def stopple_data(L: LFunctionData, zeros: ZeroSet | None = None) -> StoppleData:
+def stopple_data(L: LFunctionData) -> StoppleData:
     """Assemble the first-zero bound report for a discriminant. A repeated
     root of L (exact test) is a double zero of Xi_0, where G is undefined:
     ValueError, before any zeros are computed."""
@@ -566,8 +576,7 @@ def stopple_data(L: LFunctionData, zeros: ZeroSet | None = None) -> StoppleData:
             "repeated zero: G undefined (L has a repeated root, so Xi_0 has a "
             "double zero and Lambda_D = 0)"
         )
-    if zeros is None:
-        zeros = zeros_at_t(L, 0.0)
+    zeros = zeros_at_t(L, 0.0)
     if len(zeros.gammas) != L.g:
         raise ValueError(
             "expected %d distinct positive zeros, found %d" % (L.g, len(zeros.gammas))
@@ -605,30 +614,3 @@ def strip_bound(delta: float, s: float) -> float:
         raise ValueError("delta and s must be >= 0")
     return math.sqrt(max(delta * delta - 2.0 * s, 0.0))
 
-
-def _json_value(v):
-    if v is None:
-        return None
-    if v == float("-inf"):
-        return "-inf"
-    return float("%.12g" % v)
-
-
-def newman_jsonable(e: NewmanEstimate) -> dict:
-    return {
-        "kind": e.kind,
-        "value": _json_value(e.value),
-        "bracket": None if e.bracket is None else [_json_value(v) for v in e.bracket],
-        "tol": _json_value(e.tol),
-        "notes": e.notes,
-    }
-
-
-def stopple_jsonable(sd: StoppleData) -> dict:
-    return {
-        "gamma": [_json_value(v) for v in sd.gamma],
-        "gamma_tilde": [_json_value(v) for v in sd.gamma_tilde],
-        "G": _json_value(sd.G),
-        "condition_ok": sd.condition_ok,
-        "bound": _json_value(sd.bound),
-    }

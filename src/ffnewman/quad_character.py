@@ -7,12 +7,13 @@ at the monic irreducible factors of D. Two independent evaluators live here:
   chi        reciprocity ladder, gcd-like, no factoring; build_lfunction
              (newman/lfun/table) runs it at the monic irreducible P of
              degree <= g only, for the explicit formula of one D
-  chi_oracle factor D by trial division, then Euler's criterion per factor;
-             a cross-check of chi, one f at a time
+  chi_oracle factor D by trial division (fp_poly._factorize_monic), then
+             Euler's criterion per factor; a cross-check of chi, one f at a
+             time
 
 The enumeration oracle lfunction._chi_rows is chi_oracle's route vectorised
-over every monic f up to a degree: it reuses the factorisation here, never
-the ladder. Family sweeps use none of these: lfunction.family_coefficients
+over every monic f up to a degree: it shares the factorisation, never the
+ladder. Family sweeps use none of these: lfunction.family_coefficients
 reads chi_D(P) for the irreducibles P of degree <= g from per-P square
 tables, and the ladder and the enumeration oracle cross-check it in the
 tests.
@@ -23,14 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .finite_field import legendre_table
-from .fp_poly import (
-    FpPolynomial,
-    _divmod,
-    _mod_monic,
-    _monic_tuple_by_index,
-    _mul,
-    is_squarefree,
-)
+from .fp_poly import FpPolynomial, _factorize_monic, _mod_monic, _mul, is_squarefree
 
 
 @lru_cache(maxsize=256)
@@ -82,30 +76,6 @@ def chi(D: FpPolynomial, f: FpPolynomial) -> int:
         raise ValueError("modulus mismatch: %d vs %d" % (D.p, f.p))
     _validate_modulus(D.p, D.coeffs)
     return _chi_ladder(f.coeffs, D.coeffs, D.p, legendre_table(D.p))
-
-
-@lru_cache(maxsize=512)
-def _factorize_monic(p: int, coeffs: tuple) -> tuple:
-    """Monic irreducible factors (with multiplicity) by trial division,
-    smallest degree first. Returns a tuple of coefficient tuples."""
-    rem = coeffs
-    out = []
-    d = 1
-    while len(rem) - 1 >= 2 * d:
-        k = 0
-        while k < p**d:
-            g = _monic_tuple_by_index(p, d, k)
-            if not _mod_monic(rem, g, p):
-                out.append(g)
-                rem, r = _divmod(rem, g, p)
-                if r:
-                    raise AssertionError("non-exact division in factorization")
-                continue  # same g may divide again (multiplicity)
-            k += 1
-        d += 1
-    if len(rem) - 1 >= 1:
-        out.append(rem)
-    return tuple(sorted(out, key=lambda t: (len(t), t)))
 
 
 def _euler_symbol(f: tuple, P: tuple, p: int) -> int:

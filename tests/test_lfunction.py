@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ffnewman import lfunction
+from ffnewman.cli import lfunction_jsonable
 from ffnewman.fp_poly import (
     FpPolynomial,
     enumerate_monic,
@@ -23,7 +24,6 @@ from ffnewman.lfunction import (
     dirichlet_coefficients,
     fourier_coefficients,
     good_pair_check,
-    lfunction_jsonable,
     xi_eval,
     zeros_at_t,
 )

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ffnewman.cli import newman_jsonable, stopple_jsonable
 from ffnewman.families import F3_GENUS_SERIES
 from ffnewman.fp_poly import (
     FpPolynomial,
@@ -35,10 +36,8 @@ from ffnewman.newman import (
     lambda_bisect,
     lambda_bisect_block,
     lambda_exact_genus1,
-    newman_jsonable,
     stopple_G,
     stopple_data,
-    stopple_jsonable,
     stopple_lower_bound,
     strip_bound,
 )
@@ -440,6 +439,21 @@ def test_repeated_root_interior_double_zero_is_exact_zero():
     assert "repeated root" in e.notes
     with pytest.raises(ValueError, match="^repeated zero: G undefined"):
         stopple_data(L)
+
+
+def test_only_the_one_row_bisection_warns_and_names_its_caller():
+    # T^5 + T over F_5: a repeated root of L, so Lambda_D = 0 exactly
+    L = build_lfunction(5, P([0, 1, 0, 0, 0, 1], 5))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        (block,) = lambda_bisect_block([L])
+    assert caught == []
+    assert (block.kind, block.value) == ("exact", 0.0)
+    with pytest.warns(UserWarning, match="^Xi_0 has an exact double zero") as record:
+        e = lambda_bisect(L)
+    assert e == block
+    (w,) = record
+    assert w.filename == __file__
 
 
 @pytest.mark.parametrize("q,degree", [(5, 5), (3, 7)])
