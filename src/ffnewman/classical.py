@@ -109,7 +109,7 @@ def xi_t_classical(t: float, x, quad_points: int = 2000):
     the window. Complex x is accepted (the kernel extends to
     cos(u x) on the complex plane); real x returns a float.
     """
-    if abs(t) > 2.0:
+    if not abs(t) <= 2.0:
         raise ValueError("|t| must be <= 2")
     nodes, weights = _panel_nodes(U_MAX, quad_points)
     base = weights * np.exp(t * nodes * nodes) * phi_u(nodes, n_max=N_MAX)

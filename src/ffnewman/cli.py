@@ -155,7 +155,7 @@ def cmd_lfun(args) -> int:
     payload["gammas"] = [_json_value(v) for v in zeros.gammas]
     # exact: a repeated root of L is a multiple zero of Xi_0, which the
     # floating-point solve may split off the real axis and leave out of gammas
-    payload["repeated_root"] = has_repeated_root(L)
+    payload["repeated_root"] = has_repeated_root(L.c)
     with _output(args.out) as f:
         _emit_json(f, payload)
     return EXIT_OK
@@ -319,7 +319,7 @@ def cmd_sato_tate(args) -> int:
 
 
 def cmd_classical(args) -> int:
-    if abs(args.t) > 2.0:
+    if not abs(args.t) <= 2.0:
         raise ValueError("|t| must be <= 2")
     if args.step <= 0:
         raise ValueError("step must be positive")

@@ -8,12 +8,14 @@ statistics follow the semicircle law.
 
 The fixed-q sweep works in blocks of FAMILY_CHUNK consecutive indices of one
 degree: the explicit formula (lfunction.family_coefficients) gives c_0..c_g
-and the squarefree mask for the whole block, and the estimator runs on each
-squarefree D. The reciprocity ladder is not used here; it cross-checks the
-explicit formula in the tests. The sweep is a stream: each row goes to the
-caller's on_item and is dropped, and its SweepReport keeps only counts and
-bests, so memory does not grow with the family. The Sato-Tate sweep keeps
-every prime's record in its SatoTateReport.
+and the squarefree mask for the whole block, and the estimator runs on the
+squarefree rows' Phi array (lfunction.phi_rows) at once, building no
+FpPolynomial or LFunctionData per D. The reciprocity ladder is not used
+here; it cross-checks the explicit formula in the tests. The sweep is a
+stream: each row goes to the caller's on_item and is dropped, and its
+SweepReport keeps only counts and bests, so memory does not grow with the
+family. The Sato-Tate sweep keeps every prime's record in its
+SatoTateReport.
 """
 
 from __future__ import annotations
@@ -26,14 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite_field import check_odd_prime
-from .fp_poly import monic_by_index, reduce_int_poly
+from .fp_poly import _monic_tuple_by_index, reduce_int_poly
 from .lfunction import (
     FAMILY_CHUNK,
     NumericalError,
     complete_coefficients,
     family_coefficients,
     good_pair_check,
-    lfunction_from_coefficients,
+    phi_rows,
 )
 from .newman import NewmanEstimate, double_zero_block, genus1_lambda, lambda_bisect_block
 
@@ -159,27 +161,24 @@ def _sweep_chunk(args):
     """Estimates for the squarefree D with indices lo <= k < hi of one degree:
     (degree, number skipped, rows), each row the SweepItem fields after the
     degree, (index, d_coeffs, c, estimate, error). Either estimator runs on
-    the whole block at once (lambda_bisect_block, double_zero_block)."""
+    the block's phi_rows array at once (lambda_bisect_block, double_zero_block)."""
     q, degree, lo, hi, method = args
     c_half, squarefree = family_coefficients(q, degree, lo, hi)
-    ks = []
-    Ls = []
-    for k, row, ok in zip(range(lo, hi), c_half.tolist(), squarefree.tolist()):
-        if ok:
-            ks.append(k)
-            D = monic_by_index(q, degree, k)
-            Ls.append(lfunction_from_coefficients(q, D, complete_coefficients(q, row)))
+    ks = (np.flatnonzero(squarefree) + lo).tolist()
+    c_half = c_half[squarefree]
+    cs = [complete_coefficients(q, row) for row in c_half.tolist()]
+    phi = phi_rows(q, c_half)
     if method == "bisect":
-        results = lambda_bisect_block(Ls)
+        results = lambda_bisect_block(phi, cs)
     else:
-        results = double_zero_block(Ls)
+        results = double_zero_block(phi)
     rows = []
-    for k, L, r in zip(ks, Ls, results):
+    for k, c, r in zip(ks, cs, results):
+        d_coeffs = _monic_tuple_by_index(q, degree, k)
         if isinstance(r, Exception):
-            text = "%s: %s" % (type(r).__name__, r)
-            rows.append((k, L.D.coeffs, None, None, text))
+            rows.append((k, d_coeffs, None, None, "%s: %s" % (type(r).__name__, r)))
         else:
-            rows.append((k, L.D.coeffs, L.c, r, None))
+            rows.append((k, d_coeffs, c, r, None))
     return degree, hi - lo - len(rows), rows
 
 

@@ -8,6 +8,9 @@ line it becomes the real trigonometric polynomial
 
 with Phi_n = c_(g-n) q^(n/2); t is the deformation time. This module computes
 the coefficients, evaluates Xi_t, and extracts its 2g zeros per period.
+phi_rows is the one Phi_n formula, on a stack of rows c_0..c_g: one row for
+an LFunctionData, or a sweep block of family_coefficients rows, which stays
+arrays down to the newman block estimators (no LFunctionData per D).
 
 Its _colleague_roots is the one solver for those zeros: Xi_t(x) = P_t(cos x)
 with P_t a degree-g Chebyshev series, whose roots are colleague-matrix
@@ -81,9 +84,8 @@ class LFunctionData:
     """A good pair with its L-function data.
 
     c is the full integer coefficient vector c_0..c_2g; phi holds the Fourier
-    coefficients Phi_0..Phi_g as floats; phi_exact holds the same values as
-    exact pairs (c_(g-n), n) meaning c_(g-n) * q^(n/2), so integer-exact
-    checks never route through floating point.
+    coefficients Phi_0..Phi_g as floats (phi_rows); phi_exact holds the same
+    values as exact pairs (c_(g-n), n) meaning c_(g-n) * q^(n/2).
     """
 
     q: int
@@ -353,19 +355,23 @@ def _newton_coefficients(A: list, B: list) -> list:
     return c
 
 
+def phi_rows(q: int, c) -> np.ndarray:
+    """Phi_0..Phi_g (float) for a stack of rows c_0..c_g, shape (rows, g + 1):
+    c_(g-n) q^(n//2) exactly in integers, rounded, times sqrt(q) for odd n.
+    Phi_n is 0 exactly when c_(g-n) is: a nonzero product is at least 1."""
+    c = np.asarray(c, dtype=np.int64)
+    g = c.shape[1] - 1
+    n = np.arange(g + 1)
+    phi = (c[:, ::-1] * q ** (n // 2)).astype(float)
+    phi[:, 1::2] *= math.sqrt(q)
+    return phi
+
+
 def fourier_coefficients(q: int, g: int, c: tuple):
     """(phi, phi_exact) from the coefficient vector: Phi_n = c_(g-n) q^(n/2).
-
-    phi_exact pairs (c_(g-n), n) carry the exact value; phi is its float.
-    """
-    sq = math.sqrt(q)
-    phi = []
-    phi_exact = []
-    for n in range(g + 1):
-        a = c[g - n]
-        phi_exact.append((a, n))
-        phi.append(a * q ** (n // 2) * (sq if n % 2 else 1.0))
-    return tuple(phi), tuple(phi_exact)
+    phi_exact pairs (c_(g-n), n) carry the exact value; phi is phi_rows'."""
+    phi = tuple(phi_rows(q, [c[: g + 1]])[0].tolist())
+    return phi, tuple((c[g - n], n) for n in range(g + 1))
 
 
 def build_lfunction(q: int, D: FpPolynomial) -> LFunctionData:

@@ -14,21 +14,22 @@ same one zeros_at_t uses. No grid is sampled. Routes provided:
                            shares
   lambda_bisect            monotone bisection on the all-zeros-real predicate,
                            its bracket expanded down to BRACKET_FLOOR at most;
-                           lambda_bisect_block runs it for a block of D of
-                           one genus in lockstep, one eigvals call per round
+                           lambda_bisect_block runs a block in lockstep, one
+                           eigvals call per round
   double_zero_lower_bound  largest t with Xi_t(0) = 0, a root of a sum of
                            g + 1 powers of e^t: any double zero time is
                            <= Lambda_D; a Rolle chain of derivatives isolates
-                           the roots, and double_zero_block runs it for a
-                           block of D of one genus in lockstep
+                           the roots; double_zero_block runs a block at once
   stopple_lower_bound      a bound from an unusually small first zero via the
                            inverse-square gap sum G
 
 Lambda_D = -infinity happens exactly when at most one Fourier coefficient is
 nonzero, and Lambda_D = 0 when L has a repeated root (a double zero of Xi_0);
-both cases are decided in exact arithmetic, never by search. Only the one-row
-lambda_bisect warns about the latter; the block routines have no side
-effects. The JSON views of these results are the CLI's.
+both cases are decided in exact arithmetic, never by search (Phi_n is 0
+exactly when c_(g-n) is). The block routines take arrays: phi, shape
+(rows, g + 1), from lfunction.phi_rows, and for bisection each row's integer
+c_0..c_2g. They have no side effects; only the one-row lambda_bisect warns
+about a repeated root. The JSON views of these results are the CLI's.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ class StoppleData:
 
 
 def count_nonzero_phi(L: LFunctionData) -> int:
-    return sum(1 for a, _ in L.phi_exact if a != 0)
+    """How many Phi_n are nonzero; exact, as Phi_n = 0 only when c_(g-n) = 0."""
+    return int(np.count_nonzero(L.phi))
 
 
 def genus1_lambda(a: int, q: int) -> float:
@@ -149,8 +151,8 @@ def _gcd_degree(a: list, b: list, p: int | None) -> int:
     return len(a) - 1
 
 
-def has_repeated_root(L: LFunctionData) -> bool:
-    """Exact test: does the L-polynomial sum c_n u^n have a repeated root?
+def has_repeated_root(c) -> bool:
+    """Exact test: does the L-polynomial sum c_n u^n (c_0..c_2g) have a repeated root?
 
     By RH for curves every root lies on |u| = q^(-1/2), so a repeated root is
     a double zero of Xi_0, and the double-zero lemma with RH gives
@@ -160,7 +162,7 @@ def has_repeated_root(L: LFunctionData) -> bool:
     prime 2^31 - 1, which divides no leading coefficient q^g, already rules
     a repeated root out; only the rare rest runs Euclid over Q.
     """
-    c = list(L.c)
+    c = list(c)
     dc = [n * v for n, v in enumerate(c)][1:]
     if _gcd_degree(c, dc, _GCD_PRIME) == 0:
         return False
@@ -201,7 +203,12 @@ def all_zeros_real(L: LFunctionData, t: float) -> bool:
     return bool(real[0])
 
 
-# the estimate of every L with a repeated root; it does not depend on L
+# the estimates of every L with at most one nonzero Phi_n, or a repeated root
+_MINUS_INFINITY = NewmanEstimate(
+    kind="minus_infinity",
+    value=float("-inf"),
+    notes="at most one nonzero Fourier coefficient: zeros are real at every t",
+)
 _REPEATED_ROOT = NewmanEstimate(
     kind="exact",
     value=0.0,
@@ -210,65 +217,55 @@ _REPEATED_ROOT = NewmanEstimate(
 )
 
 
-def lambda_bisect_block(Ls: list, tol_t: float = 1e-10) -> list:
-    """lambda_bisect for every L of one genus, in lockstep.
+def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
+    """lambda_bisect for every row of phi (Phi_0..Phi_g), in lockstep; c[i]
+    is row i's c_0..c_2g, read only by the exact repeated-root test.
 
     Per row this is the algorithm lambda_bisect documents: the algebraic
     minus-infinity check, the t = 0 check, expansion through -1, -2, -4, ...
     down to BRACKET_FLOOR, then midpoint bisection until the bracket is no
-    wider than tol_t. Each round asks the predicate of all unfinished rows
-    with one _real_rows call. A row whose t = 0 check fails, or whose
-    bracket ends within 2 tol_t of 0, is tested for a repeated root of L
-    exactly (has_repeated_root); one gives kind exact, value 0, without a
-    warning. Returns, per row, its NewmanEstimate or the exception
-    lambda_bisect would raise for it.
+    wider than tol_t (positive and finite, else ValueError) or is two
+    adjacent floats, whose midpoint rounds to an end. Each round asks the
+    predicate of all unfinished rows with one _real_rows call. A row whose
+    t = 0 check fails, or whose bracket ends within 2 tol_t of 0, is tested
+    for a repeated root exactly (has_repeated_root); one gives kind exact,
+    value 0, without a warning. Returns, per row, its NewmanEstimate or the
+    exception lambda_bisect would raise for it.
     """
-    out = [None] * len(Ls)
-    live = []
-    for i, L in enumerate(Ls):
-        if count_nonzero_phi(L) <= 1:
-            out[i] = NewmanEstimate(
-                kind="minus_infinity",
-                value=float("-inf"),
-                notes="at most one nonzero Fourier coefficient: zeros are real at every t",
-            )
-        else:
-            live.append(i)
-    if not live:
-        return out
-    if len({Ls[i].g for i in live}) > 1:
-        raise ValueError("lambda_bisect_block needs rows of one genus")
-    rows = np.array(live)
-    phi = np.array([Ls[i].phi for i in live])
-    real, errors = _real_rows(phi, np.zeros(len(live)))
-    for j, i in enumerate(live):
+    if not (tol_t > 0 and math.isfinite(tol_t)):
+        raise ValueError("bisection width must be positive and finite, got %r" % tol_t)
+    live = np.count_nonzero(phi, axis=1) > 1
+    out = [None if v else _MINUS_INFINITY for v in live.tolist()]
+    rows, phi = np.nonzero(live)[0], phi[live]
+    real, errors = _real_rows(phi, np.zeros(len(rows)))
+    for j, i in enumerate(rows.tolist()):
         if j in errors:
             out[i] = NumericalError(errors[j])
         elif real[j]:
             continue
-        elif has_repeated_root(Ls[i]):
+        elif has_repeated_root(c[i]):
             out[i] = _REPEATED_ROOT
         else:
             out[i] = NumericalError("zeros of Xi_0 not all real; numerical breakdown")
     rows, phi = rows[real], phi[real]
     hi = np.zeros(len(rows))
-    lo = np.full(len(rows), -1.0)  # while expanding: the next time to try
+    lo = t = np.full(len(rows), -1.0)  # lo while expanding: the next time to try
     expanding = np.ones(len(rows), dtype=bool)
     while len(rows):
-        t = np.where(expanding, lo, 0.5 * (lo + hi))
         real, errors = _real_rows(phi, t)
         hi = np.where(real, t, hi)
         grown = np.where(expanding, np.maximum(2.0 * t, BRACKET_FLOOR), lo)
         lo = np.where(real, grown, t)
         exhausted = expanding & real & (t <= BRACKET_FLOOR)
         expanding &= real
-        done = exhausted | (~expanding & (hi - lo <= tol_t))
+        t = np.where(expanding, lo, 0.5 * (lo + hi))
+        narrow = (hi - lo <= tol_t) | (t == lo) | (t == hi)  # or adjacent floats
+        done = exhausted | (~expanding & narrow)
         if errors:
             done[list(errors)] = True
         elif not done.any():
             continue
         for j in np.nonzero(done)[0].tolist():
-            L = Ls[rows[j]]
             lo_j, hi_j = float(lo[j]), float(hi[j])
             if j in errors:
                 e = NumericalError(errors[j])
@@ -281,7 +278,7 @@ def lambda_bisect_block(Ls: list, tol_t: float = 1e-10) -> list:
                     notes="predicate never failed above the floor: Lambda_D <= %g"
                     % BRACKET_FLOOR,
                 )
-            elif hi_j >= -2.0 * tol_t and has_repeated_root(L):
+            elif hi_j >= -2.0 * tol_t and has_repeated_root(c[rows[j]]):
                 e = _REPEATED_ROOT
             else:
                 e = NewmanEstimate(
@@ -292,9 +289,8 @@ def lambda_bisect_block(Ls: list, tol_t: float = 1e-10) -> list:
                     notes="bisection of the all-zeros-real predicate",
                 )
             out[rows[j]] = e
-        keep = ~done
-        rows, phi, lo, hi, expanding = (
-            rows[keep], phi[keep], lo[keep], hi[keep], expanding[keep]
+        rows, phi, lo, hi, t, expanding = (
+            v[~done] for v in (rows, phi, lo, hi, t, expanding)
         )
     return out
 
@@ -311,7 +307,7 @@ def lambda_bisect(L: LFunctionData, tol_t: float = 1e-10) -> NewmanEstimate:
     kind exact with value 0, and warns; the warning names the caller. This
     is the one-row case of lambda_bisect_block.
     """
-    (e,) = lambda_bisect_block([L], tol_t)
+    (e,) = lambda_bisect_block(np.array([L.phi]), [L.c], tol_t)
     if isinstance(e, Exception):
         raise e
     if e is _REPEATED_ROOT:
@@ -423,7 +419,7 @@ def _largest_positive_roots(a: np.ndarray):
     s = np.where(start[:, None] >= np.arange(g + 1), s, 1.0)  # no root above start
     # breakpoints: 0, the roots of G_(k+1), then B (repeated)
     P = B * np.array([0.0, 1.0])
-    for k in range(int(np.maximum.reduce(start)), -1, -1):
+    for k in range(int(np.maximum.reduce(start, initial=0)), -1, -1):
         C = a * M[k]
         S = np.sign(np.add.reduce(P[:, :, None] ** E[k] * C[:, None, :], axis=2))
         S[:, 0] = s[:, k]
@@ -459,17 +455,14 @@ def _largest_positive_roots(a: np.ndarray):
     return np.where(largest < np.inf, largest, np.nan), ok
 
 
-def double_zero_block(Ls: list, at_pi: bool = False) -> list:
-    """double_zero_lower_bound for every L of one genus, in lockstep. The
-    double-zero polynomial is sum_n a_n y^(n^2) with a_0 = Phi_0, a_n =
-    2 Phi_n, odd n negated at x = pi. Returns, per row, its NewmanEstimate,
-    or a NumericalError for a row that is not finite or would overflow.
+def double_zero_block(phi: np.ndarray, at_pi: bool = False) -> list:
+    """double_zero_lower_bound for every row of phi (Phi_0..Phi_g), in
+    lockstep. The double-zero polynomial is sum_n a_n y^(n^2) with a_0 =
+    Phi_0, a_n = 2 Phi_n, odd n negated at x = pi. Returns, per row, its
+    NewmanEstimate, or a NumericalError for a row that is not finite or
+    would overflow.
     """
-    if len({L.g for L in Ls}) > 1:
-        raise ValueError("double_zero_block needs rows of one genus")
-    if not Ls:
-        return []
-    a = np.array([L.phi for L in Ls])
+    a = np.array(phi, dtype=float)
     a[:, 1:] *= 2.0
     if at_pi:
         a[:, 1::2] *= -1.0
@@ -515,7 +508,7 @@ def double_zero_lower_bound(L: LFunctionData, at_pi: bool = False) -> NewmanEsti
     (alternating signs); it is an extra, not part of the published table.
     This is the one-row case of double_zero_block.
     """
-    (e,) = double_zero_block([L], at_pi)
+    (e,) = double_zero_block(np.array([L.phi]), at_pi)
     if isinstance(e, Exception):
         raise e
     return e
@@ -571,7 +564,7 @@ def stopple_data(L: LFunctionData) -> StoppleData:
     """Assemble the first-zero bound report for a discriminant. A repeated
     root of L (exact test) is a double zero of Xi_0, where G is undefined:
     ValueError, before any zeros are computed."""
-    if has_repeated_root(L):
+    if has_repeated_root(L.c):
         raise ValueError(
             "repeated zero: G undefined (L has a repeated root, so Xi_0 has a "
             "double zero and Lambda_D = 0)"

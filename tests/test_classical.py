@@ -170,6 +170,8 @@ def test_xi_parameter_validation():
         xi_t_classical(3.0, 0.0)
     with pytest.raises(ValueError):
         xi_t_classical(-2.5, 0.0)
+    with pytest.raises(ValueError):
+        xi_t_classical(float("nan"), 0.0)
     # |t| = 2 itself is allowed
     assert xi_t_classical(2.0, 0.0) > 0.0
 

@@ -1,5 +1,6 @@
 """End-to-end coverage of the command-line surface and its file formats."""
 
+import ast
 import csv
 import io
 import json
@@ -132,6 +133,42 @@ def test_newman_bisect_worked_pair(capsys):
     assert list(doc["estimates"]) == ["bisect"]
     assert doc["estimates"]["bisect"]["value"] == pytest.approx(-0.1884, abs=5e-4)
     assert doc["g"] == 2
+
+
+NEWMAN_BISECT = [
+    sys.executable, "-m", "ffnewman", "newman", "--q", "5", "--d", "2,1,0,1,2,1",
+    "--method", "bisect",
+]
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_newman_rejects_a_tol_bisection_cannot_reach(tol):
+    # in a child with a timeout: a bisection that cannot end would hang
+    proc = subprocess.run(
+        NEWMAN_BISECT + ["--tol", tol], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == EXIT_INVALID
+    assert "positive and finite" in proc.stderr
+
+
+def test_newman_tol_below_float_spacing_ends_on_adjacent_floats():
+    proc = subprocess.run(
+        NEWMAN_BISECT + ["--tol", "1e-20"], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == EXIT_OK
+    assert json.loads(proc.stdout)["estimates"]["bisect"]["kind"] == "bisect"
+    code = (
+        "from ffnewman.fp_poly import FpPolynomial\n"
+        "from ffnewman.lfunction import build_lfunction\n"
+        "from ffnewman.newman import lambda_bisect\n"
+        "L = build_lfunction(5, FpPolynomial((2, 1, 0, 1, 2, 1), 5))\n"
+        "print(repr(lambda_bisect(L, 1e-20).bracket))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    lo, hi = ast.literal_eval(proc.stdout)
+    assert math.nextafter(lo, math.inf) == hi
 
 
 def test_newman_minus_infinity_serialized(capsys):
@@ -380,6 +417,11 @@ def test_classical_grid_and_sign_change(capsys):
 def test_classical_rejects_bad_t(capsys):
     code, _, err = run_cli(
         ["classical", "--t", "3", "--x-min", "0", "--x-max", "1", "--step", "1"], capsys
+    )
+    assert code == EXIT_INVALID
+    assert "|t| must be <= 2" in err
+    code, _, err = run_cli(
+        ["classical", "--t", "nan", "--x-min", "0", "--x-max", "1", "--step", "1"], capsys
     )
     assert code == EXIT_INVALID
     assert "|t| must be <= 2" in err

@@ -20,7 +20,13 @@ from ffnewman.families import (
 )
 from ffnewman.finite_field import legendre_int
 from ffnewman.fp_poly import FpPolynomial, reduce_int_poly
-from ffnewman.lfunction import FAMILY_CHUNK, build_lfunction, good_pair_check
+from ffnewman.lfunction import (
+    FAMILY_CHUNK,
+    LFunctionData,
+    build_lfunction,
+    good_pair_check,
+)
+from ffnewman.newman import double_zero_lower_bound, lambda_bisect
 
 DZ_A = (1, 1, 0, 1)  # y^2 = x^3 + x + 1
 DZ_B = (1, 2, 0, 1)  # y^2 = x^3 + 2x + 1
@@ -299,6 +305,30 @@ def test_bisect_sweep_records_exact_double_zero_without_warning():
     assert item.estimate.kind == "exact"
     assert item.estimate.value == 0.0
     assert "double zero" in item.estimate.notes
+
+
+@pytest.mark.parametrize(
+    "max_genus,method,one_row",
+    [(3, "double_zero", double_zero_lower_bound), (2, "bisect", lambda_bisect)],
+)
+def test_sweep_builds_no_per_row_objects(monkeypatch, max_genus, method, one_row):
+    # a family block stays arrays from family_coefficients to the estimator
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep built a per-row object")
+
+    with monkeypatch.context() as m:
+        m.setattr(FpPolynomial, "__post_init__", refuse)
+        m.setattr(LFunctionData, "__init__", refuse)
+        report, items = sweep_items(3, max_genus, method=method, workers=1)
+    assert len(items) == report.processed
+    assert report.processed + report.skipped == sum(
+        3**d for d in range(3, 2 * max_genus + 2, 2)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for item in items:
+            L = build_lfunction(3, FpPolynomial(item.d_coeffs, 3))
+            assert (item.c, item.estimate) == (L.c, one_row(L)), item
 
 
 def test_sweep_best_per_genus_ordering():

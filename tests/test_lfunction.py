@@ -22,8 +22,10 @@ from ffnewman.lfunction import (
     build_lfunction,
     coefficient_by_enumeration,
     dirichlet_coefficients,
+    family_coefficients,
     fourier_coefficients,
     good_pair_check,
+    phi_rows,
     xi_eval,
     zeros_at_t,
 )
@@ -367,6 +369,24 @@ def test_fourier_coefficients_helper():
     phi, phi_exact = fourier_coefficients(5, 2, C_MAIN)
     assert phi_exact == ((-1, 0), (-1, 1), (1, 2))
     assert phi == (-1.0, -SQ5, 5.0)
+
+
+@pytest.mark.parametrize("q,degree", [(3, 7), (5, 5)])
+def test_phi_rows_of_a_family_block_match_single_d_bit_for_bit(q, degree):
+    # the stacked formula on family_coefficients' rows against build_lfunction
+    # (ladder coefficients) and against the scalar loop c_(g-n) q^(n//2) sqrt q
+    g = (degree - 1) // 2
+    c, squarefree = family_coefficients(q, degree, 0, q**degree)
+    phi = phi_rows(q, c[squarefree]).tolist()
+    Ds = [D for D in enumerate_monic(q, degree) if is_squarefree(D)]
+    assert len(Ds) == len(phi)
+    for D, row in zip(Ds, phi):
+        L = build_lfunction(q, D)
+        loop = [
+            L.c[g - n] * q ** (n // 2) * (math.sqrt(q) if n % 2 else 1.0)
+            for n in range(g + 1)
+        ]
+        assert tuple(row) == L.phi == tuple(loop), D
 
 
 def test_lfunction_data_is_frozen():
