@@ -14,14 +14,9 @@ Run:  python3 demos/demo_lfunction_basics.py
 
 import math
 
-from ffnewman import (
-    build_lfunction,
-    dirichlet_coefficients,
-    good_pair_check,
-    xi_eval,
-    zeros_at_t,
-)
+from ffnewman import build_lfunction, good_pair_check, xi_eval, zeros_at_t
 from ffnewman.fp_poly import FpPolynomial, poly_to_text
+from ffnewman.lfunction import enumerated_coefficients
 
 Q = 3
 D = FpPolynomial((1, 2, 0, 1), Q)  # T^3 + 2T + 1, irreducible over F_3
@@ -33,13 +28,14 @@ def main():
     ok, reason = good_pair_check(Q, D)
     print("good pair:", ok, "" if ok else "(%s)" % reason)
 
-    # Full coefficient list through degree 2g = deg D - 1; everything past
+    # Literal character sums through degree deg D = 2g + 1; everything past
     # n = 2g vanishes because of the Riemann-Roch cutoff.
-    c = dirichlet_coefficients(Q, D, mode="full")
-    print("c_n for n = 0..%d:" % (len(c) - 1), list(c))
-
     g = (D.degree - 1) // 2
     print("genus g =", g)
+    *c, c_deg = enumerated_coefficients(Q, D, D.degree)
+    print("c_n for n = 0..%d:" % (len(c) - 1), c)
+    print("  past 2g: c_%d = %d" % (D.degree, c_deg))
+    assert c_deg == 0
     for n in range(0, g + 1):
         lhs = c[g + n]
         rhs = Q**n * c[g - n]

@@ -31,7 +31,7 @@ from .newman import (
     stopple_data,
     strip_bound,
 )
-from .quad_character import chi, chi_oracle
+from .quad_character import chi
 
 __all__ = [
     "FpPolynomial",
@@ -42,7 +42,6 @@ __all__ = [
     "__version__",
     "build_lfunction",
     "chi",
-    "chi_oracle",
     "dirichlet_coefficients",
     "double_zero_lower_bound",
     "enumerate_monic",

@@ -17,14 +17,11 @@ function-field code, not a record chase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ClassicalPhiSeries",
     "phi_remainder_bound",
-    "phi_series",
     "phi_u",
     "xi_t_classical",
 ]
@@ -38,15 +35,6 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # quadrature window [0, U_MAX] and Phi series length of xi_t_classical
 U_MAX = 6.0
 N_MAX = 32
-
-
-@dataclass(frozen=True)
-class ClassicalPhiSeries:
-    """A truncation level for the Phi series together with a remainder bound
-    valid uniformly over u >= 0 (each term's magnitude peaks at u = 0)."""
-
-    n_max: int
-    remainder_bound: float
 
 
 def _term_magnitude(u: float, n: int) -> float:
@@ -65,10 +53,6 @@ def phi_remainder_bound(u: float, n_max: int) -> float:
         raise ValueError("n_max must be >= 1")
     first = 2.0 * _term_magnitude(abs(u), n_max + 1)
     return first / (1.0 - _TERM_RATIO)
-
-
-def phi_series(n_max: int = 32) -> ClassicalPhiSeries:
-    return ClassicalPhiSeries(n_max, phi_remainder_bound(0.0, n_max))
 
 
 def phi_u(u, n_max: int = 32):

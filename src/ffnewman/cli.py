@@ -39,6 +39,7 @@ from .lfunction import (
 from .newman import (
     NewmanEstimate,
     StoppleData,
+    check_tol,
     double_zero_lower_bound,
     has_repeated_root,
     lambda_bisect,
@@ -50,6 +51,9 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERRUPT = 130
+
+# rows one classical grid may have (each costs about a millisecond)
+CLASSICAL_MAX_ROWS = 10**5
 
 
 def _fmt(v) -> str:
@@ -162,6 +166,7 @@ def cmd_lfun(args) -> int:
 
 
 def cmd_newman(args) -> int:
+    check_tol(args.tol)  # for every method: the config echoes it as JSON
     D = _load_good_pair(args.q, args.d)
     L = build_lfunction(args.q, D)
     method = args.method
@@ -321,10 +326,15 @@ def cmd_sato_tate(args) -> int:
 def cmd_classical(args) -> int:
     if not abs(args.t) <= 2.0:
         raise ValueError("|t| must be <= 2")
+    if not all(math.isfinite(v) for v in (args.x_min, args.x_max, args.step)):
+        raise ValueError("x-min, x-max and step must be finite")
     if args.step <= 0:
         raise ValueError("step must be positive")
     if args.x_max < args.x_min:
         raise ValueError("x-max must be >= x-min")
+    span = (args.x_max - args.x_min) / args.step + 1e-9  # inf if it overflows
+    if not span < CLASSICAL_MAX_ROWS:
+        raise ValueError("the grid would have more than %d rows" % CLASSICAL_MAX_ROWS)
     config = {
         "subcommand": "classical",
         "t": args.t,
@@ -333,7 +343,7 @@ def cmd_classical(args) -> int:
         "step": args.step,
         "quad_points": args.quad_points,
     }
-    n = int(math.floor((args.x_max - args.x_min) / args.step + 1e-9))
+    n = int(math.floor(span))
     with _output(args.out) as f:
         writer = _csv_begin(f, config, ["x", "xi_t"])
         for k in range(n + 1):

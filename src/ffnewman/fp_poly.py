@@ -9,8 +9,8 @@ Internally polynomials are tuples of ints in ascending degree order with no
 trailing zeros; the zero polynomial is the empty tuple. The FpPolynomial class
 wraps these tuples; the underscore kernels below operate on raw tuples and are
 shared with the character module's hot paths. _factorize_monic, trial
-division, is the one factoring kernel: is_irreducible, the character oracle
-and the enumeration oracle of the lfunction module all use it.
+division, is the one factoring kernel: is_irreducible and the enumeration
+oracle of the lfunction module (_chi_rows) use it.
 """
 
 from __future__ import annotations

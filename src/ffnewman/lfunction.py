@@ -22,15 +22,14 @@ The exact integers c_0..c_g come from the explicit formula: chi_D(P) at the
 monic irreducible P of degree d <= g gives the power sums S_k, and Newton's
 identities give the c_n (_newton_coefficients). build_lfunction runs it for
 one D with the reciprocity ladder at each P; family_coefficients runs it over
-a whole index range of D at once in integer numpy. dirichlet_coefficients and
-coefficient_by_enumeration sum chi_D over every monic f of degree n instead;
-they are the oracle the tests compare both routes against. Their character
-values come from _chi_rows, which factors D and applies Euler's criterion
-at each factor, so the oracle shares no code with the ladder or with the
-family tables. The upper half comes from the exact integer functional
-equation c_(g+n) = q^n c_(g-n); dirichlet_coefficients(mode="full")
-enumerates it instead, so tests can verify it. The JSON view of this data
-is the CLI's.
+a whole index range of D at once in integer numpy. The oracle the tests
+compare both routes against is enumerated_coefficients, c_n as the sum of
+chi_D over every monic f of degree n, and dirichlet_coefficients, its
+c_0..c_g completed by the exact integer functional equation
+c_(g+n) = q^n c_(g-n). Their character values come from _chi_rows, which
+factors D and applies Euler's criterion at each factor, so the oracle
+shares no code with the ladder or with the family tables. The JSON view of
+this data is the CLI's.
 """
 
 from __future__ import annotations
@@ -96,34 +95,21 @@ class LFunctionData:
     phi_exact: tuple
 
 
-def coefficient_by_enumeration(q: int, D: FpPolynomial, n: int) -> int:
-    """c_n = sum of chi_D over all monic f of degree n, for any n >= 0, from
-    the enumeration oracle _chi_rows. Tests also use it to verify that the
-    coefficients vanish from degree deg D on."""
+def enumerated_coefficients(q: int, D: FpPolynomial, top: int) -> tuple:
+    """c_0..c_top as literal character sums: c_n is the sum of chi_D over
+    every monic f of degree n, from the enumeration oracle _chi_rows. Any
+    top >= 0 is allowed (_chi_rows rejects the rest), so tests can check the
+    functional equation and that c_n vanishes from degree deg D on."""
     require_good_pair(q, D)
-    if n < 0:
-        raise ValueError("coefficient index must be >= 0")
-    return int(_chi_rows(q, D, n)[n].sum())
+    return tuple(int(row.sum()) for row in _chi_rows(q, D, top))
 
 
-def dirichlet_coefficients(q: int, D: FpPolynomial, mode: str = "half") -> tuple:
-    """The integer coefficients c_0..c_2g of L(s, chi_D) by enumeration: the
-    oracle the tests compare build_lfunction and family_coefficients against.
-
-    mode="half" enumerates only degrees 0..g (q^n character values for c_n)
-    and fills the upper half through the exact integer functional equation
-    c_(g+n) = q^n c_(g-n). mode="full" enumerates every degree 0..2g; it
-    exists so tests can verify the functional equation instead of assuming it.
-    """
-    require_good_pair(q, D)
-    if mode not in ("half", "full"):
-        raise ValueError("mode must be 'half' or 'full'")
-    g = (D.degree - 1) // 2
-    rows = _chi_rows(q, D, g if mode == "half" else 2 * g)
-    c = [int(row.sum()) for row in rows]
-    if mode == "half":
-        return complete_coefficients(q, c)
-    return tuple(c)
+def dirichlet_coefficients(q: int, D: FpPolynomial) -> tuple:
+    """c_0..c_2g of L(s, chi_D) from the enumeration oracle: c_0..c_g as
+    character sums, the upper half by the functional equation. The
+    reference the tests compare build_lfunction and family_coefficients
+    against."""
+    return complete_coefficients(q, enumerated_coefficients(q, D, (D.degree - 1) // 2))
 
 
 def complete_coefficients(q: int, c_half) -> tuple:

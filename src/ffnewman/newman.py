@@ -217,6 +217,12 @@ _REPEATED_ROOT = NewmanEstimate(
 )
 
 
+def check_tol(tol_t: float) -> None:
+    """Raise ValueError unless tol_t is a bisection width that can end."""
+    if not (tol_t > 0 and math.isfinite(tol_t)):
+        raise ValueError("bisection width must be positive and finite, got %r" % tol_t)
+
+
 def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
     """lambda_bisect for every row of phi (Phi_0..Phi_g), in lockstep; c[i]
     is row i's c_0..c_2g, read only by the exact repeated-root test.
@@ -232,8 +238,7 @@ def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
     value 0, without a warning. Returns, per row, its NewmanEstimate or the
     exception lambda_bisect would raise for it.
     """
-    if not (tol_t > 0 and math.isfinite(tol_t)):
-        raise ValueError("bisection width must be positive and finite, got %r" % tol_t)
+    check_tol(tol_t)
     live = np.count_nonzero(phi, axis=1) > 1
     out = [None if v else _MINUS_INFINITY for v in live.tolist()]
     rows, phi = np.nonzero(live)[0], phi[live]

@@ -2,21 +2,17 @@
 
 chi_D(f) is the Jacobi symbol (f/D): the character of f modulo D, which is 0
 when gcd(f, D) != 1 and otherwise the product of Euler-criterion values of f
-at the monic irreducible factors of D. Two independent evaluators live here:
+at the monic irreducible factors of D. chi evaluates it by the reciprocity
+ladder, gcd-like, with no factoring; build_lfunction (newman/lfun/table) runs
+it at the monic irreducible P of degree <= g only, for the explicit formula
+of one D.
 
-  chi        reciprocity ladder, gcd-like, no factoring; build_lfunction
-             (newman/lfun/table) runs it at the monic irreducible P of
-             degree <= g only, for the explicit formula of one D
-  chi_oracle factor D by trial division (fp_poly._factorize_monic), then
-             Euler's criterion per factor; a cross-check of chi, one f at a
-             time
-
-The enumeration oracle lfunction._chi_rows is chi_oracle's route vectorised
-over every monic f up to a degree: it shares the factorisation, never the
-ladder. Family sweeps use none of these: lfunction.family_coefficients
-reads chi_D(P) for the irreducibles P of degree <= g from per-P square
-tables, and the ladder and the enumeration oracle cross-check it in the
-tests.
+Its cross-check is the enumeration oracle lfunction._chi_rows: it factors D
+by trial division and applies Euler's criterion at each factor, vectorised
+over every monic f up to a degree, and shares no code with the ladder.
+Family sweeps use neither: lfunction.family_coefficients reads chi_D(P) for
+the irreducibles P of degree <= g from per-P square tables, and the ladder
+and the enumeration oracle cross-check it in the tests.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .finite_field import legendre_table
-from .fp_poly import FpPolynomial, _factorize_monic, _mod_monic, _mul, is_squarefree
+from .fp_poly import FpPolynomial, _mod_monic, is_squarefree
 
 
 @lru_cache(maxsize=256)
@@ -76,40 +72,3 @@ def chi(D: FpPolynomial, f: FpPolynomial) -> int:
         raise ValueError("modulus mismatch: %d vs %d" % (D.p, f.p))
     _validate_modulus(D.p, D.coeffs)
     return _chi_ladder(f.coeffs, D.coeffs, D.p, legendre_table(D.p))
-
-
-def _euler_symbol(f: tuple, P: tuple, p: int) -> int:
-    """f^((|P|-1)/2) mod P for irreducible P, read off as 0 or +-1."""
-    e = (p ** (len(P) - 1) - 1) // 2
-    base = _mod_monic(f, P, p)
-    if not base:
-        return 0
-    acc = (1,)
-    while e:
-        if e & 1:
-            acc = _mod_monic(_mul(acc, base, p), P, p)
-        base = _mod_monic(_mul(base, base, p), P, p)
-        e >>= 1
-    if acc == (1,):
-        return 1
-    if acc == (p - 1,):
-        return -1
-    raise ArithmeticError(
-        "Euler criterion did not land on a sign; %r is not irreducible mod %d"
-        % (P, p)
-    )
-
-
-def chi_oracle(D: FpPolynomial, f: FpPolynomial) -> int:
-    """Independent evaluation of chi by factoring D and applying Euler's
-    criterion at each irreducible factor. Slow; exists to cross-check chi."""
-    if D.p != f.p:
-        raise ValueError("modulus mismatch: %d vs %d" % (D.p, f.p))
-    _validate_modulus(D.p, D.coeffs)
-    val = 1
-    for P in _factorize_monic(D.p, D.coeffs):
-        s = _euler_symbol(f.coeffs, P, D.p)
-        if s == 0:
-            return 0
-        val *= s
-    return val

@@ -14,11 +14,12 @@ from ffnewman.fp_poly import (
     enumerate_monic,
     is_irreducible,
     is_squarefree,
+    monic_index,
 )
 from ffnewman.lfunction import (
+    _chi_rows,
     build_lfunction,
-    coefficient_by_enumeration,
-    dirichlet_coefficients,
+    enumerated_coefficients,
     zeros_at_t,
 )
 from ffnewman.newman import (
@@ -28,7 +29,7 @@ from ffnewman.newman import (
     lambda_exact_genus1,
     strip_bound,
 )
-from ffnewman.quad_character import chi, chi_oracle
+from ffnewman.quad_character import chi
 
 # Reference seven-row table over F_3: exact integer coefficient vectors and
 # the published double-zero lower bounds (matched to 1% relative).
@@ -198,13 +199,15 @@ def test_criterion_5_structural_identities(capsys):
         for deg in degs:
             g = (deg - 1) // 2
             for D in good_discriminants(q, deg):
-                c = dirichlet_coefficients(q, D, mode="full")
+                # c_0..c_2g and c_(deg D), all as character sums
+                c = enumerated_coefficients(q, D, deg)
+                c, c_deg = c[:-1], c[-1]
                 checked += 1
                 if c[0] != 1:
                     bad.append("c_0 != 1 for %s/%d" % (D, q))
                 if any(c[g + n] != q**n * c[g - n] for n in range(1, g + 1)):
                     bad.append("functional equation broken for %s/%d" % (D, q))
-                if coefficient_by_enumeration(q, D, deg) != 0:
+                if c_deg != 0:
                     bad.append("continuation coefficient nonzero for %s/%d" % (D, q))
                 L = build_lfunction(q, D)
                 if L.c != c:
@@ -229,36 +232,42 @@ def test_criterion_6_character_oracle(capsys):
     t0 = time.time()
     bad = []
     pairs = 0
-    # exhaustive grid over F_3
+    # exhaustive grid over F_3; oracle values from _chi_rows, once per D
     moduli3 = [
         D for n in range(1, 6) for D in enumerate_monic(3, n) if is_squarefree(D)
     ]
     fs3 = [f for n in range(0, 6) for f in enumerate_monic(3, n)]
     for D in moduli3:
+        rows = _chi_rows(3, D, 5)
         for f in fs3:
             pairs += 1
-            if chi(D, f) != chi_oracle(D, f):
+            if chi(D, f) != rows[f.degree][monic_index(f)]:
                 bad.append("grid mismatch D=%s f=%s" % (D, f))
                 break
         if bad:
             break
-    # random pairs over F_5 and F_7
+    # random pairs over F_5 and F_7, checked grouped by D
     rng = random.Random(600613)
     rand_pairs = []
     for p in (5, 7):
         moduli = [
             D for n in range(1, 5) for D in enumerate_monic(p, n) if is_squarefree(D)
         ]
+        by_d = {}
         for _ in range(5000):
             D = rng.choice(moduli)
             f = FpPolynomial(
                 tuple(rng.randrange(p) for _ in range(rng.randrange(6))) + (1,), p
             )
             rand_pairs.append((D, f))
-            pairs += 1
-            if chi(D, f) != chi_oracle(D, f):
-                bad.append("random mismatch p=%d D=%s f=%s" % (p, D, f))
-                break
+            by_d.setdefault(D, []).append(f)
+        for D, fs in by_d.items():
+            rows = _chi_rows(p, D, max(f.degree for f in fs))
+            for f in fs:
+                pairs += 1
+                if chi(D, f) != rows[f.degree][monic_index(f)]:
+                    bad.append("random mismatch p=%d D=%s f=%s" % (p, D, f))
+                    break
     # multiplicativity and periodicity on the same material
     for k in range(0, len(rand_pairs) - 1, 7):
         D, f = rand_pairs[k]

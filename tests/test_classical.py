@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from ffnewman.classical import (
-    ClassicalPhiSeries,
     _panel_nodes,
     phi_remainder_bound,
-    phi_series,
     phi_u,
     xi_t_classical,
 )
@@ -85,15 +83,8 @@ def test_phi_remainder_double_exponential():
     for a, b in zip(bounds, bounds[1:]):
         assert b < 1e-5 * a
     assert bounds[4] < 1e-40
-
-
-def test_phi_series_summary():
-    s = phi_series(8)
-    assert isinstance(s, ClassicalPhiSeries)
-    assert s.n_max == 8
-    assert s.remainder_bound == phi_remainder_bound(0.0, 8)
     with pytest.raises(ValueError):
-        phi_series(0)
+        phi_remainder_bound(0.0, 0)
     with pytest.raises(ValueError):
         phi_u(1.0, n_max=0)
 

@@ -12,6 +12,7 @@ import pytest
 
 from ffnewman import __version__
 from ffnewman.cli import (
+    CLASSICAL_MAX_ROWS,
     EXIT_INVALID,
     EXIT_OK,
     build_parser,
@@ -141,14 +142,25 @@ NEWMAN_BISECT = [
 ]
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
-def test_newman_rejects_a_tol_bisection_cannot_reach(tol):
-    # in a child with a timeout: a bisection that cannot end would hang
+@pytest.mark.parametrize(
+    "method,tol",
+    [
+        # the bisect cases keep their plain tol ids
+        pytest.param(m, tol, id=tol if m == "bisect" else "%s-%s" % (m, tol))
+        for m in ["bisect", "exact", "double-zero", "stopple", "all"]
+        for tol in ["0", "-1", "nan"]
+    ],
+)
+def test_newman_rejects_a_tol_bisection_cannot_reach(method, tol):
+    # in a child with a timeout: a bisection that cannot end would hang; every
+    # method rejects it before any output, since the config echoes it as JSON
     proc = subprocess.run(
-        NEWMAN_BISECT + ["--tol", tol], capture_output=True, text=True, timeout=60
+        NEWMAN_BISECT[:-1] + [method, "--tol", tol],
+        capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == EXIT_INVALID
     assert "positive and finite" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_newman_tol_below_float_spacing_ends_on_adjacent_floats():
@@ -433,6 +445,21 @@ def test_classical_rejects_bad_t(capsys):
         ["classical", "--t", "0", "--x-min", "0", "--x-max", "1", "--step", "0"], capsys
     )
     assert code == EXIT_INVALID
+    # non-finite grids, and grids past CLASSICAL_MAX_ROWS (one whose span
+    # overflows among them)
+    too_long = "more than %d rows" % CLASSICAL_MAX_ROWS
+    for x_min, x_max, step, msg in [
+        ("0", "inf", "1", "must be finite"), ("-inf", "0", "1", "must be finite"),
+        ("nan", "1", "1", "must be finite"), ("0", "1", "nan", "must be finite"),
+        ("0", "1", "inf", "must be finite"), ("0", "1e9", "1e-9", too_long),
+        ("0", "100000", "1", too_long), ("-1e308", "1e308", "1", too_long),
+    ]:
+        code, out, err = run_cli(
+            ["classical", "--t", "0", "--x-min=" + x_min, "--x-max=" + x_max,
+             "--step=" + step], capsys,
+        )
+        assert (code, out) == (EXIT_INVALID, "")
+        assert msg in err
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

@@ -20,8 +20,8 @@ from ffnewman.lfunction import (
     NumericalError,
     _colleague_roots,
     build_lfunction,
-    coefficient_by_enumeration,
     dirichlet_coefficients,
+    enumerated_coefficients,
     family_coefficients,
     fourier_coefficients,
     good_pair_check,
@@ -111,15 +111,15 @@ def test_coefficients_quintic_example():
 
 
 def test_coefficients_worked_pair():
-    assert dirichlet_coefficients(5, P(D_MAIN, 5), mode="full") == C_MAIN
-    assert dirichlet_coefficients(5, P(D_VARIANT, 5), mode="full") == C_VARIANT
+    assert enumerated_coefficients(5, P(D_MAIN, 5), 4) == C_MAIN
+    assert enumerated_coefficients(5, P(D_VARIANT, 5), 4) == C_VARIANT
 
 
 def test_c0_is_one_and_functional_equation():
     for q, deg in [(3, 3), (3, 5)]:
         for D in good_pairs(q, deg):
-            c = dirichlet_coefficients(q, D, mode="full")
             g = (deg - 1) // 2
+            c = enumerated_coefficients(q, D, 2 * g)
             assert c[0] == 1
             assert len(c) == 2 * g + 1
             for n in range(1, g + 1):
@@ -127,26 +127,23 @@ def test_c0_is_one_and_functional_equation():
 
 
 def test_half_equals_full():
+    # the functional-equation upper half against enumerating it
     for D in good_pairs(3, 5):
-        assert dirichlet_coefficients(3, D, mode="half") == dirichlet_coefficients(
-            3, D, mode="full"
-        )
-    assert dirichlet_coefficients(5, P(D_MAIN, 5), mode="half") == C_MAIN
+        assert dirichlet_coefficients(3, D) == enumerated_coefficients(3, D, 4)
+    assert dirichlet_coefficients(5, P(D_MAIN, 5)) == C_MAIN
 
 
 def test_enumeration_matches_ladder_sum():
     # the factor-and-Euler oracle against a per-f reciprocity-ladder sum
     for D in list(good_pairs(3, 5))[::7]:
-        for n in range(0, 6):
-            assert coefficient_by_enumeration(3, D, n) == sum(
-                chi(D, f) for f in enumerate_monic(3, n)
-            )
+        assert enumerated_coefficients(3, D, 5) == tuple(
+            sum(chi(D, f) for f in enumerate_monic(3, n)) for n in range(0, 6)
+        )
 
 
 def test_continuation_coefficients_vanish():
     for D in list(good_pairs(3, 3))[::3]:
-        assert coefficient_by_enumeration(3, D, 3) == 0
-        assert coefficient_by_enumeration(3, D, 4) == 0
+        assert enumerated_coefficients(3, D, 4)[3:] == (0, 0)
 
 
 def test_fourier_data_worked_pair():
@@ -360,9 +357,7 @@ def test_invalid_inputs_raise():
     with pytest.raises(ValueError):
         build_lfunction(3, P([1, 0, 1], 3))
     with pytest.raises(ValueError):
-        dirichlet_coefficients(3, P([1, 2, 0, 1], 3), mode="bogus")
-    with pytest.raises(ValueError):
-        coefficient_by_enumeration(3, P([1, 2, 0, 1], 3), -1)
+        enumerated_coefficients(3, P([1, 2, 0, 1], 3), -1)
 
 
 def test_fourier_coefficients_helper():
