@@ -21,6 +21,8 @@ import math
 import numpy as np
 
 __all__ = [
+    "QUAD_POINTS_MAX",
+    "check_quad_points",
     "phi_remainder_bound",
     "phi_u",
     "xi_t_classical",
@@ -35,6 +37,10 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # quadrature window [0, U_MAX] and Phi series length of xi_t_classical
 U_MAX = 6.0
 N_MAX = 32
+
+# quad_points of xi_t_classical: at least one 16-point panel, and at most
+# this many, whose N_MAX-term kernel arrays take 8 MiB each
+QUAD_POINTS_MAX = 2**15
 
 
 def _term_magnitude(u: float, n: int) -> float:
@@ -74,6 +80,14 @@ def phi_u(u, n_max: int = 32):
     return total
 
 
+def check_quad_points(quad_points: int) -> None:
+    """Raise ValueError unless 16 <= quad_points <= QUAD_POINTS_MAX."""
+    if not 16 <= quad_points <= QUAD_POINTS_MAX:
+        raise ValueError(
+            "quad-points must be between 16 and %d, got %d" % (QUAD_POINTS_MAX, quad_points)
+        )
+
+
 def _panel_nodes(u_max: float, quad_points: int):
     panels = max(1, quad_points // 16)
     h = u_max / panels
@@ -91,10 +105,12 @@ def xi_t_classical(t: float, x, quad_points: int = 2000):
     for fixed quad_points, and doubling quad_points moves the value by well
     under 1e-8. |t| <= 2 keeps e^{tu^2} dominated by the kernel decay inside
     the window. Complex x is accepted (the kernel extends to
-    cos(u x) on the complex plane); real x returns a float.
+    cos(u x) on the complex plane); real x returns a float. quad_points
+    outside check_quad_points' range is a ValueError.
     """
     if not abs(t) <= 2.0:
         raise ValueError("|t| must be <= 2")
+    check_quad_points(quad_points)
     nodes, weights = _panel_nodes(U_MAX, quad_points)
     base = weights * np.exp(t * nodes * nodes) * phi_u(nodes, n_max=N_MAX)
     xc = complex(x)

@@ -25,7 +25,7 @@ import os
 import sys
 
 from . import __version__
-from .classical import xi_t_classical
+from .classical import check_quad_points, xi_t_classical
 from .families import F3_GENUS_SERIES, check_sweep, sato_tate_sweep, sweep_fixed_q
 from .finite_field import is_prime
 from .fp_poly import FpPolynomial, parse_int_coeffs, poly_to_text, reduce_int_poly
@@ -335,6 +335,7 @@ def cmd_classical(args) -> int:
     span = (args.x_max - args.x_min) / args.step + 1e-9  # inf if it overflows
     if not span < CLASSICAL_MAX_ROWS:
         raise ValueError("the grid would have more than %d rows" % CLASSICAL_MAX_ROWS)
+    check_quad_points(args.quad_points)
     config = {
         "subcommand": "classical",
         "t": args.t,

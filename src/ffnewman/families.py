@@ -10,7 +10,11 @@ The fixed-q sweep works in blocks of FAMILY_CHUNK consecutive indices of one
 degree: the explicit formula (lfunction.family_coefficients) gives c_0..c_g
 and the squarefree mask for the whole block, and the estimator runs on the
 squarefree rows' Phi array (lfunction.phi_rows) at once, building no
-FpPolynomial or LFunctionData per D. The reciprocity ladder is not used
+FpPolynomial or LFunctionData per D. An estimate depends on D only through
+its L-polynomial (q and c_0..c_g), and a fixed-q family has far fewer of
+those than discriminants, so each worker solves every distinct L-polynomial
+once: a memo of at most MEMO_SIZE entries, keyed on (q, method, c_0..c_g),
+serves the repeats (_sweep_chunk). The reciprocity ladder is not used
 here; it cross-checks the explicit formula in the tests. The sweep is a
 stream: each row goes to the caller's on_item and is dropped, and its
 SweepReport keeps only counts and bests, so memory does not grow with the
@@ -157,26 +161,57 @@ def _ordered_map(fn, tasks, workers: int, chunksize: int = 1):
         pool.join()
 
 
+# distinct L-polynomials whose result a process keeps (FIFO eviction)
+MEMO_SIZE = 4096
+_memo: dict = {}
+
+
 def _sweep_chunk(args):
     """Estimates for the squarefree D with indices lo <= k < hi of one degree:
     (degree, number skipped, rows), each row the SweepItem fields after the
-    degree, (index, d_coeffs, c, estimate, error). Either estimator runs on
-    the block's phi_rows array at once (lambda_bisect_block, double_zero_block)."""
+    degree, (index, d_coeffs, c, estimate, error).
+
+    Every estimator reads D only through (q, c_0..c_g), so each distinct
+    L-polynomial is solved once per process: a row whose (q, method,
+    c_0..c_g) the memo holds reuses its estimate or error text, and the
+    first row of each other key goes to the estimator in one smaller block
+    (lambda_bisect_block or double_zero_block, on its phi_rows array at
+    once). A row's estimate does not depend on the rest of its block, so a
+    reused entry is the value a fresh solve gives. The memo keeps the last
+    MEMO_SIZE keys inserted.
+    """
     q, degree, lo, hi, method = args
     c_half, squarefree = family_coefficients(q, degree, lo, hi)
     ks = (np.flatnonzero(squarefree) + lo).tolist()
     c_half = c_half[squarefree]
-    cs = [complete_coefficients(q, row) for row in c_half.tolist()]
-    phi = phi_rows(q, c_half)
-    if method == "bisect":
-        results = lambda_bisect_block(phi, cs)
-    else:
-        results = double_zero_block(phi)
+    half = c_half.tolist()
+    cs = [complete_coefficients(q, row) for row in half]
+    keys = [(q, method, *row) for row in half]
+    # take the hits before inserting: an eviction could drop one of them
+    found = {key: _memo[key] for key in keys if key in _memo}
+    fresh: dict = {}  # key -> its first row in the block
+    for i, key in enumerate(keys):
+        if key not in found:
+            fresh.setdefault(key, i)
+    if fresh:
+        first = list(fresh.values())
+        phi = phi_rows(q, c_half[first])
+        if method == "bisect":
+            results = lambda_bisect_block(phi, [cs[i] for i in first])
+        else:
+            results = double_zero_block(phi)
+        for key, r in zip(fresh, results):
+            if isinstance(r, Exception):
+                r = "%s: %s" % (type(r).__name__, r)
+            while len(_memo) >= MEMO_SIZE:
+                del _memo[next(iter(_memo))]
+            _memo[key] = found[key] = r
     rows = []
-    for k, c, r in zip(ks, cs, results):
+    for k, c, key in zip(ks, cs, keys):
         d_coeffs = _monic_tuple_by_index(q, degree, k)
-        if isinstance(r, Exception):
-            rows.append((k, d_coeffs, None, None, "%s: %s" % (type(r).__name__, r)))
+        r = found[key]
+        if isinstance(r, str):
+            rows.append((k, d_coeffs, None, None, r))
         else:
             rows.append((k, d_coeffs, c, r, None))
     return degree, hi - lo - len(rows), rows

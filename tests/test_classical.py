@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from ffnewman import classical
 from ffnewman.classical import (
+    QUAD_POINTS_MAX,
     _panel_nodes,
     phi_remainder_bound,
     phi_u,
@@ -165,6 +167,20 @@ def test_xi_parameter_validation():
         xi_t_classical(float("nan"), 0.0)
     # |t| = 2 itself is allowed
     assert xi_t_classical(2.0, 0.0) > 0.0
+
+
+def test_xi_rejects_bad_quad_points(monkeypatch):
+    # one 16-point panel at least, QUAD_POINTS_MAX at most; both ends are legal
+    assert xi_t_classical(0.0, 0.0, quad_points=16) > 0.0
+    assert xi_t_classical(0.0, 0.0, quad_points=QUAD_POINTS_MAX) > 0.0
+    # checked before the quadrature rule is built, so 10^8 allocates nothing
+    def refuse(*args):
+        raise AssertionError("built the quadrature rule")
+
+    monkeypatch.setattr(classical, "_panel_nodes", refuse)
+    for points in (0, -5, 15, QUAD_POINTS_MAX + 1, 10**8):
+        with pytest.raises(ValueError, match="quad-points"):
+            xi_t_classical(0.0, 0.0, quad_points=points)
 
 
 def test_xi_tail_window_stable():

@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from ffnewman import __version__
+from ffnewman import __version__, classical
+from ffnewman.classical import QUAD_POINTS_MAX
 from ffnewman.cli import (
     CLASSICAL_MAX_ROWS,
     EXIT_INVALID,
@@ -460,6 +461,22 @@ def test_classical_rejects_bad_t(capsys):
         )
         assert (code, out) == (EXIT_INVALID, "")
         assert msg in err
+
+
+@pytest.mark.parametrize("points", [0, -5, 15, QUAD_POINTS_MAX + 1, 10**8])
+def test_classical_rejects_bad_quad_points(monkeypatch, capsys, points):
+    # rejected before any output and before a quadrature rule is built, so
+    # 10^8 points allocate nothing
+    def refuse(*args):
+        raise AssertionError("built the quadrature rule")
+
+    monkeypatch.setattr(classical, "_panel_nodes", refuse)
+    code, out, err = run_cli(
+        ["classical", "--t", "0", "--x-min", "0", "--x-max", "0", "--step", "1",
+         "--quad-points=%d" % points], capsys,
+    )
+    assert (code, out) == (EXIT_INVALID, "")
+    assert "quad-points must be between 16 and %d" % QUAD_POINTS_MAX in err
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from ffnewman import families
 from ffnewman.families import (
     F3_GENUS_SERIES,
     BadReduction,
@@ -24,9 +25,17 @@ from ffnewman.lfunction import (
     FAMILY_CHUNK,
     LFunctionData,
     build_lfunction,
+    complete_coefficients,
+    family_coefficients,
     good_pair_check,
+    phi_rows,
 )
-from ffnewman.newman import double_zero_lower_bound, lambda_bisect
+from ffnewman.newman import (
+    double_zero_block,
+    double_zero_lower_bound,
+    lambda_bisect,
+    lambda_bisect_block,
+)
 
 DZ_A = (1, 1, 0, 1)  # y^2 = x^3 + x + 1
 DZ_B = (1, 2, 0, 1)  # y^2 = x^3 + 2x + 1
@@ -329,6 +338,77 @@ def test_sweep_builds_no_per_row_objects(monkeypatch, max_genus, method, one_row
         for item in items:
             L = build_lfunction(3, FpPolynomial(item.d_coeffs, 3))
             assert (item.c, item.estimate) == (L.c, one_row(L)), item
+
+
+def one_row_solve(method, q, c_half):
+    """(c, estimate, error) of a fresh one-row block solve of c_0..c_g, as a
+    sweep row carries them."""
+    c = complete_coefficients(q, c_half)
+    phi = phi_rows(q, [c_half])
+    if method == "bisect":
+        (r,) = lambda_bisect_block(phi, [c])
+    else:
+        (r,) = double_zero_block(phi)
+    if isinstance(r, Exception):
+        return None, None, "%s: %s" % (type(r).__name__, r)
+    return c, r, None
+
+
+@pytest.mark.parametrize("q,max_genus,method", [(5, 2, "bisect"), (3, 3, "double_zero")])
+def test_sweep_memo_rows_equal_fresh_one_row_solves(monkeypatch, q, max_genus, method):
+    # pins the memo's soundness: a row served from the memo equals a fresh
+    # one-row solve of its own c_0..c_g, and each distinct c_0..c_g reaches
+    # the estimator once per process
+    solved = []
+    block = families.lambda_bisect_block if method == "bisect" else families.double_zero_block
+
+    def counting(phi, *rest):
+        solved.extend(map(tuple, phi.tolist()))
+        return block(phi, *rest)
+
+    monkeypatch.setattr(families, "_memo", {})
+    monkeypatch.setattr(families, block.__name__, counting)
+    report, items = sweep_items(q, max_genus, method=method, workers=1)
+    assert len(items) == report.processed
+    c_half = {}
+    for degree in range(3, 2 * max_genus + 2, 2):
+        rows, _ = family_coefficients(q, degree, 0, q**degree)
+        c_half[degree] = rows.tolist()
+    distinct = set()
+    for it in items:
+        row = c_half[it.degree][it.index]
+        distinct.add(tuple(row))
+        assert (it.c, it.estimate, it.error) == one_row_solve(method, q, row), it
+    assert len(solved) == len(set(solved)) == len(distinct) < len(items)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_sweep_rows_do_not_depend_on_memo_size(monkeypatch, size):
+    # pins the eviction order: a block's hits are taken before its misses are
+    # inserted, so a memo this small, which evicts keys the block already
+    # matched, still gives the default run's rows (and no KeyError); and
+    # pins the bound: sweeps with far more distinct c_0..c_g than MEMO_SIZE
+    # leave exactly MEMO_SIZE entries
+    runs = [(5, 2, "bisect"), (3, 3, "double_zero")]
+    expect = [sweep_items(*run, workers=1)[1] for run in runs]
+    monkeypatch.setattr(families, "MEMO_SIZE", size)
+    monkeypatch.setattr(families, "_memo", {})
+    for run, items in zip(runs, expect):
+        assert sweep_items(*run, workers=1)[1] == items
+        assert len(families._memo) == size
+
+
+def test_sweep_memo_keys_on_q_and_method(monkeypatch):
+    # pins q and the method in the memo key: the genus-1 rows c_0, c_1 of F_3
+    # recur over F_5 with another L-polynomial, and each method answers its own
+    runs = [(3, 2, "double_zero"), (3, 2, "bisect"), (5, 2, "bisect")]
+    alone = []
+    for run in runs:
+        monkeypatch.setattr(families, "_memo", {})
+        alone.append(sweep_items(*run, workers=1)[1])
+    monkeypatch.setattr(families, "_memo", {})
+    for run, items in zip(runs, alone):
+        assert sweep_items(*run, workers=1)[1] == items
 
 
 def test_sweep_best_per_genus_ordering():
