@@ -13,13 +13,13 @@ squarefree rows' Phi array (lfunction.phi_rows) at once, building no
 FpPolynomial or LFunctionData per D. An estimate depends on D only through
 its L-polynomial (q and c_0..c_g), and a fixed-q family has far fewer of
 those than discriminants, so each worker solves every distinct L-polynomial
-once: a memo of at most MEMO_SIZE entries, keyed on (q, method, c_0..c_g),
-serves the repeats (_sweep_chunk). The reciprocity ladder is not used
-here; it cross-checks the explicit formula in the tests. The sweep is a
-stream: each row goes to the caller's on_item and is dropped, and its
-SweepReport keeps only counts and bests, so memory does not grow with the
-family. The Sato-Tate sweep keeps every prime's record in its
-SatoTateReport.
+once per sweep: a memo of at most MEMO_SIZE entries, keyed on c_0..c_g and
+emptied when a sweep starts, serves the repeats (_sweep_chunk). The
+reciprocity ladder is not used here; it cross-checks the explicit formula
+in the tests. The sweep is a stream: each row goes to the caller's on_item
+and is dropped, and its SweepReport keeps only counts and bests, so memory
+does not grow with the family. The Sato-Tate sweep keeps every prime's
+record in its SatoTateReport.
 """
 
 from __future__ import annotations
@@ -161,7 +161,8 @@ def _ordered_map(fn, tasks, workers: int, chunksize: int = 1):
         pool.join()
 
 
-# distinct L-polynomials whose result a process keeps (FIFO eviction)
+# distinct L-polynomials whose result a process keeps during one sweep
+# (FIFO eviction); sweep_fixed_q empties it before any pool is forked
 MEMO_SIZE = 4096
 _memo: dict = {}
 
@@ -172,13 +173,14 @@ def _sweep_chunk(args):
     degree, (index, d_coeffs, c, estimate, error).
 
     Every estimator reads D only through (q, c_0..c_g), so each distinct
-    L-polynomial is solved once per process: a row whose (q, method,
-    c_0..c_g) the memo holds reuses its estimate or error text, and the
-    first row of each other key goes to the estimator in one smaller block
+    L-polynomial is solved once per process and sweep: a row whose c_0..c_g
+    the memo holds reuses its estimate or error text, and the first row of
+    each other key goes to the estimator in one smaller block
     (lambda_bisect_block or double_zero_block, on its phi_rows array at
-    once). A row's estimate does not depend on the rest of its block, so a
-    reused entry is the value a fresh solve gives. The memo keeps the last
-    MEMO_SIZE keys inserted.
+    once). q and the method are fixed for the memo's lifetime, since
+    sweep_fixed_q empties it at the start. A row's estimate does not depend
+    on the rest of its block, so a reused entry is the value a fresh solve
+    gives. The memo keeps the last MEMO_SIZE keys inserted.
     """
     q, degree, lo, hi, method = args
     c_half, squarefree = family_coefficients(q, degree, lo, hi)
@@ -186,7 +188,7 @@ def _sweep_chunk(args):
     c_half = c_half[squarefree]
     half = c_half.tolist()
     cs = [complete_coefficients(q, row) for row in half]
-    keys = [(q, method, *row) for row in half]
+    keys = [tuple(row) for row in half]
     # take the hits before inserting: an eviction could drop one of them
     found = {key: _memo[key] for key in keys if key in _memo}
     fresh: dict = {}  # key -> its first row in the block
@@ -267,6 +269,8 @@ def sweep_fixed_q(
     its memory does not grow with the family.
     """
     start = check_sweep(q, max_genus, method, start)
+    # memo entries hold only for this q and method; forked workers copy it
+    _memo.clear()
     tasks = _chunk_tasks(q, max_genus, method, start)
     processed = 0
     skipped = 0

@@ -366,7 +366,6 @@ def test_sweep_memo_rows_equal_fresh_one_row_solves(monkeypatch, q, max_genus, m
         solved.extend(map(tuple, phi.tolist()))
         return block(phi, *rest)
 
-    monkeypatch.setattr(families, "_memo", {})
     monkeypatch.setattr(families, block.__name__, counting)
     report, items = sweep_items(q, max_genus, method=method, workers=1)
     assert len(items) == report.processed
@@ -392,23 +391,36 @@ def test_sweep_rows_do_not_depend_on_memo_size(monkeypatch, size):
     runs = [(5, 2, "bisect"), (3, 3, "double_zero")]
     expect = [sweep_items(*run, workers=1)[1] for run in runs]
     monkeypatch.setattr(families, "MEMO_SIZE", size)
-    monkeypatch.setattr(families, "_memo", {})
     for run, items in zip(runs, expect):
         assert sweep_items(*run, workers=1)[1] == items
         assert len(families._memo) == size
 
 
-def test_sweep_memo_keys_on_q_and_method(monkeypatch):
-    # pins q and the method in the memo key: the genus-1 rows c_0, c_1 of F_3
-    # recur over F_5 with another L-polynomial, and each method answers its own
+def test_sweep_memo_starts_empty_each_sweep(monkeypatch):
+    # pins the memo's scope: the key is c_0..c_g alone, so it holds only for
+    # one q and method. The genus-1 rows c_0, c_1 of F_3 recur over F_5 with
+    # another L-polynomial, and each method answers its own, so sweeps run
+    # back to back in one process must give the rows each gives alone. It
+    # also pins that the memo is empty when a pool forks, so workers solve
+    # rather than reuse an earlier sweep's entries.
     runs = [(3, 2, "double_zero"), (3, 2, "bisect"), (5, 2, "bisect")]
     alone = []
     for run in runs:
         monkeypatch.setattr(families, "_memo", {})
         alone.append(sweep_items(*run, workers=1)[1])
-    monkeypatch.setattr(families, "_memo", {})
+    ordered_map = families._ordered_map
+    at_fork = []
+
+    def recording(*args):
+        at_fork.append(len(families._memo))
+        return ordered_map(*args)
+
+    monkeypatch.setattr(families, "_ordered_map", recording)
     for run, items in zip(runs, alone):
         assert sweep_items(*run, workers=1)[1] == items
+        assert families._memo
+    assert sweep_items(*runs[0], workers=2)[1] == alone[0]
+    assert at_fork == [0, 0, 0, 0]
 
 
 def test_sweep_best_per_genus_ordering():
