@@ -38,8 +38,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 U_MAX = 6.0
 N_MAX = 32
 
-# quad_points of xi_t_classical: at least one 16-point panel, and at most
-# this many, whose N_MAX-term kernel arrays take 8 MiB each
+# quad_points of xi_t_classical: whole 16-point panels, at least one, and at
+# most this many points, whose N_MAX-term kernel arrays take 8 MiB each
 QUAD_POINTS_MAX = 2**15
 
 
@@ -81,15 +81,16 @@ def phi_u(u, n_max: int = 32):
 
 
 def check_quad_points(quad_points: int) -> None:
-    """Raise ValueError unless 16 <= quad_points <= QUAD_POINTS_MAX."""
-    if not 16 <= quad_points <= QUAD_POINTS_MAX:
+    """Raise ValueError unless quad_points is 16 k in [16, QUAD_POINTS_MAX]."""
+    if not (16 <= quad_points <= QUAD_POINTS_MAX and quad_points % 16 == 0):
         raise ValueError(
-            "quad-points must be between 16 and %d, got %d" % (QUAD_POINTS_MAX, quad_points)
+            "quad-points must be between 16 and %d and a multiple of 16, got %d"
+            % (QUAD_POINTS_MAX, quad_points)
         )
 
 
 def _panel_nodes(u_max: float, quad_points: int):
-    panels = max(1, quad_points // 16)
+    panels = quad_points // 16
     h = u_max / panels
     left = np.arange(panels) * h
     # map the 16 reference nodes into each panel; weights scale by h/2

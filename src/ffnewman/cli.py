@@ -26,14 +26,18 @@ import sys
 
 from . import __version__
 from .classical import check_quad_points, xi_t_classical
-from .families import F3_GENUS_SERIES, check_sweep, sato_tate_sweep, sweep_fixed_q
-from .finite_field import is_prime
+from .families import (
+    F3_GENUS_SERIES,
+    MAX_WORKERS,
+    check_sweep,
+    sato_tate_sweep,
+    sweep_fixed_q,
+)
 from .fp_poly import FpPolynomial, parse_int_coeffs, poly_to_text, reduce_int_poly
 from .lfunction import (
     LFunctionData,
     NumericalError,
     build_lfunction,
-    good_pair_check,
     zeros_at_t,
 )
 from .newman import (
@@ -133,23 +137,13 @@ def _emit_json(stream, payload: dict) -> None:
     stream.write("\n")
 
 
-def _load_good_pair(q: int, d_text: str) -> FpPolynomial:
-    if q < 3 or not is_prime(q):
-        raise ValueError("q must be an odd prime")
-    D = reduce_int_poly(parse_int_coeffs(d_text), q)
-    ok, reason = good_pair_check(q, D)
-    if not ok:
-        raise ValueError(reason)
-    return D
-
-
 def _coeff_text(coeffs) -> str:
     return ",".join(str(v) for v in coeffs)
 
 
 def cmd_lfun(args) -> int:
-    D = _load_good_pair(args.q, args.d)
-    L = build_lfunction(args.q, D)
+    # reduce_int_poly checks q, build_lfunction the pair (ValueError: exit 2)
+    L = build_lfunction(args.q, reduce_int_poly(parse_int_coeffs(args.d), args.q))
     zeros = zeros_at_t(L, 0.0)
     payload = {
         "version": __version__,
@@ -167,8 +161,7 @@ def cmd_lfun(args) -> int:
 
 def cmd_newman(args) -> int:
     check_tol(args.tol)  # for every method: the config echoes it as JSON
-    D = _load_good_pair(args.q, args.d)
-    L = build_lfunction(args.q, D)
+    L = build_lfunction(args.q, reduce_int_poly(parse_int_coeffs(args.d), args.q))
     method = args.method
     estimates: dict = {}
     if method in ("exact", "all"):
@@ -245,7 +238,7 @@ def cmd_sweep(args) -> int:
         except ValueError:
             raise ValueError("resume token must look like DEGREE:INDEX")
     # rejected input leaves no output behind, not even the CSV header
-    check_sweep(args.q, args.max_genus, method, start)
+    check_sweep(args.q, args.max_genus, method, start, args.workers)
     config = {
         "subcommand": "sweep",
         "q": args.q,
@@ -362,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and Newman-constant bounds.",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    default_workers = os.cpu_count() or 1
+    default_workers = min(os.cpu_count() or 1, MAX_WORKERS)
 
     def add_out(p):
         p.add_argument("--out", default=None, help="output file (default: stdout)")

@@ -145,6 +145,16 @@ def primes_up_to(n: int) -> list:
     return out
 
 
+# the most processes a sweep's pool may have
+MAX_WORKERS = 64
+
+
+def check_workers(workers: int) -> None:
+    """Raise ValueError unless 1 <= workers <= MAX_WORKERS."""
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError("workers must be 1 to %d, got %d" % (MAX_WORKERS, workers))
+
+
 @contextmanager
 def _ordered_map(fn, tasks, workers: int, chunksize: int = 1):
     """fn over tasks, results in task order: the builtin map for one worker,
@@ -226,13 +236,16 @@ def _chunk_tasks(q: int, max_genus: int, method: str, start: tuple):
             yield (q, degree, k, min(k + FAMILY_CHUNK, q**degree), method)
 
 
-def check_sweep(q: int, max_genus: int, method: str, start: tuple | None) -> tuple:
+def check_sweep(
+    q: int, max_genus: int, method: str, start: tuple | None, workers: int = 1
+) -> tuple:
     """Validate the inputs of sweep_fixed_q, raising ValueError before any
     work, and return the start position, (3, 0) when start is None. A degree
     past the last gives an empty sweep, which is what the resume token of a
     finished sweep names; any other position outside the enumeration is
     rejected."""
     check_odd_prime(q)
+    check_workers(workers)
     if max_genus < 1:
         raise ValueError("max-genus must be >= 1")
     if method not in ("double_zero", "bisect"):
@@ -268,7 +281,7 @@ def sweep_fixed_q(
     order arrives. The sweep keeps no item but the bests of its report, so
     its memory does not grow with the family.
     """
-    start = check_sweep(q, max_genus, method, start)
+    start = check_sweep(q, max_genus, method, start, workers)
     # memo entries hold only for this q and method; forked workers copy it
     _memo.clear()
     tasks = _chunk_tasks(q, max_genus, method, start)
@@ -363,12 +376,13 @@ def sato_tate_sweep(dz, p_max: int, workers: int = 1) -> SatoTateReport:
     dz = tuple(int(v) for v in dz)
     while dz and dz[-1] == 0:
         dz = dz[:-1]
-    if len(dz) != 4:
-        raise ValueError("dz must have degree 3")
+    if len(dz) != 4 or dz[3] != 1:
+        raise ValueError("dz must be monic of degree 3")
     if cubic_discriminant(dz) == 0:
         raise ValueError("dz must be squarefree over Q")
     if p_max < 3:
         raise ValueError("p_max must be >= 3")
+    check_workers(workers)
     ps = [p for p in primes_up_to(p_max) if p > 2]
     tasks = [(dz, p) for p in ps]
     with _ordered_map(_sato_task, tasks, workers, chunksize=64) as results:

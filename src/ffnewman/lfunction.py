@@ -27,9 +27,10 @@ compare both routes against is enumerated_coefficients, c_n as the sum of
 chi_D over every monic f of degree n, and dirichlet_coefficients, its
 c_0..c_g completed by the exact integer functional equation
 c_(g+n) = q^n c_(g-n). Their character values come from _chi_rows, which
-factors D and applies Euler's criterion at each factor, so the oracle
-shares no code with the ladder or with the family tables. The JSON view of
-this data is the CLI's.
+factors D and applies Euler's criterion at each factor: its character
+arithmetic shares nothing with the ladder, and only the helpers _powers_mod
+(T^i mod P) and _digits with the family tables, which the tests also
+compare with the ladder. The JSON view of this data is the CLI's.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .finite_field import check_odd_prime, is_prime, legendre_table
+from .finite_field import check_odd_prime, legendre_table
 from .fp_poly import FpPolynomial, _factorize_monic, is_squarefree, monic_irreducibles
 from .quad_character import _chi_ladder, _validate_modulus
 
@@ -59,7 +60,9 @@ class NumericalError(RuntimeError):
 
 def good_pair_check(q: int, D: FpPolynomial):
     """Is (q, D) an admissible discriminant pair? Returns (bool, reason)."""
-    if not isinstance(q, int) or q < 3 or q % 2 == 0 or not is_prime(q):
+    try:
+        check_odd_prime(q)
+    except ValueError:
         return False, "q must be an odd prime"
     if D.p != q:
         return False, "D is over F_%d, not F_%d" % (D.p, q)
@@ -172,11 +175,12 @@ def _chi_rows(q: int, D: FpPolynomial, top: int) -> tuple:
     """chi_D(f) for every monic f of degree 0..top: one int64 array per
     degree n, indexed like monic_by_index(q, n, k). The enumeration oracle.
 
-    It shares no code with the reciprocity ladder or _family_tables: D is
-    factored once by trial division, and at each monic irreducible factor P
-    of degree d, f mod P comes from one matmul against T^i mod P and the
-    character of f mod P from Euler's criterion (_euler_values), evaluated
-    on the distinct residues only. chi_D(f) is the product over P.
+    Its arithmetic shares nothing with the reciprocity ladder, and only
+    _powers_mod and _digits with _family_tables: D is factored once by trial
+    division, and at each monic irreducible factor P of degree d, f mod P
+    comes from one matmul against T^i mod P and the character of f mod P
+    from Euler's criterion (_euler_values), evaluated on the distinct
+    residues only. chi_D(f) is the product over P.
     """
     if D.p != q:
         raise ValueError("D is over F_%d, not F_%d" % (D.p, q))

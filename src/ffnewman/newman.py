@@ -227,44 +227,34 @@ def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
     """lambda_bisect for every row of phi (Phi_0..Phi_g), in lockstep; c[i]
     is row i's c_0..c_2g, read only by the exact repeated-root test.
 
-    Per row this is the algorithm lambda_bisect documents: the algebraic
-    minus-infinity check, the t = 0 check, expansion through -1, -2, -4, ...
-    down to BRACKET_FLOOR, then midpoint bisection until the bracket is no
-    wider than tol_t (positive and finite, else ValueError) or is two
-    adjacent floats, whose midpoint rounds to an end. Each round asks the
-    predicate of all unfinished rows with one _real_rows call. A row whose
-    t = 0 check fails, or whose bracket ends within 2 tol_t of 0, is tested
-    for a repeated root exactly (has_repeated_root); one gives kind exact,
-    value 0, without a warning. Returns, per row, its NewmanEstimate or the
-    exception lambda_bisect would raise for it.
+    A row with at most one nonzero Phi_n is minus_infinity. Every other row
+    starts at t = 0 with no all-real time hi, expands through -1, -2, -4, ...
+    down to BRACKET_FLOOR while the predicate holds, then bisects until the
+    bracket is no wider than tol_t (positive and finite, else ValueError) or
+    is two adjacent floats. Each round is the one _real_rows call, on every
+    unfinished row. A row ends by the first rule that applies: a solver
+    error is a NumericalError; the predicate true at the floor is
+    bracket_exhausted; no all-real time below -2 tol_t (the predicate false
+    at t = 0 included) and a repeated root of L (has_repeated_root) is kind
+    exact, value 0, without a warning; false at t = 0 is a NumericalError;
+    the rest is bisect. Returns, per row, its estimate or its exception.
     """
     check_tol(tol_t)
     live = np.count_nonzero(phi, axis=1) > 1
     out = [None if v else _MINUS_INFINITY for v in live.tolist()]
     rows, phi = np.nonzero(live)[0], phi[live]
-    real, errors = _real_rows(phi, np.zeros(len(rows)))
-    for j, i in enumerate(rows.tolist()):
-        if j in errors:
-            out[i] = NumericalError(errors[j])
-        elif real[j]:
-            continue
-        elif has_repeated_root(c[i]):
-            out[i] = _REPEATED_ROOT
-        else:
-            out[i] = NumericalError("zeros of Xi_0 not all real; numerical breakdown")
-    rows, phi = rows[real], phi[real]
-    hi = np.zeros(len(rows))
-    lo = t = np.full(len(rows), -1.0)  # lo while expanding: the next time to try
+    lo = t = np.zeros(len(rows))  # lo while expanding: the next time to try
+    hi = np.full(len(rows), np.nan)  # NaN until the predicate holds
     expanding = np.ones(len(rows), dtype=bool)
     while len(rows):
         real, errors = _real_rows(phi, t)
         hi = np.where(real, t, hi)
-        grown = np.where(expanding, np.maximum(2.0 * t, BRACKET_FLOOR), lo)
-        lo = np.where(real, grown, t)
+        grown = np.maximum(np.minimum(2.0 * t, -1.0), BRACKET_FLOOR)
+        lo = np.where(real, np.where(expanding, grown, lo), t)
         exhausted = expanding & real & (t <= BRACKET_FLOOR)
         expanding &= real
         t = np.where(expanding, lo, 0.5 * (lo + hi))
-        narrow = (hi - lo <= tol_t) | (t == lo) | (t == hi)  # or adjacent floats
+        narrow = ~(hi - lo > tol_t) | (t == lo) | (t == hi)  # or adjacent floats
         done = exhausted | (~expanding & narrow)
         if errors:
             done[list(errors)] = True
@@ -283,8 +273,10 @@ def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
                     notes="predicate never failed above the floor: Lambda_D <= %g"
                     % BRACKET_FLOOR,
                 )
-            elif hi_j >= -2.0 * tol_t and has_repeated_root(c[rows[j]]):
+            elif not hi_j < -2.0 * tol_t and has_repeated_root(c[rows[j]]):
                 e = _REPEATED_ROOT
+            elif math.isnan(hi_j):
+                e = NumericalError("zeros of Xi_0 not all real; numerical breakdown")
             else:
                 e = NewmanEstimate(
                     kind="bisect",
@@ -301,16 +293,11 @@ def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
 
 
 def lambda_bisect(L: LFunctionData, tol_t: float = 1e-10) -> NewmanEstimate:
-    """Bisect the monotone all-zeros-real predicate to width tol_t.
-
-    The bracket expands downward from 0 by doubling (-1, -2, -4, ...); with at
-    least two nonzero Fourier coefficients the predicate is guaranteed to fail
-    eventually, and in-scope constants are O(0.1) so expansion ends fast. A
-    floor of BRACKET_FLOOR is kept as a safety net and reported distinctly
-    (bracket_exhausted, meaning Lambda_D <= floor), never conflated with the
-    algebraic minus-infinity case. A repeated root of L, decided exactly, is
-    kind exact with value 0, and warns; the warning names the caller. This
-    is the one-row case of lambda_bisect_block.
+    """Bisect the monotone all-zeros-real predicate to width tol_t: the
+    one-row case of lambda_bisect_block, whose terminal rule decides the row.
+    With two nonzero Fourier coefficients or more the predicate fails at
+    some t < 0 (in-scope constants are O(0.1)); BRACKET_FLOOR is a safety
+    net. A repeated root of L also warns here, naming the caller.
     """
     (e,) = lambda_bisect_block(np.array([L.phi]), [L.c], tol_t)
     if isinstance(e, Exception):

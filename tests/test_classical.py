@@ -170,7 +170,8 @@ def test_xi_parameter_validation():
 
 
 def test_xi_rejects_bad_quad_points(monkeypatch):
-    # one 16-point panel at least, QUAD_POINTS_MAX at most; both ends are legal
+    # whole 16-point panels, one at least, QUAD_POINTS_MAX points at most;
+    # both ends are legal
     assert xi_t_classical(0.0, 0.0, quad_points=16) > 0.0
     assert xi_t_classical(0.0, 0.0, quad_points=QUAD_POINTS_MAX) > 0.0
     # checked before the quadrature rule is built, so 10^8 allocates nothing
@@ -178,7 +179,7 @@ def test_xi_rejects_bad_quad_points(monkeypatch):
         raise AssertionError("built the quadrature rule")
 
     monkeypatch.setattr(classical, "_panel_nodes", refuse)
-    for points in (0, -5, 15, QUAD_POINTS_MAX + 1, 10**8):
+    for points in (0, -5, 15, 17, 31, QUAD_POINTS_MAX + 1, 10**8):
         with pytest.raises(ValueError, match="quad-points"):
             xi_t_classical(0.0, 0.0, quad_points=points)
 

@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -19,6 +21,7 @@ from ffnewman.cli import (
     build_parser,
     main,
 )
+from ffnewman.families import MAX_WORKERS
 
 TABLE_C = {
     1: "1,-3",
@@ -394,6 +397,32 @@ def test_sato_tate_rejects_degenerate_cubic(capsys):
     code, _, err = run_cli(["sato-tate", "--dz", "1,1", "--pmax", "50"], capsys)
     assert code == EXIT_INVALID
     assert "degree 3" in err
+    # a non-monic cubic is refused outright, not skipped at every prime
+    code, out, err = run_cli(["sato-tate", "--dz", "1,0,0,2", "--pmax", "30"], capsys)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert "monic" in err
+
+
+@pytest.mark.parametrize("workers", [0, -3, MAX_WORKERS + 1, 10**6])
+def test_sweeps_reject_bad_workers(monkeypatch, capsys, workers):
+    # rejected before any output and before a pool is started
+    def refuse(*args, **kwargs):
+        raise AssertionError("started a pool")
+
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    for args in (
+        ["sweep", "--q", "3", "--max-genus", "1"],
+        ["sato-tate", "--dz", "1,1,0,1", "--pmax", "30"],
+    ):
+        code, out, err = run_cli(args + ["--workers=%d" % workers], capsys)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert "workers must be 1 to %d, got %d" % (MAX_WORKERS, workers) in err
+
+
+def test_default_workers_is_capped():
+    args = build_parser().parse_args(["sweep", "--q", "3", "--max-genus", "1"])
+    assert args.workers == min(os.cpu_count() or 1, MAX_WORKERS)
+    assert MAX_WORKERS == 64
 
 
 def test_classical_single_point(capsys):
@@ -463,7 +492,7 @@ def test_classical_rejects_bad_t(capsys):
         assert msg in err
 
 
-@pytest.mark.parametrize("points", [0, -5, 15, QUAD_POINTS_MAX + 1, 10**8])
+@pytest.mark.parametrize("points", [0, -5, 15, 17, 31, QUAD_POINTS_MAX + 1, 10**8])
 def test_classical_rejects_bad_quad_points(monkeypatch, capsys, points):
     # rejected before any output and before a quadrature rule is built, so
     # 10^8 points allocate nothing

@@ -196,6 +196,23 @@ def test_sato_tate_rejects_bad_cubic():
         sato_tate_sweep((2, -3, 0, 1), 100)  # discriminant 0
     with pytest.raises(ValueError):
         sato_tate_sweep(DZ_A, 2)
+    # 2 T^3 + 1 would reduce to a non-monic D at every prime
+    for dz in [(1, 0, 0, 2), (1, 0, 0, -1)]:
+        with pytest.raises(ValueError, match="monic"):
+            sato_tate_sweep(dz, 30)
+
+
+@pytest.mark.parametrize("workers", [0, -3, families.MAX_WORKERS + 1, 10**6])
+def test_sweeps_reject_bad_workers(monkeypatch, workers):
+    # rejected before any pool exists: Pool is patched to fail
+    def refuse(*args, **kwargs):
+        raise AssertionError("started a pool")
+
+    monkeypatch.setattr(families.multiprocessing, "Pool", refuse)
+    with pytest.raises(ValueError, match="^workers must be 1 to 64, got"):
+        sweep_fixed_q(3, 1, workers=workers)
+    with pytest.raises(ValueError, match="^workers must be 1 to 64, got"):
+        sato_tate_sweep(DZ_A, 30, workers=workers)
 
 
 def sweep_items(*args, **kwargs):

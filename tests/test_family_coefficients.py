@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from ffnewman.fp_poly import is_squarefree, monic_by_index
-from ffnewman.lfunction import FAMILY_CHUNK, dirichlet_coefficients, family_coefficients
+from ffnewman.lfunction import (
+    FAMILY_CHUNK,
+    build_lfunction,
+    dirichlet_coefficients,
+    family_coefficients,
+)
 
 # (q, deg D, stride): stride 1 checks every D of the family
 FAMILIES = [
@@ -30,7 +35,10 @@ def test_matches_ladder_coefficients(q, degree, stride):
     for k in range(0, q**degree, stride):
         if squarefree[k]:
             D = monic_by_index(q, degree, k)
-            assert tuple(c[k].tolist()) == dirichlet_coefficients(q, D)[: g + 1], k
+            row = tuple(c[k].tolist())
+            # the enumeration oracle, then the per-D reciprocity ladder
+            assert row == dirichlet_coefficients(q, D)[: g + 1], k
+            assert row == build_lfunction(q, D).c[: g + 1], k
             checked += 1
     if stride == 1:
         assert checked == q**degree - q ** (degree - 1)  # all squarefree monic D

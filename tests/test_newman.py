@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ffnewman import newman
 from ffnewman.cli import newman_jsonable, stopple_jsonable
 from ffnewman.families import F3_GENUS_SERIES
 from ffnewman.fp_poly import (
@@ -457,11 +458,23 @@ def test_only_the_one_row_bisection_warns_and_names_its_caller():
 
 
 @pytest.mark.parametrize("q,degree", [(5, 5), (3, 7)])
-def test_bisect_block_equals_per_row_bit_for_bit(q, degree):
+def test_bisect_block_equals_per_row_bit_for_bit(q, degree, monkeypatch):
     Ls = family(q, degree)
+    calls = []
+    real_rows = newman._real_rows
+
+    def counted(phi, t):
+        calls.append(len(t))
+        return real_rows(phi, t)
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        monkeypatch.setattr(newman, "_real_rows", counted)
         block = lambda_bisect_block(np.array([L.phi for L in Ls]), [L.c for L in Ls])
+        monkeypatch.undo()
+        # the predicate traffic of the lockstep loop: one call per round
+        rows_solved = {(5, 5): 88200, (3, 7): 51624}[q, degree]
+        assert (len(calls), sum(calls)) == (36, rows_solved)
         for L, got in zip(Ls, block):
             assert got == lambda_bisect(L), (L.D, got)
     kinds = {e.kind for e in block}
@@ -486,6 +499,44 @@ def test_bisect_block_isolates_a_bad_row():
         lambda_bisect(over)
     with pytest.raises(NumericalError, match="overflowed"):
         all_zeros_real(over, 0.0)
+
+
+def test_bisect_block_terminal_rules():
+    # every way a row of lambda_bisect_block ends; rows of one genus share a
+    # call, as a block's phi array has one width
+    cubic = build_lfunction(3, P([0, 2, 0, 1], 3))  # T^3 + 2T
+    assert cubic.c == (1, 0, 3)
+    nonic = build_lfunction(3, monic_by_index(3, 9, 7525))
+    quintic = build_lfunction(5, P([0, 1, 0, 0, 0, 1], 5))  # T^5 + T
+    L = L_main()
+    over = (L.phi[0], 1e308, L.phi[2])
+    under = (L.phi[0], L.phi[1], 1e-320)
+    # the repeated-root rows reach the exact test from both sides of t = 0
+    assert not all_zeros_real(nonic, 0.0)
+    assert all_zeros_real(quintic, 0.0)
+
+    g1 = lambda_bisect_block(np.array([cubic.phi, (1e-30, 1.0)]), [cubic.c] * 2)
+    (g4,) = lambda_bisect_block(np.array([nonic.phi]), [nonic.c])
+    g2 = lambda_bisect_block(
+        np.array([quintic.phi, (10.0, 1.0, 1.0), over, under, L.phi]),
+        [quintic.c] + [L.c] * 4,
+    )
+    assert g1[0].kind == "minus_infinity" and g1[0].value == float("-inf")
+    assert (g1[1].kind, g1[1].value, g1[1].bracket) == (
+        "bracket_exhausted",
+        -50.0,
+        (-50.0, -50.0),
+    )
+    for e in (g4, g2[0]):
+        assert (e.kind, e.value, e.bracket) == ("exact", 0.0, None)
+        assert "repeated root" in e.notes
+    for e, msg in zip(g2[1:4], ["zeros of Xi_0 not all real", "overflowed", "underflowed"]):
+        assert isinstance(e, NumericalError) and msg in str(e), e
+    e = g2[4]
+    lo, hi = e.bracket
+    assert e.kind == "bisect" and lo < e.value < hi and hi - lo <= 1e-10
+    assert e.value == pytest.approx(-0.188565066463, abs=1e-10)
+    assert all_zeros_real(L, hi) and not all_zeros_real(L, lo)
 
 
 def test_predicate_past_leading_underflow_is_certified_not_real():
