@@ -9,9 +9,9 @@ Conventions: polynomials are ascending comma-separated integers (constant
 term first); every CSV starts with two comment lines carrying the tool
 version and the effective configuration; floats in CSV and JSON print with
 12 significant digits (_fmt, the one place that format lives) and -inf
-prints as "-inf". Exit codes: 0 success, 2 invalid input,
-3 numerical failure, 130 interrupted sweep (partial rows plus a resume
-token are flushed).
+prints as "-inf". Library warnings print as one "warning: <message>" line
+on stderr. Exit codes: 0 success, 2 invalid input, 3 numerical failure,
+130 interrupted sweep (partial rows plus a resume token are flushed).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from . import __version__
 from .classical import check_quad_points, xi_t_classical
@@ -429,16 +430,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """warnings.showwarning for the CLI: one line, with no source path or
+    line number, so stderr does not depend on where the package lives."""
+    print("warning: %s" % message, file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ValueError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_INVALID
-    except NumericalError as e:
-        print("numerical failure: %s" % e, file=sys.stderr)
-        return EXIT_NUMERICAL
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except ValueError as e:
+            print("error: %s" % e, file=sys.stderr)
+            return EXIT_INVALID
+        except NumericalError as e:
+            print("numerical failure: %s" % e, file=sys.stderr)
+            return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ explicit formula for L-function coefficients).
 Internally polynomials are tuples of ints in ascending degree order with no
 trailing zeros; the zero polynomial is the empty tuple. The FpPolynomial class
 wraps these tuples; the underscore kernels below operate on raw tuples and are
-shared with the character module's hot paths. _factorize_monic, trial
+shared with the character module's reciprocity ladder. _factorize_monic, trial
 division, is the one factoring kernel: is_irreducible and the enumeration
 oracle of the lfunction module (_chi_rows) use it.
 """

@@ -21,16 +21,17 @@ call a zero real when its |Im x| is at most REAL_TOL.
 The exact integers c_0..c_g come from the explicit formula: chi_D(P) at the
 monic irreducible P of degree d <= g gives the power sums S_k, and Newton's
 identities give the c_n (_newton_coefficients). build_lfunction runs it for
-one D with the reciprocity ladder at each P; family_coefficients runs it over
-a whole index range of D at once in integer numpy. The oracle the tests
-compare both routes against is enumerated_coefficients, c_n as the sum of
-chi_D over every monic f of degree n, and dirichlet_coefficients, its
-c_0..c_g completed by the exact integer functional equation
-c_(g+n) = q^n c_(g-n). Their character values come from _chi_rows, which
-factors D and applies Euler's criterion at each factor: its character
-arithmetic shares nothing with the ladder, and only the helpers _powers_mod
-(T^i mod P) and _digits with the family tables, which the tests also
-compare with the ladder. The JSON view of this data is the CLI's.
+one D, one stacked Euler's-criterion power (_euler_values) per degree d;
+family_coefficients runs it over a whole index range of D at once, with
+chi_D(P) from per-P square tables. The tests check both against the
+reciprocity ladder quad_character.chi summed over the same P, and against
+the enumeration oracle enumerated_coefficients, c_n as the sum of chi_D over
+every monic f of degree n, with dirichlet_coefficients, its c_0..c_g
+completed by the exact integer functional equation c_(g+n) = q^n c_(g-n).
+The oracle's character values come from _chi_rows, which factors D and
+applies _euler_values at each factor; the ladder shares no code with either,
+so it is the independent check of that kernel. The JSON view of this data is
+the CLI's.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .finite_field import check_odd_prime, legendre_table
+from .finite_field import check_odd_prime
 from .fp_poly import FpPolynomial, _factorize_monic, is_squarefree, monic_irreducibles
-from .quad_character import _chi_ladder, _validate_modulus
+from .quad_character import _validate_modulus
 
 # discriminants per block of family_coefficients; bounds its working arrays
 # and is the task size of a fixed-q sweep
@@ -175,12 +176,13 @@ def _chi_rows(q: int, D: FpPolynomial, top: int) -> tuple:
     """chi_D(f) for every monic f of degree 0..top: one int64 array per
     degree n, indexed like monic_by_index(q, n, k). The enumeration oracle.
 
-    Its arithmetic shares nothing with the reciprocity ladder, and only
-    _powers_mod and _digits with _family_tables: D is factored once by trial
+    Its arithmetic shares nothing with the reciprocity ladder, only
+    _powers_mod and _digits with _family_tables, and _powers_mod and
+    _euler_values with build_lfunction: D is factored once by trial
     division, and at each monic irreducible factor P of degree d, f mod P
     comes from one matmul against T^i mod P and the character of f mod P
-    from Euler's criterion (_euler_values), evaluated on the distinct
-    residues only. chi_D(f) is the product over P.
+    from Euler's criterion (_euler_values, with its one P broadcast),
+    evaluated on the distinct residues only. chi_D(f) is the product over P.
     """
     if D.p != q:
         raise ValueError("D is over F_%d, not F_%d" % (D.p, q))
@@ -197,22 +199,26 @@ def _chi_rows(q: int, D: FpPolynomial, top: int) -> tuple:
             return_inverse=True,
         )
         r = np.ascontiguousarray(_digits(q, d, residues).T)
-        chi *= _euler_values(q, P, powers[: 2 * d - 1].T.copy(), r)[inverse]
+        chi *= _euler_values(q, powers[: 2 * d - 1, :, None], r)[inverse]
     return tuple(np.split(chi, np.cumsum([q**n for n in range(top)])))
 
 
-def _euler_values(q: int, P: tuple, low: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Euler's criterion r^((q^d - 1)/2) mod P at the monic irreducible P of
-    degree d, by repeated squaring in int64, read off as 0 or +-1. Column j
-    of r (shape (d, m)) holds the ascending coefficients of the j-th residue;
-    column k of low (shape (d, 2d - 1)) holds T^k mod P."""
-    d = len(P) - 1
+def _euler_values(q: int, low: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Euler's criterion r^((q^d - 1)/2) mod P_j, read off as 0 or +-1, for
+    a stack of residues, each modulo its own monic irreducible P_j of degree
+    d: the one Euler's-criterion kernel, by repeated squaring in int64 over
+    the whole stack at once. Column j of r (shape (d, m)) holds the ascending
+    coefficients of the j-th residue; low[k, :, j] holds T^k mod P_j for
+    k <= 2d - 2, shape (2d - 1, d, m), or (2d - 1, d, 1) for one P shared by
+    every column. Each product polynomial is reduced mod q before low sums
+    it, so the largest intermediate is (2d - 1)(q - 1)^2."""
+    d = r.shape[0]
 
     def mulmod(a, b):
         prod = np.zeros((2 * d - 1, a.shape[1]), dtype=np.int64)
         for i in range(d):
             prod[i : i + d] += a[i] * b
-        return (low @ prod) % q
+        return np.einsum("kij,kj->ij", low, prod % q) % q
 
     acc = None
     e = (q**d - 1) // 2
@@ -227,8 +233,7 @@ def _euler_values(q: int, P: tuple, low: np.ndarray, r: np.ndarray) -> np.ndarra
     minus = scalar & (acc[0] == q - 1)
     if not (plus | minus | ~acc.any(axis=0)).all():
         raise ArithmeticError(
-            "Euler criterion did not land on a sign; %r is not irreducible mod %d"
-            % (P, q)
+            "Euler criterion did not land on a sign; a modulus is reducible mod %d" % q
         )
     return plus.astype(np.int64) - minus
 
@@ -364,20 +369,41 @@ def fourier_coefficients(q: int, g: int, c: tuple):
     return phi, tuple((c[g - n], n) for n in range(g + 1))
 
 
+@lru_cache(maxsize=32)
+def _residue_tables(q: int, degree: int) -> tuple:
+    """Per irreducible degree d = 1..g of a degree-`degree` D: T^i mod P for
+    i <= degree and every monic irreducible P of degree d, shape
+    (degree + 1, d, m), entry [i, :, j] for the j-th P in enumeration order.
+    Its first 2d - 1 rows are _euler_values' reduction table, since
+    2d - 2 < degree. Read-only."""
+    out = []
+    for d in range(1, (degree - 1) // 2 + 1):
+        P = np.array(monic_irreducibles(q, d), dtype=np.int64)
+        R = np.ascontiguousarray(_powers_mod(P, degree + 1, q).transpose(0, 2, 1))
+        R.flags.writeable = False
+        out.append(R)
+    return tuple(out)
+
+
 def build_lfunction(q: int, D: FpPolynomial) -> LFunctionData:
-    """LFunctionData of a good pair by the explicit formula: the reciprocity
-    ladder gives chi_D(P) only at the monic irreducible P of degree d <= g
-    (about q^d/d of them per degree), and _newton_coefficients turns their
-    sums into c_0..c_g; the functional equation fills the rest."""
+    """LFunctionData of a good pair by the explicit formula, one vectorised
+    pass per degree d <= g over all m monic irreducible P of that degree:
+    D mod P for every P is one matmul against their residue table
+    (_residue_tables), chi_D(P) is Euler's criterion (_euler_values) times
+    the reciprocity sign (-1)^(((q-1)/2) d), and _newton_coefficients turns
+    the sums into c_0..c_g; the functional equation fills the rest. The
+    largest intermediate is (deg D + 1)(q - 1)^2, in that matmul."""
     require_good_pair(q, D)
     g = (D.degree - 1) // 2
-    leg = legendre_table(q)
+    C = np.array(D.coeffs, dtype=np.int64)
     A = [0] * (g + 1)
     B = [0] * (g + 1)
-    for d in range(1, g + 1):
-        vals = [_chi_ladder(P, D.coeffs, q, leg) for P in monic_irreducibles(q, d)]
-        A[d] = sum(vals)
-        B[d] = len(vals) - vals.count(0)
+    for d, R in enumerate(_residue_tables(q, D.degree), 1):
+        r = (C @ R.reshape(D.degree + 1, -1) % q).reshape(d, -1)
+        vals = _euler_values(q, R[: 2 * d - 1], r)
+        sign = -1 if ((q - 1) // 2 * d) % 2 else 1
+        A[d] = sign * int(vals.sum())
+        B[d] = int(np.count_nonzero(vals))
     c = complete_coefficients(q, _newton_coefficients(A, B))
     return lfunction_from_coefficients(q, D, c)
 

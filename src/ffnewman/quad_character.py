@@ -3,16 +3,13 @@
 chi_D(f) is the Jacobi symbol (f/D): the character of f modulo D, which is 0
 when gcd(f, D) != 1 and otherwise the product of Euler-criterion values of f
 at the monic irreducible factors of D. chi evaluates it by the reciprocity
-ladder, gcd-like, with no factoring; build_lfunction (newman/lfun/table) runs
-it at the monic irreducible P of degree <= g only, for the explicit formula
-of one D.
-
-Its cross-check is the enumeration oracle lfunction._chi_rows: it factors D
-by trial division and applies Euler's criterion at each factor, vectorised
-over every monic f up to a degree, and shares no code with the ladder.
-Family sweeps use neither: lfunction.family_coefficients reads chi_D(P) for
-the irreducibles P of degree <= g from per-P square tables, and the ladder
-and the enumeration oracle cross-check it in the tests.
+ladder, gcd-like, with no factoring. No computing route of the package uses
+it: it is the independent cross-check the tests run the explicit formula
+against (build_lfunction and family_coefficients, summed over the same
+monic irreducible P of degree <= g), and the enumeration oracle
+lfunction._chi_rows against. That oracle factors D by trial division and
+applies Euler's criterion at each factor, vectorised over every monic f up
+to a degree, and shares no code with the ladder.
 """
 
 from __future__ import annotations

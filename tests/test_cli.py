@@ -187,6 +187,22 @@ def test_newman_tol_below_float_spacing_ends_on_adjacent_floats():
     assert math.nextafter(lo, math.inf) == hi
 
 
+def test_newman_prints_a_library_warning_as_one_line():
+    # a repeated-root D: lambda_bisect's UserWarning reaches stderr as one
+    # line with no source path or line number, the same in every checkout
+    proc = subprocess.run(
+        [sys.executable, "-m", "ffnewman", "newman", "--q", "3",
+         "--d", "1,0,1,0,2,2,2,0,1,1", "--method", "bisect"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == (
+        "warning: Xi_0 has an exact double zero (a repeated root of L) for "
+        "D=1,0,1,0,2,2,2,0,1,1 over F_3: Lambda_D = 0\n"
+    )
+    assert json.loads(proc.stdout)["estimates"]["bisect"]["kind"] == "exact"
+
+
 def test_newman_minus_infinity_serialized(capsys):
     code, out, _ = run_cli(
         ["newman", "--q", "3", "--d", "0,1,0,1", "--method", "bisect"], capsys

@@ -1,16 +1,38 @@
-"""The batched explicit-formula coefficients of a whole index range of D,
-cross-checked against the per-D reciprocity-ladder route."""
+"""The explicit-formula coefficients of build_lfunction (one D, a stacked
+Euler power per degree) and of family_coefficients (a whole index range of D,
+per-P square tables), cross-checked against the reciprocity ladder
+quad_character.chi summed over the same monic irreducibles."""
+
+import random
 
 import numpy as np
 import pytest
 
-from ffnewman.fp_poly import is_squarefree, monic_by_index
+from ffnewman import lfunction, quad_character
+from ffnewman.fp_poly import FpPolynomial, is_squarefree, monic_by_index, monic_irreducibles
 from ffnewman.lfunction import (
     FAMILY_CHUNK,
+    _newton_coefficients,
     build_lfunction,
     dirichlet_coefficients,
     family_coefficients,
 )
+from ffnewman.quad_character import chi
+
+
+def ladder_coefficients(q, D):
+    """c_0..c_g by the explicit formula with the reciprocity ladder as the
+    character: chi_D(P) = chi(D, P) at every monic irreducible P of degree
+    d <= g, summed and passed through _newton_coefficients."""
+    g = (D.degree - 1) // 2
+    A = [0] * (g + 1)
+    B = [0] * (g + 1)
+    for d in range(1, g + 1):
+        vals = [chi(D, FpPolynomial(P, q)) for P in monic_irreducibles(q, d)]
+        A[d] = sum(vals)
+        B[d] = len(vals) - vals.count(0)
+    return tuple(_newton_coefficients(A, B))
+
 
 # (q, deg D, stride): stride 1 checks every D of the family
 FAMILIES = [
@@ -36,14 +58,40 @@ def test_matches_ladder_coefficients(q, degree, stride):
         if squarefree[k]:
             D = monic_by_index(q, degree, k)
             row = tuple(c[k].tolist())
-            # the enumeration oracle, then the per-D reciprocity ladder
+            # the enumeration oracle, the reciprocity ladder, build_lfunction
             assert row == dirichlet_coefficients(q, D)[: g + 1], k
-            assert row == build_lfunction(q, D).c[: g + 1], k
+            assert row == ladder_coefficients(q, D), k
+            assert build_lfunction(q, D).c[: g + 1] == row, k
             checked += 1
     if stride == 1:
         assert checked == q**degree - q ** (degree - 1)  # all squarefree monic D
     else:
         assert checked > 100
+
+
+def _no_ladder(*args, **kwargs):
+    raise AssertionError("build_lfunction must not run the reciprocity ladder")
+
+
+def test_build_lfunction_runs_no_ladder(monkeypatch):
+    # the reciprocity sign of chi_D(P) depends on q mod 4: q = 5, 13, 17 are
+    # 1 mod 4, q = 3, 7, 11, 19 are 3 mod 4
+    grid = []
+    for q, degree in [(3, 3), (3, 5), (3, 7), (5, 3), (5, 5), (7, 3), (7, 5),
+                      (11, 3), (13, 3), (13, 5), (17, 3), (17, 5), (19, 3), (19, 5)]:
+        rng = random.Random(100 * q + degree)
+        found = 0
+        while found < 6:
+            D = monic_by_index(q, degree, rng.randrange(q**degree))
+            if is_squarefree(D):
+                grid.append((q, D, ladder_coefficients(q, D)))
+                found += 1
+    # lfunction binds no name of its own to the ladder, so patching the
+    # module's covers every route to it
+    assert not hasattr(lfunction, "_chi_ladder")
+    monkeypatch.setattr(quad_character, "_chi_ladder", _no_ladder)
+    for q, D, c in grid:
+        assert build_lfunction(q, D).c[: len(c)] == c, (q, D)
 
 
 @pytest.mark.parametrize("q,degree,stride", FAMILIES)
