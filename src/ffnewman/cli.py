@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import warnings
+from functools import lru_cache
 
 from . import __version__
 from .classical import check_quad_points, xi_t_classical
@@ -349,7 +350,10 @@ def cmd_classical(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared: parse_args
+    leaves it unchanged, and each call returns a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="ffnewman",
         description="Quadratic L-functions over F_p(T), heat-flow deformation "

@@ -15,7 +15,9 @@ same one zeros_at_t uses. No grid is sampled. Routes provided:
   lambda_bisect            monotone bisection on the all-zeros-real predicate,
                            its bracket expanded down to BRACKET_FLOOR at most;
                            lambda_bisect_block runs a block in lockstep, one
-                           eigvals call per round
+                           eigvals call per round, and answers a time far
+                           from the row's Newton collision time t* by
+                           comparison, not by a solve
   double_zero_lower_bound  largest t with Xi_t(0) = 0, a root of a sum of
                            g + 1 powers of e^t: any double zero time is
                            <= Lambda_D; a Rolle chain of derivatives isolates
@@ -57,6 +59,13 @@ _GCD_PRIME = 2**31 - 1
 # lambda_bisect expands its bracket no further down than this; a predicate
 # still true there is kind bracket_exhausted
 BRACKET_FLOOR = -50.0
+
+# a bisection time within max(MARGIN, 2 tol_t) of its row's collision time t*
+# goes to the predicate; a farther one is answered by t > t*
+MARGIN = 1e-9
+
+# Newton steps that _collision_times takes from every start
+NEWTON_STEPS = 12
 
 
 @dataclass(frozen=True)
@@ -223,6 +232,60 @@ def check_tol(tol_t: float) -> None:
         raise ValueError("bisection width must be positive and finite, got %r" % tol_t)
 
 
+@lru_cache(maxsize=16)
+def _moments(g: int):
+    """Columns n^k, k = 0..3, n = 0..g, as complex (shared: read-only)."""
+    n = np.arange(g + 1.0)
+    m = np.stack([n**k for k in range(4)], axis=1).astype(complex)
+    m.flags.writeable = False
+    return m
+
+
+def _collision_times(phi: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """For each row of phi, all-real at time t[i], the largest time t* <= t[i]
+    of a double real zero of Xi that Newton's method finds; NaN where no
+    start converges. Call under np.errstate(all="ignore").
+
+    A double zero (x, t) solves F = Xi_t(x) = sum_n w_n cos(n x) = 0 and
+    F_x = 0, with w_n as in _colleague_roots. Newton's step in (x, t) needs
+    F, F_x, F_t = -F_xx and F_xt: the real and imaginary parts of the sums
+    of n^k w_n e^(i n x), k <= 3. It starts at time t[i] from g + 1 points:
+    x = 0, x = pi, and the midpoint of each gap between the real zeros in
+    (0, pi), from one root solve. Going back in time, the zeros first
+    collide as neighbours, or as a zero and its mirror at 0 or pi, where
+    F_x and F_xt vanish and the step is Newton's on Xi_t(x) = 0 in t alone.
+    A start has converged when its last step in t, after NEWTON_STEPS, is at
+    most 1e-12 and lands at or below t[i]. Every double real zero lies at a
+    time <= Lambda_D, so t* can be too low (a start reached another
+    collision) but not, beyond rounding, too high.
+    """
+    g = phi.shape[1] - 1
+    u, ok, _ = _colleague_roots(phi, t)
+    x = np.sort(np.arccos(np.clip(u.real, -1.0, 1.0)), axis=1)
+    X = np.empty((len(x), g + 1))
+    X[:, 0], X[:, g] = 0.0, math.pi
+    X[:, 1:g] = 0.5 * (x[:, 1:] + x[:, :-1])
+    top = t[ok, None]
+    T = np.repeat(top, g + 1, axis=1)
+    a = phi[ok, None, :] * np.where(np.arange(g + 1) > 0, 2.0, 1.0)
+    n2, m = np.arange(g + 1) ** 2, _moments(g)
+    jn = 1j * m[:, 1]
+    for _ in range(NEWTON_STEPS):
+        w = a * np.exp(T[..., None] * n2 + X[..., None] * jn)
+        s = (w.reshape(-1, g + 1) @ m).reshape(T.shape + (4,))
+        F, Ft = s.real[..., 0], s.real[..., 2]
+        mFx, mFxt = s.imag[..., 1], s.imag[..., 3]  # -F_x and -F_xt
+        det = mFx * mFxt + Ft * Ft
+        X -= (Ft * mFx - mFxt * F) / det
+        step = (Ft * F + mFx * mFx) / det
+        T -= step
+    converged = (np.abs(step) <= 1e-12) & (T <= top)
+    best = np.where(converged, T, -np.inf).max(axis=1)
+    out = np.full(len(t), np.nan)
+    out[ok] = np.where(best > -np.inf, best, np.nan)
+    return out
+
+
 def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
     """lambda_bisect for every row of phi (Phi_0..Phi_g), in lockstep; c[i]
     is row i's c_0..c_2g, read only by the exact repeated-root test.
@@ -238,27 +301,78 @@ def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
     at t = 0 included) and a repeated root of L (has_repeated_root) is kind
     exact, value 0, without a warning; false at t = 0 is a NumericalError;
     the rest is bisect. Returns, per row, its estimate or its exception.
+
+    Skip rule: at a row's first all-real time (the t = 0 check) the loop
+    takes the row's collision time t* (_collision_times) and saves its
+    state. From then on a next time above BRACKET_FLOOR and more than
+    max(MARGIN, 2 tol_t) from t* is answered t > t* without a solve, by the
+    same step rule, until the row's next time needs the predicate or the
+    row is done; so bracket_exhausted only ever comes from the predicate.
+    Each bracket end records whether a comparison set it. A row that would
+    end with such an end falls back: it restores the saved state, sets
+    t* = NaN and goes on unguided. With t* = NaN for every row this is plain
+    bisection, and where the comparisons agree with the predicate the
+    midpoints, brackets and results are the same bit for bit; a t* too low
+    or too high makes the comparisons set an end the predicate never
+    checked, so the row falls back.
     """
     check_tol(tol_t)
+    window = max(MARGIN, 2.0 * tol_t)
     live = np.count_nonzero(phi, axis=1) > 1
     out = [None if v else _MINUS_INFINITY for v in live.tolist()]
     rows, phi = np.nonzero(live)[0], phi[live]
     lo = t = np.zeros(len(rows))  # lo while expanding: the next time to try
     hi = np.full(len(rows), np.nan)  # NaN until the predicate holds
     expanding = np.ones(len(rows), dtype=bool)
+    tstar = np.full(len(rows), np.nan)
+    saved = np.zeros((len(rows), 4))  # t, lo, hi, expanding when t* was taken
+    cmp_lo = np.zeros(len(rows), dtype=bool)  # lo, hi set by a comparison
+    cmp_hi = np.zeros(len(rows), dtype=bool)
     while len(rows):
         real, errors = _real_rows(phi, t)
+        first = real & np.isnan(hi)
         hi = np.where(real, t, hi)
         grown = np.maximum(np.minimum(2.0 * t, -1.0), BRACKET_FLOOR)
         lo = np.where(real, np.where(expanding, grown, lo), t)
         exhausted = expanding & real & (t <= BRACKET_FLOOR)
         expanding &= real
+        cmp_lo &= real
+        cmp_hi &= ~real
         t = np.where(expanding, lo, 0.5 * (lo + hi))
+        if first.any():
+            with np.errstate(all="ignore"):
+                tstar[first] = _collision_times(phi[first], hi[first])
+            saved[first] = np.stack([t, lo, hi, expanding], axis=1)[first]
+        skip = (t > BRACKET_FLOOR) & (np.abs(t - tstar) > window)
+        for j in np.nonzero(skip)[0].tolist():
+            if j in errors:
+                continue
+            t_j, lo_j, hi_j, star = t.item(j), lo.item(j), hi.item(j), tstar.item(j)
+            grow, set_lo, set_hi = expanding.item(j), False, False
+            while grow or (hi_j - lo_j > tol_t and lo_j != t_j != hi_j):
+                if t_j > star:
+                    hi_j, set_hi = t_j, True
+                    if grow:
+                        lo_j = max(min(2.0 * t_j, -1.0), BRACKET_FLOOR)
+                else:
+                    lo_j, set_lo, grow = t_j, True, False
+                t_j = lo_j if grow else 0.5 * (lo_j + hi_j)
+                if not (t_j > BRACKET_FLOOR and abs(t_j - star) > window):
+                    break
+            t[j], lo[j], hi[j], expanding[j] = t_j, lo_j, hi_j, grow
+            cmp_lo[j] |= set_lo
+            cmp_hi[j] |= set_hi
         narrow = ~(hi - lo > tol_t) | (t == lo) | (t == hi)  # or adjacent floats
         done = exhausted | (~expanding & narrow)
         if errors:
             done[list(errors)] = True
-        elif not done.any():
+        back = done & (cmp_lo | cmp_hi)
+        if back.any():
+            t[back], lo[back], hi[back], expanding[back] = saved[back].T
+            tstar[back] = np.nan
+            cmp_lo[back] = cmp_hi[back] = False
+            done &= ~back
+        if not done.any():
             continue
         for j in np.nonzero(done)[0].tolist():
             lo_j, hi_j = float(lo[j]), float(hi[j])
@@ -286,8 +400,9 @@ def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
                     notes="bisection of the all-zeros-real predicate",
                 )
             out[rows[j]] = e
-        rows, phi, lo, hi, t, expanding = (
-            v[~done] for v in (rows, phi, lo, hi, t, expanding)
+        keep = ~done
+        rows, phi, lo, hi, t, expanding, tstar, saved, cmp_lo, cmp_hi = (
+            v[keep] for v in (rows, phi, lo, hi, t, expanding, tstar, saved, cmp_lo, cmp_hi)
         )
     return out
 

@@ -140,6 +140,21 @@ def test_newman_bisect_worked_pair(capsys):
     assert doc["g"] == 2
 
 
+def test_newman_calls_in_one_process_share_no_state(tmp_path, capsys):
+    # main reuses one parser; a later call must not see an earlier one's
+    # --out or --method
+    out = tmp_path / "first.json"
+    pair = ["newman", "--q", "5", "--d", "2,1,0,1,2,1"]
+    code, text, _ = run_cli(pair + ["--out", str(out), "--method", "bisect"], capsys)
+    assert (code, text) == (EXIT_OK, "")
+    assert json.loads(out.read_text())["config"]["method"] == "bisect"
+    code, text, _ = run_cli(pair, capsys)
+    assert code == EXIT_OK
+    doc = json.loads(text)
+    assert doc["config"]["method"] == "all"
+    assert set(doc["estimates"]) == {"exact", "bisect", "double_zero", "stopple"}
+
+
 NEWMAN_BISECT = [
     sys.executable, "-m", "ffnewman", "newman", "--q", "5", "--d", "2,1,0,1,2,1",
     "--method", "bisect",

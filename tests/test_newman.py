@@ -472,14 +472,84 @@ def test_bisect_block_equals_per_row_bit_for_bit(q, degree, monkeypatch):
         monkeypatch.setattr(newman, "_real_rows", counted)
         block = lambda_bisect_block(np.array([L.phi for L in Ls]), [L.c for L in Ls])
         monkeypatch.undo()
-        # the predicate traffic of the lockstep loop: one call per round
-        rows_solved = {(5, 5): 88200, (3, 7): 51624}[q, degree]
-        assert (len(calls), sum(calls)) == (36, rows_solved)
+        # the predicate traffic of the lockstep loop: one call per round, and
+        # the skip rule leaves few predicate rows per row (36 without it)
+        live = sum(count_nonzero_phi(L) > 1 for L in Ls)
+        traffic = {(5, 5): (8, 17434), (3, 7): (36, 11472)}[q, degree]
+        assert (len(calls), sum(calls)) == traffic
+        assert sum(calls) <= 10 * live
         for L, got in zip(Ls, block):
             assert got == lambda_bisect(L), (L.D, got)
     kinds = {e.kind for e in block}
     assert kinds <= {"bisect", "exact", "minus_infinity"}
     assert "bisect" in kinds and "exact" in kinds
+
+
+def guided_run(Ls, monkeypatch, tol_t=1e-10, collision=None):
+    """lambda_bisect_block on the rows of Ls, with _collision_times replaced
+    by collision(phi, t) when given, and the rows (as Phi tuples) whose
+    predicate was asked at t = -1: a guided row answers that expansion step
+    by comparison, so only an unguided row or one that fell back asks it."""
+    asked = set()
+    real_rows = newman._real_rows
+
+    def spy(phi, t):
+        asked.update(tuple(p) for p in phi[t == -1.0].tolist())
+        return real_rows(phi, t)
+
+    with monkeypatch.context() as m:
+        m.setattr(newman, "_real_rows", spy)
+        if collision is not None:
+            m.setattr(newman, "_collision_times", collision)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = lambda_bisect_block(np.array([L.phi for L in Ls]), [L.c for L in Ls], tol_t)
+    return out, asked
+
+
+def unguided(phi, t):
+    return np.full(len(t), np.nan)
+
+
+@pytest.mark.parametrize("q,degree", [(3, 7), (5, 5)])
+def test_guided_bisection_equals_unguided_bit_for_bit(q, degree, monkeypatch):
+    Ls = family(q, degree)
+    guided, _ = guided_run(Ls, monkeypatch)
+    plain, _ = guided_run(Ls, monkeypatch, collision=unguided)
+    assert guided == plain
+
+
+@pytest.mark.parametrize("shift", ["too_low", "below_floor"])
+def test_guided_bisection_falls_back_from_a_wrong_collision_time(shift, monkeypatch):
+    # a t* below Lambda_D makes comparisons set hi where the predicate never
+    # looked; the row restores its state from t = 0 and ends unguided
+    Ls = family(5, 5)
+    collision_times = newman._collision_times
+
+    def wrong(phi, t):
+        if shift == "too_low":
+            return collision_times(phi, t) - 1e-3
+        return np.full(len(t), -1e3)  # below BRACKET_FLOOR
+
+    got, asked = guided_run(Ls, monkeypatch, collision=wrong)
+    plain, _ = guided_run(Ls, monkeypatch, collision=unguided)
+    assert got == plain
+    live = {L.phi for L in Ls if count_nonzero_phi(L) > 1}
+    assert asked == live  # every row fell back (or had no t* at all)
+
+
+def test_guided_bisection_at_a_wide_tol_needs_no_fallback(monkeypatch):
+    Ls = family(3, 7)
+    got, asked = guided_run(Ls, monkeypatch, tol_t=1e-3)
+    plain, _ = guided_run(Ls, monkeypatch, tol_t=1e-3, collision=unguided)
+    assert got == plain
+    live = [L for L in Ls if count_nonzero_phi(L) > 1]
+    with np.errstate(all="ignore"):
+        tstar = newman._collision_times(np.array([L.phi for L in live]), np.zeros(len(live)))
+    # only the rows without a t* ask at t = -1: the odd-harmonic rows, whose
+    # zeros collide three at a time at pi/2, where Newton converges slowly
+    no_tstar = {L.phi for L, v in zip(live, tstar.tolist()) if math.isnan(v)}
+    assert asked == no_tstar and 0 < len(no_tstar) < len(live) / 10
 
 
 def test_bisect_block_isolates_a_bad_row():
