@@ -21,17 +21,18 @@ call a zero real when its |Im x| is at most REAL_TOL.
 The exact integers c_0..c_g come from the explicit formula: chi_D(P) at the
 monic irreducible P of degree d <= g gives the power sums S_k, and Newton's
 identities give the c_n (_newton_coefficients). build_lfunction runs it for
-one D, one stacked Euler's-criterion power (_euler_values) per degree d;
-family_coefficients runs it over a whole index range of D at once, with
-chi_D(P) from per-P square tables. The tests check both against the
-reciprocity ladder quad_character.chi summed over the same P, and against
-the enumeration oracle enumerated_coefficients, c_n as the sum of chi_D over
-every monic f of degree n, with dirichlet_coefficients, its c_0..c_g
-completed by the exact integer functional equation c_(g+n) = q^n c_(g-n).
-The oracle's character values come from _chi_rows, which factors D and
-applies _euler_values at each factor; the ladder shares no code with either,
-so it is the independent check of that kernel. The JSON view of this data is
-the CLI's.
+one D, family_coefficients for a whole index range of D at once; both reduce
+D mod every P through one table of T^i mod P (_residue_tables) and take
+chi_D(P) from one Euler's-criterion kernel (_euler_values), for a range
+through per-P tables it fills once per process (_family_tables). The tests
+check both against the reciprocity ladder quad_character.chi summed over the
+same P, and against the enumeration oracle enumerated_coefficients, c_n as
+the sum of chi_D over every monic f of degree n, with dirichlet_coefficients,
+its c_0..c_g completed by the exact integer functional equation
+c_(g+n) = q^n c_(g-n). The oracle's character values come from _chi_rows,
+which factors D and applies _euler_values at each factor; the ladder shares
+no code with any of them, so it is the independent check of that kernel. The
+JSON view of this data is the CLI's.
 """
 
 from __future__ import annotations
@@ -176,13 +177,13 @@ def _chi_rows(q: int, D: FpPolynomial, top: int) -> tuple:
     """chi_D(f) for every monic f of degree 0..top: one int64 array per
     degree n, indexed like monic_by_index(q, n, k). The enumeration oracle.
 
-    Its arithmetic shares nothing with the reciprocity ladder, only
-    _powers_mod and _digits with _family_tables, and _powers_mod and
-    _euler_values with build_lfunction: D is factored once by trial
-    division, and at each monic irreducible factor P of degree d, f mod P
-    comes from one matmul against T^i mod P and the character of f mod P
-    from Euler's criterion (_euler_values, with its one P broadcast),
-    evaluated on the distinct residues only. chi_D(f) is the product over P.
+    Its arithmetic shares nothing with the reciprocity ladder, and with the
+    explicit formula only _powers_mod, _digits and _euler_values, not their
+    cached tables: D is factored once by trial division, and at each monic
+    irreducible factor P of degree d, f mod P comes from one matmul against
+    T^i mod P and the character of f mod P from Euler's criterion
+    (_euler_values, with its one P broadcast), evaluated on the distinct
+    residues only. chi_D(f) is the product over P.
     """
     if D.p != q:
         raise ValueError("D is over F_%d, not F_%d" % (D.p, q))
@@ -207,10 +208,12 @@ def _euler_values(q: int, low: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Euler's criterion r^((q^d - 1)/2) mod P_j, read off as 0 or +-1, for
     a stack of residues, each modulo its own monic irreducible P_j of degree
     d: the one Euler's-criterion kernel, by repeated squaring in int64 over
-    the whole stack at once. Column j of r (shape (d, m)) holds the ascending
-    coefficients of the j-th residue; low[k, :, j] holds T^k mod P_j for
-    k <= 2d - 2, shape (2d - 1, d, m), or (2d - 1, d, 1) for one P shared by
-    every column. Each product polynomial is reduced mod q before low sums
+    the whole stack at once. build_lfunction stacks the m irreducibles of
+    one degree; _family_tables and _chi_rows pass one P and a stack of
+    residues. Column j of r (shape (d, m)) holds the ascending coefficients
+    of the j-th residue; low[k, :, j] holds T^k mod P_j for k <= 2d - 2,
+    shape (2d - 1, d, m), or (2d - 1, d, 1) for one P shared by every
+    column. Each product polynomial is reduced mod q before low sums
     it, so the largest intermediate is (2d - 1)(q - 1)^2."""
     d = r.shape[0]
 
@@ -238,41 +241,38 @@ def _euler_values(q: int, low: np.ndarray, r: np.ndarray) -> np.ndarray:
     return plus.astype(np.int64) - minus
 
 
+@lru_cache(maxsize=32)
+def _residue_tables(q: int, degree: int) -> tuple:
+    """Per irreducible degree d = 1..g of a degree-`degree` D: T^i mod P for
+    i <= degree and every monic irreducible P of degree d, shape
+    (degree + 1, d, m), entry [i, :, j] for the j-th P in enumeration order.
+    Its first 2d - 1 rows are _euler_values' reduction table, since
+    2d - 2 < degree. Read-only."""
+    out = []
+    for d in range(1, (degree - 1) // 2 + 1):
+        P = np.array(monic_irreducibles(q, d), dtype=np.int64)
+        R = np.ascontiguousarray(_powers_mod(P, degree + 1, q).transpose(0, 2, 1))
+        R.flags.writeable = False
+        out.append(R)
+    return tuple(out)
+
+
 @lru_cache(maxsize=16)
 def _family_tables(q: int, degree: int) -> tuple:
-    """Per irreducible degree d = 1..g: (d, R1, R2, chi), where R1 and R2
-    map the coefficient vector of a degree-`degree` D to D mod P and
-    D mod P^2 for every monic irreducible P of degree d, stacked P-major,
-    and chi[j, r] is chi_D(P_j) for D mod P_j = r, the residue indexed by
-    sum r_i q^i: the quadratic character of r in F_q[T]/(P_j) times the
-    reciprocity sign (-1)^(((q-1)/2) d)."""
-    g = (degree - 1) // 2
+    """Per irreducible degree d = 1..g: chi of shape (m, q^d), where
+    chi[j, r] is chi_D(P_j) for D mod P_j = r, the residue indexed by
+    sum r_i q^i, over the monic irreducible P_j of degree d in the order of
+    _residue_tables: Euler's criterion (_euler_values) on every residue, one
+    P at a time, times the reciprocity sign (-1)^(((q-1)/2) d)."""
     out = []
-    for d in range(1, g + 1):
-        P = np.array(monic_irreducibles(q, d), dtype=np.int64)
-        m = len(P)
-        P2 = np.zeros((m, 2 * d + 1), dtype=np.int64)
-        for i in range(d + 1):
-            P2[:, i : i + d + 1] += P[:, i : i + 1] * P
-        P2 %= q
-        R1 = _powers_mod(P, degree + 1, q).reshape(degree + 1, m * d)
-        R2 = _powers_mod(P2, degree + 1, q).reshape(degree + 1, m * 2 * d)
-        # r^2 mod P for every residue r: square the digit vectors, then reduce
-        # through T^k mod P for k <= 2d - 2
-        r = _digits(q, d, np.arange(q**d, dtype=np.int64))
-        sq = np.zeros((q**d, 2 * d - 1), dtype=np.int64)
-        for i in range(d):
-            sq[:, i : i + d] += r[:, i : i + 1] * r
-        low = _powers_mod(P, 2 * d - 1, q)
-        place = q ** np.arange(d, dtype=np.int64)
+    for d, R in enumerate(_residue_tables(q, degree), 1):
+        r = np.ascontiguousarray(_digits(q, d, np.arange(q**d, dtype=np.int64)).T)
         sign = -1 if ((q - 1) // 2 * d) % 2 else 1
-        chi = np.full((m, q**d), -sign, dtype=np.int8)
-        for j in range(m):
-            chi[j, ((sq @ low[:, j, :]) % q)[1:] @ place] = sign
-        chi[:, 0] = 0
-        for a in (R1, R2, chi):
-            a.flags.writeable = False
-        out.append((d, R1, R2, chi))
+        chi = np.empty((R.shape[2], q**d), dtype=np.int8)
+        for j in range(R.shape[2]):
+            chi[j] = sign * _euler_values(q, R[: 2 * d - 1, :, j : j + 1], r)
+        chi.flags.writeable = False
+        out.append(chi)
     return tuple(out)
 
 
@@ -283,11 +283,13 @@ def family_coefficients(q: int, degree: int, start: int, stop: int):
     The explicit formula, i.e. the log-derivative route of Kedlaya-Sutherland
     (ANTS VIII, 2008), over the whole range at once in integer numpy: for
     every monic irreducible P of degree d <= g, D mod P comes from one matmul
-    and chi_D(P) from a per-P table (_family_tables). Then
+    against the residue table (_residue_tables) and chi_D(P) from a per-P
+    table (_family_tables). Then
     S_k = sum over d | k of sum over deg P = d of d chi_D(P)^(k/d), and
     Newton's identities n c_n = sum_{k=1..n} S_k c_(n-k) give c_1..c_g
     exactly (_newton_coefficients). D is squarefree iff no such P^2 divides
-    it, read off D mod P^2 in the same pass.
+    it; P is separable, so P^2 | D exactly when P divides both D and D',
+    and D' mod P rides in the same matmul, stacked under D.
 
     Returns (c, squarefree): int64 of shape (stop - start, g + 1) and bool of
     shape (stop - start,). For squarefree D a row equals
@@ -301,28 +303,30 @@ def family_coefficients(q: int, degree: int, start: int, stop: int):
     if not 0 <= start <= stop <= q**degree:
         raise ValueError("index range [%d, %d) out of range" % (start, stop))
     g = (degree - 1) // 2
-    tables = _family_tables(q, degree)
+    tables = list(zip(_residue_tables(q, degree), _family_tables(q, degree)))
     c = np.zeros((stop - start, g + 1), dtype=np.int64)
     squarefree = np.ones(stop - start, dtype=bool)
     for lo in range(start, stop, FAMILY_CHUNK):
         hi = min(lo + FAMILY_CHUNK, stop)
-        ks = np.arange(lo, hi, dtype=np.int64)
-        # coefficient vectors c_0..c_degree: c_0 is the most significant digit
-        C = np.ones((hi - lo, degree + 1), dtype=np.int64)
-        C[:, :degree] = _digits(q, degree, ks)[:, ::-1]
+        size = hi - lo
+        # rows 0..size-1: coefficient vectors c_0..c_degree of D, c_0 the most
+        # significant digit of the index; the rest: those of D' mod q
+        C = np.zeros((2 * size, degree + 1), dtype=np.int64)
+        C[:size, :degree] = _digits(q, degree, np.arange(lo, hi, dtype=np.int64))[:, ::-1]
+        C[:size, degree] = 1
+        C[size:, :degree] = C[:size, 1:] * np.arange(1, degree + 1) % q
         # A[d], B[d]: sums of chi_D(P) and of chi_D(P)^2 over deg P = d
         A = [None] * (g + 1)
         B = [None] * (g + 1)
         sf = squarefree[lo - start : hi - start]
-        for d, R1, R2, chi in tables:
+        for d, (R, chi) in enumerate(tables, 1):
             m = chi.shape[0]
-            res = ((C @ R1) % q).reshape(hi - lo, m, d)
-            idx = res @ (q ** np.arange(d, dtype=np.int64))
-            vals = chi.ravel()[idx + q**d * np.arange(m, dtype=np.int64)]
+            res = (C @ R.reshape(degree + 1, d * m) % q).reshape(2 * size, d, m)
+            idx = q ** np.arange(d, dtype=np.int64) @ res
+            vals = chi.ravel()[idx[:size] + q**d * np.arange(m, dtype=np.int64)]
             A[d] = vals.sum(axis=1, dtype=np.int64)
             B[d] = np.count_nonzero(vals, axis=1)
-            res2 = ((C @ R2) % q).reshape(hi - lo, m, 2 * d)
-            sf &= res2.any(axis=2).all(axis=1)
+            sf &= (idx[:size] | idx[size:]).all(axis=1)  # no P divides D and D'
         for n, cn in enumerate(_newton_coefficients(A, B)):
             c[lo - start : hi - start, n] = cn
     return c, squarefree
@@ -367,22 +371,6 @@ def fourier_coefficients(q: int, g: int, c: tuple):
     phi_exact pairs (c_(g-n), n) carry the exact value; phi is phi_rows'."""
     phi = tuple(phi_rows(q, [c[: g + 1]])[0].tolist())
     return phi, tuple((c[g - n], n) for n in range(g + 1))
-
-
-@lru_cache(maxsize=32)
-def _residue_tables(q: int, degree: int) -> tuple:
-    """Per irreducible degree d = 1..g of a degree-`degree` D: T^i mod P for
-    i <= degree and every monic irreducible P of degree d, shape
-    (degree + 1, d, m), entry [i, :, j] for the j-th P in enumeration order.
-    Its first 2d - 1 rows are _euler_values' reduction table, since
-    2d - 2 < degree. Read-only."""
-    out = []
-    for d in range(1, (degree - 1) // 2 + 1):
-        P = np.array(monic_irreducibles(q, d), dtype=np.int64)
-        R = np.ascontiguousarray(_powers_mod(P, degree + 1, q).transpose(0, 2, 1))
-        R.flags.writeable = False
-        out.append(R)
-    return tuple(out)
 
 
 def build_lfunction(q: int, D: FpPolynomial) -> LFunctionData:

@@ -1,7 +1,9 @@
 """The explicit-formula coefficients of build_lfunction (one D, a stacked
 Euler power per degree) and of family_coefficients (a whole index range of D,
-per-P square tables), cross-checked against the reciprocity ladder
-quad_character.chi summed over the same monic irreducibles."""
+per-P tables that the same Euler kernel fills, and squarefreeness from
+D mod P and D' mod P), cross-checked against the reciprocity ladder
+quad_character.chi summed over the same monic irreducibles, and the per-P
+tables against the ladder residue by residue."""
 
 import random
 
@@ -9,9 +11,16 @@ import numpy as np
 import pytest
 
 from ffnewman import lfunction, quad_character
-from ffnewman.fp_poly import FpPolynomial, is_squarefree, monic_by_index, monic_irreducibles
+from ffnewman.fp_poly import (
+    FpPolynomial,
+    is_squarefree,
+    monic_by_index,
+    monic_index,
+    monic_irreducibles,
+)
 from ffnewman.lfunction import (
     FAMILY_CHUNK,
+    _family_tables,
     _newton_coefficients,
     build_lfunction,
     dirichlet_coefficients,
@@ -94,11 +103,46 @@ def test_build_lfunction_runs_no_ladder(monkeypatch):
         assert build_lfunction(q, D).c[: len(c)] == c, (q, D)
 
 
+# D with D' = 0, where the mask rests on D mod P alone since every P
+# divides D': the 27 cubes T^9 + aT^6 + bT^3 + c over F_3, none squarefree
+DERIVATIVE_ZERO = {
+    (3, 9): [
+        FpPolynomial((c, 0, 0, b, 0, 0, a, 0, 0, 1), 3)
+        for a in range(3)
+        for b in range(3)
+        for c in range(3)
+    ],
+}
+
+
 @pytest.mark.parametrize("q,degree,stride", FAMILIES)
 def test_squarefree_mask_matches(q, degree, stride):
     _, squarefree = family_coefficients(q, degree, 0, q**degree)
     expect = [is_squarefree(monic_by_index(q, degree, k)) for k in range(q**degree)]
     assert squarefree.tolist() == expect
+    for D in DERIVATIVE_ZERO.get((q, degree), []):
+        assert D.derivative().is_zero
+        k = monic_index(D)
+        assert not squarefree[k], D
+        assert family_coefficients(q, degree, k, k + 1)[1].tolist() == [False], D
+
+
+@pytest.mark.parametrize("q,degree", [(3, 9), (5, 5), (7, 5), (13, 5)])
+def test_family_tables_match_ladder_pointwise(q, degree):
+    # table d - 1, row j, column r holds chi_D(P_j) for D mod P_j = r: the
+    # ladder's character of r modulo P_j times the reciprocity sign
+    # (-1)^(((q-1)/2) d), at every residue r = sum r_i q^i
+    tables = _family_tables(q, degree)
+    assert len(tables) == (degree - 1) // 2
+    for d, table in enumerate(tables, 1):
+        sign = (-1) ** ((q - 1) // 2 * d)
+        irreducibles = monic_irreducibles(q, d)
+        assert table.shape == (len(irreducibles), q**d)
+        for j, P in enumerate(irreducibles):
+            P = FpPolynomial(P, q)
+            for r in range(q**d):
+                f = FpPolynomial(tuple(r // q**i % q for i in range(d)), q)
+                assert table[j, r] == sign * chi(P, f), (d, P, r)
 
 
 def test_rows_do_not_depend_on_the_split():
