@@ -36,6 +36,7 @@ from .fp_poly import _monic_tuple_by_index, reduce_int_poly
 from .lfunction import (
     FAMILY_CHUNK,
     NumericalError,
+    _family_tables,
     complete_coefficients,
     family_coefficients,
     good_pair_check,
@@ -282,8 +283,10 @@ def sweep_fixed_q(
     its memory does not grow with the family.
     """
     start = check_sweep(q, max_genus, method, start, workers)
-    # memo entries hold only for this q and method; forked workers copy it
+    # forked workers copy the memo (for this q and method only) and the tables
     _memo.clear()
+    for degree in range(start[0], 2 * max_genus + 2, 2):
+        _family_tables(q, degree)
     tasks = _chunk_tasks(q, max_genus, method, start)
     processed = 0
     skipped = 0

@@ -301,7 +301,7 @@ def monic_index(P: FpPolynomial) -> int:
 
 def enumerate_monic(p: int, n: int):
     """Yield the p**n monic polynomials of degree exactly n, lexicographically
-    by ascending coefficient vector. Workers seek with monic_by_index."""
+    by ascending coefficient vector; monic_by_index(p, n, k) is the k-th."""
     check_odd_prime(p)
     if n < 0:
         raise ValueError("degree must be >= 0")

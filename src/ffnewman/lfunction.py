@@ -24,15 +24,15 @@ identities give the c_n (_newton_coefficients). build_lfunction runs it for
 one D, family_coefficients for a whole index range of D at once; both reduce
 D mod every P through one table of T^i mod P (_residue_tables) and take
 chi_D(P) from one Euler's-criterion kernel (_euler_values), for a range
-through per-P tables it fills once per process (_family_tables). The tests
-check both against the reciprocity ladder quad_character.chi summed over the
-same P, and against the enumeration oracle enumerated_coefficients, c_n as
-the sum of chi_D over every monic f of degree n, with dirichlet_coefficients,
-its c_0..c_g completed by the exact integer functional equation
-c_(g+n) = q^n c_(g-n). The oracle's character values come from _chi_rows,
-which factors D and applies _euler_values at each factor; the ladder shares
-no code with any of them, so it is the independent check of that kernel. The
-JSON view of this data is the CLI's.
+through per-P tables (_family_tables), which a fixed-q sweep fills before it
+forks. The tests check both against the reciprocity ladder quad_character.chi
+summed over the same P, and against the enumeration oracle
+enumerated_coefficients, c_n as the sum of chi_D over every monic f of degree
+n, with dirichlet_coefficients, its c_0..c_g completed by the exact integer
+functional equation c_(g+n) = q^n c_(g-n). The oracle's character values come
+from _chi_rows, which factors D and applies _euler_values at each factor; the
+ladder shares no code with any of them, so it is the independent check of
+that kernel. The JSON view of this data is the CLI's.
 """
 
 from __future__ import annotations

@@ -184,13 +184,14 @@ def _real_rows(phi: np.ndarray, t: np.ndarray):
     of its P_t from the stacked colleague solve (_colleague_roots) has
     |Im arccos(u)| <= REAL_TOL. A row the solver certifies to have a root off
     [-1, 1] without solving it (its leading weight underflows too far) is
-    not all-real. Returns (real, errors): a bool array and the solver's dict
-    from row to the NumericalError message of a row it cannot decide.
+    not all-real. Returns (real, u, errors): a bool array, the roots of the
+    all-real rows, and the solver's dict from row to the NumericalError
+    message of a row it cannot decide.
     """
     u, ok, errors = _colleague_roots(phi, t)
     real = np.zeros(len(t), dtype=bool)
     real[ok] = (np.abs(np.arccos(u).imag) <= REAL_TOL).all(axis=1)
-    return real, errors
+    return real, u[real[ok]], errors
 
 
 def all_zeros_real(L: LFunctionData, t: float) -> bool:
@@ -206,7 +207,7 @@ def all_zeros_real(L: LFunctionData, t: float) -> bool:
         # Pure cosine (or constant): zeros stay pinned on the real axis for
         # every t, including t so negative that e^{t n^2} underflows.
         return True
-    real, errors = _real_rows(np.array([L.phi]), np.array([float(t)]))
+    real, _, errors = _real_rows(np.array([L.phi]), np.array([float(t)]))
     if errors:
         raise NumericalError(errors[0])
     return bool(real[0])
@@ -241,33 +242,32 @@ def _moments(g: int):
     return m
 
 
-def _collision_times(phi: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """For each row of phi, all-real at time t[i], the largest time t* <= t[i]
-    of a double real zero of Xi that Newton's method finds; NaN where no
-    start converges. Call under np.errstate(all="ignore").
+def _collision_times(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each row of phi, all-real at t = 0 with roots u[i] there (from
+    _real_rows), the largest time t* <= 0 of a double real zero of Xi that
+    Newton's method finds; NaN where no start converges. Call under
+    np.errstate(all="ignore").
 
     A double zero (x, t) solves F = Xi_t(x) = sum_n w_n cos(n x) = 0 and
     F_x = 0, with w_n as in _colleague_roots. Newton's step in (x, t) needs
     F, F_x, F_t = -F_xx and F_xt: the real and imaginary parts of the sums
-    of n^k w_n e^(i n x), k <= 3. It starts at time t[i] from g + 1 points:
-    x = 0, x = pi, and the midpoint of each gap between the real zeros in
-    (0, pi), from one root solve. Going back in time, the zeros first
-    collide as neighbours, or as a zero and its mirror at 0 or pi, where
-    F_x and F_xt vanish and the step is Newton's on Xi_t(x) = 0 in t alone.
-    A start has converged when its last step in t, after NEWTON_STEPS, is at
-    most 1e-12 and lands at or below t[i]. Every double real zero lies at a
-    time <= Lambda_D, so t* can be too low (a start reached another
-    collision) but not, beyond rounding, too high.
+    of n^k w_n e^(i n x), k <= 3. It starts at t = 0 from g + 1 points:
+    x = 0, x = pi, and the midpoint of each gap between the real zeros
+    arccos(u) in (0, pi). Going back in time, the zeros first collide as
+    neighbours, or as a zero and its mirror at 0 or pi, where F_x and F_xt
+    vanish and the step is Newton's on Xi_t(x) = 0 in t alone. A start has
+    converged when its last step in t, after NEWTON_STEPS, is at most 1e-12
+    and lands at or below 0. Every double real zero lies at a time
+    <= Lambda_D, so t* can be too low (a start reached another collision)
+    but not, beyond rounding, too high.
     """
     g = phi.shape[1] - 1
-    u, ok, _ = _colleague_roots(phi, t)
     x = np.sort(np.arccos(np.clip(u.real, -1.0, 1.0)), axis=1)
     X = np.empty((len(x), g + 1))
     X[:, 0], X[:, g] = 0.0, math.pi
     X[:, 1:g] = 0.5 * (x[:, 1:] + x[:, :-1])
-    top = t[ok, None]
-    T = np.repeat(top, g + 1, axis=1)
-    a = phi[ok, None, :] * np.where(np.arange(g + 1) > 0, 2.0, 1.0)
+    T = np.zeros((len(x), g + 1))
+    a = phi[:, None, :] * np.where(np.arange(g + 1) > 0, 2.0, 1.0)
     n2, m = np.arange(g + 1) ** 2, _moments(g)
     jn = 1j * m[:, 1]
     for _ in range(NEWTON_STEPS):
@@ -279,11 +279,9 @@ def _collision_times(phi: np.ndarray, t: np.ndarray) -> np.ndarray:
         X -= (Ft * mFx - mFxt * F) / det
         step = (Ft * F + mFx * mFx) / det
         T -= step
-    converged = (np.abs(step) <= 1e-12) & (T <= top)
+    converged = (np.abs(step) <= 1e-12) & (T <= 0.0)
     best = np.where(converged, T, -np.inf).max(axis=1)
-    out = np.full(len(t), np.nan)
-    out[ok] = np.where(best > -np.inf, best, np.nan)
-    return out
+    return np.where(best > -np.inf, best, np.nan)
 
 
 def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
@@ -302,19 +300,19 @@ def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
     exact, value 0, without a warning; false at t = 0 is a NumericalError;
     the rest is bisect. Returns, per row, its estimate or its exception.
 
-    Skip rule: at a row's first all-real time (the t = 0 check) the loop
-    takes the row's collision time t* (_collision_times) and saves its
-    state. From then on a next time above BRACKET_FLOOR and more than
-    max(MARGIN, 2 tol_t) from t* is answered t > t* without a solve, by the
-    same step rule, until the row's next time needs the predicate or the
+    Skip rule: a row all-real at t = 0 takes its collision time t* from
+    _collision_times, seeded with that round's roots, so each row is solved
+    at t = 0 once. From then on a next time above BRACKET_FLOOR and more
+    than max(MARGIN, 2 tol_t) from t* is answered t > t* without a solve, by
+    the same step rule, until the row's next time needs the predicate or the
     row is done; so bracket_exhausted only ever comes from the predicate.
     Each bracket end records whether a comparison set it. A row that would
-    end with such an end falls back: it restores the saved state, sets
-    t* = NaN and goes on unguided. With t* = NaN for every row this is plain
-    bisection, and where the comparisons agree with the predicate the
-    midpoints, brackets and results are the same bit for bit; a t* too low
-    or too high makes the comparisons set an end the predicate never
-    checked, so the row falls back.
+    end with such an end falls back to the state the t = 0 check left (next
+    time -1, bracket (-1, 0)), sets t* = NaN and goes on unguided. With
+    t* = NaN for every row this is plain bisection, and where the
+    comparisons agree with the predicate the midpoints, brackets and results
+    are the same bit for bit; a t* too low or too high makes the comparisons
+    set an end the predicate never checked, so the row falls back.
     """
     check_tol(tol_t)
     window = max(MARGIN, 2.0 * tol_t)
@@ -325,11 +323,10 @@ def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
     hi = np.full(len(rows), np.nan)  # NaN until the predicate holds
     expanding = np.ones(len(rows), dtype=bool)
     tstar = np.full(len(rows), np.nan)
-    saved = np.zeros((len(rows), 4))  # t, lo, hi, expanding when t* was taken
     cmp_lo = np.zeros(len(rows), dtype=bool)  # lo, hi set by a comparison
     cmp_hi = np.zeros(len(rows), dtype=bool)
     while len(rows):
-        real, errors = _real_rows(phi, t)
+        real, u, errors = _real_rows(phi, t)
         first = real & np.isnan(hi)
         hi = np.where(real, t, hi)
         grown = np.maximum(np.minimum(2.0 * t, -1.0), BRACKET_FLOOR)
@@ -341,8 +338,7 @@ def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
         t = np.where(expanding, lo, 0.5 * (lo + hi))
         if first.any():
             with np.errstate(all="ignore"):
-                tstar[first] = _collision_times(phi[first], hi[first])
-            saved[first] = np.stack([t, lo, hi, expanding], axis=1)[first]
+                tstar[first] = _collision_times(phi[first], u[first[real]])
         skip = (t > BRACKET_FLOOR) & (np.abs(t - tstar) > window)
         for j in np.nonzero(skip)[0].tolist():
             if j in errors:
@@ -368,7 +364,7 @@ def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
             done[list(errors)] = True
         back = done & (cmp_lo | cmp_hi)
         if back.any():
-            t[back], lo[back], hi[back], expanding[back] = saved[back].T
+            t[back], lo[back], hi[back], expanding[back] = -1.0, -1.0, 0.0, True
             tstar[back] = np.nan
             cmp_lo[back] = cmp_hi[back] = False
             done &= ~back
@@ -401,8 +397,8 @@ def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
                 )
             out[rows[j]] = e
         keep = ~done
-        rows, phi, lo, hi, t, expanding, tstar, saved, cmp_lo, cmp_hi = (
-            v[keep] for v in (rows, phi, lo, hi, t, expanding, tstar, saved, cmp_lo, cmp_hi)
+        rows, phi, lo, hi, t, expanding, tstar, cmp_lo, cmp_hi = (
+            v[keep] for v in (rows, phi, lo, hi, t, expanding, tstar, cmp_lo, cmp_hi)
         )
     return out
 

@@ -24,6 +24,7 @@ from ffnewman.fp_poly import FpPolynomial, reduce_int_poly
 from ffnewman.lfunction import (
     FAMILY_CHUNK,
     LFunctionData,
+    _family_tables,
     build_lfunction,
     complete_coefficients,
     family_coefficients,
@@ -271,6 +272,17 @@ def test_sweep_workers_deterministic():
             assert a.estimate.kind == b.estimate.kind
             assert a.estimate.value == b.estimate.value
     same_counts_and_bests(one, two)
+
+
+def test_sweep_builds_chi_tables_before_forking():
+    # forked workers share the parent's tables instead of each building them
+    _family_tables.cache_clear()
+    sweep_fixed_q(3, 2, workers=2)
+    info = _family_tables.cache_info()
+    assert info.currsize == 2
+    _family_tables(3, 3)
+    _family_tables(3, 5)
+    assert _family_tables.cache_info().hits == info.hits + 2
 
 
 def test_sweep_resume_matches_suffix():

@@ -19,6 +19,7 @@ from ffnewman.fp_poly import (
 from ffnewman.lfunction import (
     NumericalError,
     ZeroSet,
+    _colleague_roots,
     build_lfunction,
     complete_coefficients,
     family_coefficients,
@@ -485,16 +486,38 @@ def test_bisect_block_equals_per_row_bit_for_bit(q, degree, monkeypatch):
     assert "bisect" in kinds and "exact" in kinds
 
 
+def test_bisect_block_solves_each_row_at_t0_once(monkeypatch):
+    # Newton's starts come from the roots of the first round's predicate
+    # call, so no row is solved at t = 0 a second time
+    Ls = list({L.c: L for L in family(5, 5)}.values())
+    solved = []
+    colleague_roots = newman._colleague_roots
+
+    def spy(phi, t):
+        solved.append(np.count_nonzero(t == 0.0))
+        return colleague_roots(phi, t)
+
+    monkeypatch.setattr(newman, "_colleague_roots", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lambda_bisect_block(np.array([L.phi for L in Ls]), [L.c for L in Ls])
+    live = sum(count_nonzero_phi(L) > 1 for L in Ls)
+    assert sum(solved) == live == 80
+
+
 def guided_run(Ls, monkeypatch, tol_t=1e-10, collision=None):
     """lambda_bisect_block on the rows of Ls, with _collision_times replaced
-    by collision(phi, t) when given, and the rows (as Phi tuples) whose
-    predicate was asked at t = -1: a guided row answers that expansion step
-    by comparison, so only an unguided row or one that fell back asks it."""
+    by collision(phi, u) when given, the rows (as Phi tuples) whose
+    predicate was asked at t = -1, and the number of predicate rows: a
+    guided row answers that expansion step by comparison, so only an
+    unguided row or one that fell back asks it."""
     asked = set()
+    traffic = []
     real_rows = newman._real_rows
 
     def spy(phi, t):
         asked.update(tuple(p) for p in phi[t == -1.0].tolist())
+        traffic.append(len(t))
         return real_rows(phi, t)
 
     with monkeypatch.context() as m:
@@ -504,48 +527,62 @@ def guided_run(Ls, monkeypatch, tol_t=1e-10, collision=None):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             out = lambda_bisect_block(np.array([L.phi for L in Ls]), [L.c for L in Ls], tol_t)
-    return out, asked
+    return out, asked, sum(traffic)
 
 
-def unguided(phi, t):
-    return np.full(len(t), np.nan)
+def unguided(phi, u):
+    return np.full(len(phi), np.nan)
 
 
 @pytest.mark.parametrize("q,degree", [(3, 7), (5, 5)])
 def test_guided_bisection_equals_unguided_bit_for_bit(q, degree, monkeypatch):
     Ls = family(q, degree)
-    guided, _ = guided_run(Ls, monkeypatch)
-    plain, _ = guided_run(Ls, monkeypatch, collision=unguided)
+    guided, _, _ = guided_run(Ls, monkeypatch)
+    plain, _, _ = guided_run(Ls, monkeypatch, collision=unguided)
     assert guided == plain
 
 
-@pytest.mark.parametrize("shift", ["too_low", "below_floor"])
+@pytest.mark.parametrize("shift", ["too_low", "below_floor", None])
 def test_guided_bisection_falls_back_from_a_wrong_collision_time(shift, monkeypatch):
     # a t* below Lambda_D makes comparisons set hi where the predicate never
-    # looked; the row restores its state from t = 0 and ends unguided
-    Ls = family(5, 5)
+    # looked; the row returns to the bracket (-1, 0) the t = 0 check left and
+    # ends unguided. With no override, two (3, 9) D (indices 2284 and 2375)
+    # fall back by themselves: L has a repeated root, so Lambda_D = 0, but
+    # Newton's starts reach an earlier collision, t* = -0.143
     collision_times = newman._collision_times
 
-    def wrong(phi, t):
+    def wrong(phi, u):
         if shift == "too_low":
-            return collision_times(phi, t) - 1e-3
-        return np.full(len(t), -1e3)  # below BRACKET_FLOOR
+            return collision_times(phi, u) - 1e-3
+        return np.full(len(phi), -1e3)  # below BRACKET_FLOOR
 
-    got, asked = guided_run(Ls, monkeypatch, collision=wrong)
-    plain, _ = guided_run(Ls, monkeypatch, collision=unguided)
+    if shift is None:
+        Ls = [
+            build_lfunction(3, P(d, 3))
+            for d in ((0, 1, 0, 0, 1, 0, 1, 2, 1, 1), (0, 1, 0, 0, 2, 0, 2, 2, 2, 1))
+        ]
+    else:
+        Ls = family(5, 5)
+    got, asked, traffic = guided_run(Ls, monkeypatch, collision=wrong if shift else None)
+    plain, _, _ = guided_run(Ls, monkeypatch, collision=unguided)
     assert got == plain
     live = {L.phi for L in Ls if count_nonzero_phi(L) > 1}
     assert asked == live  # every row fell back (or had no t* at all)
+    if shift is None:
+        assert [(e.kind, e.value) for e in got] == [("exact", 0.0)] * 2
+        assert traffic == 2 * 41
 
 
 def test_guided_bisection_at_a_wide_tol_needs_no_fallback(monkeypatch):
     Ls = family(3, 7)
-    got, asked = guided_run(Ls, monkeypatch, tol_t=1e-3)
-    plain, _ = guided_run(Ls, monkeypatch, tol_t=1e-3, collision=unguided)
+    got, asked, _ = guided_run(Ls, monkeypatch, tol_t=1e-3)
+    plain, _, _ = guided_run(Ls, monkeypatch, tol_t=1e-3, collision=unguided)
     assert got == plain
     live = [L for L in Ls if count_nonzero_phi(L) > 1]
+    phi = np.array([L.phi for L in live])
+    u, _, _ = _colleague_roots(phi, np.zeros(len(live)))
     with np.errstate(all="ignore"):
-        tstar = newman._collision_times(np.array([L.phi for L in live]), np.zeros(len(live)))
+        tstar = newman._collision_times(phi, u)
     # only the rows without a t* ask at t = -1: the odd-harmonic rows, whose
     # zeros collide three at a time at pi/2, where Newton converges slowly
     no_tstar = {L.phi for L, v in zip(live, tstar.tolist()) if math.isnan(v)}
