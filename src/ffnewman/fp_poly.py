@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .finite_field import check_odd_prime
 
 # degree() of the zero polynomial; any comparison against a real degree is safe
@@ -346,18 +348,28 @@ def _tuple_to_index(f: tuple, p: int) -> int:
     return k
 
 
-@lru_cache(maxsize=None)
+def _monic_array(p: int, n: int) -> np.ndarray:
+    """Every monic f of degree n as a row c_0..c_n, in monic_by_index order."""
+    digits = np.indices((p,) * n, dtype=np.int64).reshape(n, p**n).T  # c_0 first
+    return np.column_stack([digits, np.ones(p**n, dtype=np.int64)])
+
+
+@lru_cache(maxsize=64)
 def monic_irreducibles(p: int, n: int) -> tuple:
     """The monic irreducible polynomials of degree n >= 1 over F_p as
-    coefficient tuples, in enumeration order: every monic f of degree n that
-    no product of a monic irreducible of degree e <= n/2 with a monic cofactor
-    of degree n - e hits. About p^n/n of them; cached per (p, n)."""
-    composite = bytearray(p**n)
+    coefficient tuples, in enumeration order: every monic f of degree n not
+    hit by a block of about p^e/(n + 1) monic irreducibles of degree
+    e <= n/2 times every monic cofactor of degree n - e (about p^n
+    coefficients at once). About p^n/n of them; the last 64 (p, n) cached."""
+    weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)  # index of c_0..c_(n-1)
+    composite = np.zeros(p**n, dtype=bool)
     for e in range(1, n // 2 + 1):
-        cofactors = [_monic_tuple_by_index(p, n - e, j) for j in range(p ** (n - e))]
-        for P in monic_irreducibles(p, e):
-            for f in cofactors:
-                composite[_tuple_to_index(_mul(P, f, p), p)] = 1
-    return tuple(
-        _monic_tuple_by_index(p, n, k) for k in range(p**n) if not composite[k]
-    )
+        cofactors = _monic_array(p, n - e)
+        irreducibles = np.array(monic_irreducibles(p, e), dtype=np.int64)
+        step = max(1, p**e // (n + 1))
+        for P in np.split(irreducibles, range(step, len(irreducibles), step)):
+            prod = np.zeros((len(P), len(cofactors), n + 1), dtype=np.int64)
+            for i in range(e + 1):
+                prod[:, :, i : i + n - e + 1] += P[:, i, None, None] * cofactors
+            composite[(prod[:, :, :n] % p) @ weights] = True
+    return tuple(map(tuple, _monic_array(p, n)[~composite].tolist()))

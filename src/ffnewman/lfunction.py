@@ -23,16 +23,17 @@ monic irreducible P of degree d <= g gives the power sums S_k, and Newton's
 identities give the c_n (_newton_coefficients). build_lfunction runs it for
 one D, family_coefficients for a whole index range of D at once; both reduce
 D mod every P through one table of T^i mod P (_residue_tables) and take
-chi_D(P) from one Euler's-criterion kernel (_euler_values), for a range
-through per-P tables (_family_tables), which a fixed-q sweep fills before it
-forks. The tests check both against the reciprocity ladder quad_character.chi
-summed over the same P, and against the enumeration oracle
-enumerated_coefficients, c_n as the sum of chi_D over every monic f of degree
-n, with dirichlet_coefficients, its c_0..c_g completed by the exact integer
-functional equation c_(g+n) = q^n c_(g-n). The oracle's character values come
-from _chi_rows, which factors D and applies _euler_values at each factor; the
-ladder shares no code with any of them, so it is the independent check of
-that kernel. The JSON view of this data is the CLI's.
+chi_D(P) from one kernel (_euler_values, Euler's criterion through the norm
+to F_q), for a range through per-P tables (_family_tables), which a fixed-q
+sweep fills before it forks. The tests check both against the reciprocity
+ladder quad_character.chi summed over the same P, and against the
+enumeration oracle enumerated_coefficients, c_n as the sum of chi_D over
+every monic f of degree n, with dirichlet_coefficients, its c_0..c_g
+completed by the exact integer functional equation c_(g+n) = q^n c_(g-n).
+The oracle's character values come from _chi_rows, which factors D and
+applies _euler_values at each factor; the ladder shares no code with any of
+them, so it is the independent check of that kernel. The JSON view of this
+data is the CLI's.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ from functools import lru_cache
 import numpy as np
 
 from .finite_field import check_odd_prime
-from .fp_poly import FpPolynomial, _factorize_monic, is_squarefree, monic_irreducibles
+from .fp_poly import FpPolynomial, _factorize_monic, _monic_array, is_squarefree
+from .fp_poly import monic_irreducibles
 from .quad_character import _validate_modulus
 
 # discriminants per block of family_coefficients; bounds its working arrays
@@ -157,40 +159,24 @@ def _digits(q: int, width: int, ks: np.ndarray) -> np.ndarray:
     return (ks[:, None] // q ** np.arange(width, dtype=np.int64)) % q
 
 
-@lru_cache(maxsize=4)
-def _monic_rows(q: int, top: int) -> np.ndarray:
-    """Every monic f of degree 0..top as a row of coefficients c_0..c_top,
-    degree by degree, each in monic_by_index order."""
-    sizes = [q**n for n in range(top + 1)]
-    F = np.zeros((sum(sizes), top + 1), dtype=np.int64)
-    lo = 0
-    for n, size in enumerate(sizes):
-        # c_0 is the most significant digit of the enumeration index
-        F[lo : lo + size, :n] = _digits(q, n, np.arange(size, dtype=np.int64))[:, ::-1]
-        F[lo : lo + size, n] = 1
-        lo += size
-    F.flags.writeable = False
-    return F
-
-
 def _chi_rows(q: int, D: FpPolynomial, top: int) -> tuple:
     """chi_D(f) for every monic f of degree 0..top: one int64 array per
     degree n, indexed like monic_by_index(q, n, k). The enumeration oracle.
 
-    Its arithmetic shares nothing with the reciprocity ladder, and with the
-    explicit formula only _powers_mod, _digits and _euler_values, not their
+    It shares nothing with the reciprocity ladder, and with the explicit
+    formula only the enumeration, _powers_mod and the kernel, not their
     cached tables: D is factored once by trial division, and at each monic
-    irreducible factor P of degree d, f mod P comes from one matmul against
-    T^i mod P and the character of f mod P from Euler's criterion
-    (_euler_values, with its one P broadcast), evaluated on the distinct
-    residues only. chi_D(f) is the product over P.
+    irreducible factor P of degree d, f mod P is one matmul against
+    T^i mod P and its character _euler_values, with its one P broadcast, on
+    the distinct residues only. chi_D(f) is the product over P.
     """
     if D.p != q:
         raise ValueError("D is over F_%d, not F_%d" % (D.p, q))
     _validate_modulus(q, D.coeffs)
     if top < 0:
         raise ValueError("top degree must be >= 0")
-    F = _monic_rows(q, top)
+    rows = [np.pad(_monic_array(q, n), [(0, 0), (0, top - n)]) for n in range(top + 1)]
+    F = np.concatenate(rows)  # every monic f of degree 0..top, as c_0..c_top
     chi = np.ones(len(F), dtype=np.int64)
     for P in _factorize_monic(q, D.coeffs):
         d = len(P) - 1
@@ -200,60 +186,75 @@ def _chi_rows(q: int, D: FpPolynomial, top: int) -> tuple:
             return_inverse=True,
         )
         r = np.ascontiguousarray(_digits(q, d, residues).T)
-        chi *= _euler_values(q, powers[: 2 * d - 1, :, None], r)[inverse]
+        low = powers[: 2 * d - 1, :, None]
+        chi *= _euler_values(q, low, _frobenius(q, low), r)[inverse]
     return tuple(np.split(chi, np.cumsum([q**n for n in range(top)])))
 
 
-def _euler_values(q: int, low: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Euler's criterion r^((q^d - 1)/2) mod P_j, read off as 0 or +-1, for
-    a stack of residues, each modulo its own monic irreducible P_j of degree
-    d: the one Euler's-criterion kernel, by repeated squaring in int64 over
-    the whole stack at once. build_lfunction stacks the m irreducibles of
-    one degree; _family_tables and _chi_rows pass one P and a stack of
-    residues. Column j of r (shape (d, m)) holds the ascending coefficients
-    of the j-th residue; low[k, :, j] holds T^k mod P_j for k <= 2d - 2,
-    shape (2d - 1, d, m), or (2d - 1, d, 1) for one P shared by every
-    column. Each product polynomial is reduced mod q before low sums
-    it, so the largest intermediate is (2d - 1)(q - 1)^2."""
-    d = r.shape[0]
+def _mulmod(q: int, low: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b mod P_j, for residues and reduction table low as in _euler_values."""
+    d = a.shape[0]
+    prod = np.zeros((2 * d - 1, a.shape[1]), dtype=np.int64)
+    for i in range(d):
+        prod[i : i + d] += a[i] * b
+    return np.einsum("kij,kj->ij", low, prod % q) % q  # at most (2d - 1)(q - 1)^2
 
-    def mulmod(a, b):
-        prod = np.zeros((2 * d - 1, a.shape[1]), dtype=np.int64)
-        for i in range(d):
-            prod[i : i + d] += a[i] * b
-        return np.einsum("kij,kj->ij", low, prod % q) % q
 
-    acc = None
-    e = (q**d - 1) // 2
-    while e:
-        if e & 1:
-            acc = r if acc is None else mulmod(acc, r)
-        e >>= 1
-        if e:
-            r = mulmod(r, r)
-    scalar = ~acc[1:].any(axis=0)
-    plus = scalar & (acc[0] == 1)
-    minus = scalar & (acc[0] == q - 1)
-    if not (plus | minus | ~acc.any(axis=0)).all():
-        raise ArithmeticError(
-            "Euler criterion did not land on a sign; a modulus is reducible mod %d" % q
-        )
-    return plus.astype(np.int64) - minus
+def _frobenius(q: int, low: np.ndarray) -> np.ndarray:
+    """The matrices of x -> x^q mod P_j for the reduction table low, shape
+    (d, d, m): column i is T^(q i), a power of T^q, by repeated squaring."""
+    if len(low) == 1:
+        return low  # d = 1: x^q = x, and low[0] = 1
+    T = Tq = low[1]  # T mod P_j
+    for bit in bin(q)[3:]:  # left to right
+        Tq = _mulmod(q, low, Tq, Tq)
+        Tq = _mulmod(q, low, Tq, T) if bit == "1" else Tq
+    F = [low[0], Tq]
+    for _ in range(2, low.shape[1]):
+        F.append(_mulmod(q, low, F[-1], Tq))
+    return np.stack(F, axis=1)
+
+
+@lru_cache(maxsize=16)
+def _legendre(q: int) -> np.ndarray:
+    """The Legendre symbol of 0..q-1 (int64), by marking squares. Read-only."""
+    t = -np.sign(np.arange(q, dtype=np.int64))  # 0 at 0, else -1
+    t[np.arange(1, q, dtype=np.int64) ** 2 % q] = 1
+    t.flags.writeable = False
+    return t
+
+
+def _euler_values(q: int, low: np.ndarray, frob: np.ndarray, r: np.ndarray):
+    """Euler's criterion r^((q^d - 1)/2) mod P_j, as 0 or +-1, for residues
+    modulo monic irreducibles P_j of degree d: the one character kernel.
+    Column j of r (shape (d, m)) is a residue mod P_j, low[k, :, j] is
+    T^k mod P_j for k <= 2d - 2 and frob is _frobenius(q, low); their last
+    axis is 1 for one P shared by every column (_family_tables, _chi_rows).
+    The power is N(r)^((q - 1)/2) for the norm N(r) = prod_{k<d} r^(q^k),
+    d - 1 Frobenius steps and products, which lies in F_q: its Legendre
+    symbol. A norm outside F_q means a reducible modulus: ArithmeticError."""
+    acc = x = r
+    for _ in range(r.shape[0] - 1):
+        x = np.einsum("ijm,jm->im", frob, x) % q
+        acc = _mulmod(q, low, acc, x)
+    if acc[1:].any():
+        raise ArithmeticError("the norm left F_%d: a modulus is reducible" % q)
+    return _legendre(q)[acc[0]]
 
 
 @lru_cache(maxsize=32)
 def _residue_tables(q: int, degree: int) -> tuple:
-    """Per irreducible degree d = 1..g of a degree-`degree` D: T^i mod P for
-    i <= degree and every monic irreducible P of degree d, shape
-    (degree + 1, d, m), entry [i, :, j] for the j-th P in enumeration order.
-    Its first 2d - 1 rows are _euler_values' reduction table, since
-    2d - 2 < degree. Read-only."""
+    """Per irreducible degree d = 1..g of a degree-`degree` D: (R, F) for the
+    monic irreducibles P of degree d in enumeration order. R[i, :, j] is
+    T^i mod the j-th P, i <= degree; its first 2d - 1 rows are the kernel's
+    reduction table (2d - 2 < degree), and F is their _frobenius. Read-only."""
     out = []
     for d in range(1, (degree - 1) // 2 + 1):
         P = np.array(monic_irreducibles(q, d), dtype=np.int64)
         R = np.ascontiguousarray(_powers_mod(P, degree + 1, q).transpose(0, 2, 1))
-        R.flags.writeable = False
-        out.append(R)
+        F = _frobenius(q, R[: 2 * d - 1])
+        R.flags.writeable = F.flags.writeable = False
+        out.append((R, F))
     return tuple(out)
 
 
@@ -265,12 +266,13 @@ def _family_tables(q: int, degree: int) -> tuple:
     _residue_tables: Euler's criterion (_euler_values) on every residue, one
     P at a time, times the reciprocity sign (-1)^(((q-1)/2) d)."""
     out = []
-    for d, R in enumerate(_residue_tables(q, degree), 1):
+    for d, (R, F) in enumerate(_residue_tables(q, degree), 1):
         r = np.ascontiguousarray(_digits(q, d, np.arange(q**d, dtype=np.int64)).T)
         sign = -1 if ((q - 1) // 2 * d) % 2 else 1
         chi = np.empty((R.shape[2], q**d), dtype=np.int8)
         for j in range(R.shape[2]):
-            chi[j] = sign * _euler_values(q, R[: 2 * d - 1, :, j : j + 1], r)
+            one = slice(j, j + 1)
+            chi[j] = sign * _euler_values(q, R[: 2 * d - 1, :, one], F[:, :, one], r)
         chi.flags.writeable = False
         out.append(chi)
     return tuple(out)
@@ -319,7 +321,7 @@ def family_coefficients(q: int, degree: int, start: int, stop: int):
         A = [None] * (g + 1)
         B = [None] * (g + 1)
         sf = squarefree[lo - start : hi - start]
-        for d, (R, chi) in enumerate(tables, 1):
+        for d, ((R, _), chi) in enumerate(tables, 1):
             m = chi.shape[0]
             res = (C @ R.reshape(degree + 1, d * m) % q).reshape(2 * size, d, m)
             idx = q ** np.arange(d, dtype=np.int64) @ res
@@ -386,9 +388,9 @@ def build_lfunction(q: int, D: FpPolynomial) -> LFunctionData:
     C = np.array(D.coeffs, dtype=np.int64)
     A = [0] * (g + 1)
     B = [0] * (g + 1)
-    for d, R in enumerate(_residue_tables(q, D.degree), 1):
+    for d, (R, F) in enumerate(_residue_tables(q, D.degree), 1):
         r = (C @ R.reshape(D.degree + 1, -1) % q).reshape(d, -1)
-        vals = _euler_values(q, R[: 2 * d - 1], r)
+        vals = _euler_values(q, R[: 2 * d - 1], F, r)
         sign = -1 if ((q - 1) // 2 * d) % 2 else 1
         A[d] = sign * int(vals.sum())
         B[d] = int(np.count_nonzero(vals))

@@ -15,9 +15,9 @@ same one zeros_at_t uses. No grid is sampled. Routes provided:
   lambda_bisect            monotone bisection on the all-zeros-real predicate,
                            its bracket expanded down to BRACKET_FLOOR at most;
                            lambda_bisect_block runs a block in lockstep, one
-                           eigvals call per round, and answers a time far
-                           from the row's Newton collision time t* by
-                           comparison, not by a solve
+                           eigvals call per round; a row with a Newton
+                           collision time t* bisects by comparison with t*
+                           and asks the predicate only at its final ends
   double_zero_lower_bound  largest t with Xi_t(0) = 0, a root of a sum of
                            g + 1 powers of e^t: any double zero time is
                            <= Lambda_D; a Rolle chain of derivatives isolates
@@ -59,10 +59,6 @@ _GCD_PRIME = 2**31 - 1
 # lambda_bisect expands its bracket no further down than this; a predicate
 # still true there is kind bracket_exhausted
 BRACKET_FLOOR = -50.0
-
-# a bisection time within max(MARGIN, 2 tol_t) of its row's collision time t*
-# goes to the predicate; a farther one is answered by t > t*
-MARGIN = 1e-9
 
 # Newton steps that _collision_times takes from every start
 NEWTON_STEPS = 12
@@ -300,76 +296,66 @@ def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
     exact, value 0, without a warning; false at t = 0 is a NumericalError;
     the rest is bisect. Returns, per row, its estimate or its exception.
 
-    Skip rule: a row all-real at t = 0 takes its collision time t* from
-    _collision_times, seeded with that round's roots, so each row is solved
-    at t = 0 once. From then on a next time above BRACKET_FLOOR and more
-    than max(MARGIN, 2 tol_t) from t* is answered t > t* without a solve, by
-    the same step rule, until the row's next time needs the predicate or the
-    row is done; so bracket_exhausted only ever comes from the predicate.
-    Each bracket end records whether a comparison set it. A row that would
-    end with such an end falls back to the state the t = 0 check left (next
-    time -1, bracket (-1, 0)), sets t* = NaN and goes on unguided. With
-    t* = NaN for every row this is plain bisection, and where the
-    comparisons agree with the predicate the midpoints, brackets and results
-    are the same bit for bit; a t* too low or too high makes the comparisons
-    set an end the predicate never checked, so the row falls back.
+    Guided rows: a row all-real at t = 0 runs its whole path by comparison
+    with its collision time t* (_collision_times, from that round's roots),
+    t > t*, to a final bracket (lo, hi), unless it reaches BRACKET_FLOOR; the
+    next round asks the predicate at lo and, if hi < 0, at hi. It is
+    monotone, so false at lo and true at hi make the bracket plain
+    bisection's, bit for bit. Else the row falls back to the t = 0 state
+    (next time -1, bracket (-1, 0)), or, false at both ends with a repeated
+    root, ends exact at once. So at most 3 predicate rows per guided row.
     """
     check_tol(tol_t)
-    window = max(MARGIN, 2.0 * tol_t)
     live = np.count_nonzero(phi, axis=1) > 1
     out = [None if v else _MINUS_INFINITY for v in live.tolist()]
     rows, phi = np.nonzero(live)[0], phi[live]
     lo = t = np.zeros(len(rows))  # lo while expanding: the next time to try
     hi = np.full(len(rows), np.nan)  # NaN until the predicate holds
     expanding = np.ones(len(rows), dtype=bool)
-    tstar = np.full(len(rows), np.nan)
-    cmp_lo = np.zeros(len(rows), dtype=bool)  # lo, hi set by a comparison
-    cmp_hi = np.zeros(len(rows), dtype=bool)
+    check = np.zeros(len(rows), dtype=bool)  # guided: ask at lo (= t) and hi
     while len(rows):
-        real, u, errors = _real_rows(phi, t)
+        n = len(rows)
+        ends = np.nonzero(check & (hi < 0.0))[0]
+        at = np.concatenate([np.arange(n), ends])
+        real, u, errors = _real_rows(phi[at], np.concatenate([t, hi[ends]]))
+        failed = np.isin(np.arange(n), at[list(errors)])  # an error at t or hi
+        back = check & (real[:n] | failed)  # true at lo, or an error
+        back[ends] |= ~real[n:]  # false at hi
+        real = real[:n]
         first = real & np.isnan(hi)
         hi = np.where(real, t, hi)
         grown = np.maximum(np.minimum(2.0 * t, -1.0), BRACKET_FLOOR)
         lo = np.where(real, np.where(expanding, grown, lo), t)
         exhausted = expanding & real & (t <= BRACKET_FLOOR)
         expanding &= real
-        cmp_lo &= real
-        cmp_hi &= ~real
         t = np.where(expanding, lo, 0.5 * (lo + hi))
+        narrow = ~(hi - lo > tol_t) | (t == lo) | (t == hi)  # or adjacent floats
+        done = exhausted | (~expanding & narrow) | failed
+        for j in np.nonzero(back & ~real & ~failed)[0].tolist():  # false at both ends
+            back[j] = not has_repeated_root(c[rows[j]])  # exact by the terminal rule
+            hi[j] = 0.0
+        t[back], lo[back], hi[back], expanding[back] = -1.0, -1.0, 0.0, True
+        done &= ~back
+        check[:] = False
         if first.any():
             with np.errstate(all="ignore"):
-                tstar[first] = _collision_times(phi[first], u[first[real]])
-        skip = (t > BRACKET_FLOOR) & (np.abs(t - tstar) > window)
-        for j in np.nonzero(skip)[0].tolist():
-            if j in errors:
-                continue
-            t_j, lo_j, hi_j, star = t.item(j), lo.item(j), hi.item(j), tstar.item(j)
-            grow, set_lo, set_hi = expanding.item(j), False, False
-            while grow or (hi_j - lo_j > tol_t and lo_j != t_j != hi_j):
-                if t_j > star:
-                    hi_j, set_hi = t_j, True
-                    if grow:
-                        lo_j = max(min(2.0 * t_j, -1.0), BRACKET_FLOOR)
+                stars = _collision_times(phi[first], u[first[real]])
+            ok = ~np.isnan(stars)  # the rest are bisected unguided
+            for j, star in zip(np.nonzero(first)[0][ok].tolist(), stars[ok].tolist()):
+                t_j, lo_j, hi_j, grow = t.item(j), lo.item(j), hi.item(j), True
+                while grow or (hi_j - lo_j > tol_t and lo_j != t_j != hi_j):
+                    if not t_j > BRACKET_FLOOR:
+                        break
+                    if t_j > star:
+                        hi_j = t_j
+                        if grow:
+                            lo_j = max(min(2.0 * t_j, -1.0), BRACKET_FLOOR)
+                    else:
+                        lo_j, grow = t_j, False
+                    t_j = lo_j if grow else 0.5 * (lo_j + hi_j)
                 else:
-                    lo_j, set_lo, grow = t_j, True, False
-                t_j = lo_j if grow else 0.5 * (lo_j + hi_j)
-                if not (t_j > BRACKET_FLOOR and abs(t_j - star) > window):
-                    break
-            t[j], lo[j], hi[j], expanding[j] = t_j, lo_j, hi_j, grow
-            cmp_lo[j] |= set_lo
-            cmp_hi[j] |= set_hi
-        narrow = ~(hi - lo > tol_t) | (t == lo) | (t == hi)  # or adjacent floats
-        done = exhausted | (~expanding & narrow)
-        if errors:
-            done[list(errors)] = True
-        back = done & (cmp_lo | cmp_hi)
-        if back.any():
-            t[back], lo[back], hi[back], expanding[back] = -1.0, -1.0, 0.0, True
-            tstar[back] = np.nan
-            cmp_lo[back] = cmp_hi[back] = False
-            done &= ~back
-        if not done.any():
-            continue
+                    t[j], lo[j], hi[j] = lo_j, lo_j, hi_j
+                    expanding[j], check[j] = False, True
         for j in np.nonzero(done)[0].tolist():
             lo_j, hi_j = float(lo[j]), float(hi[j])
             if j in errors:
@@ -397,8 +383,8 @@ def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
                 )
             out[rows[j]] = e
         keep = ~done
-        rows, phi, lo, hi, t, expanding, tstar, cmp_lo, cmp_hi = (
-            v[keep] for v in (rows, phi, lo, hi, t, expanding, tstar, cmp_lo, cmp_hi)
+        rows, phi, lo, hi, t, expanding, check = (
+            v[keep] for v in (rows, phi, lo, hi, t, expanding, check)
         )
     return out
 

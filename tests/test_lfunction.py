@@ -115,6 +115,21 @@ def test_coefficients_worked_pair():
     assert enumerated_coefficients(5, P(D_VARIANT, 5), 4) == C_VARIANT
 
 
+def test_character_kernel_rejects_a_reducible_modulus():
+    # r = T over F_3. Modulo the irreducible T^2 + 1 its norm T * T^3 = T^4
+    # is 1, a square; modulo T(T + 1), where T^3 = T, it is T^2 = 2T, which
+    # is not in F_3
+    r = np.array([[0], [1]])
+
+    def kernel(P):
+        low = lfunction._powers_mod(np.array([P]), 3, 3).transpose(0, 2, 1)
+        return lfunction._euler_values(3, low, lfunction._frobenius(3, low), r)
+
+    assert kernel((1, 0, 1)).tolist() == [1]
+    with pytest.raises(ArithmeticError, match="reducible"):
+        kernel((0, 1, 1))
+
+
 def test_c0_is_one_and_functional_equation():
     for q, deg in [(3, 3), (3, 5)]:
         for D in good_pairs(q, deg):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -474,11 +475,12 @@ def test_bisect_block_equals_per_row_bit_for_bit(q, degree, monkeypatch):
         block = lambda_bisect_block(np.array([L.phi for L in Ls]), [L.c for L in Ls])
         monkeypatch.undo()
         # the predicate traffic of the lockstep loop: one call per round, and
-        # the skip rule leaves few predicate rows per row (36 without it)
+        # a guided row asks only at t = 0 and its two final ends (36 rows
+        # unguided); at (3, 7) the odd-harmonic rows have no t*
         live = sum(count_nonzero_phi(L) > 1 for L in Ls)
-        traffic = {(5, 5): (8, 17434), (3, 7): (36, 11472)}[q, degree]
+        traffic = {(5, 5): (2, 7334), (3, 7): (36, 5880)}[q, degree]
         assert (len(calls), sum(calls)) == traffic
-        assert sum(calls) <= 10 * live
+        assert sum(calls) <= {(5, 5): 3, (3, 7): 5}[q, degree] * live
         for L, got in zip(Ls, block):
             assert got == lambda_bisect(L), (L.D, got)
     kinds = {e.kind for e in block}
@@ -542,18 +544,23 @@ def test_guided_bisection_equals_unguided_bit_for_bit(q, degree, monkeypatch):
     assert guided == plain
 
 
-@pytest.mark.parametrize("shift", ["too_low", "below_floor", None])
+@pytest.mark.parametrize("shift", ["too_low", "too_high", "below_floor", None])
 def test_guided_bisection_falls_back_from_a_wrong_collision_time(shift, monkeypatch):
     # a t* below Lambda_D makes comparisons set hi where the predicate never
-    # looked; the row returns to the bracket (-1, 0) the t = 0 check left and
-    # ends unguided. With no override, two (3, 9) D (indices 2284 and 2375)
-    # fall back by themselves: L has a repeated root, so Lambda_D = 0, but
-    # Newton's starts reach an earlier collision, t* = -0.143
+    # looked, and one above it lo; the check at that end fails, and the row
+    # returns to the bracket (-1, 0) the t = 0 check left and ends unguided,
+    # unless the predicate was false at both ends and L has a repeated root:
+    # then it ends exact at once. A repeated-root row whose t* is above 0
+    # passes its check at lo alone (hi = 0). A t* below the floor leaves
+    # every row unguided. With no override,
+    # two (3, 9) D (indices 2284 and 2375) fail the check by themselves: L has
+    # a repeated root, so Lambda_D = 0, but Newton's starts reach an earlier
+    # collision, t* = -0.143; each takes 3 predicate rows, not 41
     collision_times = newman._collision_times
 
     def wrong(phi, u):
-        if shift == "too_low":
-            return collision_times(phi, u) - 1e-3
+        if shift in ("too_low", "too_high"):
+            return collision_times(phi, u) + (1e-3 if shift == "too_high" else -1e-3)
         return np.full(len(phi), -1e3)  # below BRACKET_FLOOR
 
     if shift is None:
@@ -566,11 +573,12 @@ def test_guided_bisection_falls_back_from_a_wrong_collision_time(shift, monkeypa
     got, asked, traffic = guided_run(Ls, monkeypatch, collision=wrong if shift else None)
     plain, _, _ = guided_run(Ls, monkeypatch, collision=unguided)
     assert got == plain
-    live = {L.phi for L in Ls if count_nonzero_phi(L) > 1}
-    assert asked == live  # every row fell back (or had no t* at all)
+    live = [L for L in Ls if count_nonzero_phi(L) > 1]
+    at_once = {L.phi for L in live if shift != "below_floor" and has_repeated_root(L.c)}
+    assert asked == {L.phi for L in live} - at_once  # the rest fell back (or had no t*)
     if shift is None:
         assert [(e.kind, e.value) for e in got] == [("exact", 0.0)] * 2
-        assert traffic == 2 * 41
+        assert traffic == 2 * 3
 
 
 def test_guided_bisection_at_a_wide_tol_needs_no_fallback(monkeypatch):
@@ -587,6 +595,28 @@ def test_guided_bisection_at_a_wide_tol_needs_no_fallback(monkeypatch):
     # zeros collide three at a time at pi/2, where Newton converges slowly
     no_tstar = {L.phi for L, v in zip(live, tstar.tolist()) if math.isnan(v)}
     assert asked == no_tstar and 0 < len(no_tstar) < len(live) / 10
+
+
+@pytest.mark.parametrize("q,degree", [(5, 5), (3, 7)])
+def test_guided_row_asks_the_predicate_at_most_three_times(q, degree, monkeypatch):
+    # at t = 0, then once at each final end (hi = 0 is not asked again)
+    Ls = [L for L in {L.c: L for L in family(q, degree)}.values() if count_nonzero_phi(L) > 1]
+    phi = np.array([L.phi for L in Ls])
+    u, _, _ = _colleague_roots(phi, np.zeros(len(Ls)))
+    with np.errstate(all="ignore"):
+        tstar = newman._collision_times(phi, u)
+    asked = Counter()
+    real_rows = newman._real_rows
+
+    def spy(phi, t):
+        asked.update(tuple(p) for p in phi.tolist())
+        return real_rows(phi, t)
+
+    monkeypatch.setattr(newman, "_real_rows", spy)
+    lambda_bisect_block(phi, [L.c for L in Ls])
+    guided = [L.phi for L, v in zip(Ls, tstar.tolist()) if not math.isnan(v)]
+    assert len(guided) > len(Ls) / 2
+    assert max(asked[p] for p in guided) <= 3
 
 
 def test_bisect_block_isolates_a_bad_row():
