@@ -6,15 +6,16 @@ grows), and a fixed integer cubic reduced modulo every odd prime p, where the
 genus-1 closed form ties Lambda to the Frobenius trace a_p and the angle
 statistics follow the semicircle law.
 
-The fixed-q sweep works in blocks of FAMILY_CHUNK consecutive indices of one
-degree: the explicit formula (lfunction.family_coefficients) gives c_0..c_g
-and the squarefree mask for the whole block, and the estimator runs on the
-squarefree rows' Phi array (lfunction.phi_rows) at once, building no
-FpPolynomial or LFunctionData per D. An estimate depends on D only through
-its L-polynomial (q and c_0..c_g), and a fixed-q family has far fewer of
-those than discriminants, so each worker solves every distinct L-polynomial
-once per sweep: a memo of at most MEMO_SIZE entries, keyed on c_0..c_g and
-emptied when a sweep starts, serves the repeats (_sweep_chunk). The
+The fixed-q sweep runs in tasks of SWEEP_SPAN consecutive indices of one
+degree: the explicit formula (lfunction.family_coefficients, in blocks of
+FAMILY_CHUNK) gives c_0..c_g and the squarefree mask for the whole task, and
+the estimator runs on the Phi array (lfunction.phi_rows) of the task's
+distinct c_0..c_g at once, building no FpPolynomial or LFunctionData per D.
+An estimate depends on D only through its L-polynomial (q and c_0..c_g), and
+a fixed-q family has far fewer of those than discriminants, so each worker
+solves every distinct L-polynomial once per sweep: a memo of at most
+MEMO_SIZE entries, keyed on c_0..c_g and emptied when a sweep starts, serves
+the repeats, and a task returns one result per distinct key (_sweep_chunk). The
 reciprocity ladder is not used here; it cross-checks the explicit formula
 in the tests. The sweep is a stream: each row goes to the caller's on_item
 and is dropped, and its SweepReport keeps only counts and bests, so memory
@@ -32,10 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite_field import check_odd_prime
-from .fp_poly import _monic_tuple_by_index, reduce_int_poly
+from .fp_poly import reduce_int_poly
 from .lfunction import (
     FAMILY_CHUNK,
     NumericalError,
+    _digits,
     _family_tables,
     complete_coefficients,
     family_coefficients,
@@ -172,6 +174,10 @@ def _ordered_map(fn, tasks, workers: int, chunksize: int = 1):
         pool.join()
 
 
+# consecutive indices of one degree per sweep task: the estimators cost per
+# call more than per row, so a task spans several family_coefficients blocks
+SWEEP_SPAN = 8 * FAMILY_CHUNK
+
 # distinct L-polynomials whose result a process keeps during one sweep
 # (FIFO eviction); sweep_fixed_q empties it before any pool is forked
 MEMO_SIZE = 4096
@@ -180,61 +186,51 @@ _memo: dict = {}
 
 def _sweep_chunk(args):
     """Estimates for the squarefree D with indices lo <= k < hi of one degree:
-    (degree, number skipped, rows), each row the SweepItem fields after the
-    degree, (index, d_coeffs, c, estimate, error).
+    (degree, number skipped, ks, which, entries). ks holds the squarefree
+    indices (int64), entries one (c_0..c_2g, estimate, error) per distinct
+    c_0..c_g of the task, as the SweepItem fields they fill, with c and
+    estimate None on an error, and which[i] is the entry of row ks[i].
 
     Every estimator reads D only through (q, c_0..c_g), so each distinct
-    L-polynomial is solved once per process and sweep: a row whose c_0..c_g
-    the memo holds reuses its estimate or error text, and the first row of
-    each other key goes to the estimator in one smaller block
-    (lambda_bisect_block or double_zero_block, on its phi_rows array at
-    once). q and the method are fixed for the memo's lifetime, since
-    sweep_fixed_q empties it at the start. A row's estimate does not depend
-    on the rest of its block, so a reused entry is the value a fresh solve
-    gives. The memo keeps the last MEMO_SIZE keys inserted.
+    L-polynomial is solved once per process and sweep: a key the memo holds
+    reuses its estimate or error text, and the other keys go to the
+    estimator in one block (lambda_bisect_block or double_zero_block, on
+    their phi_rows array at once). q and the method are fixed for the
+    memo's lifetime, since sweep_fixed_q empties it at the start. A row's
+    estimate does not depend on the rest of its block, so a reused entry is
+    the value a fresh solve gives. The memo keeps the last MEMO_SIZE keys
+    inserted.
     """
     q, degree, lo, hi, method = args
     c_half, squarefree = family_coefficients(q, degree, lo, hi)
-    ks = (np.flatnonzero(squarefree) + lo).tolist()
-    c_half = c_half[squarefree]
-    half = c_half.tolist()
-    cs = [complete_coefficients(q, row) for row in half]
-    keys = [tuple(row) for row in half]
+    ks = np.flatnonzero(squarefree) + lo
+    distinct, which = np.unique(c_half[squarefree], axis=0, return_inverse=True)
+    keys = list(map(tuple, distinct.tolist()))
+    cs = [complete_coefficients(q, key) for key in keys]
     # take the hits before inserting: an eviction could drop one of them
-    found = {key: _memo[key] for key in keys if key in _memo}
-    fresh: dict = {}  # key -> its first row in the block
-    for i, key in enumerate(keys):
-        if key not in found:
-            fresh.setdefault(key, i)
+    results = [_memo.get(key) for key in keys]
+    fresh = [i for i, r in enumerate(results) if r is None]
     if fresh:
-        first = list(fresh.values())
-        phi = phi_rows(q, c_half[first])
+        phi = phi_rows(q, distinct[fresh])
         if method == "bisect":
-            results = lambda_bisect_block(phi, [cs[i] for i in first])
+            solved = lambda_bisect_block(phi, [cs[i] for i in fresh])
         else:
-            results = double_zero_block(phi)
-        for key, r in zip(fresh, results):
+            solved = double_zero_block(phi)
+        for i, r in zip(fresh, solved):
             if isinstance(r, Exception):
                 r = "%s: %s" % (type(r).__name__, r)
             while len(_memo) >= MEMO_SIZE:
                 del _memo[next(iter(_memo))]
-            _memo[key] = found[key] = r
-    rows = []
-    for k, c, key in zip(ks, cs, keys):
-        d_coeffs = _monic_tuple_by_index(q, degree, k)
-        r = found[key]
-        if isinstance(r, str):
-            rows.append((k, d_coeffs, None, None, r))
-        else:
-            rows.append((k, d_coeffs, c, r, None))
-    return degree, hi - lo - len(rows), rows
+            _memo[keys[i]] = results[i] = r
+    entries = [(None, None, r) if isinstance(r, str) else (c, r, None) for c, r in zip(cs, results)]
+    return degree, hi - lo - len(ks), ks, which, entries
 
 
 def _chunk_tasks(q: int, max_genus: int, method: str, start: tuple):
     for degree in range(start[0], 2 * max_genus + 2, 2):
         lo = start[1] if degree == start[0] else 0
-        for k in range(lo, q**degree, FAMILY_CHUNK):
-            yield (q, degree, k, min(k + FAMILY_CHUNK, q**degree), method)
+        for k in range(lo, q**degree, SWEEP_SPAN):
+            yield (q, degree, k, min(k + SWEEP_SPAN, q**degree), method)
 
 
 def check_sweep(
@@ -273,9 +269,10 @@ def sweep_fixed_q(
     """Estimate Lambda_D for every monic squarefree D of odd degree up to
     2*max_genus + 1 over F_q, in enumeration order.
 
-    Deterministic regardless of worker count: each task is a block of
+    Deterministic regardless of worker count: each task spans SWEEP_SPAN
     consecutive indices of one degree, results are consumed in index order,
-    and the coefficient arithmetic is exact integer arithmetic.
+    a row's estimate does not depend on the rest of its task, and the
+    coefficient arithmetic is exact integer arithmetic.
     start=(degree, index) resumes mid-enumeration at monic_by_index(q,
     degree, index); check_sweep says which inputs are rejected. on_item,
     when given, sees each SweepItem as soon as its turn in the canonical
@@ -292,12 +289,14 @@ def sweep_fixed_q(
     skipped = 0
     best_per_genus: dict = {}
     with _ordered_map(_sweep_chunk, tasks, workers) as results:
-        for degree, n_skipped, rows in results:
+        for degree, n_skipped, ks, which, entries in results:
             skipped += n_skipped
-            processed += len(rows)
+            processed += len(ks)
             g = (degree - 1) // 2
-            for row in rows:
-                item = SweepItem(degree, *row)
+            d_coeffs = np.ones((len(ks), degree + 1), dtype=np.int64)
+            d_coeffs[:, :degree] = _digits(q, degree, ks)[:, ::-1]
+            for k, d, i in zip(ks.tolist(), d_coeffs.tolist(), which.tolist()):
+                item = SweepItem(degree, k, tuple(d), *entries[i])
                 if on_item is not None:
                     on_item(item)
                 if item.estimate is None or item.estimate.value is None:

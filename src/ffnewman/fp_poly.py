@@ -355,21 +355,28 @@ def _monic_array(p: int, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def monic_irreducibles(p: int, n: int) -> tuple:
-    """The monic irreducible polynomials of degree n >= 1 over F_p as
-    coefficient tuples, in enumeration order: every monic f of degree n not
-    hit by a block of about p^e/(n + 1) monic irreducibles of degree
-    e <= n/2 times every monic cofactor of degree n - e (about p^n
+def _irreducible_array(p: int, n: int) -> np.ndarray:
+    """The monic irreducible polynomials of degree n >= 1 over F_p as rows
+    c_0..c_n (int64, read-only), in enumeration order: every monic f of
+    degree n not hit by a block of about p^e/(n + 1) monic irreducibles of
+    degree e <= n/2 times every monic cofactor of degree n - e (about p^n
     coefficients at once). About p^n/n of them; the last 64 (p, n) cached."""
     weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)  # index of c_0..c_(n-1)
     composite = np.zeros(p**n, dtype=bool)
     for e in range(1, n // 2 + 1):
         cofactors = _monic_array(p, n - e)
-        irreducibles = np.array(monic_irreducibles(p, e), dtype=np.int64)
+        irreducibles = _irreducible_array(p, e)
         step = max(1, p**e // (n + 1))
         for P in np.split(irreducibles, range(step, len(irreducibles), step)):
             prod = np.zeros((len(P), len(cofactors), n + 1), dtype=np.int64)
             for i in range(e + 1):
                 prod[:, :, i : i + n - e + 1] += P[:, i, None, None] * cofactors
             composite[(prod[:, :, :n] % p) @ weights] = True
-    return tuple(map(tuple, _monic_array(p, n)[~composite].tolist()))
+    out = _monic_array(p, n)[~composite]
+    out.flags.writeable = False
+    return out
+
+
+def monic_irreducibles(p: int, n: int) -> tuple:
+    """_irreducible_array(p, n) as a tuple of coefficient tuples."""
+    return tuple(map(tuple, _irreducible_array(p, n).tolist()))

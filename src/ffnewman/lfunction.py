@@ -46,12 +46,11 @@ from functools import lru_cache
 import numpy as np
 
 from .finite_field import check_odd_prime
-from .fp_poly import FpPolynomial, _factorize_monic, _monic_array, is_squarefree
-from .fp_poly import monic_irreducibles
+from .fp_poly import FpPolynomial, _factorize_monic, _irreducible_array, _monic_array, is_squarefree
 from .quad_character import _validate_modulus
 
 # discriminants per block of family_coefficients; bounds its working arrays
-# and is the task size of a fixed-q sweep
+# (a fixed-q sweep task spans several blocks: families.SWEEP_SPAN)
 FAMILY_CHUNK = 256
 
 # a zero x of Xi_t is real when |Im x| <= REAL_TOL
@@ -250,8 +249,8 @@ def _residue_tables(q: int, degree: int) -> tuple:
     reduction table (2d - 2 < degree), and F is their _frobenius. Read-only."""
     out = []
     for d in range(1, (degree - 1) // 2 + 1):
-        P = np.array(monic_irreducibles(q, d), dtype=np.int64)
-        R = np.ascontiguousarray(_powers_mod(P, degree + 1, q).transpose(0, 2, 1))
+        R = _powers_mod(_irreducible_array(q, d), degree + 1, q)
+        R = np.ascontiguousarray(R.transpose(0, 2, 1))
         F = _frobenius(q, R[: 2 * d - 1])
         R.flags.writeable = F.flags.writeable = False
         out.append((R, F))

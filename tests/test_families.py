@@ -314,6 +314,38 @@ def test_sweep_resume_mid_chunk_matches_suffix():
     assert tail.skipped == 3**7 - start[1] - len(expect)
 
 
+@pytest.mark.parametrize(
+    "q,max_genus,method,start",
+    [(3, 3, "double_zero", None), (3, 3, "double_zero", (7, 700)), (5, 2, "bisect", None)],
+)
+def test_sweep_rows_do_not_depend_on_task_span(monkeypatch, q, max_genus, method, start):
+    # a task of one FAMILY_CHUNK, or of 300 indices, which cuts a
+    # family_coefficients block and the resume start's task, gives the
+    # default span's rows and report
+    expect = sweep_items(q, max_genus, method=method, start=start)
+    for span in (FAMILY_CHUNK, 300):
+        monkeypatch.setattr(families, "SWEEP_SPAN", span)
+        for workers in (1, 2):
+            assert sweep_items(q, max_genus, method=method, start=start, workers=workers) == expect
+
+
+def test_sweep_solves_each_task_in_one_estimator_call(monkeypatch):
+    # pins the amortisation: the estimator costs per call, so a task spans
+    # several coefficient blocks and solves its fresh keys in one call. Over
+    # degrees 3, 5, 7 and 9 of F_3 that is 1 + 1 + 2 + 10 tasks
+    calls = []
+    block = families.double_zero_block
+
+    def counting(phi):
+        calls.append(len(phi))
+        return block(phi)
+
+    monkeypatch.setattr(families, "double_zero_block", counting)
+    report = sweep_fixed_q(3, 4, workers=1)
+    assert report.processed == 14760
+    assert 0 < len(calls) <= 14
+
+
 def test_sweep_keeps_only_the_best_items():
     # a stream: once on_item has seen a row, only a best may keep it alive
     refs = []
