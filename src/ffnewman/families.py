@@ -20,7 +20,8 @@ reciprocity ladder is not used here; it cross-checks the explicit formula
 in the tests. The sweep is a stream: each row goes to the caller's on_item
 and is dropped, and its SweepReport keeps only counts and bests, so memory
 does not grow with the family. The Sato-Tate sweep keeps every prime's
-record in its SatoTateReport.
+record in its SatoTateReport; its a_p take O(p^(1/4)) exact group steps on
+the curve or its twist, with the O(p) point count for small p and fallback.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_field import check_odd_prime
+from .finite_field import check_odd_prime, legendre_int
 from .fp_poly import reduce_int_poly
 from .lfunction import (
     FAMILY_CHUNK,
@@ -138,14 +139,11 @@ class SatoTateReport:
 def primes_up_to(n: int) -> list:
     if n < 2:
         return []
-    mark = bytearray(n + 1)
-    out = []
-    for v in range(2, n + 1):
-        if not mark[v]:
-            out.append(v)
-            for w in range(v * v, n + 1, v):
-                mark[w] = 1
-    return out
+    prime = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+    for v in range(2, math.isqrt(n) + 1):
+        if prime[v]:
+            prime[v * v :: v] = bytes(len(range(v * v, n + 1, v)))
+    return [v for v, is_p in enumerate(prime) if is_p]
 
 
 # the most processes a sweep's pool may have
@@ -332,8 +330,14 @@ def cubic_discriminant(dz: tuple) -> int:
     )
 
 
+BSGS_MIN_P = 230  # Mestre's bound is 229
+BSGS_TRIES = 40
+
+
 def trace_of_frobenius(dz, p: int) -> int:
-    """a_p of y^2 = dz(T) by point counting: a_p = -sum_a legendre(dz(a)).
+    """a_p of y^2 = dz(T), exactly: for a cubic and p > BSGS_MIN_P by
+    baby-step giant-step (_trace_by_bsgs), else, and when that gives up, by
+    point counting (_trace_by_count).
 
     Requires (p, dz mod p) to be a good pair; otherwise BadReduction. The
     Hasse bound |a_p| < 2 sqrt(p) is asserted on every output.
@@ -343,17 +347,93 @@ def trace_of_frobenius(dz, p: int) -> int:
     ok, reason = good_pair_check(p, Dp)
     if not ok:
         raise BadReduction(reason)
+    a_p = _trace_by_bsgs(Dp.coeffs, p) if p > BSGS_MIN_P and Dp.degree == 3 else None
+    if a_p is None:
+        a_p = _trace_by_count(Dp.coeffs, p)
+    if a_p * a_p >= 4 * p:
+        raise NumericalError("Hasse bound violated: a_p=%d at p=%d" % (a_p, p))
+    return a_p
+
+
+def _trace_by_count(coeffs, p: int) -> int:
+    """-sum_a legendre(f(a)) over F_p, f of ascending coefficients coeffs."""
     a = np.arange(p, dtype=np.int64)
     tab = np.full(p, -1, dtype=np.int64)
     tab[a * a % p] = 1
     tab[0] = 0
     vals = np.zeros(p, dtype=np.int64)
-    for coef in reversed(Dp.coeffs):
+    for coef in reversed(coeffs):
         vals = (vals * a + coef) % p
-    a_p = -int(tab[vals].sum())
-    if a_p * a_p >= 4 * p:
-        raise NumericalError("Hasse bound violated: a_p=%d at p=%d" % (a_p, p))
-    return a_p
+    return -int(tab[vals].sum())
+
+
+def _trace_by_bsgs(coeffs, p: int):
+    """a_p of y^2 = f(x), f a monic cubic mod p > 3 (ascending coeffs), or
+    None if none of BSGS_TRIES points has a unique order N in the Hasse
+    interval [p + 1 - r, p + 1 + r], r = isqrt(4p). With f shifted to
+    x^3 + Ax + B and d = f(x0) != 0, (d x0, d^2) lies on Y^2 = X^3 + A d^2 X
+    + B d^3: the curve if d is a square, else its twist, with p + 1 + a_p
+    points; so a_p = chi(d) (p + 1 - N). x0 starts at 1, as x = 0 has order
+    3 on y^2 = x^3 + B.
+    """
+    a0, a1, a2, _ = coeffs
+    s = a2 * pow(3, -1, p) % p
+    A = (a1 - 3 * s * s) % p
+    B = (2 * s**3 - a1 * s + a0) % p
+    r = math.isqrt(4 * p)
+    for x0 in range(1, BSGS_TRIES + 1):
+        d = (x0**3 + A * x0 + B) % p
+        if d:
+            n = _unique_order((d * x0 % p, d * d % p), A * d * d % p, p, p + 1 - r, p + 1 + r)
+            if n is not None:
+                return legendre_int(d, p) * (p + 1 - n)
+    return None
+
+
+def _unique_order(P, A, p: int, lo: int, hi: int):
+    """The one N in [lo, hi] with N P = O on y^2 = x^3 + Ax + B over F_p,
+    else None. Baby steps jP, j = 1..m, are keyed on x; a giant step cP at
+    x(jP) names N = c -+ j by the sign of y, and c moves by 2m + 1. A baby
+    step at O, at y = 0 or on a repeated x means an order <= 2m, shared by
+    several N of the interval (width >= 4m), and gives the point up.
+    """
+    m = math.isqrt((hi - lo) // 2)
+    baby, Q = {}, None
+    for j in range(1, m + 1):
+        Q = _ec_add(Q, P, A, p)
+        if Q is None or Q[1] == 0 or Q[0] in baby:
+            return None
+        baby[Q[0]] = j, Q[1]
+    step = _ec_add(_ec_add(Q, Q, A, p), P, A, p)
+    G, R, k = None, P, lo + m  # G = (lo + m) P by double-and-add
+    while k:
+        G = _ec_add(G, R, A, p) if k & 1 else G
+        R, k = _ec_add(R, R, A, p), k >> 1
+    found = []
+    for c in range(lo + m, hi + m + 1, 2 * m + 1):
+        if G is None:
+            found.append(c)
+        elif G[0] in baby:
+            j, y = baby[G[0]]
+            found.append(c - j if y == G[1] else c + j)
+        G = _ec_add(G, step, A, p)
+    found = [n for n in found if lo <= n <= hi]
+    return found[0] if len(found) == 1 else None
+
+
+def _ec_add(P, Q, A, p: int):
+    """P + Q on y^2 = x^3 + Ax + B over F_p, affine, with None for O."""
+    if P is None or Q is None:
+        return Q if P is None else P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2 and (y1 + y2) % p == 0:
+        return None
+    if x1 == x2:
+        lam = (3 * x1 * x1 + A) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
 
 
 def _sato_record(dz: tuple, p: int) -> SatoTateRecord:

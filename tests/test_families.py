@@ -109,6 +109,49 @@ def test_trace_equals_minus_signed_c1():
             assert trace_of_frobenius(dz, p) == -sign * c1
 
 
+def test_trace_by_bsgs_matches_point_count():
+    # every good p above the counting range up to 2*10^4, against the O(p)
+    # count: two CM curves (y^2 = x^3 - x with full 2-torsion, y^2 = x^3 + 1
+    # with rational 6-torsion), and cubics with a T^2 term, which the route
+    # shifts away
+    for dz in [DZ_A, (0, -1, 0, 1), (1, 0, 0, 1), (-7, 5, -2, 1), (1, 2, 3, 1)]:
+        disc = cubic_discriminant(dz)
+        for p in primes_up_to(20000):
+            if p <= families.BSGS_MIN_P or disc % p == 0:
+                continue
+            coeffs = reduce_int_poly(dz, p).coeffs
+            assert families._trace_by_bsgs(coeffs, p) == families._trace_by_count(coeffs, p)
+
+
+def test_unique_order_gives_up_on_small_order():
+    # (2, 3) has order 6 on y^2 = x^3 + 1 over Q, so also mod p: several N of
+    # the Hasse interval kill it
+    p = 10007
+    r = math.isqrt(4 * p)
+    assert families._unique_order((2, 3), 0, p, p + 1 - r, p + 1 + r) is None
+
+
+@pytest.mark.parametrize("give_up", ["tries", "helper"])
+def test_trace_falls_back_to_point_count(monkeypatch, give_up):
+    ps = [1009, 7919, 50021, 99991, 100003]
+    want = {(dz, p): trace_of_frobenius(dz, p) for dz in [DZ_A, DZ_B, DZ_C] for p in ps}
+    counted = []
+    count_points = families._trace_by_count
+
+    def count(coeffs, p):
+        counted.append(p)
+        return count_points(coeffs, p)
+
+    monkeypatch.setattr(families, "_trace_by_count", count)
+    if give_up == "tries":
+        monkeypatch.setattr(families, "BSGS_TRIES", 0)
+    else:
+        monkeypatch.setattr(families, "_unique_order", lambda *args: None)
+    for (dz, p), a in want.items():
+        assert trace_of_frobenius(dz, p) == a
+    assert counted == [p for _, p in want]
+
+
 def test_semicircle_cdf():
     assert semicircle_cdf(0.0) == 0.0
     assert semicircle_cdf(math.pi) == pytest.approx(1.0, abs=1e-15)
