@@ -19,13 +19,15 @@ the repeats, and a task returns one result per distinct key (_sweep_chunk). The
 reciprocity ladder is not used here; it cross-checks the explicit formula
 in the tests. The sweep is a stream: each row goes to the caller's on_item
 and is dropped, and its SweepReport keeps only counts and bests, so memory
-does not grow with the family. The Sato-Tate sweep keeps every prime's
-record in its SatoTateReport; its a_p take O(p^(1/4)) exact group steps on
-the curve or its twist, with the O(p) point count for small p and fallback.
+does not grow with the family. The Sato-Tate sweep of a monic integer cubic
+keeps every prime's record in its SatoTateReport, in plain integers: p is bad
+exactly when it divides the discriminant, and a_p takes O(p^(1/4)) exact group
+steps on the curve or its twist, with the O(p) point count for small p and fallback.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 from contextlib import contextmanager
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite_field import check_odd_prime, legendre_int
-from .fp_poly import reduce_int_poly
 from .lfunction import (
     FAMILY_CHUNK,
     NumericalError,
@@ -42,7 +43,6 @@ from .lfunction import (
     _family_tables,
     complete_coefficients,
     family_coefficients,
-    good_pair_check,
     phi_rows,
 )
 from .newman import NewmanEstimate, double_zero_block, genus1_lambda, lambda_bisect_block
@@ -56,7 +56,6 @@ __all__ = [
     "F3_GENUS_SERIES",
     "check_sweep",
     "cubic_discriminant",
-    "good_pair_check",
     "ks_distance",
     "primes_up_to",
     "sato_tate_sweep",
@@ -79,7 +78,7 @@ F3_GENUS_SERIES = (
 
 
 class BadReduction(ValueError):
-    """The reduction of an integer polynomial mod p is not a good pair."""
+    """p divides the cubic's discriminant: its reduction mod p has a repeated root."""
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,7 @@ class SatoTateReport:
     """Outcome of a Sato-Tate sweep: one SatoTateRecord per odd prime in
     order, the counts of good and bad-reduction primes, the running supremum
     of lambda_p after each record, and a statistics block (sup_lambda,
-    argmax_p, ks_distance, processed, skipped)."""
+    argmax_p, ks_distance)."""
 
     items: tuple
     processed: int
@@ -334,22 +333,33 @@ BSGS_MIN_P = 230  # Mestre's bound is 229
 BSGS_TRIES = 40
 
 
-def trace_of_frobenius(dz, p: int) -> int:
-    """a_p of y^2 = dz(T), exactly: for a cubic and p > BSGS_MIN_P by
-    baby-step giant-step (_trace_by_bsgs), else, and when that gives up, by
-    point counting (_trace_by_count).
-
-    Requires (p, dz mod p) to be a good pair; otherwise BadReduction. The
-    Hasse bound |a_p| < 2 sqrt(p) is asserted on every output.
-    """
+def _monic_cubic(dz) -> tuple:
+    """dz as ints, trailing zeros dropped; ValueError unless a monic cubic."""
     dz = tuple(int(v) for v in dz)
-    Dp = reduce_int_poly(dz, p)
-    ok, reason = good_pair_check(p, Dp)
-    if not ok:
-        raise BadReduction(reason)
-    a_p = _trace_by_bsgs(Dp.coeffs, p) if p > BSGS_MIN_P and Dp.degree == 3 else None
+    while dz and dz[-1] == 0:
+        dz = dz[:-1]
+    if len(dz) != 4 or dz[3] != 1:
+        raise ValueError("dz must be monic of degree 3")
+    return dz
+
+
+def trace_of_frobenius(dz, p: int) -> int:
+    """a_p of y^2 = dz(T), exactly, for a monic integer cubic dz and an odd
+    prime p: for p > BSGS_MIN_P by baby-step giant-step (_trace_by_bsgs),
+    else, and when that gives up, by point counting (_trace_by_count).
+
+    BadReduction exactly when p divides the discriminant of dz, i.e. when
+    dz mod p has a repeated root. The Hasse bound |a_p| < 2 sqrt(p) is
+    asserted on every output.
+    """
+    dz = _monic_cubic(dz)
+    check_odd_prime(p)
+    if cubic_discriminant(dz) % p == 0:
+        raise BadReduction("D must be squarefree")
+    coeffs = [v % p for v in dz]
+    a_p = _trace_by_bsgs(coeffs, p) if p > BSGS_MIN_P else None
     if a_p is None:
-        a_p = _trace_by_count(Dp.coeffs, p)
+        a_p = _trace_by_count(coeffs, p)
     if a_p * a_p >= 4 * p:
         raise NumericalError("Hasse bound violated: a_p=%d at p=%d" % (a_p, p))
     return a_p
@@ -445,29 +455,20 @@ def _sato_record(dz: tuple, p: int) -> SatoTateRecord:
     return SatoTateRecord(p, a_p, theta, genus1_lambda(a_p, p), None)
 
 
-def _sato_task(args):
-    return _sato_record(*args)
-
-
 def sato_tate_sweep(dz, p_max: int, workers: int = 1) -> SatoTateReport:
     """Reduce a fixed squarefree integer cubic mod every odd prime p <= p_max
     and record (p, a_p, theta_p, lambda_p); bad-reduction primes are recorded
     as skips. The statistics block carries the running supremum of lambda_p
     and the Kolmogorov-Smirnov distance of the theta sample to the semicircle
     law (the distance statistic is this artifact's choice)."""
-    dz = tuple(int(v) for v in dz)
-    while dz and dz[-1] == 0:
-        dz = dz[:-1]
-    if len(dz) != 4 or dz[3] != 1:
-        raise ValueError("dz must be monic of degree 3")
+    dz = _monic_cubic(dz)
     if cubic_discriminant(dz) == 0:
         raise ValueError("dz must be squarefree over Q")
     if p_max < 3:
         raise ValueError("p_max must be >= 3")
     check_workers(workers)
     ps = [p for p in primes_up_to(p_max) if p > 2]
-    tasks = [(dz, p) for p in ps]
-    with _ordered_map(_sato_task, tasks, workers, chunksize=64) as results:
+    with _ordered_map(functools.partial(_sato_record, dz), ps, workers, chunksize=64) as results:
         records = list(results)
     sup = None
     argmax_p = None
@@ -495,8 +496,6 @@ def sato_tate_sweep(dz, p_max: int, workers: int = 1) -> SatoTateReport:
             "sup_lambda": sup,
             "argmax_p": argmax_p,
             "ks_distance": ks,
-            "processed": processed,
-            "skipped": skipped,
         },
     )
 

@@ -23,7 +23,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def check_odd_prime(p: int) -> None:
     """Raise ValueError unless p is an odd prime (the only legal moduli here)."""
     if not isinstance(p, int) or p < 3 or p % 2 == 0 or not is_prime(p):

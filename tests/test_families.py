@@ -85,6 +85,36 @@ def test_trace_bad_reduction():
         trace_of_frobenius(DZ_A, 2)
 
 
+def test_bad_reduction_is_p_dividing_the_discriminant():
+    # the polynomial route is the oracle: a monic cubic at an odd p fails
+    # good_pair_check only for a repeated root, and that happens exactly when
+    # p | disc; the two disc-0 cubics are bad at every p, x^3 + 3x at p = 3
+    for dz in [DZ_A, DZ_B, DZ_C, (2, -3, 0, 1), (0, 0, 0, 1), (0, 0, 3, 1)]:
+        disc = cubic_discriminant(dz)
+        for p in primes_up_to(500)[1:]:
+            ok, reason = good_pair_check(p, reduce_int_poly(dz, p))
+            assert (disc % p == 0) == (not ok), (dz, p)
+            if ok:
+                trace_of_frobenius(dz, p)
+                continue
+            assert reason == "D must be squarefree"
+            with pytest.raises(BadReduction, match="^D must be squarefree$"):
+                trace_of_frobenius(dz, p)
+
+
+def test_trace_and_sweep_share_the_cubic_check():
+    for dz in [(1, 0, 0, 2), (1, 0, 0, 0, 0, 1), (1, 1)]:
+        with pytest.raises(ValueError) as sweep_error:
+            sato_tate_sweep(dz, 30)
+        with pytest.raises(ValueError) as trace_error:
+            trace_of_frobenius(dz, 5)
+        assert not isinstance(trace_error.value, BadReduction)
+        assert str(trace_error.value) == str(sweep_error.value) == "dz must be monic of degree 3"
+    # trailing zeros are dropped, as by the sweep
+    for p in [5, 1009]:
+        assert trace_of_frobenius((1, 1, 0, 1, 0), p) == trace_of_frobenius(DZ_A, p)
+
+
 def test_hasse_bound():
     for dz in [DZ_A, DZ_B, DZ_C]:
         for p in primes_up_to(500):
