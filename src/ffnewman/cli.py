@@ -19,12 +19,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import math
 import os
 import sys
 import warnings
 from functools import lru_cache
+
+import numpy as np
 
 from . import __version__
 from .classical import check_quad_points, xi_t_classical
@@ -140,7 +143,7 @@ def _emit_json(stream, payload: dict) -> None:
 
 
 def _coeff_text(coeffs) -> str:
-    return ",".join(str(v) for v in coeffs)
+    return ",".join(map(str, coeffs))
 
 
 def cmd_lfun(args) -> int:
@@ -230,6 +233,38 @@ def _next_enum_position(q: int, degree: int, index: int):
     return degree + 2, 0
 
 
+# the most entries one digit-text table of the sweep writer holds
+DIGIT_TEXTS_MAX = 1024
+
+
+@lru_cache(maxsize=32)
+def _digit_texts(q: int, width: int) -> tuple:
+    """The text of each v < q^width as its width base-q digits, most
+    significant first, comma-separated."""
+    digits = [str(d) for d in range(q)]
+    texts = digits
+    for _ in range(width - 1):  # v = u q + d is the text of u, then d
+        texts = [u + "," + d for u in texts for d in digits]
+    return tuple(texts)
+
+
+def _d_texts(q: int, degree: int, ks) -> list:
+    """The d_coeffs text of each monic D of the given degree and indices ks
+    (monic_by_index order): c_0..c_(degree-1), the base-q digits of k from
+    the most significant, then the monic 1. k is cut into parts of at most
+    w digits, q^w <= DIGIT_TEXTS_MAX, whose texts come from cached tables."""
+    w = 1
+    while q ** (w + 1) <= DIGIT_TEXTS_MAX:
+        w += 1
+    parts = [("1",) * len(ks)]  # least significant part first
+    rest = ks
+    for low in range(0, degree, w):
+        width = min(w, degree - low)
+        rest, part = np.divmod(rest, q**width)
+        parts.append(list(map(_digit_texts(q, width).__getitem__, part.tolist())))
+    return list(map(",".join, zip(*reversed(parts))))
+
+
 def cmd_sweep(args) -> int:
     method = args.method.replace("-", "_")
     start = None
@@ -261,15 +296,38 @@ def cmd_sweep(args) -> int:
                 [g, _coeff_text(item.d_coeffs), ctext, method_label, _fmt(value)]
             )
 
-        def on_item(item):
-            item_row(item, method)
-            if item.error is not None:
-                f.write(
-                    "# error: degree=%d index=%d: %s\n"
-                    % (item.degree, item.index, item.error)
+        def on_block(block):
+            """Write the block's rows, and any error line after its row, in
+            one write: the columns after D once per entry, through csv (no
+            field holds a line break, so its lines split back per entry),
+            and the D text from digit tables. D text is digits and commas
+            only, so csv quotes it and escapes nothing."""
+            if not len(block.ks):
+                return
+            g = (block.degree - 1) // 2
+            tail = io.StringIO()
+            csv.writer(tail, lineterminator="\n").writerows(
+                [
+                    "" if c is None else _coeff_text(c[: g + 1]),
+                    method,
+                    _fmt(None if estimate is None else estimate.value),
+                ]
+                for c, estimate, _ in block.entries
+            )
+            tails = ['",' + t for t in tail.getvalue().splitlines(keepends=True)]
+            prefix = '%d,"' % g
+            which = block.which.tolist()
+            lines = [
+                prefix + d + tails[i]
+                for d, i in zip(_d_texts(args.q, block.degree, block.ks), which)
+            ]
+            errors = [i for i, (_, _, error) in enumerate(block.entries) if error is not None]
+            for r in np.flatnonzero(np.isin(block.which, errors)).tolist():
+                lines[r] += "# error: degree=%d index=%d: %s\n" % (
+                    block.degree, block.ks[r], block.entries[which[r]][2]
                 )
-            last_written[0] = (item.degree, item.index)
-            last_written[1] = True
+            f.write("".join(lines))
+            last_written[:] = [(block.degree, int(block.ks[-1])), True]
 
         try:
             report = sweep_fixed_q(
@@ -278,7 +336,7 @@ def cmd_sweep(args) -> int:
                 method=method,
                 workers=args.workers,
                 start=start,
-                on_item=on_item,
+                on_block=on_block,
             )
         except KeyboardInterrupt:
             deg, idx = last_written[0]

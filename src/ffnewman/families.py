@@ -8,17 +8,21 @@ statistics follow the semicircle law.
 
 The fixed-q sweep runs in tasks of SWEEP_SPAN consecutive indices of one
 degree: the explicit formula (lfunction.family_coefficients, in blocks of
-FAMILY_CHUNK) gives c_0..c_g and the squarefree mask for the whole task, and
-the estimator runs on the Phi array (lfunction.phi_rows) of the task's
-distinct c_0..c_g at once, building no FpPolynomial or LFunctionData per D.
+FAMILY_CHUNK, from the high/low digit split of its residues) gives c_0..c_g
+and the squarefree mask for the whole task, and the estimator runs on the
+Phi array (lfunction.phi_rows) of the task's distinct c_0..c_g, in calls of
+at most ESTIMATOR_ROWS rows, building no FpPolynomial or LFunctionData per D.
 An estimate depends on D only through its L-polynomial (q and c_0..c_g), and
 a fixed-q family has far fewer of those than discriminants, so each worker
 solves every distinct L-polynomial once per sweep: a memo of at most
 MEMO_SIZE entries, keyed on c_0..c_g and emptied when a sweep starts, serves
-the repeats, and a task returns one result per distinct key (_sweep_chunk). The
-reciprocity ladder is not used here; it cross-checks the explicit formula
-in the tests. The sweep is a stream: each row goes to the caller's on_item
-and is dropped, and its SweepReport keeps only counts and bests, so memory
+the repeats, and a task returns one SweepBlock: its squarefree indices, one
+result per distinct key, and each row's key (_sweep_chunk). The reciprocity
+ladder is not used here; it cross-checks the explicit formula in the tests.
+The sweep is a stream of blocks: each goes to the caller's on_block, which
+can write all its rows at once, and is dropped; on_item, for callers that
+want one SweepItem per row, expands each block. The bests of a block are
+found in numpy, and its SweepReport keeps only counts and bests, so memory
 does not grow with the family. The Sato-Tate sweep of a monic integer cubic
 keeps every prime's record in its SatoTateReport, in plain integers: p is bad
 exactly when it divides the discriminant, and a_p takes O(p^(1/4)) exact group
@@ -41,6 +45,7 @@ from .lfunction import (
     NumericalError,
     _digits,
     _family_tables,
+    _split_tables,
     complete_coefficients,
     family_coefficients,
     phi_rows,
@@ -51,6 +56,7 @@ __all__ = [
     "BadReduction",
     "SatoTateRecord",
     "SatoTateReport",
+    "SweepBlock",
     "SweepItem",
     "SweepReport",
     "F3_GENUS_SERIES",
@@ -91,6 +97,32 @@ class SweepItem:
     c: tuple
     estimate: NewmanEstimate | None
     error: str | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class SweepBlock:
+    """One task's rows of a fixed-q sweep, as arrays: ks holds the indices of
+    its squarefree D of one degree (int64, increasing), entries one
+    (c_0..c_2g, estimate, error) per distinct c_0..c_g of the task, as the
+    SweepItem fields they fill (c and estimate None on an error), and
+    which[i] is the entry of row ks[i]."""
+
+    q: int
+    degree: int
+    ks: np.ndarray
+    which: np.ndarray
+    entries: list
+
+    def items(self, rows=slice(None)) -> list:
+        """The SweepItems of the given rows, in order (all rows by default)."""
+        ks = self.ks[rows]
+        d_coeffs = np.ones((len(ks), self.degree + 1), dtype=np.int64)
+        d_coeffs[:, : self.degree] = _digits(self.q, self.degree, ks)[:, ::-1]
+        entries = self.entries
+        return [
+            SweepItem(self.degree, k, tuple(d), *entries[i])
+            for k, d, i in zip(ks.tolist(), d_coeffs.tolist(), self.which[rows].tolist())
+        ]
 
 
 @dataclass(frozen=True)
@@ -175,6 +207,9 @@ def _ordered_map(fn, tasks, workers: int, chunksize: int = 1):
 # call more than per row, so a task spans several family_coefficients blocks
 SWEEP_SPAN = 8 * FAMILY_CHUNK
 
+# the most rows one estimator call gets: bounds a worker's memory per call
+ESTIMATOR_ROWS = 1024
+
 # distinct L-polynomials whose result a process keeps during one sweep
 # (FIFO eviction); sweep_fixed_q empties it before any pool is forked
 MEMO_SIZE = 4096
@@ -183,20 +218,18 @@ _memo: dict = {}
 
 def _sweep_chunk(args):
     """Estimates for the squarefree D with indices lo <= k < hi of one degree:
-    (degree, number skipped, ks, which, entries). ks holds the squarefree
-    indices (int64), entries one (c_0..c_2g, estimate, error) per distinct
-    c_0..c_g of the task, as the SweepItem fields they fill, with c and
-    estimate None on an error, and which[i] is the entry of row ks[i].
+    (number skipped, SweepBlock). The block has one entry per distinct
+    c_0..c_g of the task.
 
     Every estimator reads D only through (q, c_0..c_g), so each distinct
     L-polynomial is solved once per process and sweep: a key the memo holds
     reuses its estimate or error text, and the other keys go to the
-    estimator in one block (lambda_bisect_block or double_zero_block, on
-    their phi_rows array at once). q and the method are fixed for the
-    memo's lifetime, since sweep_fixed_q empties it at the start. A row's
-    estimate does not depend on the rest of its block, so a reused entry is
-    the value a fresh solve gives. The memo keeps the last MEMO_SIZE keys
-    inserted.
+    estimator (lambda_bisect_block or double_zero_block, on their phi_rows
+    array) in calls of at most ESTIMATOR_ROWS rows. q and the method are
+    fixed for the memo's lifetime, since sweep_fixed_q empties it at the
+    start. A row's estimate does not depend on the rest of its block, so a
+    reused entry is the value a fresh solve gives. The memo keeps the last
+    MEMO_SIZE keys inserted.
     """
     q, degree, lo, hi, method = args
     c_half, squarefree = family_coefficients(q, degree, lo, hi)
@@ -207,20 +240,21 @@ def _sweep_chunk(args):
     # take the hits before inserting: an eviction could drop one of them
     results = [_memo.get(key) for key in keys]
     fresh = [i for i, r in enumerate(results) if r is None]
-    if fresh:
-        phi = phi_rows(q, distinct[fresh])
+    for first in range(0, len(fresh), ESTIMATOR_ROWS):
+        part = fresh[first : first + ESTIMATOR_ROWS]
+        phi = phi_rows(q, distinct[part])
         if method == "bisect":
-            solved = lambda_bisect_block(phi, [cs[i] for i in fresh])
+            solved = lambda_bisect_block(phi, [cs[i] for i in part])
         else:
             solved = double_zero_block(phi)
-        for i, r in zip(fresh, solved):
+        for i, r in zip(part, solved):
             if isinstance(r, Exception):
                 r = "%s: %s" % (type(r).__name__, r)
             while len(_memo) >= MEMO_SIZE:
                 del _memo[next(iter(_memo))]
             _memo[keys[i]] = results[i] = r
     entries = [(None, None, r) if isinstance(r, str) else (c, r, None) for c, r in zip(cs, results)]
-    return degree, hi - lo - len(ks), ks, which, entries
+    return hi - lo - len(ks), SweepBlock(q, degree, ks, which, entries)
 
 
 def _chunk_tasks(q: int, max_genus: int, method: str, start: tuple):
@@ -262,6 +296,7 @@ def sweep_fixed_q(
     workers: int = 1,
     start: tuple | None = None,
     on_item=None,
+    on_block=None,
 ) -> SweepReport:
     """Estimate Lambda_D for every monic squarefree D of odd degree up to
     2*max_genus + 1 over F_q, in enumeration order.
@@ -271,36 +306,47 @@ def sweep_fixed_q(
     a row's estimate does not depend on the rest of its task, and the
     coefficient arithmetic is exact integer arithmetic.
     start=(degree, index) resumes mid-enumeration at monic_by_index(q,
-    degree, index); check_sweep says which inputs are rejected. on_item,
-    when given, sees each SweepItem as soon as its turn in the canonical
-    order arrives. The sweep keeps no item but the bests of its report, so
-    its memory does not grow with the family.
+    degree, index); check_sweep says which inputs are rejected. on_block,
+    when given, sees each task's rows as one SweepBlock as soon as its turn
+    in the canonical order arrives; on_item, when given, then sees each of
+    the block's rows as a SweepItem. The sweep keeps no row but the bests of
+    its report, so its memory does not grow with the family; a best is the
+    very SweepItem that on_item saw, and without on_item only the rows that
+    become a best are built as SweepItems.
     """
     start = check_sweep(q, max_genus, method, start, workers)
     # forked workers copy the memo (for this q and method only) and the tables
     _memo.clear()
     for degree in range(start[0], 2 * max_genus + 2, 2):
         _family_tables(q, degree)
+        _split_tables(q, degree)
     tasks = _chunk_tasks(q, max_genus, method, start)
     processed = 0
     skipped = 0
     best_per_genus: dict = {}
     with _ordered_map(_sweep_chunk, tasks, workers) as results:
-        for degree, n_skipped, ks, which, entries in results:
+        for n_skipped, block in results:
             skipped += n_skipped
-            processed += len(ks)
-            g = (degree - 1) // 2
-            d_coeffs = np.ones((len(ks), degree + 1), dtype=np.int64)
-            d_coeffs[:, :degree] = _digits(q, degree, ks)[:, ::-1]
-            for k, d, i in zip(ks.tolist(), d_coeffs.tolist(), which.tolist()):
-                item = SweepItem(degree, k, tuple(d), *entries[i])
-                if on_item is not None:
-                    on_item(item)
-                if item.estimate is None or item.estimate.value is None:
-                    continue
-                cur = best_per_genus.get(g)
-                if cur is None or item.estimate.value > cur.estimate.value:
-                    best_per_genus[g] = item
+            processed += len(block.ks)
+            if on_block is not None:
+                on_block(block)
+            items = block.items() if on_item is not None else None
+            for item in items or ():
+                on_item(item)
+            # the block's best is its first row of largest value; rows
+            # without a value (an error or no bound) never count
+            values = np.array(
+                [np.nan if e is None or e.value is None else e.value for _, e, _ in block.entries]
+            )
+            present = values[~np.isnan(values)]
+            if not len(present):
+                continue
+            g = (block.degree - 1) // 2
+            cur = best_per_genus.get(g)
+            if cur is None or present.max() > cur.estimate.value:
+                i = int(np.argmax(values[block.which] == present.max()))
+                best = items[i] if items is not None else block.items(slice(i, i + 1))[0]
+                best_per_genus[g] = best
     # genera enter the dict in enumeration order and max keeps the first of
     # equal values, so ties go to the first row here too
     best_overall = max(

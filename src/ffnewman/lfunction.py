@@ -22,11 +22,12 @@ The exact integers c_0..c_g come from the explicit formula: chi_D(P) at the
 monic irreducible P of degree d <= g gives the power sums S_k, and Newton's
 identities give the c_n (_newton_coefficients). build_lfunction runs it for
 one D, family_coefficients for a whole index range of D at once; both reduce
-D mod every P through one table of T^i mod P (_residue_tables) and take
-chi_D(P) from one kernel (_euler_values, Euler's criterion through the norm
-to F_q), for a range through per-P tables (_family_tables), which a fixed-q
-sweep fills before it forks. The tests check both against the reciprocity
-ladder quad_character.chi summed over the same P, and against the
+D mod every P through one table of T^i mod P (_residue_tables), a range
+through its high/low digit split (_split_tables), and take chi_D(P) from one
+kernel (_euler_values, Euler's criterion through the norm to F_q), for a
+range through per-P tables (_family_tables). A fixed-q sweep builds the
+split and per-P tables before it forks. The tests check both against the
+reciprocity ladder quad_character.chi summed over the same P, and against the
 enumeration oracle enumerated_coefficients, c_n as the sum of chi_D over
 every monic f of degree n, with dirichlet_coefficients, its c_0..c_g
 completed by the exact integer functional equation c_(g+n) = q^n c_(g-n).
@@ -277,26 +278,68 @@ def _family_tables(q: int, degree: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=16)
+def _split_tables(q: int, degree: int) -> tuple:
+    """(w, high, low): the residues of D and D' modulo every monic irreducible
+    P of degree d <= g, split at the w-th base-q digit of the index, with
+    q^w <= FAMILY_CHUNK. A residue is laid out as (2, g, m), D then D', its
+    components r_0..r_(d-1) padded with zeros to g, for all m such P in the
+    order of _residue_tables; the index sum r_i q^i is unchanged by the pad.
+
+    Index k = h q^w + l has its high part h in c_0..c_(degree-w-1) and its
+    low part l in c_(degree-w)..c_(degree-1), so D mod P is the sum of a high
+    and a low residue, mod q, and so is D' mod P. low[l] holds the low
+    residues of every l < q^w, reduced mod q, in int8 when the sum of two
+    still fits (2(q - 1) < 128), else int16 or int64. high maps the digits
+    c_0..c_(degree-w-1), then the monic 1, to the high residues (int64, not
+    reduced). Read-only."""
+    g = (degree - 1) // 2
+    tables = _residue_tables(q, degree)
+    m = sum(R.shape[2] for R, _ in tables)
+    # W[j]: the residues of T^j (for D) and of j T^(j-1) (for D'), j <= degree
+    W = np.zeros((degree + 1, 2, g, m), dtype=np.int64)
+    col = 0
+    for d, (R, _) in enumerate(tables, 1):
+        cols = slice(col, col + R.shape[2])
+        W[:, 0, :d, cols] = R
+        W[1:, 1, :d, cols] = R[:-1] * np.arange(1, degree + 1)[:, None, None] % q
+        col = cols.stop
+    W = W.reshape(degree + 1, -1)
+    w = 0
+    while w < degree and q ** (w + 1) <= FAMILY_CHUNK:
+        w += 1
+    dtype = np.int8 if 2 * (q - 1) < 2**7 else np.int16 if 2 * (q - 1) < 2**15 else np.int64
+    digits = _digits(q, w, np.arange(q**w, dtype=np.int64))[:, ::-1]
+    low = (digits @ W[degree - w : degree] % q).astype(dtype).reshape(q**w, 2, g, m)
+    high = np.concatenate((W[: degree - w], W[degree:]))
+    low.flags.writeable = high.flags.writeable = False
+    return w, high, low
+
+
 def family_coefficients(q: int, degree: int, start: int, stop: int):
     """c_0..c_g and the squarefree mask for the monic D of one odd degree
     whose enumeration indices (monic_by_index order) are start <= k < stop.
 
     The explicit formula, i.e. the log-derivative route of Kedlaya-Sutherland
     (ANTS VIII, 2008), over the whole range at once in integer numpy: for
-    every monic irreducible P of degree d <= g, D mod P comes from one matmul
-    against the residue table (_residue_tables) and chi_D(P) from a per-P
-    table (_family_tables). Then
+    every monic irreducible P of degree d <= g, D mod P is a high residue
+    (one small matmul over the few high parts of a block) plus a low one
+    (gathered from the cached _split_tables), mod q, and chi_D(P) comes from
+    the per-P tables (_family_tables). Then
     S_k = sum over d | k of sum over deg P = d of d chi_D(P)^(k/d), and
     Newton's identities n c_n = sum_{k=1..n} S_k c_(n-k) give c_1..c_g
     exactly (_newton_coefficients). D is squarefree iff no such P^2 divides
     it; P is separable, so P^2 | D exactly when P divides both D and D',
-    and D' mod P rides in the same matmul, stacked under D.
+    and D' mod P comes from the same split. An index below q^(degree-2) has
+    c_0 = c_1 = 0, so T^2 divides D: those rows are not squarefree and take
+    no residue work.
 
     Returns (c, squarefree): int64 of shape (stop - start, g + 1) and bool of
     shape (stop - start,). For squarefree D a row equals
     dirichlet_coefficients(q, D)[:g + 1]; other rows are not the coefficients
     of a good pair. Work runs in blocks of FAMILY_CHUNK D, so memory beyond
-    the outputs is bounded whatever the range.
+    the outputs and the per-row sums that feed Newton's identities (int64,
+    two arrays of c's size) is bounded whatever the range.
     """
     check_odd_prime(q)
     if degree < 3 or degree % 2 == 0:
@@ -304,32 +347,42 @@ def family_coefficients(q: int, degree: int, start: int, stop: int):
     if not 0 <= start <= stop <= q**degree:
         raise ValueError("index range [%d, %d) out of range" % (start, stop))
     g = (degree - 1) // 2
-    tables = list(zip(_residue_tables(q, degree), _family_tables(q, degree)))
-    c = np.zeros((stop - start, g + 1), dtype=np.int64)
-    squarefree = np.ones(stop - start, dtype=bool)
-    for lo in range(start, stop, FAMILY_CHUNK):
+    w, high, low = _split_tables(q, degree)
+    chi_tables = _family_tables(q, degree)
+    # the chi rows of every P in one flat table, P's row from offsets[P] on;
+    # the P of degree d are the columns from first[d - 1] on
+    chi = np.concatenate([t.ravel() for t in chi_tables])
+    starts = np.cumsum([0] + [t.size for t in chi_tables])
+    offsets = np.concatenate([s + np.arange(0, t.size, t.shape[1]) for s, t in zip(starts, chi_tables)])
+    first = np.cumsum([0] + [t.shape[0] for t in chi_tables[:-1]])
+    index_type = np.int16 if q**g <= 2**15 else np.int64
+    first_row = min(max(start, q ** (degree - 2)), stop)
+    # A[:, d - 1], B[:, d - 1]: sums of chi_D(P) and of chi_D(P)^2 over deg P = d
+    A = np.zeros((stop - first_row, g), dtype=np.int64)
+    B = np.zeros_like(A)
+    squarefree = np.zeros(stop - start, dtype=bool)
+    for lo in range(first_row, stop, FAMILY_CHUNK):
         hi = min(lo + FAMILY_CHUNK, stop)
-        size = hi - lo
-        # rows 0..size-1: coefficient vectors c_0..c_degree of D, c_0 the most
-        # significant digit of the index; the rest: those of D' mod q
-        C = np.zeros((2 * size, degree + 1), dtype=np.int64)
-        C[:size, :degree] = _digits(q, degree, np.arange(lo, hi, dtype=np.int64))[:, ::-1]
-        C[:size, degree] = 1
-        C[size:, :degree] = C[:size, 1:] * np.arange(1, degree + 1) % q
-        # A[d], B[d]: sums of chi_D(P) and of chi_D(P)^2 over deg P = d
-        A = [None] * (g + 1)
-        B = [None] * (g + 1)
-        sf = squarefree[lo - start : hi - start]
-        for d, ((R, _), chi) in enumerate(tables, 1):
-            m = chi.shape[0]
-            res = (C @ R.reshape(degree + 1, d * m) % q).reshape(2 * size, d, m)
-            idx = q ** np.arange(d, dtype=np.int64) @ res
-            vals = chi.ravel()[idx[:size] + q**d * np.arange(m, dtype=np.int64)]
-            A[d] = vals.sum(axis=1, dtype=np.int64)
-            B[d] = np.count_nonzero(vals, axis=1)
-            sf &= (idx[:size] | idx[size:]).all(axis=1)  # no P divides D and D'
-        for n, cn in enumerate(_newton_coefficients(A, B)):
-            c[lo - start : hi - start, n] = cn
+        h, l = np.divmod(np.arange(lo, hi, dtype=np.int64), q**w)
+        top = np.ones((h[-1] - h[0] + 1, degree - w + 1), dtype=np.int64)
+        top[:, :-1] = _digits(q, degree - w, np.arange(h[0], h[-1] + 1))[:, ::-1]
+        top = (top @ high % q).astype(low.dtype).reshape(-1, *low.shape[1:])
+        res = top[h - h[0]] + low[l]
+        res -= (res >= q) * low.dtype.type(q)  # % q, as both terms were < q
+        idx = res[:, :, -1].astype(index_type)  # r_(g-1), then Horner's rule
+        for i in range(g - 2, -1, -1):
+            idx *= q
+            idx += res[:, :, i]
+        # idx is (rows, 2, m): the residue indices of D and D' at each P
+        vals = chi[idx[:, 0] + offsets]
+        rows = slice(lo - first_row, hi - first_row)
+        A[rows] = np.add.reduceat(vals, first, axis=1, dtype=np.int64)
+        B[rows] = np.add.reduceat(vals != 0, first, axis=1, dtype=np.int64)
+        # no P divides both D and D'
+        squarefree[lo - start : hi - start] = (idx[:, 0] | idx[:, 1]).all(axis=1)
+    c = np.zeros((stop - start, g + 1), dtype=np.int64)
+    for n, cn in enumerate(_newton_coefficients([None, *A.T], [None, *B.T])):
+        c[first_row - start :, n] = cn
     return c, squarefree
 
 

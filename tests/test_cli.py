@@ -1,6 +1,7 @@
 """End-to-end coverage of the command-line surface and its file formats."""
 
 import ast
+import contextlib
 import csv
 import io
 import json
@@ -12,16 +13,18 @@ import sys
 
 import pytest
 
-from ffnewman import __version__, classical
+from ffnewman import __version__, classical, cli, families
 from ffnewman.classical import QUAD_POINTS_MAX
 from ffnewman.cli import (
     CLASSICAL_MAX_ROWS,
     EXIT_INVALID,
     EXIT_OK,
+    _coeff_text,
+    _fmt,
     build_parser,
     main,
 )
-from ffnewman.families import MAX_WORKERS
+from ffnewman.families import MAX_WORKERS, SweepItem, sweep_fixed_q
 
 TABLE_C = {
     1: "1,-3",
@@ -595,3 +598,132 @@ def test_interrupted_sweep_writes_resume_token(tmp_path):
     parts = dict(kv.split("=") for kv in tokens[0].split(": ")[1].split(" "))
     assert int(parts["degree"]) in (3, 5, 7)
     assert int(parts["index"]) >= 0
+
+
+def _row_text(writer, item, label):
+    """One sweep row as the row-at-a-time writer printed it."""
+    g = (item.degree - 1) // 2
+    ctext = "" if item.c is None else _coeff_text(item.c[: g + 1])
+    value = None if item.estimate is None else item.estimate.value
+    writer.writerow([g, _coeff_text(item.d_coeffs), ctext, label, _fmt(value)])
+
+
+def oracle_sweep_body(q, max_genus, method, start=None):
+    """The CSV body after the header row of a finished sweep, rebuilt from
+    the SweepItems of sweep_fixed_q(on_item=...) one row at a time."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    label = method.replace("-", "_")
+
+    def on_item(item):
+        _row_text(writer, item, label)
+        if item.error is not None:
+            out.write("# error: degree=%d index=%d: %s\n" % (item.degree, item.index, item.error))
+
+    report = sweep_fixed_q(q, max_genus, method=label, start=start, on_item=on_item)
+    for g in sorted(report.best_per_genus):
+        _row_text(writer, report.best_per_genus[g], "best_per_genus")
+    if report.best_overall is not None:
+        _row_text(writer, report.best_overall, "best_overall")
+    return out.getvalue()
+
+
+def cli_sweep_body(tmp_path, q, max_genus, method, resume=None, workers=1):
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--q", str(q), "--max-genus", str(max_genus), "--method", method]
+    args += ["--workers", str(workers), "--out", str(out)]
+    if resume is not None:
+        args += ["--resume-from", resume]
+    assert main(args) == EXIT_OK
+    header, _, body = out.read_text().partition("genus,d_coeffs,c_coeffs,method,lambda_bound\n")
+    assert header.count("\n") == 2
+    return body
+
+
+@pytest.mark.parametrize(
+    "q,max_genus,method,resume",
+    [
+        (3, 4, "double-zero", None),
+        (5, 2, "bisect", None),
+        # two-digit coefficients, and D texts cut into several digit tables
+        (11, 2, "double-zero", None),
+        (13, 2, "double-zero", "5:300000"),
+        # a resume start inside a sweep task
+        (3, 4, "double-zero", "9:5000"),
+    ],
+)
+def test_block_writer_matches_row_writer(tmp_path, q, max_genus, method, resume):
+    start = None if resume is None else tuple(map(int, resume.split(":")))
+    expect = oracle_sweep_body(q, max_genus, method, start)
+    assert cli_sweep_body(tmp_path, q, max_genus, method, resume) == expect
+
+
+@pytest.mark.parametrize("method", ["double-zero", "bisect"])
+def test_block_writer_prints_error_lines_after_their_rows(monkeypatch, tmp_path, method):
+    # no sweep of the test sizes ends in an error, so every third distinct
+    # c_0..c_g is made one; both writers see the same rows
+    name = "lambda_bisect_block" if method == "bisect" else "double_zero_block"
+    block = getattr(families, name)
+
+    def failing(phi, *rest):
+        solved = block(phi, *rest)
+        return [ArithmeticError("row %d" % i) if i % 3 == 0 else r for i, r in enumerate(solved)]
+
+    monkeypatch.setattr(families, name, failing)
+    expect = oracle_sweep_body(5, 2, method)
+    assert expect.count("# error: ") > 100
+    assert cli_sweep_body(tmp_path, 5, 2, method) == expect
+
+
+def test_cli_sweep_builds_a_sweep_item_only_for_a_block_best(monkeypatch, tmp_path):
+    built = []
+    init = SweepItem.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[:2])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SweepItem, "__init__", counting)
+    cli_sweep_body(tmp_path, 3, 4, "double-zero")
+    tasks = list(families._chunk_tasks(3, 4, "double_zero", (3, 0)))
+    assert 0 < len(built) <= len(tasks)
+
+
+class _InterruptSecondBlock(io.StringIO):
+    """An output stream whose second write of sweep rows is interrupted."""
+
+    blocks = 0
+
+    def write(self, text):
+        if ",double_zero," in text:
+            self.blocks += 1
+            if self.blocks == 2:
+                raise KeyboardInterrupt
+        return super().write(text)
+
+
+def test_interrupted_block_write_resumes_after_the_last_whole_block(monkeypatch, tmp_path):
+    blocks = []
+    sweep_fixed_q(3, 3, on_block=blocks.append)
+    first = next(b for b in blocks if len(b.ks))
+    token = "%d:%d" % cli._next_enum_position(3, first.degree, int(first.ks[-1]))
+    stream = _InterruptSecondBlock()
+
+    @contextlib.contextmanager
+    def output(path):
+        yield stream
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_output", output)
+        assert main(["sweep", "--q", "3", "--max-genus", "3", "--workers", "1"]) == cli.EXIT_INTERRUPT
+    partial = stream.getvalue().splitlines(keepends=True)
+    assert partial[-1] == "# resume_token: degree=%s index=%s\n" % tuple(token.split(":"))
+    rows = "".join(partial[3:-1])
+    rows += cli_sweep_body(tmp_path, 3, 3, "double-zero", resume=token)
+    full = cli_sweep_body(tmp_path, 3, 3, "double-zero")
+
+    def data(text):
+        return "".join(ln for ln in text.splitlines(keepends=True) if ",best_" not in ln)
+
+    assert data(rows) == data(full)
+    assert len(data(full)) > len("".join(partial[3:-1])) > 0

@@ -595,3 +595,36 @@ def test_f3_genus_series_is_good_and_spans_genera():
         ok, reason = good_pair_check(3, D)
         assert ok, reason
         assert D.degree == 2 * g + 1
+
+
+def test_sweep_blocks_expand_to_the_items_on_item_sees():
+    # on_block sees each task as one block; its rows, expanded, are the rows
+    # on_item sees, and the report does not depend on which callback is given
+    blocks, items = [], []
+    report = sweep_fixed_q(3, 3, start=(7, 700), on_block=blocks.append, on_item=items.append)
+    assert [it for b in blocks for it in b.items()] == items
+    assert [b.items(slice(i, i + 1))[0] for b in blocks for i in range(len(b.ks))] == items
+    assert sum(len(b.ks) for b in blocks) == report.processed
+    assert len(blocks) == len(list(families._chunk_tasks(3, 3, "double_zero", (7, 700))))
+    for b in blocks:
+        assert np.all(np.diff(b.ks) > 0) and len(b.which) == len(b.ks)
+    for callbacks in ({}, {"on_block": lambda b: None}):
+        same_counts_and_bests(sweep_fixed_q(3, 3, start=(7, 700), **callbacks), report)
+
+
+def test_sweep_rows_do_not_depend_on_estimator_call_size(monkeypatch):
+    # fresh keys reach the estimator in calls of at most ESTIMATOR_ROWS rows
+    calls = []
+    block = families.double_zero_block
+
+    def counting(phi):
+        calls.append(len(phi))
+        return block(phi)
+
+    monkeypatch.setattr(families, "double_zero_block", counting)
+    expect = sweep_items(3, 3, workers=1)
+    assert max(calls) > 7
+    calls.clear()
+    monkeypatch.setattr(families, "ESTIMATOR_ROWS", 7)
+    assert sweep_items(3, 3, workers=1) == expect
+    assert max(calls) == 7

@@ -164,3 +164,14 @@ def test_empty_range_and_bad_arguments():
         family_coefficients(3, 3, 0, 28)
     with pytest.raises(ValueError):
         family_coefficients(4, 3, 0, 10)
+
+
+def test_rows_divisible_by_t_squared_take_no_residue_work(monkeypatch):
+    # an index below q^(degree - 2) has c_0 = c_1 = 0: T^2 divides D
+    q, degree = 3, 9
+    family_coefficients(q, degree, 0, 1)  # builds the cached tables
+    calls = []
+    monkeypatch.setattr(lfunction, "_digits", lambda *args: calls.append(args))
+    c, squarefree = family_coefficients(q, degree, 0, q ** (degree - 2))
+    assert not squarefree.any() and c.shape == (q ** (degree - 2), 5)
+    assert calls == []
