@@ -308,7 +308,7 @@ def cmd_sweep(args) -> int:
             tail = io.StringIO()
             csv.writer(tail, lineterminator="\n").writerows(
                 [
-                    "" if c is None else _coeff_text(c[: g + 1]),
+                    "" if c is None else _coeff_text(c),
                     method,
                     _fmt(None if estimate is None else estimate.value),
                 ]

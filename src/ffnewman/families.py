@@ -8,25 +8,26 @@ statistics follow the semicircle law.
 
 The fixed-q sweep runs in tasks of SWEEP_SPAN consecutive indices of one
 degree: the explicit formula (lfunction.family_coefficients, in blocks of
-FAMILY_CHUNK, from the high/low digit split of its residues) gives c_0..c_g
-and the squarefree mask for the whole task, and the estimator runs on the
-Phi array (lfunction.phi_rows) of the task's distinct c_0..c_g, in calls of
-at most ESTIMATOR_ROWS rows, building no FpPolynomial or LFunctionData per D.
-An estimate depends on D only through its L-polynomial (q and c_0..c_g), and
-a fixed-q family has far fewer of those than discriminants, so each worker
-solves every distinct L-polynomial once per sweep: a memo of at most
-MEMO_SIZE entries, keyed on c_0..c_g and emptied when a sweep starts, serves
-the repeats, and a task returns one SweepBlock: its squarefree indices, one
-result per distinct key, and each row's key (_sweep_chunk). The reciprocity
-ladder is not used here; it cross-checks the explicit formula in the tests.
-The sweep is a stream of blocks: each goes to the caller's on_block, which
-can write all its rows at once, and is dropped; on_item, for callers that
-want one SweepItem per row, expands each block. The bests of a block are
-found in numpy, and its SweepReport keeps only counts and bests, so memory
-does not grow with the family. The Sato-Tate sweep of a monic integer cubic
+FAMILY_CHUNK, from lfunction.family_tables) gives c_0..c_g and the squarefree
+mask for the whole task, and the estimator runs once per task on the Phi array
+(lfunction.phi_rows) of its distinct c_0..c_g, building no FpPolynomial or
+LFunctionData per D. An estimate depends on D only through its L-polynomial (q
+and c_0..c_g), and a fixed-q family has far fewer of those than discriminants,
+so each worker solves every distinct L-polynomial once per sweep: a memo of at
+most MEMO_SIZE entries, keyed on c_0..c_g and emptied when a sweep starts,
+serves the repeats, and a task returns one SweepBlock: its squarefree indices,
+one (c_0..c_g, result) per distinct key, and each row's key (_sweep_chunk).
+The reciprocity ladder is not used here; it cross-checks the explicit formula
+in the tests. The sweep is a stream of blocks: each goes to the caller's
+on_block, which can write all its rows at once, and is dropped. Only the
+bests, found in numpy, become SweepItems, and the SweepReport keeps only
+counts and bests, so memory does not grow with the family. The Sato-Tate sweep
+of a monic integer cubic maps runs of SATO_TATE_RUN consecutive primes and
 keeps every prime's record in its SatoTateReport, in plain integers: p is bad
 exactly when it divides the discriminant, and a_p takes O(p^(1/4)) exact group
-steps on the curve or its twist, with the O(p) point count for small p and fallback.
+steps on the curve or its twist, with the O(p) point count for small p and
+fallback. A pool never has more processes than tasks; with one task the map
+runs in-process.
 """
 
 from __future__ import annotations
@@ -44,10 +45,9 @@ from .lfunction import (
     FAMILY_CHUNK,
     NumericalError,
     _digits,
-    _family_tables,
-    _split_tables,
     complete_coefficients,
     family_coefficients,
+    family_tables,
     phi_rows,
 )
 from .newman import NewmanEstimate, double_zero_block, genus1_lambda, lambda_bisect_block
@@ -103,9 +103,9 @@ class SweepItem:
 class SweepBlock:
     """One task's rows of a fixed-q sweep, as arrays: ks holds the indices of
     its squarefree D of one degree (int64, increasing), entries one
-    (c_0..c_2g, estimate, error) per distinct c_0..c_g of the task, as the
-    SweepItem fields they fill (c and estimate None on an error), and
-    which[i] is the entry of row ks[i]."""
+    (c_0..c_g, estimate, error) per distinct c_0..c_g of the task (c and
+    estimate None on an error), and which[i] is the entry of row ks[i]. c is
+    the half of the coefficients that the CSV prints; items completes it."""
 
     q: int
     degree: int
@@ -114,14 +114,15 @@ class SweepBlock:
     entries: list
 
     def items(self, rows=slice(None)) -> list:
-        """The SweepItems of the given rows, in order (all rows by default)."""
+        """The SweepItems of the given rows, in order (all rows by default),
+        with c completed to c_0..c_2g."""
         ks = self.ks[rows]
         d_coeffs = np.ones((len(ks), self.degree + 1), dtype=np.int64)
         d_coeffs[:, : self.degree] = _digits(self.q, self.degree, ks)[:, ::-1]
-        entries = self.entries
+        entries = map(self.entries.__getitem__, self.which[rows].tolist())
         return [
-            SweepItem(self.degree, k, tuple(d), *entries[i])
-            for k, d, i in zip(ks.tolist(), d_coeffs.tolist(), self.which[rows].tolist())
+            SweepItem(self.degree, k, tuple(d), c and complete_coefficients(self.q, c), e, error)
+            for k, d, (c, e, error) in zip(ks.tolist(), d_coeffs.tolist(), entries)
         ]
 
 
@@ -140,7 +141,7 @@ class SatoTateRecord:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Outcome of a fixed-q sweep. Its rows went to on_item as they came and
+    """Outcome of a fixed-q sweep. Its rows went to on_block as they came and
     are not kept: processed counts the squarefree D estimated (errors
     included), skipped the D with a repeated factor, best_per_genus maps each
     genus to its row of largest Lambda value, and best_overall is the row of
@@ -188,16 +189,17 @@ def check_workers(workers: int) -> None:
 
 
 @contextmanager
-def _ordered_map(fn, tasks, workers: int, chunksize: int = 1):
-    """fn over tasks, results in task order: the builtin map for one worker,
-    otherwise the imap of a pool of that many processes, which is torn down
-    on exit, also when the caller stops early or raises."""
-    if workers <= 1:
+def _ordered_map(fn, tasks, count: int, workers: int):
+    """fn over the count tasks, results in task order: the builtin map when
+    min(workers, count) is at most one, else the imap of a pool of that many
+    processes, which is torn down on exit, also when the caller stops early
+    or raises."""
+    if min(workers, count) <= 1:
         yield map(fn, tasks)
         return
-    pool = multiprocessing.Pool(workers)
+    pool = multiprocessing.Pool(min(workers, count))
     try:
-        yield pool.imap(fn, tasks, chunksize)
+        yield pool.imap(fn, tasks)
     finally:
         pool.terminate()
         pool.join()
@@ -206,9 +208,6 @@ def _ordered_map(fn, tasks, workers: int, chunksize: int = 1):
 # consecutive indices of one degree per sweep task: the estimators cost per
 # call more than per row, so a task spans several family_coefficients blocks
 SWEEP_SPAN = 8 * FAMILY_CHUNK
-
-# the most rows one estimator call gets: bounds a worker's memory per call
-ESTIMATOR_ROWS = 1024
 
 # distinct L-polynomials whose result a process keeps during one sweep
 # (FIFO eviction); sweep_fixed_q empties it before any pool is forked
@@ -225,7 +224,8 @@ def _sweep_chunk(args):
     L-polynomial is solved once per process and sweep: a key the memo holds
     reuses its estimate or error text, and the other keys go to the
     estimator (lambda_bisect_block or double_zero_block, on their phi_rows
-    array) in calls of at most ESTIMATOR_ROWS rows. q and the method are
+    array) in one call, of at most SWEEP_SPAN rows; only bisection's
+    repeated-root test reads the completed c_0..c_2g. q and the method are
     fixed for the memo's lifetime, since sweep_fixed_q empties it at the
     start. A row's estimate does not depend on the rest of its block, so a
     reused entry is the value a fresh solve gives. The memo keeps the last
@@ -236,24 +236,21 @@ def _sweep_chunk(args):
     ks = np.flatnonzero(squarefree) + lo
     distinct, which = np.unique(c_half[squarefree], axis=0, return_inverse=True)
     keys = list(map(tuple, distinct.tolist()))
-    cs = [complete_coefficients(q, key) for key in keys]
     # take the hits before inserting: an eviction could drop one of them
     results = [_memo.get(key) for key in keys]
     fresh = [i for i, r in enumerate(results) if r is None]
-    for first in range(0, len(fresh), ESTIMATOR_ROWS):
-        part = fresh[first : first + ESTIMATOR_ROWS]
-        phi = phi_rows(q, distinct[part])
-        if method == "bisect":
-            solved = lambda_bisect_block(phi, [cs[i] for i in part])
-        else:
-            solved = double_zero_block(phi)
-        for i, r in zip(part, solved):
-            if isinstance(r, Exception):
-                r = "%s: %s" % (type(r).__name__, r)
-            while len(_memo) >= MEMO_SIZE:
-                del _memo[next(iter(_memo))]
-            _memo[keys[i]] = results[i] = r
-    entries = [(None, None, r) if isinstance(r, str) else (c, r, None) for c, r in zip(cs, results)]
+    phi = phi_rows(q, distinct[fresh])
+    if method == "bisect":
+        solved = lambda_bisect_block(phi, [complete_coefficients(q, keys[i]) for i in fresh])
+    else:
+        solved = double_zero_block(phi)
+    for i, r in zip(fresh, solved):
+        if isinstance(r, Exception):
+            r = "%s: %s" % (type(r).__name__, r)
+        while len(_memo) >= MEMO_SIZE:
+            del _memo[next(iter(_memo))]
+        _memo[keys[i]] = results[i] = r
+    entries = [(None, None, r) if isinstance(r, str) else (k, r, None) for k, r in zip(keys, results)]
     return hi - lo - len(ks), SweepBlock(q, degree, ks, which, entries)
 
 
@@ -295,7 +292,6 @@ def sweep_fixed_q(
     method: str = "double_zero",
     workers: int = 1,
     start: tuple | None = None,
-    on_item=None,
     on_block=None,
 ) -> SweepReport:
     """Estimate Lambda_D for every monic squarefree D of odd degree up to
@@ -308,31 +304,29 @@ def sweep_fixed_q(
     start=(degree, index) resumes mid-enumeration at monic_by_index(q,
     degree, index); check_sweep says which inputs are rejected. on_block,
     when given, sees each task's rows as one SweepBlock as soon as its turn
-    in the canonical order arrives; on_item, when given, then sees each of
-    the block's rows as a SweepItem. The sweep keeps no row but the bests of
-    its report, so its memory does not grow with the family; a best is the
-    very SweepItem that on_item saw, and without on_item only the rows that
-    become a best are built as SweepItems.
+    in the canonical order arrives (SweepBlock.items expands its rows). The
+    sweep keeps no row but the bests of its report, so its memory does not
+    grow with the family, and only a row that becomes a best is built as a
+    SweepItem. A pool has at most one process per task.
     """
     start = check_sweep(q, max_genus, method, start, workers)
+    degrees = range(start[0], 2 * max_genus + 2, 2)
     # forked workers copy the memo (for this q and method only) and the tables
     _memo.clear()
-    for degree in range(start[0], 2 * max_genus + 2, 2):
-        _family_tables(q, degree)
-        _split_tables(q, degree)
+    for degree in degrees:
+        family_tables(q, degree)
+    # the tasks _chunk_tasks will yield, counted without running it
+    count = sum(-(-(q**d - (start[1] if d == start[0] else 0)) // SWEEP_SPAN) for d in degrees)
     tasks = _chunk_tasks(q, max_genus, method, start)
     processed = 0
     skipped = 0
     best_per_genus: dict = {}
-    with _ordered_map(_sweep_chunk, tasks, workers) as results:
+    with _ordered_map(_sweep_chunk, tasks, count, workers) as results:
         for n_skipped, block in results:
             skipped += n_skipped
             processed += len(block.ks)
             if on_block is not None:
                 on_block(block)
-            items = block.items() if on_item is not None else None
-            for item in items or ():
-                on_item(item)
             # the block's best is its first row of largest value; rows
             # without a value (an error or no bound) never count
             values = np.array(
@@ -345,19 +339,11 @@ def sweep_fixed_q(
             cur = best_per_genus.get(g)
             if cur is None or present.max() > cur.estimate.value:
                 i = int(np.argmax(values[block.which] == present.max()))
-                best = items[i] if items is not None else block.items(slice(i, i + 1))[0]
-                best_per_genus[g] = best
+                best_per_genus[g] = block.items(slice(i, i + 1))[0]
     # genera enter the dict in enumeration order and max keeps the first of
     # equal values, so ties go to the first row here too
-    best_overall = max(
-        best_per_genus.values(), key=lambda it: it.estimate.value, default=None
-    )
-    return SweepReport(
-        processed=processed,
-        skipped=skipped,
-        best_per_genus=best_per_genus,
-        best_overall=best_overall,
-    )
+    best_overall = max(best_per_genus.values(), key=lambda it: it.estimate.value, default=None)
+    return SweepReport(processed, skipped, best_per_genus, best_overall)
 
 
 def cubic_discriminant(dz: tuple) -> int:
@@ -492,6 +478,10 @@ def _ec_add(P, Q, A, p: int):
     return x3, (lam * (x1 - x3) - y1) % p
 
 
+# consecutive primes per Sato-Tate task
+SATO_TATE_RUN = 256
+
+
 def _sato_record(dz: tuple, p: int) -> SatoTateRecord:
     try:
         a_p = trace_of_frobenius(dz, p)
@@ -499,6 +489,10 @@ def _sato_record(dz: tuple, p: int) -> SatoTateRecord:
         return SatoTateRecord(p, None, None, None, str(e))
     theta = math.acos(a_p / (2.0 * math.sqrt(p)))
     return SatoTateRecord(p, a_p, theta, genus1_lambda(a_p, p), None)
+
+
+def _sato_records(dz: tuple, ps: list) -> list:
+    return [_sato_record(dz, p) for p in ps]
 
 
 def sato_tate_sweep(dz, p_max: int, workers: int = 1) -> SatoTateReport:
@@ -514,36 +508,25 @@ def sato_tate_sweep(dz, p_max: int, workers: int = 1) -> SatoTateReport:
         raise ValueError("p_max must be >= 3")
     check_workers(workers)
     ps = [p for p in primes_up_to(p_max) if p > 2]
-    with _ordered_map(functools.partial(_sato_record, dz), ps, workers, chunksize=64) as results:
-        records = list(results)
-    sup = None
-    argmax_p = None
+    runs = [ps[i : i + SATO_TATE_RUN] for i in range(0, len(ps), SATO_TATE_RUN)]
+    with _ordered_map(functools.partial(_sato_records, dz), runs, len(runs), workers) as results:
+        records = [r for run in results for r in run]
+    sup = argmax_p = None
     running_sup = []
-    processed = 0
-    skipped = 0
     thetas = []
     for r in records:
-        if r.skipped is not None:
-            skipped += 1
-        else:
-            processed += 1
+        if r.skipped is None:
             thetas.append(r.theta_p)
             if sup is None or r.lambda_p > sup:
-                sup = r.lambda_p
-                argmax_p = r.p
+                sup, argmax_p = r.lambda_p, r.p
         running_sup.append(sup)
-    ks = ks_distance(thetas) if thetas else None
-    return SatoTateReport(
-        items=tuple(records),
-        processed=processed,
-        skipped=skipped,
-        running_sup=tuple(running_sup),
-        statistics={
-            "sup_lambda": sup,
-            "argmax_p": argmax_p,
-            "ks_distance": ks,
-        },
-    )
+    statistics = {
+        "sup_lambda": sup,
+        "argmax_p": argmax_p,
+        "ks_distance": ks_distance(thetas) if thetas else None,
+    }
+    n = len(thetas)
+    return SatoTateReport(tuple(records), n, len(records) - n, tuple(running_sup), statistics)
 
 
 def semicircle_cdf(theta):

@@ -25,16 +25,16 @@ one D, family_coefficients for a whole index range of D at once; both reduce
 D mod every P through one table of T^i mod P (_residue_tables), a range
 through its high/low digit split (_split_tables), and take chi_D(P) from one
 kernel (_euler_values, Euler's criterion through the norm to F_q), for a
-range through per-P tables (_family_tables). A fixed-q sweep builds the
-split and per-P tables before it forks. The tests check both against the
-reciprocity ladder quad_character.chi summed over the same P, and against the
-enumeration oracle enumerated_coefficients, c_n as the sum of chi_D over
-every monic f of degree n, with dirichlet_coefficients, its c_0..c_g
-completed by the exact integer functional equation c_(g+n) = q^n c_(g-n).
-The oracle's character values come from _chi_rows, which factors D and
-applies _euler_values at each factor; the ladder shares no code with any of
-them, so it is the independent check of that kernel. The JSON view of this
-data is the CLI's.
+range through per-P tables (_chi_tables). A range reads those and the split
+from one cached builder per (q, degree), family_tables, which a fixed-q sweep
+calls before it forks. The tests check both routes against the reciprocity
+ladder quad_character.chi summed over the same P, and against the enumeration
+oracle enumerated_coefficients, c_n as the sum of chi_D over every monic f of
+degree n, with dirichlet_coefficients, its c_0..c_g completed by the exact
+integer functional equation c_(g+n) = q^n c_(g-n). The oracle's character
+values come from _chi_rows, which factors D and applies _euler_values at each
+factor; the ladder shares no code with any of them, so it is the independent
+check of that kernel. The JSON view of this data is the CLI's.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ def _euler_values(q: int, low: np.ndarray, frob: np.ndarray, r: np.ndarray):
     modulo monic irreducibles P_j of degree d: the one character kernel.
     Column j of r (shape (d, m)) is a residue mod P_j, low[k, :, j] is
     T^k mod P_j for k <= 2d - 2 and frob is _frobenius(q, low); their last
-    axis is 1 for one P shared by every column (_family_tables, _chi_rows).
+    axis is 1 for one P shared by every column (_chi_tables, _chi_rows).
     The power is N(r)^((q - 1)/2) for the norm N(r) = prod_{k<d} r^(q^k),
     d - 1 Frobenius steps and products, which lies in F_q: its Legendre
     symbol. A norm outside F_q means a reducible modulus: ArithmeticError."""
@@ -258,8 +258,7 @@ def _residue_tables(q: int, degree: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=16)
-def _family_tables(q: int, degree: int) -> tuple:
+def _chi_tables(q: int, degree: int) -> tuple:
     """Per irreducible degree d = 1..g: chi of shape (m, q^d), where
     chi[j, r] is chi_D(P_j) for D mod P_j = r, the residue indexed by
     sum r_i q^i, over the monic irreducible P_j of degree d in the order of
@@ -273,12 +272,10 @@ def _family_tables(q: int, degree: int) -> tuple:
         for j in range(R.shape[2]):
             one = slice(j, j + 1)
             chi[j] = sign * _euler_values(q, R[: 2 * d - 1, :, one], F[:, :, one], r)
-        chi.flags.writeable = False
         out.append(chi)
     return tuple(out)
 
 
-@lru_cache(maxsize=16)
 def _split_tables(q: int, degree: int) -> tuple:
     """(w, high, low): the residues of D and D' modulo every monic irreducible
     P of degree d <= g, split at the w-th base-q digit of the index, with
@@ -292,7 +289,7 @@ def _split_tables(q: int, degree: int) -> tuple:
     residues of every l < q^w, reduced mod q, in int8 when the sum of two
     still fits (2(q - 1) < 128), else int16 or int64. high maps the digits
     c_0..c_(degree-w-1), then the monic 1, to the high residues (int64, not
-    reduced). Read-only."""
+    reduced)."""
     g = (degree - 1) // 2
     tables = _residue_tables(q, degree)
     m = sum(R.shape[2] for R, _ in tables)
@@ -312,8 +309,25 @@ def _split_tables(q: int, degree: int) -> tuple:
     digits = _digits(q, w, np.arange(q**w, dtype=np.int64))[:, ::-1]
     low = (digits @ W[degree - w : degree] % q).astype(dtype).reshape(q**w, 2, g, m)
     high = np.concatenate((W[: degree - w], W[degree:]))
-    low.flags.writeable = high.flags.writeable = False
     return w, high, low
+
+
+@lru_cache(maxsize=16)
+def family_tables(q: int, degree: int) -> tuple:
+    """All that family_coefficients reads for one (q, degree), built once per
+    process: (w, high, low) of _split_tables, then chi, offsets and first,
+    the per-P tables of _chi_tables in one flat int8 table, with P's row
+    from offsets[P] on and the P of degree d from column first[d - 1] on. A
+    fixed-q sweep calls it before its pool forks. Read-only."""
+    chi_tables = _chi_tables(q, degree)
+    chi = np.concatenate([t.ravel() for t in chi_tables])
+    starts = np.cumsum([0] + [t.size for t in chi_tables])
+    offsets = np.concatenate([s + np.arange(0, t.size, t.shape[1]) for s, t in zip(starts, chi_tables)])
+    first = np.cumsum([0] + [t.shape[0] for t in chi_tables[:-1]])
+    out = (*_split_tables(q, degree), chi, offsets, first)
+    for a in out[1:]:
+        a.flags.writeable = False
+    return out
 
 
 def family_coefficients(q: int, degree: int, start: int, stop: int):
@@ -324,8 +338,8 @@ def family_coefficients(q: int, degree: int, start: int, stop: int):
     (ANTS VIII, 2008), over the whole range at once in integer numpy: for
     every monic irreducible P of degree d <= g, D mod P is a high residue
     (one small matmul over the few high parts of a block) plus a low one
-    (gathered from the cached _split_tables), mod q, and chi_D(P) comes from
-    the per-P tables (_family_tables). Then
+    (gathered from the split tables), mod q, and chi_D(P) comes from the
+    per-P tables; both are built once, by the cached family_tables. Then
     S_k = sum over d | k of sum over deg P = d of d chi_D(P)^(k/d), and
     Newton's identities n c_n = sum_{k=1..n} S_k c_(n-k) give c_1..c_g
     exactly (_newton_coefficients). D is squarefree iff no such P^2 divides
@@ -347,14 +361,7 @@ def family_coefficients(q: int, degree: int, start: int, stop: int):
     if not 0 <= start <= stop <= q**degree:
         raise ValueError("index range [%d, %d) out of range" % (start, stop))
     g = (degree - 1) // 2
-    w, high, low = _split_tables(q, degree)
-    chi_tables = _family_tables(q, degree)
-    # the chi rows of every P in one flat table, P's row from offsets[P] on;
-    # the P of degree d are the columns from first[d - 1] on
-    chi = np.concatenate([t.ravel() for t in chi_tables])
-    starts = np.cumsum([0] + [t.size for t in chi_tables])
-    offsets = np.concatenate([s + np.arange(0, t.size, t.shape[1]) for s, t in zip(starts, chi_tables)])
-    first = np.cumsum([0] + [t.shape[0] for t in chi_tables[:-1]])
+    w, high, low, chi, offsets, first = family_tables(q, degree)
     index_type = np.int16 if q**g <= 2**15 else np.int64
     first_row = min(max(start, q ** (degree - 2)), stop)
     # A[:, d - 1], B[:, d - 1]: sums of chi_D(P) and of chi_D(P)^2 over deg P = d

@@ -610,17 +610,19 @@ def _row_text(writer, item, label):
 
 def oracle_sweep_body(q, max_genus, method, start=None):
     """The CSV body after the header row of a finished sweep, rebuilt from
-    the SweepItems of sweep_fixed_q(on_item=...) one row at a time."""
+    the SweepItems of each block sweep_fixed_q passes to on_block, one row
+    at a time."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     label = method.replace("-", "_")
 
-    def on_item(item):
-        _row_text(writer, item, label)
-        if item.error is not None:
-            out.write("# error: degree=%d index=%d: %s\n" % (item.degree, item.index, item.error))
+    def on_block(block):
+        for item in block.items():
+            _row_text(writer, item, label)
+            if item.error is not None:
+                out.write("# error: degree=%d index=%d: %s\n" % (item.degree, item.index, item.error))
 
-    report = sweep_fixed_q(q, max_genus, method=label, start=start, on_item=on_item)
+    report = sweep_fixed_q(q, max_genus, method=label, start=start, on_block=on_block)
     for g in sorted(report.best_per_genus):
         _row_text(writer, report.best_per_genus[g], "best_per_genus")
     if report.best_overall is not None:

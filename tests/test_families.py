@@ -24,10 +24,10 @@ from ffnewman.fp_poly import FpPolynomial, reduce_int_poly
 from ffnewman.lfunction import (
     FAMILY_CHUNK,
     LFunctionData,
-    _family_tables,
     build_lfunction,
     complete_coefficients,
     family_coefficients,
+    family_tables,
     good_pair_check,
     phi_rows,
 )
@@ -293,10 +293,25 @@ def test_sweeps_reject_bad_workers(monkeypatch, workers):
 
 
 def sweep_items(*args, **kwargs):
-    """(report, every SweepItem the sweep passed to on_item, in order)."""
+    """(report, every row of the blocks the sweep passed to on_block, as
+    SweepItems, in order)."""
     seen = []
-    report = sweep_fixed_q(*args, on_item=seen.append, **kwargs)
+    report = sweep_fixed_q(*args, on_block=lambda b: seen.extend(b.items()), **kwargs)
     return report, seen
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda: sweep_fixed_q(3, 1, workers=2), lambda: sato_tate_sweep(DZ_A, 30, workers=2)],
+    ids=["fixed_q", "sato_tate"],
+)
+def test_one_task_sweeps_start_no_pool(monkeypatch, run):
+    # a pool has at most one process per task, and one task runs in-process
+    def refuse(*args, **kwargs):
+        raise AssertionError("started a pool")
+
+    monkeypatch.setattr(families.multiprocessing, "Pool", refuse)
+    assert run().processed > 0
 
 
 def test_sweep_fixed_q_genus1():
@@ -349,13 +364,13 @@ def test_sweep_workers_deterministic():
 
 def test_sweep_builds_chi_tables_before_forking():
     # forked workers share the parent's tables instead of each building them
-    _family_tables.cache_clear()
+    family_tables.cache_clear()
     sweep_fixed_q(3, 2, workers=2)
-    info = _family_tables.cache_info()
+    info = family_tables.cache_info()
     assert info.currsize == 2
-    _family_tables(3, 3)
-    _family_tables(3, 5)
-    assert _family_tables.cache_info().hits == info.hits + 2
+    family_tables(3, 3)
+    family_tables(3, 5)
+    assert family_tables.cache_info().hits == info.hits + 2
 
 
 def test_sweep_resume_matches_suffix():
@@ -420,13 +435,20 @@ def test_sweep_solves_each_task_in_one_estimator_call(monkeypatch):
 
 
 def test_sweep_keeps_only_the_best_items():
-    # a stream: once on_item has seen a row, only a best may keep it alive
-    refs = []
-    report = sweep_fixed_q(3, 2, on_item=lambda item: refs.append(weakref.ref(item)))
-    assert len(refs) == report.processed == 180
+    # a stream: once on_block has seen a block, the sweep keeps none of it
+    # alive; the report holds its bests as SweepItems of their own
+    refs, rows = [], []
+
+    def on_block(block):
+        assert all(r() is None for r in refs)
+        refs.append(weakref.ref(block))
+        rows.extend(block.items())
+
+    report = sweep_fixed_q(3, 2, on_block=on_block)
+    assert len(rows) == report.processed == 180
+    assert refs and all(r() is None for r in refs)
     bests = list(report.best_per_genus.values()) + [report.best_overall]
-    alive = [r() for r in refs if r() is not None]
-    assert alive and all(any(it is b for b in bests) for it in alive)
+    assert all(b in rows and all(it is not b for it in rows) for b in bests)
 
 
 class _Stop(Exception):
@@ -437,14 +459,14 @@ def test_bisect_sweep_records_exact_double_zero_without_warning():
     # T^5 + 4T over F_5 has an exact double zero of Xi_0; it sits at index 500
     seen = []
 
-    def stop_after_first(item):
-        seen.append(item)
+    def stop_after_first(block):
+        seen.extend(block.items(slice(0, 1)))
         raise _Stop
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(_Stop):
-            sweep_fixed_q(5, 2, method="bisect", start=(5, 500), on_item=stop_after_first)
+            sweep_fixed_q(5, 2, method="bisect", start=(5, 500), on_block=stop_after_first)
     assert [str(w.message) for w in caught] == []
     (item,) = seen
     assert (item.degree, item.index, item.d_coeffs) == (5, 500, (0, 4, 0, 0, 0, 1))
@@ -570,10 +592,12 @@ def test_sweep_best_per_genus_ordering():
     assert report.best_overall.estimate.value == b2
 
 
-def test_sweep_on_item_callback_order():
+def test_sweep_on_block_callback_order():
     report, seen = sweep_items(3, 1)
     assert len(seen) == report.processed
-    assert any(it is report.best_overall for it in seen)
+    # the best is the first row of largest value; rows without one never count
+    values = [-math.inf if it.estimate.value is None else it.estimate.value for it in seen]
+    assert report.best_overall == seen[values.index(max(values))]
     idx = [it.index for it in seen]
     assert idx == sorted(idx)
     assert len(idx) == 18
@@ -597,34 +621,32 @@ def test_f3_genus_series_is_good_and_spans_genera():
         assert D.degree == 2 * g + 1
 
 
-def test_sweep_blocks_expand_to_the_items_on_item_sees():
-    # on_block sees each task as one block; its rows, expanded, are the rows
-    # on_item sees, and the report does not depend on which callback is given
-    blocks, items = [], []
-    report = sweep_fixed_q(3, 3, start=(7, 700), on_block=blocks.append, on_item=items.append)
-    assert [it for b in blocks for it in b.items()] == items
+def test_sweep_block_rows_expand_alone_as_together():
+    # on_block sees each task as one block; its rows expand one at a time
+    # to the rows of the whole block, and the report does not depend on
+    # whether a callback is given
+    blocks = []
+    report = sweep_fixed_q(3, 3, start=(7, 700), on_block=blocks.append)
+    items = [it for b in blocks for it in b.items()]
     assert [b.items(slice(i, i + 1))[0] for b in blocks for i in range(len(b.ks))] == items
     assert sum(len(b.ks) for b in blocks) == report.processed
     assert len(blocks) == len(list(families._chunk_tasks(3, 3, "double_zero", (7, 700))))
     for b in blocks:
         assert np.all(np.diff(b.ks) > 0) and len(b.which) == len(b.ks)
-    for callbacks in ({}, {"on_block": lambda b: None}):
-        same_counts_and_bests(sweep_fixed_q(3, 3, start=(7, 700), **callbacks), report)
+    same_counts_and_bests(sweep_fixed_q(3, 3, start=(7, 700)), report)
 
 
-def test_sweep_rows_do_not_depend_on_estimator_call_size(monkeypatch):
-    # fresh keys reach the estimator in calls of at most ESTIMATOR_ROWS rows
+def test_sweep_completes_coefficients_at_most_once_per_task(monkeypatch):
+    # entries carry c_0..c_g; c_0..c_2g is built only for a best (at most one
+    # per task) and for the fresh keys of a bisect task
     calls = []
-    block = families.double_zero_block
+    complete = families.complete_coefficients
 
-    def counting(phi):
-        calls.append(len(phi))
-        return block(phi)
+    def counting(*args):
+        calls.append(args)
+        return complete(*args)
 
-    monkeypatch.setattr(families, "double_zero_block", counting)
-    expect = sweep_items(3, 3, workers=1)
-    assert max(calls) > 7
-    calls.clear()
-    monkeypatch.setattr(families, "ESTIMATOR_ROWS", 7)
-    assert sweep_items(3, 3, workers=1) == expect
-    assert max(calls) == 7
+    monkeypatch.setattr(families, "complete_coefficients", counting)
+    report = sweep_fixed_q(3, 4, workers=1)
+    assert report.processed == 14760
+    assert 0 < len(calls) <= len(list(families._chunk_tasks(3, 4, "double_zero", (3, 0)))) == 14

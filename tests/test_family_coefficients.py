@@ -20,7 +20,7 @@ from ffnewman.fp_poly import (
 )
 from ffnewman.lfunction import (
     FAMILY_CHUNK,
-    _family_tables,
+    _chi_tables,
     _newton_coefficients,
     build_lfunction,
     dirichlet_coefficients,
@@ -132,7 +132,7 @@ def test_family_tables_match_ladder_pointwise(q, degree):
     # table d - 1, row j, column r holds chi_D(P_j) for D mod P_j = r: the
     # ladder's character of r modulo P_j times the reciprocity sign
     # (-1)^(((q-1)/2) d), at every residue r = sum r_i q^i
-    tables = _family_tables(q, degree)
+    tables = _chi_tables(q, degree)
     assert len(tables) == (degree - 1) // 2
     for d, table in enumerate(tables, 1):
         sign = (-1) ** ((q - 1) // 2 * d)
