@@ -43,22 +43,23 @@ N_MAX = 32
 QUAD_POINTS_MAX = 2**15
 
 
-def _term_magnitude(u: float, n: int) -> float:
-    # |2 n^4 pi^2 e^{9u/2} - 3 n^2 pi e^{5u/2}| e^{-n^2 pi e^{2u}}, bounded by
-    # the sum of the two pieces; exponents combined in log space so that very
-    # large u underflows cleanly to 0 instead of producing inf * 0.
-    decay = -(n * n) * math.pi * math.exp(2.0 * u)
-    a = math.log(2.0 * n**4 * math.pi**2) + 4.5 * u + decay
-    b = math.log(3.0 * n**2 * math.pi) + 2.5 * u + decay
-    return math.exp(a) + math.exp(b)
+def _term_pieces(au, n):
+    # term n of Phi at u = au >= 0 is big - small, |term| <= big + small:
+    # (2 n^4 pi^2 e^{9u/2}, 3 n^2 pi e^{5u/2}) e^{-n^2 pi e^{2u}}, exponents
+    # combined in log space so that very large u underflows cleanly to 0
+    # instead of producing inf * 0.
+    decay = -(n * n) * math.pi * np.exp(2.0 * au)
+    big = np.exp(np.log(2.0 * math.pi**2 * n**4) + 4.5 * au + decay)
+    small = np.exp(np.log(3.0 * math.pi * n**2) + 2.5 * au + decay)
+    return big, small
 
 
 def phi_remainder_bound(u: float, n_max: int) -> float:
     """Upper bound on the tail 2 sum_{n > n_max} |term_n(u)|."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    first = 2.0 * _term_magnitude(abs(u), n_max + 1)
-    return first / (1.0 - _TERM_RATIO)
+    big, small = _term_pieces(abs(u), n_max + 1.0)
+    return float(2.0 * (big + small) / (1.0 - _TERM_RATIO))
 
 
 def phi_u(u, n_max: int = 32):
@@ -71,9 +72,7 @@ def phi_u(u, n_max: int = 32):
         raise ValueError("n_max must be >= 1")
     au = np.abs(np.asarray(u, dtype=float))
     n = np.arange(1, n_max + 1, dtype=float).reshape((-1,) + (1,) * au.ndim)
-    decay = -(n * n) * math.pi * np.exp(2.0 * au)
-    big = np.exp(np.log(2.0 * math.pi**2 * n**4) + 4.5 * au + decay)
-    small = np.exp(np.log(3.0 * math.pi * n**2) + 2.5 * au + decay)
+    big, small = _term_pieces(au, n)
     total = 2.0 * np.sum(big - small, axis=0)
     if np.isscalar(u) or np.asarray(u).ndim == 0:
         return float(total)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -38,7 +39,7 @@ from .families import (
     sato_tate_sweep,
     sweep_fixed_q,
 )
-from .fp_poly import FpPolynomial, parse_int_coeffs, poly_to_text, reduce_int_poly
+from .fp_poly import FpPolynomial, parse_int_coeffs, poly_to_text
 from .lfunction import (
     LFunctionData,
     NumericalError,
@@ -46,8 +47,6 @@ from .lfunction import (
     zeros_at_t,
 )
 from .newman import (
-    NewmanEstimate,
-    StoppleData,
     check_tol,
     double_zero_lower_bound,
     has_repeated_root,
@@ -96,24 +95,17 @@ def lfunction_jsonable(L: LFunctionData) -> dict:
     }
 
 
-def newman_jsonable(e: NewmanEstimate) -> dict:
-    return {
-        "kind": e.kind,
-        "value": _json_value(e.value),
-        "bracket": None if e.bracket is None else [_json_value(v) for v in e.bracket],
-        "tol": _json_value(e.tol),
-        "notes": e.notes,
-    }
-
-
-def stopple_jsonable(sd: StoppleData) -> dict:
-    return {
-        "gamma": [_json_value(v) for v in sd.gamma],
-        "gamma_tilde": [_json_value(v) for v in sd.gamma_tilde],
-        "G": _json_value(sd.G),
-        "condition_ok": sd.condition_ok,
-        "bound": _json_value(sd.bound),
-    }
+def dataclass_jsonable(v):
+    """JSON-ready view of a NewmanEstimate or StoppleData, keyed by its fields
+    in order, or of one field value: strings and bools as they are, tuples as
+    lists, every other value (numbers, None) through _json_value."""
+    if isinstance(v, (str, bool)):
+        return v
+    if isinstance(v, tuple):
+        return [dataclass_jsonable(x) for x in v]
+    if dataclasses.is_dataclass(v):
+        return {f.name: dataclass_jsonable(getattr(v, f.name)) for f in dataclasses.fields(v)}
+    return _json_value(v)
 
 
 @contextlib.contextmanager
@@ -147,8 +139,8 @@ def _coeff_text(coeffs) -> str:
 
 
 def cmd_lfun(args) -> int:
-    # reduce_int_poly checks q, build_lfunction the pair (ValueError: exit 2)
-    L = build_lfunction(args.q, reduce_int_poly(parse_int_coeffs(args.d), args.q))
+    # FpPolynomial checks q, build_lfunction the pair (ValueError: exit 2)
+    L = build_lfunction(args.q, FpPolynomial(parse_int_coeffs(args.d), args.q))
     zeros = zeros_at_t(L, 0.0)
     payload = {
         "version": __version__,
@@ -166,23 +158,23 @@ def cmd_lfun(args) -> int:
 
 def cmd_newman(args) -> int:
     check_tol(args.tol)  # for every method: the config echoes it as JSON
-    L = build_lfunction(args.q, reduce_int_poly(parse_int_coeffs(args.d), args.q))
+    L = build_lfunction(args.q, FpPolynomial(parse_int_coeffs(args.d), args.q))
     method = args.method
     estimates: dict = {}
     if method in ("exact", "all"):
         if L.g == 1:
-            estimates["exact"] = newman_jsonable(lambda_exact_genus1(L))
+            estimates["exact"] = dataclass_jsonable(lambda_exact_genus1(L))
         elif method == "exact":
             raise ValueError("exact method requires genus 1, got g=%d" % L.g)
         else:
             estimates["exact"] = None
     if method in ("bisect", "all"):
-        estimates["bisect"] = newman_jsonable(lambda_bisect(L, tol_t=args.tol))
+        estimates["bisect"] = dataclass_jsonable(lambda_bisect(L, tol_t=args.tol))
     if method in ("double-zero", "all"):
-        estimates["double_zero"] = newman_jsonable(double_zero_lower_bound(L))
+        estimates["double_zero"] = dataclass_jsonable(double_zero_lower_bound(L))
     if method in ("stopple", "all"):
         try:
-            estimates["stopple"] = stopple_jsonable(stopple_data(L))
+            estimates["stopple"] = dataclass_jsonable(stopple_data(L))
         except ValueError as e:
             if method == "stopple":
                 raise

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_field import check_odd_prime, legendre_int
+from .finite_field import check_odd_prime, legendre_int, legendre_table
 from .lfunction import (
     FAMILY_CHUNK,
     NumericalError,
@@ -400,13 +400,10 @@ def trace_of_frobenius(dz, p: int) -> int:
 def _trace_by_count(coeffs, p: int) -> int:
     """-sum_a legendre(f(a)) over F_p, f of ascending coefficients coeffs."""
     a = np.arange(p, dtype=np.int64)
-    tab = np.full(p, -1, dtype=np.int64)
-    tab[a * a % p] = 1
-    tab[0] = 0
     vals = np.zeros(p, dtype=np.int64)
     for coef in reversed(coeffs):
         vals = (vals * a + coef) % p
-    return -int(tab[vals].sum())
+    return -int(legendre_table(p)[vals].sum())
 
 
 def _trace_by_bsgs(coeffs, p: int):

@@ -1,10 +1,15 @@
-"""Prime-field helpers for F_p, p an odd prime: primality, the modulus
-check, and the Legendre symbol. Elements of F_p are plain ints in [0, p);
-the polynomial kernels in fp_poly reduce every result themselves."""
+"""Prime-field helpers for F_p, p an odd prime: primality, the modulus check,
+and the Legendre symbol by two routes that the tests cross-check:
+legendre_table, the one square-marking table (read by the character kernel
+and the Sato-Tate point count), and legendre_int, Euler's criterion for one
+scalar (run by the reciprocity ladder and the Sato-Tate twist sign).
+Elements of F_p are plain ints in [0, p); fp_poly's kernels reduce results."""
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 
 def is_prime(n: int) -> bool:
@@ -42,15 +47,13 @@ def legendre_int(a: int, p: int) -> int:
     return -1  # Euler gives p - 1 here
 
 
-@lru_cache(maxsize=None)
-def legendre_table(p: int) -> tuple:
-    """Lookup table t with t[a] = Legendre symbol of a, built by marking squares.
-
-    Independent of the Euler-criterion route; the two are cross-checked in tests.
-    """
+@lru_cache(maxsize=64)
+def legendre_table(p: int) -> np.ndarray:
+    """Read-only int64 array t with t[a] = Legendre symbol of a, 0 <= a < p,
+    built by marking squares; the last 64 p are cached."""
     check_odd_prime(p)
-    t = [-1] * p
-    t[0] = 0
-    for a in range(1, p):
-        t[a * a % p] = 1
-    return tuple(t)
+    a = np.arange(p, dtype=np.int64)
+    t = -np.sign(a)  # 0 at 0, else -1
+    t[a[1:] ** 2 % p] = 1
+    t.flags.writeable = False
+    return t

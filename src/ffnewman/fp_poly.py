@@ -2,19 +2,22 @@
 
 Ring operations, gcd, derivative, evaluation, squarefree and irreducibility
 tests, deterministic enumeration of monic polynomials, the text codec used by
-the CLI, and the monic irreducibles of each degree (the primes of the
-explicit formula for L-function coefficients).
+the CLI (the FpPolynomial constructor reduces its integers mod p), and the
+monic irreducibles of each degree (the primes of the explicit formula).
 
 Internally polynomials are tuples of ints in ascending degree order with no
 trailing zeros; the zero polynomial is the empty tuple. The FpPolynomial class
 wraps these tuples; the underscore kernels below operate on raw tuples and are
-shared with the character module's reciprocity ladder. _factorize_monic, trial
-division, is the one factoring kernel: is_irreducible and the enumeration
-oracle of the lfunction module (_chi_rows) use it.
+shared with the character module's reciprocity ladder. _gcd, pseudo-division
+over F_p or over Q, is the one Euclid: gcd, is_squarefree and
+newman.has_repeated_root use it. _factorize_monic, trial division, is the one
+factoring kernel: is_irreducible and the enumeration oracle of the lfunction
+module (_chi_rows) use it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -94,21 +97,36 @@ def _divmod(a: tuple, b: tuple, p: int) -> tuple:
     return _trim(q), _trim(r)
 
 
-def _gcd_monic(a: tuple, b: tuple, p: int) -> tuple:
-    """Monic gcd by Euclid's algorithm; gcd((), ()) is ()."""
+def _gcd(a, b, p: int | None) -> tuple:
+    """gcd of integer coefficient sequences (constant term first) in Python
+    ints: monic over F_p, or primitive over Q when p is None; gcd((), ()) is ().
+
+    Euclid by pseudo-division: a <- lc(b) a - lc(a) T^k b stays in the
+    integers, and scaling by a nonzero constant keeps the gcd. Remainders are
+    reduced mod p, or over Q divided by their content so they do not grow.
+    """
+
+    def reduce(v):
+        if p:
+            v = [x % p for x in v]
+        while v and v[-1] == 0:
+            v.pop()
+        if not p and v:
+            content = math.gcd(*v)
+            v = [x // content for x in v]
+        return v
+
+    a, b = reduce([int(x) for x in a]), reduce([int(x) for x in b])
     while b:
-        if len(b) == 1:
-            a, b = b, ()
-        else:
-            inv = pow(b[-1], p - 2, p)
-            bm = b if b[-1] == 1 else tuple(c * inv % p for c in b)
-            a, b = b, _mod_monic(a, bm, p)
-    if not a:
-        return ()
-    if a[-1] == 1:
-        return a
-    inv = pow(a[-1], p - 2, p)
-    return tuple(c * inv % p for c in a)
+        while len(a) >= len(b):
+            f, lb, shift = a[-1], b[-1], len(a) - len(b)
+            top = [x * lb - f * v for x, v in zip(a[shift:], b)]  # top[-1] is 0
+            a = reduce([x * lb for x in a[:shift]] + top)
+        a, b = b, a
+    if p and a:
+        inv = pow(a[-1], p - 2, p)
+        a = [x * inv % p for x in a]
+    return tuple(a)
 
 
 def _eval(f: tuple, x: int, p: int) -> int:
@@ -227,7 +245,7 @@ def gcd(a: FpPolynomial, b: FpPolynomial) -> FpPolynomial:
         raise ValueError("modulus mismatch: %d vs %d" % (a.p, b.p))
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    return FpPolynomial(_gcd_monic(a.coeffs, b.coeffs, a.p), a.p)
+    return FpPolynomial(_gcd(a.coeffs, b.coeffs, a.p), a.p)
 
 
 def is_squarefree(D: FpPolynomial) -> bool:
@@ -238,8 +256,7 @@ def is_squarefree(D: FpPolynomial) -> bool:
     """
     if D.is_zero:
         raise ValueError("squarefree test of the zero polynomial")
-    g = _gcd_monic(D.coeffs, _deriv(D.coeffs, D.p), D.p)
-    return len(g) == 1
+    return len(_gcd(D.coeffs, _deriv(D.coeffs, D.p), D.p)) == 1
 
 
 def is_irreducible(f: FpPolynomial) -> bool:
@@ -311,25 +328,11 @@ def enumerate_monic(p: int, n: int):
         yield FpPolynomial(_monic_tuple_by_index(p, n, k), p)
 
 
-def reduce_int_poly(coeffs, p: int) -> FpPolynomial:
-    """Coefficient-wise reduction of an integer polynomial mod p.
-
-    Degree drop is legal and visible through the result's degree.
-    """
-    check_odd_prime(p)
-    return FpPolynomial(tuple(int(c) % p for c in coeffs), p)
-
-
 def poly_to_text(P: FpPolynomial) -> str:
     """Ascending comma-separated coefficients, e.g. T^3+2T+1 over F_3 -> '1,2,0,1'."""
     if not P.coeffs:
         return "0"
     return ",".join(str(c) for c in P.coeffs)
-
-
-def poly_from_text(s: str, p: int) -> FpPolynomial:
-    """Parse the codec above; integers are reduced mod p on ingestion."""
-    return FpPolynomial(parse_int_coeffs(s), p)
 
 
 def parse_int_coeffs(s: str) -> tuple:

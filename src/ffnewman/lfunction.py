@@ -24,17 +24,18 @@ identities give the c_n (_newton_coefficients). build_lfunction runs it for
 one D, family_coefficients for a whole index range of D at once; both reduce
 D mod every P through one table of T^i mod P (_residue_tables), a range
 through its high/low digit split (_split_tables), and take chi_D(P) from one
-kernel (_euler_values, Euler's criterion through the norm to F_q), for a
-range through per-P tables (_chi_tables). A range reads those and the split
-from one cached builder per (q, degree), family_tables, which a fixed-q sweep
-calls before it forks. The tests check both routes against the reciprocity
-ladder quad_character.chi summed over the same P, and against the enumeration
-oracle enumerated_coefficients, c_n as the sum of chi_D over every monic f of
-degree n, with dirichlet_coefficients, its c_0..c_g completed by the exact
-integer functional equation c_(g+n) = q^n c_(g-n). The oracle's character
-values come from _chi_rows, which factors D and applies _euler_values at each
-factor; the ladder shares no code with any of them, so it is the independent
-check of that kernel. The JSON view of this data is the CLI's.
+kernel (_euler_values: the norm to F_q, read off finite_field.legendre_table),
+for a range through per-P tables (_chi_tables). A range reads those and the
+split from one cached builder per (q, degree), family_tables, which a fixed-q
+sweep calls before it forks. The tests check both routes against the
+reciprocity ladder quad_character.chi summed over the same P, and against the
+enumeration oracle enumerated_coefficients, c_n as the sum of chi_D over every
+monic f of degree n, with dirichlet_coefficients, its c_0..c_g completed by
+the integer functional equation c_(g+n) = q^n c_(g-n). The oracle's characters
+come from _chi_rows, which factors D and applies _euler_values at each factor.
+The ladder takes Euler's criterion of a scalar (legendre_int), not the table,
+so it shares no code with any of them: it is the independent check of that
+kernel. The JSON view of this data is the CLI's.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .finite_field import check_odd_prime
+from .finite_field import check_odd_prime, legendre_table
 from .fp_poly import FpPolynomial, _factorize_monic, _irreducible_array, _monic_array, is_squarefree
 from .quad_character import _validate_modulus
 
@@ -215,15 +216,6 @@ def _frobenius(q: int, low: np.ndarray) -> np.ndarray:
     return np.stack(F, axis=1)
 
 
-@lru_cache(maxsize=16)
-def _legendre(q: int) -> np.ndarray:
-    """The Legendre symbol of 0..q-1 (int64), by marking squares. Read-only."""
-    t = -np.sign(np.arange(q, dtype=np.int64))  # 0 at 0, else -1
-    t[np.arange(1, q, dtype=np.int64) ** 2 % q] = 1
-    t.flags.writeable = False
-    return t
-
-
 def _euler_values(q: int, low: np.ndarray, frob: np.ndarray, r: np.ndarray):
     """Euler's criterion r^((q^d - 1)/2) mod P_j, as 0 or +-1, for residues
     modulo monic irreducibles P_j of degree d: the one character kernel.
@@ -239,7 +231,7 @@ def _euler_values(q: int, low: np.ndarray, frob: np.ndarray, r: np.ndarray):
         acc = _mulmod(q, low, acc, x)
     if acc[1:].any():
         raise ArithmeticError("the norm left F_%d: a modulus is reducible" % q)
-    return _legendre(q)[acc[0]]
+    return legendre_table(q)[acc[0]]
 
 
 @lru_cache(maxsize=32)
@@ -583,7 +575,7 @@ def _colleague_roots(phi: np.ndarray, t: np.ndarray):
     return np.linalg.eigvals(mat).astype(complex), ok, errors
 
 
-def zeros_at_t(L: LFunctionData, t: float, tol: float = REAL_TOL) -> ZeroSet:
+def zeros_at_t(L: LFunctionData, t: float) -> ZeroSet:
     """All 2g zeros of Xi_t in one period.
 
     Each root u of P_t (_colleague_roots) gives the pair x = +-arccos(u)
@@ -603,8 +595,8 @@ def zeros_at_t(L: LFunctionData, t: float, tol: float = REAL_TOL) -> ZeroSet:
     xs = tuple(complex(re[i], im[i]) for i in order)
     delta = float(np.max(np.abs(im)))
     gammas = tuple(
-        sorted(x.real for x in xs if abs(x.imag) <= tol and 0.0 < x.real < math.pi)
+        sorted(x.real for x in xs if abs(x.imag) <= REAL_TOL and 0.0 < x.real < math.pi)
     )
-    nonreal = tuple(x for x in xs if abs(x.imag) > tol)
+    nonreal = tuple(x for x in xs if abs(x.imag) > REAL_TOL)
     return ZeroSet(t=t, gammas=gammas, nonreal=nonreal, delta=delta, xs=xs)
 

@@ -26,12 +26,13 @@ same one zeros_at_t uses. No grid is sampled. Routes provided:
                            inverse-square gap sum G
 
 Lambda_D = -infinity happens exactly when at most one Fourier coefficient is
-nonzero, and Lambda_D = 0 when L has a repeated root (a double zero of Xi_0);
-both cases are decided in exact arithmetic, never by search (Phi_n is 0
-exactly when c_(g-n) is). The block routines take arrays: phi, shape
-(rows, g + 1), from lfunction.phi_rows, and for bisection each row's integer
-c_0..c_2g. They have no side effects; only the one-row lambda_bisect warns
-about a repeated root. The JSON views of these results are the CLI's.
+nonzero (Phi_n is 0 exactly when c_(g-n) is), and Lambda_D = 0 when L has a
+repeated root, a double zero of Xi_0 (has_repeated_root, by fp_poly's one
+Euclid); both are decided in exact arithmetic, never by search. The block
+routines take arrays: phi, shape (rows, g + 1), from lfunction.phi_rows, and
+for bisection each row's integer c_0..c_2g. They have no side effects; only
+the one-row lambda_bisect warns about a repeated root. The CLI's one
+dataclass walker is the JSON view of these results.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .fp_poly import _gcd
 from .lfunction import (
     REAL_TOL,
     LFunctionData,
@@ -94,11 +96,6 @@ class StoppleData:
     bound: float | None
 
 
-def count_nonzero_phi(L: LFunctionData) -> int:
-    """How many Phi_n are nonzero; exact, as Phi_n = 0 only when c_(g-n) = 0."""
-    return int(np.count_nonzero(L.phi))
-
-
 def genus1_lambda(a: int, q: int) -> float:
     """Lambda of the genus-1 L-polynomial 1 + a u + q u^2 (a = c_1, or -a_p
     of an elliptic curve): log(|a| / (2 sqrt q)), -inf exactly when a = 0."""
@@ -126,36 +123,6 @@ def lambda_exact_genus1(L: LFunctionData) -> NewmanEstimate:
     )
 
 
-def _gcd_degree(a: list, b: list, p: int | None) -> int:
-    """Degree of gcd(a, b) for nonzero integer coefficient lists (constant
-    term first), over F_p, or over Q when p is None.
-
-    Euclid by pseudo-division: a <- lc(b) a - lc(a) T^k b stays in the
-    integers, and scaling by a nonzero constant keeps the gcd. Remainders are
-    reduced mod p, or over Q divided by their content so they do not grow.
-    """
-
-    def reduce(v):
-        v = [x % p for x in v] if p else list(v)
-        while v and v[-1] == 0:
-            v.pop()
-        if not p and v:
-            content = math.gcd(*v)
-            v = [x // content for x in v]
-        return v
-
-    a, b = reduce(a), reduce(b)
-    while b:
-        while len(a) >= len(b):
-            f, shift = a[-1], len(a) - len(b)
-            a = [x * b[-1] for x in a]
-            for i, v in enumerate(b):
-                a[shift + i] -= f * v
-            a = reduce(a)
-        a, b = b, a
-    return len(a) - 1
-
-
 def has_repeated_root(c) -> bool:
     """Exact test: does the L-polynomial sum c_n u^n (c_0..c_2g) have a repeated root?
 
@@ -167,11 +134,8 @@ def has_repeated_root(c) -> bool:
     prime 2^31 - 1, which divides no leading coefficient q^g, already rules
     a repeated root out; only the rare rest runs Euclid over Q.
     """
-    c = list(c)
     dc = [n * v for n, v in enumerate(c)][1:]
-    if _gcd_degree(c, dc, _GCD_PRIME) == 0:
-        return False
-    return _gcd_degree(c, dc, None) > 0
+    return len(_gcd(c, dc, _GCD_PRIME)) > 1 and len(_gcd(c, dc, None)) > 1
 
 
 def _real_rows(phi: np.ndarray, t: np.ndarray):
@@ -199,7 +163,7 @@ def all_zeros_real(L: LFunctionData, t: float) -> bool:
     back by complex arccos; every zero must have |Im x| <= REAL_TOL, the
     criterion zeros_at_t applies. No grid sampling and no degree-2g solve.
     """
-    if count_nonzero_phi(L) <= 1:
+    if np.count_nonzero(L.phi) <= 1:
         # Pure cosine (or constant): zeros stay pinned on the real axis for
         # every t, including t so negative that e^{t n^2} underflows.
         return True

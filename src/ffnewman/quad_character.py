@@ -3,20 +3,22 @@
 chi_D(f) is the Jacobi symbol (f/D): the character of f modulo D, which is 0
 when gcd(f, D) != 1 and otherwise the product of Euler-criterion values of f
 at the monic irreducible factors of D. chi evaluates it by the reciprocity
-ladder, gcd-like, with no factoring. No computing route of the package uses
-it: it is the independent cross-check the tests run the explicit formula
-against (build_lfunction and family_coefficients, summed over the same
-monic irreducible P of degree <= g), and the enumeration oracle
-lfunction._chi_rows against. That oracle factors D by trial division and
-applies Euler's criterion at each factor, vectorised over every monic f up
-to a degree, and shares no code with the ladder.
+ladder, gcd-like, with no factoring, and takes the Legendre symbol of a
+scalar by Euler's criterion (finite_field.legendre_int). No computing route
+of the package uses it: it is the independent cross-check the tests run the
+explicit formula against (build_lfunction and family_coefficients, summed
+over the same monic irreducible P of degree <= g), and the enumeration
+oracle lfunction._chi_rows against. That oracle factors D by trial division
+and applies the character kernel at each factor, vectorised over every
+monic f up to a degree; the kernel reads the square-marking
+finite_field.legendre_table, so it shares no code with the ladder.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .finite_field import legendre_table
+from .finite_field import legendre_int
 from .fp_poly import FpPolynomial, _mod_monic, is_squarefree
 
 
@@ -31,7 +33,7 @@ def _validate_modulus(p: int, d_coeffs: tuple) -> None:
         raise ValueError("character modulus must be squarefree")
 
 
-def _chi_ladder(f: tuple, g: tuple, p: int, leg: tuple) -> int:
+def _chi_ladder(f: tuple, g: tuple, p: int) -> int:
     """(f/g) for monic g with deg g >= 1, by reciprocity.
 
     Rules used, for monic coprime f, g and scalar a != 0:
@@ -48,7 +50,7 @@ def _chi_ladder(f: tuple, g: tuple, p: int, leg: tuple) -> int:
         lc = f[-1]
         dg = len(g) - 1
         if lc != 1:
-            if (dg & 1) and leg[lc] < 0:
+            if (dg & 1) and legendre_int(lc, p) < 0:
                 s = -s
             inv = pow(lc, p - 2, p)
             f = tuple(c * inv % p for c in f)
@@ -68,4 +70,4 @@ def chi(D: FpPolynomial, f: FpPolynomial) -> int:
     if D.p != f.p:
         raise ValueError("modulus mismatch: %d vs %d" % (D.p, f.p))
     _validate_modulus(D.p, D.coeffs)
-    return _chi_ladder(f.coeffs, D.coeffs, D.p, legendre_table(D.p))
+    return _chi_ladder(f.coeffs, D.coeffs, D.p)

@@ -212,7 +212,7 @@ def test_criterion_5_structural_identities(capsys):
                 L = build_lfunction(q, D)
                 if L.c != c:
                     bad.append("build_lfunction c != enumeration for %s/%d" % (D, q))
-                z = zeros_at_t(L, 0.0, tol=1e-8)
+                z = zeros_at_t(L, 0.0)
                 worst_circle = max(worst_circle, z.delta)
                 if z.nonreal or z.delta > 1e-8 or len(z.xs) != 2 * g:
                     bad.append("off-circle zero for %s/%d" % (D, q))

@@ -20,7 +20,7 @@ from ffnewman.families import (
     trace_of_frobenius,
 )
 from ffnewman.finite_field import legendre_int
-from ffnewman.fp_poly import FpPolynomial, reduce_int_poly
+from ffnewman.fp_poly import FpPolynomial
 from ffnewman.lfunction import (
     FAMILY_CHUNK,
     LFunctionData,
@@ -68,7 +68,7 @@ def test_trace_by_point_count():
     # independent route: affine point count via the Legendre symbol
     for dz in [DZ_A, DZ_B, DZ_C]:
         for p in [3, 5, 7, 11, 13]:
-            ok, _ = good_pair_check(p, reduce_int_poly(dz, p))
+            ok, _ = good_pair_check(p, FpPolynomial(dz, p))
             if not ok:
                 continue
             a = -sum(legendre_int(dz[0] + dz[1] * x + dz[3] * x**3, p) for x in range(p))
@@ -92,7 +92,7 @@ def test_bad_reduction_is_p_dividing_the_discriminant():
     for dz in [DZ_A, DZ_B, DZ_C, (2, -3, 0, 1), (0, 0, 0, 1), (0, 0, 3, 1)]:
         disc = cubic_discriminant(dz)
         for p in primes_up_to(500)[1:]:
-            ok, reason = good_pair_check(p, reduce_int_poly(dz, p))
+            ok, reason = good_pair_check(p, FpPolynomial(dz, p))
             assert (disc % p == 0) == (not ok), (dz, p)
             if ok:
                 trace_of_frobenius(dz, p)
@@ -133,7 +133,7 @@ def test_trace_equals_minus_signed_c1():
         for p in primes_up_to(200) + [99989, 99991, 100003]:
             if p == 2 or cubic_discriminant(dz) % p == 0:
                 continue
-            D = reduce_int_poly(dz, p)
+            D = FpPolynomial(dz, p)
             c1 = build_lfunction(p, D).c[1]
             sign = -1 if p % 4 == 3 else 1
             assert trace_of_frobenius(dz, p) == -sign * c1
@@ -149,7 +149,7 @@ def test_trace_by_bsgs_matches_point_count():
         for p in primes_up_to(20000):
             if p <= families.BSGS_MIN_P or disc % p == 0:
                 continue
-            coeffs = reduce_int_poly(dz, p).coeffs
+            coeffs = FpPolynomial(dz, p).coeffs
             assert families._trace_by_bsgs(coeffs, p) == families._trace_by_count(coeffs, p)
 
 

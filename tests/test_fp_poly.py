@@ -14,9 +14,7 @@ from ffnewman.fp_poly import (
     monic_index,
     monic_irreducibles,
     parse_int_coeffs,
-    poly_from_text,
     poly_to_text,
-    reduce_int_poly,
 )
 
 
@@ -224,20 +222,20 @@ def test_monic_irreducibles_match_trial_division():
             assert len(got) == mobius_irreducible_count(p, n)
 
 
-def test_reduce_int_poly_examples():
-    assert reduce_int_poly((1, 1, 0, 1), 3).coeffs == (1, 1, 0, 1)
-    assert reduce_int_poly((10, 5, 0, 1), 5).coeffs == (0, 0, 0, 1)  # -> T^3
-    assert reduce_int_poly((1, 1, 0, 3), 3).coeffs == (1, 1)  # degree drops -> T+1
-    assert reduce_int_poly((-1, 1), 3).coeffs == (2, 1)
+def test_constructor_reduces_int_coeffs():
+    assert FpPolynomial((1, 1, 0, 1), 3).coeffs == (1, 1, 0, 1)
+    assert FpPolynomial((10, 5, 0, 1), 5).coeffs == (0, 0, 0, 1)  # -> T^3
+    assert FpPolynomial((1, 1, 0, 3), 3).coeffs == (1, 1)  # degree drops -> T+1
+    assert FpPolynomial((-1, 1), 3).coeffs == (2, 1)
 
 
 def test_text_codec():
     f = P([1, 2, 0, 1], 3)
     assert poly_to_text(f) == "1,2,0,1"
-    assert poly_from_text("1,2,0,1", 3).coeffs == f.coeffs
-    assert poly_from_text(" 1, 2 ,0,1 ", 3).coeffs == f.coeffs
+    assert FpPolynomial(parse_int_coeffs("1,2,0,1"), 3).coeffs == f.coeffs
+    assert FpPolynomial(parse_int_coeffs(" 1, 2 ,0,1 "), 3).coeffs == f.coeffs
     assert poly_to_text(P([], 3)) == "0"
-    assert poly_from_text("4,-1", 3).coeffs == (1, 2)
+    assert FpPolynomial(parse_int_coeffs("4,-1"), 3).coeffs == (1, 2)
     assert parse_int_coeffs("1,-5,25") == (1, -5, 25)
     with pytest.raises(ValueError):
         parse_int_coeffs("1,x,3")
