@@ -22,12 +22,13 @@ in the tests. The sweep is a stream of blocks: each goes to the caller's
 on_block, which can write all its rows at once, and is dropped. Only the
 bests, found in numpy, become SweepItems, and the SweepReport keeps only
 counts and bests, so memory does not grow with the family. The Sato-Tate sweep
-of a monic integer cubic maps runs of SATO_TATE_RUN consecutive primes and
-keeps every prime's record in its SatoTateReport, in plain integers: p is bad
-exactly when it divides the discriminant, and a_p takes O(p^(1/4)) exact group
-steps on the curve or its twist, with the O(p) point count for small p and
-fallback. A pool never has more processes than tasks; with one task the map
-runs in-process.
+of a monic integer cubic keeps every prime's record in its SatoTateReport, in
+plain integers: p is bad exactly when it divides the discriminant, and a_p
+comes from baby-step giant-step on the curve or its twist, O(p^(1/4)) group
+steps, run in lockstep over numpy lanes (_bsgs_lanes): one pass per task of
+SATO_TATE_RUN consecutive primes, then the few primes it left open all
+together, and the O(p) point count for small p and as the fallback. A pool
+never has more processes than tasks; with one task the map runs in-process.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_field import check_odd_prime, legendre_int, legendre_table
+from .finite_field import check_odd_prime, legendre_table
 from .lfunction import (
     FAMILY_CHUNK,
     NumericalError,
@@ -85,6 +86,9 @@ F3_GENUS_SERIES = (
 
 class BadReduction(ValueError):
     """p divides the cubic's discriminant: its reduction mod p has a repeated root."""
+
+
+_BAD_REDUCTION = "D must be squarefree"
 
 
 @dataclass(frozen=True)
@@ -377,8 +381,10 @@ def _monic_cubic(dz) -> tuple:
 
 def trace_of_frobenius(dz, p: int) -> int:
     """a_p of y^2 = dz(T), exactly, for a monic integer cubic dz and an odd
-    prime p: for p > BSGS_MIN_P by baby-step giant-step (_trace_by_bsgs),
-    else, and when that gives up, by point counting (_trace_by_count).
+    prime p: for p > BSGS_MIN_P by baby-step giant-step, as a one-lane call
+    of the sweep's kernel (_bsgs_traces), else, and when that gives up, by
+    point counting (_trace_by_count). A call costs 1-2.5 ms of numpy
+    passes, most of it fixed; sweeps send whole runs of primes instead.
 
     BadReduction exactly when p divides the discriminant of dz, i.e. when
     dz mod p has a repeated root. The Hasse bound |a_p| < 2 sqrt(p) is
@@ -387,11 +393,23 @@ def trace_of_frobenius(dz, p: int) -> int:
     dz = _monic_cubic(dz)
     check_odd_prime(p)
     if cubic_discriminant(dz) % p == 0:
-        raise BadReduction("D must be squarefree")
-    coeffs = [v % p for v in dz]
-    a_p = _trace_by_bsgs(coeffs, p) if p > BSGS_MIN_P else None
-    if a_p is None:
-        a_p = _trace_by_count(coeffs, p)
+        raise BadReduction(_BAD_REDUCTION)
+    return _hasse_checked(p, _traces(dz, [p])[0])
+
+
+def _traces(dz: tuple, ps: list, first: int = 1) -> list:
+    """a_p at each odd prime of ps, all of good reduction for the monic cubic
+    dz and not checked again: by _bsgs_traces from the first-th usable point
+    on for p > BSGS_MIN_P, by the point count for the rest and for the
+    primes it leaves open."""
+    big = [p for p in ps if p > BSGS_MIN_P]
+    found = dict(zip(big, _bsgs_traces(dz, big, first)))
+    counted = [p for p in ps if found.get(p) is None]
+    found.update((p, _trace_by_count([v % p for v in dz], p)) for p in counted)
+    return [found[p] for p in ps]
+
+
+def _hasse_checked(p: int, a_p: int) -> int:
     if a_p * a_p >= 4 * p:
         raise NumericalError("Hasse bound violated: a_p=%d at p=%d" % (a_p, p))
     return a_p
@@ -406,90 +424,225 @@ def _trace_by_count(coeffs, p: int) -> int:
     return -int(legendre_table(p)[vals].sum())
 
 
-def _trace_by_bsgs(coeffs, p: int):
-    """a_p of y^2 = f(x), f a monic cubic mod p > 3 (ascending coeffs), or
-    None if none of BSGS_TRIES points has a unique order N in the Hasse
-    interval [p + 1 - r, p + 1 + r], r = isqrt(4p). With f shifted to
-    x^3 + Ax + B and d = f(x0) != 0, (d x0, d^2) lies on Y^2 = X^3 + A d^2 X
-    + B d^3: the curve if d is a square, else its twist, with p + 1 + a_p
-    points; so a_p = chi(d) (p + 1 - N). x0 starts at 1, as x = 0 has order
-    3 on y^2 = x^3 + B.
+def _bsgs_traces(dz: tuple, ps: list, first: int = 1, last: int | None = None) -> list:
+    """a_p at each prime p > 3 of ps by passes of the lockstep kernel
+    _bsgs_lanes over the usable points first..last of each prime, or None
+    where none of them decides; a point x0 is usable when x0 <= BSGS_TRIES
+    and f(x0) != 0, for the cubic mod p shifted to f = x^3 + Ax + B (on
+    x^3 - x, f(1) = 0 at every p).
+
+    A pass tries the usable points s..4s - 3 of the primes still open,
+    s = first, then the next s: 1, 2-5, 6-21, 22-85. A pass of a few lanes
+    costs half a pass of 256, so a prime that needs 22 points takes four
+    passes, not 22. Any lane that decides gives the true a_p, so which point
+    of a prime decides does not change the output. Arrays are int64 for
+    p < 2^31, which keeps every product of two residues below 2^62, and
+    Python ints (object arrays) through the same code otherwise.
     """
-    a0, a1, a2, _ = coeffs
-    s = a2 * pow(3, -1, p) % p
-    A = (a1 - 3 * s * s) % p
-    B = (2 * s**3 - a1 * s + a0) % p
-    r = math.isqrt(4 * p)
-    for x0 in range(1, BSGS_TRIES + 1):
-        d = (x0**3 + A * x0 + B) % p
-        if d:
-            n = _unique_order((d * x0 % p, d * d % p), A * d * d % p, p, p + 1 - r, p + 1 + r)
-            if n is not None:
-                return legendre_int(d, p) * (p + 1 - n)
-    return None
+    if not ps:
+        return []
+    p = np.array(ps, dtype=np.int64 if max(ps) < 2**31 else object)
+    a0, a1, a2 = (np.array([v % q for q in ps], dtype=p.dtype) for v in dz[:3])
+    # x -> x - a2/3, with 1/3 = (p + 1)/3 or (2p + 1)/3
+    s = a2 * np.where(p % 3 == 1, (2 * p + 1) // 3, (p + 1) // 3) % p
+    A = (a1 - 3 * (s * s % p)) % p
+    B = (2 * (s * s % p * s % p) - a1 * s + a0) % p
+    x0 = np.arange(1, BSGS_TRIES + 1).astype(p.dtype)[:, None]
+    f = (x0 * x0 * x0 + A * x0 + B) % p
+    rank = np.cumsum(f != 0, axis=0)  # x0 is the rank-th usable point of its prime
+    a_p = np.zeros_like(p)
+    open_ = np.ones(len(ps), dtype=bool)
+    s = first
+    while last is None or s <= last:
+        top = 4 * s - 3 if last is None else min(4 * s - 3, last)
+        t, i = np.nonzero((f != 0) & (rank >= s) & (rank <= top) & open_)
+        if not len(i):
+            break
+        a, decided = _bsgs_lanes(p[i], A[i], x0[t, 0], f[t, i])
+        a_p[i[decided]] = a[decided]
+        open_[i[decided]] = False
+        s = top + 1
+    return [None if o else int(a) for a, o in zip(a_p.tolist(), open_.tolist())]
 
 
-def _unique_order(P, A, p: int, lo: int, hi: int):
-    """The one N in [lo, hi] with N P = O on y^2 = x^3 + Ax + B over F_p,
-    else None. Baby steps jP, j = 1..m, are keyed on x; a giant step cP at
-    x(jP) names N = c -+ j by the sign of y, and c moves by 2m + 1. A baby
-    step at O, at y = 0 or on a repeated x means an order <= 2m, shared by
-    several N of the interval (width >= 4m), and gives the point up.
+def _bsgs_lanes(p, A, x0, d) -> tuple:
+    """Baby-step giant-step in lockstep over lanes (p, x0): (a_p, decided),
+    arrays over the lanes. Lane i takes the point (d x0, d^2), d = f(x0) != 0
+    for the shifted cubic f = x^3 + Ax + B mod p, on Y^2 = X^3 + A d^2 X +
+    B d^3: the curve if d is a square, else its twist, with p + 1 + a_p
+    points; so a_p = chi(d) (p + 1 - N) when N is the one order in the Hasse
+    interval [lo, hi] = [p + 1 - r, p + 1 + r], r = isqrt(4p), that kills
+    the point.
+
+    With m = isqrt(r), the baby steps jP, j = 1..m, are keyed on x; a giant
+    step cP at x(jP) names N = c -+ j by the sign of y, cP = O names N = c,
+    and c moves by 2m + 1 from lo + m past hi. A lane decides when exactly
+    one N of [lo, hi] is named. A baby step at O, at y = 0 or on a repeated
+    x means an order <= 2m, shared by several N of the interval (width
+    >= 4m), and gives the lane up. Points are projective (X : Y : Z), O
+    exactly when Z = 0, so no step inverts: one normalisation (_inv_rows)
+    takes every baby and giant point to x = X/Z at once, and one sort of the
+    keys lane * max(p) + x, searched by every giant, replaces a per-prime
+    table.
     """
-    m = math.isqrt((hi - lo) // 2)
-    baby, Q = {}, None
-    for j in range(1, m + 1):
-        Q = _ec_add(Q, P, A, p)
-        if Q is None or Q[1] == 0 or Q[0] in baby:
-            return None
-        baby[Q[0]] = j, Q[1]
-    step = _ec_add(_ec_add(Q, Q, A, p), P, A, p)
-    G, R, k = None, P, lo + m  # G = (lo + m) P by double-and-add
-    while k:
-        G = _ec_add(G, R, A, p) if k & 1 else G
-        R, k = _ec_add(R, R, A, p), k >> 1
-    found = []
-    for c in range(lo + m, hi + m + 1, 2 * m + 1):
+    n = len(p)
+    lanes = np.arange(n)
+    P = (d * x0 % p, d * d % p, np.ones_like(p))
+    a = A * (d * d % p) % p
+    r = np.array([math.isqrt(4 * v) for v in p.tolist()], dtype=np.int64)
+    m = np.array([math.isqrt(v) for v in r.tolist()], dtype=np.int64)
+    lo, hi = p + 1 - r, p + 1 + r
+    M = int(m.max())
+    baby = [P]
+    for _ in range(M):
+        baby.append(_ec_add_lanes(baby[-1], P, a, p))
+    Xb, Yb, Zb = map(np.stack, zip(*baby))  # row j - 1 holds jP, j = 1..M + 1
+    step = _ec_add_lanes(
+        (Xb[m - 1, lanes], Yb[m - 1, lanes], Zb[m - 1, lanes]),
+        (Xb[m, lanes], Yb[m, lanes], Zb[m, lanes]),
+        a,
+        p,
+    )  # (2m + 1) P
+    K = int((2 * r // (2 * m + 1)).max()) + 1
+    giant = [_ec_mul_lanes(lo + m, (Xb, Yb, Zb), a, p)]
+    for _ in range(K - 1):
+        giant.append(_ec_add_lanes(giant[-1], step, a, p))
+    Xg, Yg, Zg = map(np.stack, zip(*giant))  # row k holds c P, c = lo + m + k (2m + 1)
+    c = lo + m + np.arange(K)[:, None] * (2 * m + 1)
+    inv = _inv_rows(np.concatenate((Zb[:M], Zg)), p)
+    xb, xg = Xb[:M] * inv[:M] % p, Xg * inv[M:] % p
+
+    within = np.arange(1, M + 1)[:, None] <= m
+    gave_up = (((Zb[:M] == 0) | (Yb[:M] == 0)) & within).any(axis=0)
+    bj, bl = np.nonzero(within)
+    width = int(p.max())
+    keys = bl.astype(p.dtype) * width + xb[bj, bl]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    gave_up[bl[order[1:][keys[1:] == keys[:-1]]]] = True
+
+    gk, gl = np.nonzero(Zg != 0)
+    gkeys = gl.astype(p.dtype) * width + xg[gk, gl]
+    at = np.minimum(np.searchsorted(keys, gkeys), len(keys) - 1)
+    hit = keys[at] == gkeys
+    gk, gl, b = gk[hit], gl[hit], order[at[hit]]
+    j, jl = bj[b], bl[b]
+    # same x: the giant is +jP when Y/Z agree, else -jP
+    same = (Yb[j, jl] * Zg[gk, gl] - Yg[gk, gl] * Zb[j, jl]) % p[gl] == 0
+    ok, ol = np.nonzero(Zg == 0)
+    cand_l = np.concatenate((gl, ol))
+    cand = np.concatenate((c[gk, gl] + np.where(same, -(j + 1), j + 1), c[ok, ol]))
+    inside = (cand >= lo[cand_l]) & (cand <= hi[cand_l])
+    cand_l, cand = cand_l[inside], cand[inside]
+    decided = (np.bincount(cand_l, minlength=n) == 1) & ~gave_up
+    N = np.zeros_like(p)
+    N[cand_l] = cand
+    chi = np.where(_pow_lanes(d, (p - 1) // 2, p) == 1, 1, -1)
+    return chi * (p + 1 - N), decided
+
+
+def _pow_lanes(base, e, p):
+    """base ** e mod p elementwise, e and p one per lane (the last axis)."""
+    out = np.ones_like(base)
+    for i in range(int(e.max()).bit_length()):
+        bit = (e >> i) & 1 == 1
+        out = np.where(bit, out * base % p, out)
+        base = base * base % p
+    return out
+
+
+def _inv_rows(Z, p):
+    """1/Z mod p entrywise for Z of shape (rows, lanes), with one Fermat
+    power per lane: Montgomery's trick along the rows. Entries Z = 0 (the
+    point O) are skipped and left meaningless."""
+    Z = np.where(Z == 0, 1, Z)
+    prefix = [Z[0]]
+    for z in Z[1:]:
+        prefix.append(prefix[-1] * z % p)
+    t = _pow_lanes(prefix[-1], p - 2, p)
+    inv = [None] * len(Z)
+    for i in range(len(Z) - 1, 0, -1):
+        inv[i] = t * prefix[i - 1] % p
+        t = t * Z[i] % p
+    inv[0] = t
+    return np.stack(inv)
+
+
+def _ec_add_lanes(P1, P2, a, p) -> tuple:
+    """P1 + P2 on Y^2 = X^3 + aX + b, lane by lane, projective, with O
+    exactly when Z = 0 (add-1998-cmo-2 of the Explicit-Formulas Database,
+    which gives O for P1 = -P2); O operands and P1 = P2 are taken lane by
+    lane. Products of two residues stay below 2^62 and sums of two below
+    2^63, so int64 lanes reduce only where that bound needs it."""
+    X1, Y1, Z1 = P1
+    X2, Y2, Z2 = P2
+    Y1Z2 = Y1 * Z2 % p
+    X1Z2 = X1 * Z2 % p
+    Z1Z2 = Z1 * Z2 % p
+    u = (Y2 * Z1 - Y1Z2) % p
+    v = (X2 * Z1 - X1Z2) % p
+    vv = v * v % p
+    vvv = v * vv % p
+    R = vv * X1Z2 % p
+    W = (u * u % p * Z1Z2 - vvv - 2 * R) % p
+    out = (v * W % p, (u * (R - W) - vvv * Y1Z2) % p, vvv * Z1Z2 % p)
+    if not (Z1Z2 * v).all():
+        same = (u == 0) & (v == 0)
+        if same.any():
+            out = _select(same, _ec_dbl_lanes(P1, a, p), out)
+        out = _select(Z1 == 0, P2, _select(Z2 == 0, P1, out))
+    return out
+
+
+def _ec_dbl_lanes(P, a, p) -> tuple:
+    """2P on Y^2 = X^3 + aX + b, lane by lane, projective (dbl-2007-bl);
+    O and the points with y = 0 go to Z = 0."""
+    X, Y, Z = P
+    w = (a * (Z * Z % p) + 3 * (X * X % p)) % p
+    s = 2 * Y * Z % p
+    ss = s * s % p
+    R = Y * s % p
+    RR = R * R % p
+    B = 2 * (X * R % p)
+    h = (w * w - 2 * B) % p
+    return h * s % p, (w * (B - h) - 2 * RR) % p, ss * s % p
+
+
+def _ec_mul_lanes(k, table, a, p) -> tuple:
+    """k P lane by lane, k >= 0, from the table of jP, j = 1..J (row j - 1):
+    left to right in base 2^w, 2^w - 1 <= J, with one add per digit."""
+    w = (len(table[0]) + 1).bit_length() - 1
+    lanes = np.arange(len(p))
+    G = None
+    for i in reversed(range(0, int(k.max()).bit_length(), w)):
+        digit = ((k >> i) & (2**w - 1)).astype(np.intp)
+        T = tuple(c[digit - 1, lanes] for c in table)
         if G is None:
-            found.append(c)
-        elif G[0] in baby:
-            j, y = baby[G[0]]
-            found.append(c - j if y == G[1] else c + j)
-        G = _ec_add(G, step, A, p)
-    found = [n for n in found if lo <= n <= hi]
-    return found[0] if len(found) == 1 else None
+            G = _select(digit > 0, T, (np.zeros_like(p), np.ones_like(p), np.zeros_like(p)))
+            continue
+        for _ in range(w):
+            G = _ec_dbl_lanes(G, a, p)
+        G = _select(digit > 0, _ec_add_lanes(G, T, a, p), G)
+    return G
 
 
-def _ec_add(P, Q, A, p: int):
-    """P + Q on y^2 = x^3 + Ax + B over F_p, affine, with None for O."""
-    if P is None or Q is None:
-        return Q if P is None else P
-    (x1, y1), (x2, y2) = P, Q
-    if x1 == x2 and (y1 + y2) % p == 0:
-        return None
-    if x1 == x2:
-        lam = (3 * x1 * x1 + A) * pow(2 * y1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    return x3, (lam * (x1 - x3) - y1) % p
+def _select(mask, P, Q) -> tuple:
+    return tuple(np.where(mask, x, y) for x, y in zip(P, Q))
 
 
 # consecutive primes per Sato-Tate task
 SATO_TATE_RUN = 256
 
 
-def _sato_record(dz: tuple, p: int) -> SatoTateRecord:
-    try:
-        a_p = trace_of_frobenius(dz, p)
-    except BadReduction as e:
-        return SatoTateRecord(p, None, None, None, str(e))
-    theta = math.acos(a_p / (2.0 * math.sqrt(p)))
-    return SatoTateRecord(p, a_p, theta, genus1_lambda(a_p, p), None)
-
-
-def _sato_records(dz: tuple, ps: list) -> list:
-    return [_sato_record(dz, p) for p in ps]
+def _first_traces(dz: tuple, ps: list) -> list:
+    """A Sato-Tate task: a_p at the primes of one run from one lockstep pass
+    over the first usable point of each good p > BSGS_MIN_P, and None where
+    that point decided nothing, at p <= BSGS_MIN_P and at bad p. The primes
+    come from the sweep's sieve and are not checked again."""
+    disc = cubic_discriminant(dz)
+    big = [p for p in ps if p > BSGS_MIN_P and disc % p]
+    found = dict(zip(big, _bsgs_traces(dz, big, last=1)))
+    return [found.get(p) for p in ps]
 
 
 def sato_tate_sweep(dz, p_max: int, workers: int = 1) -> SatoTateReport:
@@ -499,15 +652,28 @@ def sato_tate_sweep(dz, p_max: int, workers: int = 1) -> SatoTateReport:
     and the Kolmogorov-Smirnov distance of the theta sample to the semicircle
     law (the distance statistic is this artifact's choice)."""
     dz = _monic_cubic(dz)
-    if cubic_discriminant(dz) == 0:
+    disc = cubic_discriminant(dz)
+    if disc == 0:
         raise ValueError("dz must be squarefree over Q")
     if p_max < 3:
         raise ValueError("p_max must be >= 3")
     check_workers(workers)
     ps = [p for p in primes_up_to(p_max) if p > 2]
     runs = [ps[i : i + SATO_TATE_RUN] for i in range(0, len(ps), SATO_TATE_RUN)]
-    with _ordered_map(functools.partial(_sato_records, dz), runs, len(runs), workers) as results:
-        records = [r for run in results for r in run]
+    with _ordered_map(functools.partial(_first_traces, dz), runs, len(runs), workers) as results:
+        traces = [a_p for run in results for a_p in run]
+    # every prime the first passes left open, in one set of passes from the
+    # second usable point on, whatever run it came from
+    rest = [p for p, a_p in zip(ps, traces) if a_p is None and disc % p]
+    rest = dict(zip(rest, _traces(dz, rest, first=2)))
+    records = []
+    for p, a_p in zip(ps, traces):
+        if disc % p == 0:
+            records.append(SatoTateRecord(p, None, None, None, _BAD_REDUCTION))
+            continue
+        a_p = _hasse_checked(p, rest[p] if a_p is None else a_p)
+        theta = math.acos(a_p / (2.0 * math.sqrt(p)))
+        records.append(SatoTateRecord(p, a_p, theta, genus1_lambda(a_p, p), None))
     sup = argmax_p = None
     running_sup = []
     thetas = []

@@ -8,9 +8,9 @@ monic irreducibles of each degree (the primes of the explicit formula).
 Internally polynomials are tuples of ints in ascending degree order with no
 trailing zeros; the zero polynomial is the empty tuple. The FpPolynomial class
 wraps these tuples; the underscore kernels below operate on raw tuples and are
-shared with the character module's reciprocity ladder. _gcd, pseudo-division
-over F_p or over Q, is the one Euclid: gcd, is_squarefree and
-newman.has_repeated_root use it. _factorize_monic, trial division, is the one
+shared with the character module's reciprocity ladder. _gcd is the one
+Euclid (monic divisors over F_p, pseudo-division over Q): gcd, is_squarefree
+and newman.has_repeated_root use it. _factorize_monic, trial division, is the one
 factoring kernel: is_irreducible and the enumeration oracle of the lfunction
 module (_chi_rows) use it.
 """
@@ -101,9 +101,11 @@ def _gcd(a, b, p: int | None) -> tuple:
     """gcd of integer coefficient sequences (constant term first) in Python
     ints: monic over F_p, or primitive over Q when p is None; gcd((), ()) is ().
 
-    Euclid by pseudo-division: a <- lc(b) a - lc(a) T^k b stays in the
-    integers, and scaling by a nonzero constant keeps the gcd. Remainders are
-    reduced mod p, or over Q divided by their content so they do not grow.
+    Euclid. Over F_p, b is made monic once per outer step, so a remainder
+    step is a <- a - lc(a) T^k b. Over Q, by pseudo-division: a <- lc(b) a -
+    lc(a) T^k b stays in the integers, and scaling by a nonzero constant
+    keeps the gcd. Remainders are reduced mod p, or over Q divided by their
+    content so they do not grow.
     """
 
     def reduce(v):
@@ -117,14 +119,30 @@ def _gcd(a, b, p: int | None) -> tuple:
         return v
 
     a, b = reduce([int(x) for x in a]), reduce([int(x) for x in b])
-    while b:
-        while len(a) >= len(b):
-            f, lb, shift = a[-1], b[-1], len(a) - len(b)
-            top = [x * lb - f * v for x, v in zip(a[shift:], b)]  # top[-1] is 0
-            a = reduce([x * lb for x in a[:shift]] + top)
+    while len(b) > 1:
+        n = len(b) - 1
+        if p:
+            if b[-1] != 1:
+                inv = pow(b[-1], -1, p)
+                b = [x * inv % p for x in b]
+            while len(a) > n:
+                f = a.pop()  # the leading term, cancelled by f T^k b
+                k = len(a) - n
+                for i in range(n):
+                    a[k + i] = (a[k + i] - f * b[i]) % p
+                while a and a[-1] == 0:
+                    a.pop()
+        else:
+            lb = b[-1]
+            while len(a) > n:
+                f, shift = a[-1], len(a) - len(b)
+                top = [x * lb - f * v for x, v in zip(a[shift:], b)]  # top[-1] is 0
+                a = reduce([x * lb for x in a[:shift]] + top)
         a, b = b, a
+    if b:  # b is a nonzero constant, which divides a
+        a = b
     if p and a:
-        inv = pow(a[-1], p - 2, p)
+        inv = pow(a[-1], -1, p)
         a = [x * inv % p for x in a]
     return tuple(a)
 

@@ -139,26 +139,142 @@ def test_trace_equals_minus_signed_c1():
             assert trace_of_frobenius(dz, p) == -sign * c1
 
 
+# two CM curves (y^2 = x^3 - x with full 2-torsion, y^2 = x^3 + 1 with
+# rational 6-torsion), and cubics with a T^2 term, which the route shifts away
+BSGS_CURVES = [DZ_A, (0, -1, 0, 1), (1, 0, 0, 1), (-7, 5, -2, 1), (1, 2, 3, 1)]
+
+
+def count_trace(dz, p):
+    return families._trace_by_count([v % p for v in dz], p)
+
+
+def bsgs_lanes(dz, p, x0s):
+    """The kernel's lanes (p, x0) for x0 in x0s with d = f(x0) != 0, f the
+    cubic mod p shifted to x^3 + Ax + B: (usable x0s, d, a_p, decided)."""
+    a0, a1, a2 = (v % p for v in dz[:3])
+    s = a2 * pow(3, -1, p) % p
+    A = (a1 - 3 * s * s) % p
+    B = (2 * s**3 - a1 * s + a0) % p
+    x0 = np.array([x for x in x0s if (x**3 + A * x + B) % p])
+    d = (x0**3 + A * x0 + B) % p
+    n = len(x0)
+    a, decided = families._bsgs_lanes(np.full(n, p), np.full(n, A), x0, d)
+    return x0.tolist(), d.tolist(), a.tolist(), decided.tolist()
+
+
 def test_trace_by_bsgs_matches_point_count():
-    # every good p above the counting range up to 2*10^4, against the O(p)
-    # count: two CM curves (y^2 = x^3 - x with full 2-torsion, y^2 = x^3 + 1
-    # with rational 6-torsion), and cubics with a T^2 term, which the route
-    # shifts away
-    for dz in [DZ_A, (0, -1, 0, 1), (1, 0, 0, 1), (-7, 5, -2, 1), (1, 2, 3, 1)]:
+    # one batched kernel call per curve over every good p above the counting
+    # range up to 2*10^4, against the O(p) count; no prime is left open
+    for dz in BSGS_CURVES:
         disc = cubic_discriminant(dz)
-        for p in primes_up_to(20000):
-            if p <= families.BSGS_MIN_P or disc % p == 0:
-                continue
-            coeffs = FpPolynomial(dz, p).coeffs
-            assert families._trace_by_bsgs(coeffs, p) == families._trace_by_count(coeffs, p)
+        ps = [p for p in primes_up_to(20000) if p > families.BSGS_MIN_P and disc % p]
+        assert families._bsgs_traces(dz, ps) == [count_trace(dz, p) for p in ps]
 
 
-def test_unique_order_gives_up_on_small_order():
+def test_bsgs_lane_does_not_depend_on_its_run(monkeypatch):
+    rng = np.random.default_rng(7)
+    for dz in BSGS_CURVES:
+        disc = cubic_discriminant(dz)
+        ps = [p for p in primes_up_to(4000) if p > families.BSGS_MIN_P and disc % p]
+        run = rng.permutation(ps)[:256].tolist()
+        together = families._bsgs_traces(dz, run)
+        assert together == [count_trace(dz, p) for p in run]
+        for p in run[:4]:
+            assert families._bsgs_traces(dz, [p]) == [together[run.index(p)]]
+            assert trace_of_frobenius(dz, p) == together[run.index(p)]
+    for dz in [DZ_A, (0, -1, 0, 1)]:
+        reports = []
+        for size in [1, 7, 256]:
+            monkeypatch.setattr(families, "SATO_TATE_RUN", size)
+            reports.append(sato_tate_sweep(dz, 1000))
+        assert reports[0] == reports[1] == reports[2]
+
+
+def test_sato_tate_sweep_retries_open_primes_together(monkeypatch):
+    # one pass per run, then the primes the runs left open share passes
+    calls = []
+    kernel = families._bsgs_lanes
+
+    def counted(p, *args):
+        calls.append(len(p))
+        return kernel(p, *args)
+
+    monkeypatch.setattr(families, "_bsgs_lanes", counted)
+    monkeypatch.setattr(families, "SATO_TATE_RUN", 64)
+    report = sato_tate_sweep((0, -1, 0, 1), 6000)
+    runs = -(-len(report.items) // 64)
+    assert runs < len(calls) <= runs + 3
+
+
+# x0s at which the scalar route (one point at a time, affine) found a unique
+# order, for every x0 <= 40 with f(x0) != 0
+DECIDING_X0 = {
+    # giants land on O: N - (lo + m) is a multiple of 2m + 1
+    (DZ_A, 523): list(range(1, 41)),
+    (DZ_A, 3359): [x for x in range(1, 41) if x != 33],
+    (DZ_A, 6599): [x for x in range(1, 41) if x not in (6, 13, 14, 19, 36)],
+    # f(1) = 0 at every p
+    ((0, -1, 0, 1), 233): [7, 9, 11, 13, 16, 18, 21, 24, 26, 33, 38, 40],
+    ((0, -1, 0, 1), 239): [4, 7, 10, 12, 13, 15, 16, 18, 20, 21, 24, 25, 26, 27, 28, 29,
+                           32, 33, 34, 35, 36, 37],
+    ((0, -1, 0, 1), 10007): list(range(2, 41)),
+    ((1, 0, 0, 1), 10007): [x for x in range(1, 41) if x != 2],
+}
+
+
+@pytest.mark.parametrize("dz, p", list(DECIDING_X0))
+def test_bsgs_lanes_decide_where_the_point_has_a_unique_order(dz, p):
+    x0, _, a, decided = bsgs_lanes(dz, p, range(1, 41))
+    assert [x for x, ok in zip(x0, decided) if ok] == DECIDING_X0[dz, p]
+    assert {v for v, ok in zip(a, decided) if ok} == {count_trace(dz, p)}
+
+
+def test_bsgs_giant_steps_through_o():
+    # at p = 523 and 3359 on x^3 + x + 1 the orders N = p + 1 -+ a_p of the
+    # curve and its twist are both giants c = lo + m + k (2m + 1): cP = O
+    # there, and the next giant is the step itself; lanes on either decide
+    for p in [523, 3359]:
+        r = math.isqrt(4 * p)
+        m = math.isqrt(r)
+        a_p = count_trace(DZ_A, p)
+        _, d, a, decided = bsgs_lanes(DZ_A, p, range(1, 41))
+        for chi in [1, -1]:
+            assert (p + 1 - chi * a_p - (p + 1 - r + m)) % (2 * m + 1) == 0
+            assert any(ok and legendre_int(v, p) == chi for v, ok in zip(d, decided))
+        assert {v for v, ok in zip(a, decided) if ok} == {a_p}
+
+
+def test_bsgs_lanes_use_the_first_usable_point():
+    # f(1) = 0 for x^3 - x at every p: lanes start at x0 = 2, and the first
+    # pass decides most primes
+    ps = [p for p in primes_up_to(3000) if p > families.BSGS_MIN_P]
+    first = families._bsgs_traces((0, -1, 0, 1), ps, last=1)
+    decided = [(p, a) for p, a in zip(ps, first) if a is not None]
+    assert len(decided) > len(ps) // 2
+    assert all(a == count_trace((0, -1, 0, 1), p) for p, a in decided)
+
+
+def test_bsgs_lanes_give_up_on_small_order():
     # (2, 3) has order 6 on y^2 = x^3 + 1 over Q, so also mod p: several N of
-    # the Hasse interval kill it
+    # the Hasse interval kill it. The lane (p, x0 = 2) has d = f(2) = 9, a
+    # square, and its point (d x0, d^2) = (18, 81) is the image of (2, 3)
     p = 10007
-    r = math.isqrt(4 * p)
-    assert families._unique_order((2, 3), 0, p, p + 1 - r, p + 1 + r) is None
+    _, decided = families._bsgs_lanes(np.array([p]), np.array([0]), np.array([2]), np.array([9]))
+    assert not decided[0]
+
+
+@pytest.mark.parametrize(
+    "p, traces",
+    [
+        # the largest int64 lane prime: products of residues just below 2^62
+        (2**31 - 1, [60376, 0, 92324, 56950, -20240]),
+        # the first prime above 2^31: object arrays of Python ints
+        (2147483659, [-27514, 0, -73456, 17780, 55342]),
+    ],
+)
+def test_trace_near_2_to_31(p, traces):
+    # pinned to the scalar affine route this kernel replaced
+    assert [trace_of_frobenius(dz, p) for dz in BSGS_CURVES] == traces
 
 
 @pytest.mark.parametrize("give_up", ["tries", "helper"])
@@ -176,7 +292,11 @@ def test_trace_falls_back_to_point_count(monkeypatch, give_up):
     if give_up == "tries":
         monkeypatch.setattr(families, "BSGS_TRIES", 0)
     else:
-        monkeypatch.setattr(families, "_unique_order", lambda *args: None)
+
+        def decide_nothing(p, *args):
+            return np.zeros_like(p), np.zeros(len(p), dtype=bool)
+
+        monkeypatch.setattr(families, "_bsgs_lanes", decide_nothing)
     for (dz, p), a in want.items():
         assert trace_of_frobenius(dz, p) == a
     assert counted == [p for _, p in want]

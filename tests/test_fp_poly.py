@@ -113,6 +113,48 @@ def test_gcd_is_monic_and_divides():
         gcd(P([], 3), P([], 3))
 
 
+# gcd(a, b) and whether a and b are squarefree, for the pairs a = u g, b = v g
+# that gcd_pairs draws, as pseudo-division over F_p gave them
+GCD_PAIRS = {
+    3: [
+        ((0, 0, 1), False, False), ((2, 2, 2, 2, 1), False, True), ((0, 2, 1, 1), True, False),
+        ((0, 0, 2, 1), False, False), ((1, 0, 1), True, True), ((0, 1), True, True),
+        ((0, 1), False, True), ((2, 2, 1), True, False), ((2, 2, 0, 1), True, True),
+        ((2, 1), True, True),
+    ],
+    5: [
+        ((0, 1), True, True), ((2, 3, 2, 1), True, True), ((0, 0, 1), False, False),
+        ((0, 2, 1), True, False), ((4, 0, 1), False, True), ((3, 1), True, True),
+        ((4, 0, 1), False, False), ((0, 0, 1), False, False), ((1, 1), True, False),
+        ((0, 0, 0, 1), False, False),
+    ],
+    13: [
+        ((5, 4, 1), True, True), ((7, 1, 1), False, True), ((3, 6, 1), True, True),
+        ((4, 1), True, True), ((11, 3, 9, 1), True, True), ((0, 2, 1), True, True),
+        ((11, 1), True, True), ((7, 1), True, True), ((1, 5, 1), True, True),
+        ((12, 1), True, True),
+    ],
+}
+
+
+def gcd_pairs(rng, p):
+    def nonzero(lo, hi):
+        coeffs = [rng.randrange(p) for _ in range(rng.randrange(lo, hi + 1))]
+        return P(coeffs + [rng.randrange(1, p)], p)
+
+    for _ in range(10):
+        g = nonzero(1, 3)
+        yield nonzero(0, 4) * g, nonzero(0, 4) * g
+
+
+def test_gcd_and_squarefree_on_random_pairs():
+    # the monic Euclid over F_p gives what pseudo-division gave
+    rng = random.Random(25)
+    for p, want in GCD_PAIRS.items():
+        got = [(gcd(a, b).coeffs, is_squarefree(a), is_squarefree(b)) for a, b in gcd_pairs(rng, p)]
+        assert got == want
+
+
 def test_derivative_char_p():
     # d/dT of T^3 vanishes over F_3
     assert P([0, 0, 0, 1], 3).derivative().is_zero
