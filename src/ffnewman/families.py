@@ -26,9 +26,10 @@ of a monic integer cubic keeps every prime's record in its SatoTateReport, in
 plain integers: p is bad exactly when it divides the discriminant, and a_p
 comes from baby-step giant-step on the curve or its twist, O(p^(1/4)) group
 steps, run in lockstep over numpy lanes (_bsgs_lanes): one pass per task of
-SATO_TATE_RUN consecutive primes, then the few primes it left open all
-together, and the O(p) point count for small p and as the fallback. A pool
-never has more processes than tasks; with one task the map runs in-process.
+SATO_TATE_RUN consecutive good primes, then the few primes the passes left
+open all together, and the O(p) point count for small p and as the fallback.
+A pool never has more processes than tasks; with one task the map runs
+in-process.
 """
 
 from __future__ import annotations
@@ -630,19 +631,8 @@ def _select(mask, P, Q) -> tuple:
     return tuple(np.where(mask, x, y) for x, y in zip(P, Q))
 
 
-# consecutive primes per Sato-Tate task
+# consecutive good primes above BSGS_MIN_P per Sato-Tate task
 SATO_TATE_RUN = 256
-
-
-def _first_traces(dz: tuple, ps: list) -> list:
-    """A Sato-Tate task: a_p at the primes of one run from one lockstep pass
-    over the first usable point of each good p > BSGS_MIN_P, and None where
-    that point decided nothing, at p <= BSGS_MIN_P and at bad p. The primes
-    come from the sweep's sieve and are not checked again."""
-    disc = cubic_discriminant(dz)
-    big = [p for p in ps if p > BSGS_MIN_P and disc % p]
-    found = dict(zip(big, _bsgs_traces(dz, big, last=1)))
-    return [found.get(p) for p in ps]
 
 
 def sato_tate_sweep(dz, p_max: int, workers: int = 1) -> SatoTateReport:
@@ -659,19 +649,24 @@ def sato_tate_sweep(dz, p_max: int, workers: int = 1) -> SatoTateReport:
         raise ValueError("p_max must be >= 3")
     check_workers(workers)
     ps = [p for p in primes_up_to(p_max) if p > 2]
-    runs = [ps[i : i + SATO_TATE_RUN] for i in range(0, len(ps), SATO_TATE_RUN)]
-    with _ordered_map(functools.partial(_first_traces, dz), runs, len(runs), workers) as results:
-        traces = [a_p for run in results for a_p in run]
-    # every prime the first passes left open, in one set of passes from the
-    # second usable point on, whatever run it came from
-    rest = [p for p, a_p in zip(ps, traces) if a_p is None and disc % p]
-    rest = dict(zip(rest, _traces(dz, rest, first=2)))
+    good = [p for p in ps if disc % p]
+    # a task is one kernel pass over the first usable point of each prime of
+    # a run; the primes come from the sieve and are not checked again
+    big = [p for p in good if p > BSGS_MIN_P]
+    runs = [big[i : i + SATO_TATE_RUN] for i in range(0, len(big), SATO_TATE_RUN)]
+    first_pass = functools.partial(_bsgs_traces, dz, last=1)
+    with _ordered_map(first_pass, runs, len(runs), workers) as results:
+        traces = dict(zip(big, (a_p for run in results for a_p in run)))
+    # every prime left open, whatever its run, in one set of passes from the
+    # second usable point on, then the small primes by the point count
+    rest = [p for p in good if traces.get(p) is None]
+    traces.update(zip(rest, _traces(dz, rest, first=2)))
     records = []
-    for p, a_p in zip(ps, traces):
+    for p in ps:
         if disc % p == 0:
             records.append(SatoTateRecord(p, None, None, None, _BAD_REDUCTION))
             continue
-        a_p = _hasse_checked(p, rest[p] if a_p is None else a_p)
+        a_p = _hasse_checked(p, traces[p])
         theta = math.acos(a_p / (2.0 * math.sqrt(p)))
         records.append(SatoTateRecord(p, a_p, theta, genus1_lambda(a_p, p), None))
     sup = argmax_p = None
