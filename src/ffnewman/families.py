@@ -445,9 +445,9 @@ def _bsgs_traces(dz: tuple, ps: list, first: int = 1, last: int | None = None) -
     p = np.array(ps, dtype=np.int64 if max(ps) < 2**31 else object)
     a0, a1, a2 = (np.array([v % q for q in ps], dtype=p.dtype) for v in dz[:3])
     # x -> x - a2/3, with 1/3 = (p + 1)/3 or (2p + 1)/3
-    s = a2 * np.where(p % 3 == 1, (2 * p + 1) // 3, (p + 1) // 3) % p
-    A = (a1 - 3 * (s * s % p)) % p
-    B = (2 * (s * s % p * s % p) - a1 * s + a0) % p
+    shift = a2 * np.where(p % 3 == 1, (2 * p + 1) // 3, (p + 1) // 3) % p
+    A = (a1 - 3 * (shift * shift % p)) % p
+    B = (2 * (shift * shift % p * shift % p) - a1 * shift + a0) % p
     x0 = np.arange(1, BSGS_TRIES + 1).astype(p.dtype)[:, None]
     f = (x0 * x0 * x0 + A * x0 + B) % p
     rank = np.cumsum(f != 0, axis=0)  # x0 is the rank-th usable point of its prime
