@@ -1,18 +1,18 @@
-"""Dense polynomial arithmetic over F_p[T].
+"""Dense polynomials over F_p[T], for what the pipeline needs of them.
 
-Ring operations, gcd, derivative, evaluation, squarefree and irreducibility
-tests, deterministic enumeration of monic polynomials, the text codec used by
-the CLI (the FpPolynomial constructor reduces its integers mod p), and the
-monic irreducibles of each degree (the primes of the explicit formula).
-
-Internally polynomials are tuples of ints in ascending degree order with no
-trailing zeros; the zero polynomial is the empty tuple. The FpPolynomial class
-wraps these tuples; the underscore kernels below operate on raw tuples and are
-shared with the character module's reciprocity ladder. _gcd is the one
-Euclid (monic divisors over F_p, pseudo-division over Q): gcd, is_squarefree
-and newman.has_repeated_root use it. _factorize_monic, trial division, is the one
-factoring kernel: is_irreducible and the enumeration oracle of the lfunction
-module (_chi_rows) use it.
+FpPolynomial holds a discriminant D or a character argument f: the
+constructor checks p and reduces the integers mod p, and the class gives
+degree, monicity, the monic multiple and the text codec used by the CLI. It
+has no ring operators. The rest is kernels on raw coefficient tuples,
+ascending degree order with no trailing zeros (the zero polynomial is the
+empty tuple): _mod_monic, the reciprocity ladder's inner loop in the
+character module; _gcd, the one Euclid (monic divisors over F_p,
+pseudo-division over Q), run by gcd, is_squarefree (gcd(D, D')) and
+newman.has_repeated_root; _factorize_monic, trial division, the one factoring
+kernel, run by is_irreducible and the enumeration oracle of the lfunction
+module (_chi_rows). Last come the deterministic enumeration of monic
+polynomials and the monic irreducibles of each degree (the primes of the
+explicit formula).
 """
 
 from __future__ import annotations
@@ -33,33 +33,6 @@ def _trim(c: list) -> tuple:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def _add(a: tuple, b: tuple, p: int) -> tuple:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] = (out[i] + v) % p
-    return _trim(out)
-
-
-def _sub(a: tuple, b: tuple, p: int) -> tuple:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, v in enumerate(b):
-        out[i] = (out[i] - v) % p
-    return _trim(out)
-
-
-def _mul(a: tuple, b: tuple, p: int) -> tuple:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
 
 
 def _mod_monic(f: tuple, g: tuple, p: int) -> tuple:
@@ -147,13 +120,6 @@ def _gcd(a, b, p: int | None) -> tuple:
     return tuple(a)
 
 
-def _eval(f: tuple, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def _deriv(f: tuple, p: int) -> tuple:
     return _trim([(i * f[i]) % p for i in range(1, len(f))])
 
@@ -181,66 +147,6 @@ class FpPolynomial:
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def _coerce(self, other) -> tuple:
-        if isinstance(other, FpPolynomial):
-            if other.p != self.p:
-                raise ValueError("modulus mismatch: %d vs %d" % (self.p, other.p))
-            return other.coeffs
-        if isinstance(other, int):
-            return _trim([other % self.p])
-        return NotImplemented
-
-    def __add__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FpPolynomial(_add(self.coeffs, b, self.p), self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FpPolynomial(_sub(self.coeffs, b, self.p), self.p)
-
-    def __rsub__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FpPolynomial(_sub(b, self.coeffs, self.p), self.p)
-
-    def __mul__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FpPolynomial(_mul(self.coeffs, b, self.p), self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpPolynomial(tuple(-c % self.p for c in self.coeffs), self.p)
-
-    def __divmod__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        q, r = _divmod(self.coeffs, b, self.p)
-        return FpPolynomial(q, self.p), FpPolynomial(r, self.p)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __call__(self, x: int) -> int:
-        """The value at x (an integer, reduced mod p), as an int in [0, p)."""
-        return _eval(self.coeffs, int(x) % self.p, self.p)
-
-    def derivative(self) -> "FpPolynomial":
-        return FpPolynomial(_deriv(self.coeffs, self.p), self.p)
 
     def monic_scaled(self) -> "FpPolynomial":
         """The monic scalar multiple of a nonzero polynomial."""

@@ -64,7 +64,7 @@ def test_good_pair_check_reasons():
     assert not ok and reason == "degree must be odd and >= 3"
     ok, reason = good_pair_check(3, P([0, 0, 0, 1], 3))
     assert not ok and reason == "D must be squarefree"
-    ok, reason = good_pair_check(3, P([1, 1], 3) * P([2], 3))
+    ok, reason = good_pair_check(3, P([2, 2], 3))  # 2 (T + 1)
     assert not ok and reason == "D must be monic"
 
 
