@@ -20,7 +20,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -257,6 +256,21 @@ def _d_texts(q: int, degree: int, ks) -> list:
     return list(map(",".join, zip(*reversed(parts))))
 
 
+def _sweep_lines(g: int, d_texts, entries, which, label: str) -> list:
+    """The sweep CSV lines of genus-g rows: row i is D text d_texts[i], then
+    entries[which[i]], a (c_0..c_g, estimate, error) entry as in
+    SweepBlock.entries, then the method label. Each entry's text after D is
+    formatted once. The D and c fields always hold a comma (g >= 1) and no
+    field a quote or a line break, so quoting those two is all the CSV
+    escaping there is; a missing c or value prints empty."""
+    tails = []
+    for c, e, _ in entries:
+        ctext = "" if c is None else '"%s"' % _coeff_text(c)
+        tails.append('",%s,%s,%s\n' % (ctext, label, _fmt(None if e is None else e.value)))
+    prefix = '%d,"' % g
+    return [prefix + d + tails[i] for d, i in zip(d_texts, which)]
+
+
 def cmd_sweep(args) -> int:
     method = args.method.replace("-", "_")
     start = None
@@ -277,42 +291,20 @@ def cmd_sweep(args) -> int:
     }
     columns = ["genus", "d_coeffs", "c_coeffs", "method", "lambda_bound"]
     with _output(args.out) as f:
-        writer = _csv_begin(f, config, columns)
+        _csv_begin(f, config, columns)
         last_written = [start or (3, 0), False]
 
-        def item_row(item, method_label):
-            g = (item.degree - 1) // 2
-            ctext = "" if item.c is None else _coeff_text(item.c[: g + 1])
-            value = None if item.estimate is None else item.estimate.value
-            writer.writerow(
-                [g, _coeff_text(item.d_coeffs), ctext, method_label, _fmt(value)]
-            )
-
         def on_block(block):
-            """Write the block's rows, and any error line after its row, in
-            one write: the columns after D once per entry, through csv (no
-            field holds a line break, so its lines split back per entry),
-            and the D text from digit tables. D text is digits and commas
-            only, so csv quotes it and escapes nothing."""
+            """Write the block's rows, D texts from the digit tables and the
+            rest from _sweep_lines, and any error line after its row, in one
+            write."""
             if not len(block.ks):
                 return
             g = (block.degree - 1) // 2
-            tail = io.StringIO()
-            csv.writer(tail, lineterminator="\n").writerows(
-                [
-                    "" if c is None else _coeff_text(c),
-                    method,
-                    _fmt(None if estimate is None else estimate.value),
-                ]
-                for c, estimate, _ in block.entries
-            )
-            tails = ['",' + t for t in tail.getvalue().splitlines(keepends=True)]
-            prefix = '%d,"' % g
             which = block.which.tolist()
-            lines = [
-                prefix + d + tails[i]
-                for d, i in zip(_d_texts(args.q, block.degree, block.ks), which)
-            ]
+            lines = _sweep_lines(
+                g, _d_texts(args.q, block.degree, block.ks), block.entries, which, method
+            )
             errors = [i for i, (_, _, error) in enumerate(block.entries) if error is not None]
             for r in np.flatnonzero(np.isin(block.which, errors)).tolist():
                 lines[r] += "# error: degree=%d index=%d: %s\n" % (
@@ -320,6 +312,11 @@ def cmd_sweep(args) -> int:
                 )
             f.write("".join(lines))
             last_written[:] = [(block.degree, int(block.ks[-1])), True]
+
+        def write_best(item, label):
+            g = (item.degree - 1) // 2
+            entry = (item.c[: g + 1], item.estimate, item.error)
+            f.write(_sweep_lines(g, [_coeff_text(item.d_coeffs)], [entry], [0], label)[0])
 
         try:
             report = sweep_fixed_q(
@@ -338,9 +335,9 @@ def cmd_sweep(args) -> int:
             f.flush()
             return EXIT_INTERRUPT
         for g in sorted(report.best_per_genus):
-            item_row(report.best_per_genus[g], "best_per_genus")
+            write_best(report.best_per_genus[g], "best_per_genus")
         if report.best_overall is not None:
-            item_row(report.best_overall, "best_overall")
+            write_best(report.best_overall, "best_overall")
     return EXIT_OK
 
 

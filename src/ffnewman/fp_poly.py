@@ -25,9 +25,6 @@ import numpy as np
 
 from .finite_field import check_odd_prime
 
-# degree() of the zero polynomial; any comparison against a real degree is safe
-ZERO_DEGREE = -1
-
 
 def _trim(c: list) -> tuple:
     while c and c[-1] == 0:
@@ -138,7 +135,7 @@ class FpPolynomial:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else ZERO_DEGREE
+        return len(self.coeffs) - 1
 
     @property
     def is_zero(self) -> bool:
@@ -302,8 +299,3 @@ def _irreducible_array(p: int, n: int) -> np.ndarray:
     out = _monic_array(p, n)[~composite]
     out.flags.writeable = False
     return out
-
-
-def monic_irreducibles(p: int, n: int) -> tuple:
-    """_irreducible_array(p, n) as a tuple of coefficient tuples."""
-    return tuple(map(tuple, _irreducible_array(p, n).tolist()))

@@ -419,13 +419,6 @@ def phi_rows(q: int, c) -> np.ndarray:
     return phi
 
 
-def fourier_coefficients(q: int, g: int, c: tuple):
-    """(phi, phi_exact) from the coefficient vector: Phi_n = c_(g-n) q^(n/2).
-    phi_exact pairs (c_(g-n), n) carry the exact value; phi is phi_rows'."""
-    phi = tuple(phi_rows(q, [c[: g + 1]])[0].tolist())
-    return phi, tuple((c[g - n], n) for n in range(g + 1))
-
-
 def build_lfunction(q: int, D: FpPolynomial) -> LFunctionData:
     """LFunctionData of a good pair by the explicit formula, one vectorised
     pass per degree d <= g over all m monic irreducible P of that degree:
@@ -451,9 +444,11 @@ def build_lfunction(q: int, D: FpPolynomial) -> LFunctionData:
 
 def lfunction_from_coefficients(q: int, D: FpPolynomial, c: tuple) -> LFunctionData:
     """LFunctionData from the full coefficient vector c_0..c_2g of a good pair
-    (not re-checked here)."""
+    (not re-checked here): phi from phi_rows, and phi_exact the pairs
+    (c_(g-n), n) that carry Phi_n = c_(g-n) q^(n/2) exactly."""
     g = (D.degree - 1) // 2
-    phi, phi_exact = fourier_coefficients(q, g, c)
+    phi = tuple(phi_rows(q, [c[: g + 1]])[0].tolist())
+    phi_exact = tuple((c[g - n], n) for n in range(g + 1))
     return LFunctionData(q=q, D=D, g=g, c=c, phi=phi, phi_exact=phi_exact)
 
 

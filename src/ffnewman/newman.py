@@ -193,15 +193,6 @@ def check_tol(tol_t: float) -> None:
         raise ValueError("bisection width must be positive and finite, got %r" % tol_t)
 
 
-@lru_cache(maxsize=16)
-def _moments(g: int):
-    """Columns n^k, k = 0..3, n = 0..g, as complex (shared: read-only)."""
-    n = np.arange(g + 1.0)
-    m = np.stack([n**k for k in range(4)], axis=1).astype(complex)
-    m.flags.writeable = False
-    return m
-
-
 def _collision_times(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
     """For each row of phi, all-real at t = 0 with roots u[i] there (from
     _real_rows), the largest time t* <= 0 of a double real zero of Xi that
@@ -228,7 +219,8 @@ def _collision_times(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
     X[:, 1:g] = 0.5 * (x[:, 1:] + x[:, :-1])
     T = np.zeros((len(x), g + 1))
     a = phi[:, None, :] * np.where(np.arange(g + 1) > 0, 2.0, 1.0)
-    n2, m = np.arange(g + 1) ** 2, _moments(g)
+    n2 = np.arange(g + 1) ** 2
+    m = (np.arange(g + 1.0)[:, None] ** np.arange(4)).astype(complex)  # columns n^k, k <= 3
     jn = 1j * m[:, 1]
     for _ in range(NEWTON_STEPS):
         w = a * np.exp(T[..., None] * n2 + X[..., None] * jn)
@@ -639,18 +631,6 @@ def stopple_data(L: LFunctionData) -> StoppleData:
         condition_ok=ok,
         bound=bound,
     )
-
-
-def crude_condition_check(zeros: ZeroSet, g: int) -> bool:
-    """Sufficient conditions guaranteeing 5 gamma_1^2 G < 1 without computing
-    G: g >= 13, ((g/pi) gamma_1)^2 <= 1/(500 g), and (g/pi) gamma_2 in [1/2, 2].
-    """
-    if len(zeros.gammas) < 2:
-        raise ValueError("need at least two positive zeros")
-    scale = g / math.pi
-    gt1 = scale * zeros.gammas[0]
-    gt2 = scale * zeros.gammas[1]
-    return g >= 13 and gt1 * gt1 <= 1.0 / (500.0 * g) and 0.5 <= gt2 <= 2.0
 
 
 def strip_bound(delta: float, s: float) -> float:

@@ -14,10 +14,10 @@ from ffnewman import lfunction, quad_character
 from ffnewman.fp_poly import (
     FpPolynomial,
     _deriv,
+    _irreducible_array,
     is_squarefree,
     monic_by_index,
     monic_index,
-    monic_irreducibles,
 )
 from ffnewman.lfunction import (
     FAMILY_CHUNK,
@@ -38,7 +38,7 @@ def ladder_coefficients(q, D):
     A = [0] * (g + 1)
     B = [0] * (g + 1)
     for d in range(1, g + 1):
-        vals = [chi(D, FpPolynomial(P, q)) for P in monic_irreducibles(q, d)]
+        vals = [chi(D, FpPolynomial(P, q)) for P in _irreducible_array(q, d)]
         A[d] = sum(vals)
         B[d] = len(vals) - vals.count(0)
     return tuple(_newton_coefficients(A, B))
@@ -137,7 +137,7 @@ def test_family_tables_match_ladder_pointwise(q, degree):
     assert len(tables) == (degree - 1) // 2
     for d, table in enumerate(tables, 1):
         sign = (-1) ** ((q - 1) // 2 * d)
-        irreducibles = monic_irreducibles(q, d)
+        irreducibles = _irreducible_array(q, d)
         assert table.shape == (len(irreducibles), q**d)
         for j, P in enumerate(irreducibles):
             P = FpPolynomial(P, q)

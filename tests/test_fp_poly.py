@@ -11,6 +11,7 @@ from ffnewman.fp_poly import (
     FpPolynomial,
     _deriv,
     _divmod,
+    _irreducible_array,
     _mod_monic,
     enumerate_monic,
     gcd,
@@ -18,7 +19,6 @@ from ffnewman.fp_poly import (
     is_squarefree,
     monic_by_index,
     monic_index,
-    monic_irreducibles,
     parse_int_coeffs,
     poly_to_text,
 )
@@ -244,10 +244,10 @@ def test_irreducible_counts_match_necklace_formula():
 def test_monic_irreducibles_match_trial_division():
     for p, maxdeg in [(3, 6), (5, 4), (7, 3)]:
         for n in range(1, maxdeg + 1):
-            got = monic_irreducibles(p, n)
-            assert got == tuple(
-                f.coeffs for f in enumerate_monic(p, n) if is_irreducible(f)
-            )
+            got = _irreducible_array(p, n).tolist()
+            assert got == [
+                list(f.coeffs) for f in enumerate_monic(p, n) if is_irreducible(f)
+            ]
             assert len(got) == mobius_irreducible_count(p, n)
 
 

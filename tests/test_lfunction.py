@@ -23,8 +23,8 @@ from ffnewman.lfunction import (
     dirichlet_coefficients,
     enumerated_coefficients,
     family_coefficients,
-    fourier_coefficients,
     good_pair_check,
+    lfunction_from_coefficients,
     phi_rows,
     xi_eval,
     zeros_at_t,
@@ -315,6 +315,19 @@ def test_zeros_on_unit_circle_at_t0():
             assert z.delta < 1e-8
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: zeros_at_t does not divide out gcd(L, L'), so the "
+    "zeros of a repeated root split off the axis by about 1e-8",
+)
+def test_repeated_root_zeros_stay_on_the_axis():
+    # three (3, 9) D whose L has a repeated root: every zero is real at t = 0
+    for k in (7525, 8141, 9835):
+        z = zeros_at_t(build_lfunction(3, monic_by_index(3, 9, k)), 0.0)
+        assert z.delta <= 1e-12, (k, z.delta)
+        assert z.nonreal == (), k
+
+
 def test_zeros_are_zeros_of_xi():
     # checked without P_t or arccos: the zeros pair up as x <-> 2pi - x
     # (evenness) and the two-sided complex kernel of xi_eval vanishes at each
@@ -376,9 +389,9 @@ def test_invalid_inputs_raise():
 
 
 def test_fourier_coefficients_helper():
-    phi, phi_exact = fourier_coefficients(5, 2, C_MAIN)
-    assert phi_exact == ((-1, 0), (-1, 1), (1, 2))
-    assert phi == (-1.0, -SQ5, 5.0)
+    L = lfunction_from_coefficients(5, P(D_MAIN, 5), C_MAIN)
+    assert L.phi_exact == ((-1, 0), (-1, 1), (1, 2))
+    assert L.phi == (-1.0, -SQ5, 5.0)
 
 
 @pytest.mark.parametrize("q,degree", [(3, 7), (5, 5)])

@@ -31,7 +31,6 @@ from ffnewman.lfunction import (
 from ffnewman.newman import (
     NewmanEstimate,
     all_zeros_real,
-    crude_condition_check,
     double_zero_block,
     double_zero_lower_bound,
     has_repeated_root,
@@ -320,23 +319,6 @@ def test_stopple_data_worked_pair():
         assert sd.bound is None
     sj = dataclass_jsonable(sd)
     assert list(sj) == ["gamma", "gamma_tilde", "G", "condition_ok", "bound"]
-
-
-def test_crude_condition_check():
-    def synthetic(g, gt1, gt2):
-        gam = [gt1 * math.pi / g, gt2 * math.pi / g]
-        gam += [(j + 1.0) * math.pi / g for j in range(2, g)]
-        xs = tuple(gam) + tuple(2.0 * math.pi - v for v in gam)
-        return ZeroSet(t=0.0, gammas=tuple(gam), nonreal=(), delta=0.0, xs=xs)
-
-    assert crude_condition_check(synthetic(13, 0.01, 1.0), 13)
-    assert not crude_condition_check(synthetic(12, 0.01, 1.0), 12)
-    assert not crude_condition_check(synthetic(13, 0.01, 3.0), 13)
-    assert not crude_condition_check(synthetic(13, 0.2, 1.0), 13)
-    with pytest.raises(ValueError):
-        crude_condition_check(
-            ZeroSet(t=0.0, gammas=(0.1,), nonreal=(), delta=0.0, xs=(0.1,)), 1
-        )
 
 
 def test_strip_bound():
