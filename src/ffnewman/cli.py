@@ -7,18 +7,19 @@ primes, CSV), classical (deformed Riemann xi samples, CSV).
 
 Conventions: polynomials are ascending comma-separated integers (constant
 term first); every CSV starts with two comment lines carrying the tool
-version and the effective configuration; floats in CSV and JSON print with
-12 significant digits (_fmt, the one place that format lives) and -inf
-prints as "-inf". Library warnings print as one "warning: <message>" line
-on stderr. Exit codes: 0 success, 2 invalid input, 3 numerical failure,
-130 interrupted sweep (partial rows plus a resume token are flushed).
+version and the effective configuration, and its rows are formatted by hand,
+a field that holds a comma (a coefficient list) in quotes: no field holds a
+quote or a line break. Floats in CSV and JSON print with 12 significant
+digits (_fmt, the one place that format lives) and -inf prints as "-inf".
+Library warnings print as one "warning: <message>" line on stderr. Exit
+codes: 0 success, 2 invalid input, 3 numerical failure, 130 interrupted
+sweep (partial rows plus a resume token are flushed).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import json
 import math
@@ -120,12 +121,10 @@ def _output(path):
             f.close()
 
 
-def _csv_begin(stream, config: dict, columns):
+def _csv_begin(stream, config: dict, columns) -> None:
     stream.write("# ffnewman %s\n" % __version__)
     stream.write("# config: %s\n" % json.dumps(config, sort_keys=True))
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(columns)
-    return writer
+    stream.write(",".join(columns) + "\n")
 
 
 def _emit_json(stream, payload: dict) -> None:
@@ -199,22 +198,16 @@ def cmd_newman(args) -> int:
 
 def cmd_table(args) -> int:
     with _output(args.out) as f:
-        writer = _csv_begin(
+        _csv_begin(
             f,
             {"subcommand": "table", "q": 3},
             ["genus", "d_coeffs", "c_coeffs", "double_zero_bound"],
         )
         for dco in F3_GENUS_SERIES:
             L = build_lfunction(3, FpPolynomial(dco, 3))
-            est = double_zero_lower_bound(L)
-            writer.writerow(
-                [
-                    L.g,
-                    _coeff_text(dco),
-                    _coeff_text(L.c[: L.g + 1]),
-                    _fmt(est.value),
-                ]
-            )
+            value = _fmt(double_zero_lower_bound(L).value)
+            fields = (L.g, _coeff_text(dco), _coeff_text(L.c[: L.g + 1]), value)
+            f.write('%d,"%s","%s",%s\n' % fields)
     return EXIT_OK
 
 
@@ -292,12 +285,13 @@ def cmd_sweep(args) -> int:
     columns = ["genus", "d_coeffs", "c_coeffs", "method", "lambda_bound"]
     with _output(args.out) as f:
         _csv_begin(f, config, columns)
-        last_written = [start or (3, 0), False]
+        resume = start or (3, 0)  # the position after the last row written
 
         def on_block(block):
             """Write the block's rows, D texts from the digit tables and the
             rest from _sweep_lines, and any error line after its row, in one
             write."""
+            nonlocal resume
             if not len(block.ks):
                 return
             g = (block.degree - 1) // 2
@@ -311,7 +305,7 @@ def cmd_sweep(args) -> int:
                     block.degree, block.ks[r], block.entries[which[r]][2]
                 )
             f.write("".join(lines))
-            last_written[:] = [(block.degree, int(block.ks[-1])), True]
+            resume = _next_enum_position(args.q, block.degree, int(block.ks[-1]))
 
         def write_best(item, label):
             g = (item.degree - 1) // 2
@@ -328,10 +322,7 @@ def cmd_sweep(args) -> int:
                 on_block=on_block,
             )
         except KeyboardInterrupt:
-            deg, idx = last_written[0]
-            if last_written[1]:
-                deg, idx = _next_enum_position(args.q, deg, idx)
-            f.write("# resume_token: degree=%d index=%d\n" % (deg, idx))
+            f.write("# resume_token: degree=%d index=%d\n" % resume)
             f.flush()
             return EXIT_INTERRUPT
         for g in sorted(report.best_per_genus):
@@ -348,17 +339,10 @@ def cmd_sato_tate(args) -> int:
     columns = ["p", "a_p", "theta_p", "lambda_p", "skipped_reason"]
     stats = report.statistics
     with _output(args.out) as f:
-        writer = _csv_begin(f, config, columns)
+        _csv_begin(f, config, columns)
         for r in report.items:
-            writer.writerow(
-                [
-                    r.p,
-                    "" if r.a_p is None else r.a_p,
-                    _fmt(r.theta_p),
-                    _fmt(r.lambda_p),
-                    r.skipped or "",
-                ]
-            )
+            fields = (r.p, _fmt(r.a_p), _fmt(r.theta_p), _fmt(r.lambda_p), r.skipped or "")
+            f.write("%d,%s,%s,%s,%s\n" % fields)
         f.write("# sup_lambda = %s\n" % (_fmt(stats["sup_lambda"]) or "none"))
         f.write("# argmax_p = %s\n" % (_fmt(stats["argmax_p"]) or "none"))
         f.write("# ks_distance = %s\n" % (_fmt(stats["ks_distance"]) or "none"))
@@ -388,12 +372,11 @@ def cmd_classical(args) -> int:
     }
     n = int(math.floor(span))
     with _output(args.out) as f:
-        writer = _csv_begin(f, config, ["x", "xi_t"])
+        _csv_begin(f, config, ["x", "xi_t"])
         for k in range(n + 1):
             x = args.x_min + k * args.step
-            writer.writerow(
-                [_fmt(float(x)), _fmt(xi_t_classical(args.t, x, quad_points=args.quad_points))]
-            )
+            xi = xi_t_classical(args.t, x, quad_points=args.quad_points)
+            f.write("%s,%s\n" % (_fmt(float(x)), _fmt(xi)))
     return EXIT_OK
 
 

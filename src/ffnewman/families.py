@@ -640,7 +640,8 @@ def sato_tate_sweep(dz, p_max: int, workers: int = 1) -> SatoTateReport:
     and record (p, a_p, theta_p, lambda_p); bad-reduction primes are recorded
     as skips. The statistics block carries the running supremum of lambda_p
     and the Kolmogorov-Smirnov distance of the theta sample to the semicircle
-    law (the distance statistic is this artifact's choice)."""
+    law (the distance statistic is this artifact's choice). The records, the
+    thetas and the running supremum come from one pass over the primes."""
     dz = _monic_cubic(dz)
     disc = cubic_discriminant(dz)
     if disc == 0:
@@ -661,22 +662,18 @@ def sato_tate_sweep(dz, p_max: int, workers: int = 1) -> SatoTateReport:
     # second usable point on, then the small primes by the point count
     rest = [p for p in good if traces.get(p) is None]
     traces.update(zip(rest, _traces(dz, rest, first=2)))
-    records = []
+    records, thetas, running_sup = [], [], []
+    sup = argmax_p = None
     for p in ps:
         if disc % p == 0:
             records.append(SatoTateRecord(p, None, None, None, _BAD_REDUCTION))
-            continue
-        a_p = _hasse_checked(p, traces[p])
-        theta = math.acos(a_p / (2.0 * math.sqrt(p)))
-        records.append(SatoTateRecord(p, a_p, theta, genus1_lambda(a_p, p), None))
-    sup = argmax_p = None
-    running_sup = []
-    thetas = []
-    for r in records:
-        if r.skipped is None:
-            thetas.append(r.theta_p)
-            if sup is None or r.lambda_p > sup:
-                sup, argmax_p = r.lambda_p, r.p
+        else:
+            a_p = _hasse_checked(p, traces[p])
+            lam = genus1_lambda(a_p, p)
+            thetas.append(math.acos(a_p / (2.0 * math.sqrt(p))))
+            records.append(SatoTateRecord(p, a_p, thetas[-1], lam, None))
+            if sup is None or lam > sup:
+                sup, argmax_p = lam, p
         running_sup.append(sup)
     statistics = {
         "sup_lambda": sup,

@@ -149,8 +149,6 @@ class FpPolynomial:
         """The monic scalar multiple of a nonzero polynomial."""
         if not self.coeffs:
             raise ValueError("zero polynomial has no monic multiple")
-        if self.coeffs[-1] == 1:
-            return self
         inv = pow(self.coeffs[-1], self.p - 2, self.p)
         return FpPolynomial(tuple(c * inv % self.p for c in self.coeffs), self.p)
 
@@ -199,11 +197,10 @@ def _factorize_monic(p: int, coeffs: tuple) -> tuple:
         k = 0
         while k < p**d:
             g = _monic_tuple_by_index(p, d, k)
-            if not _mod_monic(rem, g, p):
+            quo, r = _divmod(rem, g, p)
+            if not r:
                 out.append(g)
-                rem, r = _divmod(rem, g, p)
-                if r:
-                    raise AssertionError("non-exact division in factorization")
+                rem = quo
                 continue  # same g may divide again (multiplicity)
             k += 1
         d += 1

@@ -453,24 +453,18 @@ def lfunction_from_coefficients(q: int, D: FpPolynomial, c: tuple) -> LFunctionD
 
 
 def xi_eval(L: LFunctionData, t: float, x):
-    """Xi_t(x). Real x gives a float (the sum is exactly real); complex x is
-    evaluated with the two-sided exponential kernel and the imaginary part is
-    dropped when below 1e-12 in magnitude. The complex branch is the oracle
-    the tests check the nonreal zeros of zeros_at_t against: it evaluates
-    Xi_t directly, not through P_t or arccos."""
-    if isinstance(x, complex):
-        val = complex(L.phi[0])
-        for n in range(1, L.g + 1):
-            if L.phi[n]:
-                e = math.exp(t * n * n)
-                val += L.phi[n] * e * (cmath.exp(1j * n * x) + cmath.exp(-1j * n * x))
-        if abs(val.imag) < 1e-12:
-            return val.real
-        return val
-    val = L.phi[0]
+    """Xi_t(x) by the two-sided exponential kernel, for real or complex x;
+    the imaginary part is dropped when below 1e-12 in magnitude, so real x
+    gives a float (e^(iy) + e^(-iy) is exactly 2 cos y there). This is the
+    oracle the tests check the nonreal zeros of zeros_at_t against: it
+    evaluates Xi_t directly, not through P_t or arccos."""
+    val = complex(L.phi[0])
     for n in range(1, L.g + 1):
         if L.phi[n]:
-            val += 2.0 * L.phi[n] * math.exp(t * n * n) * math.cos(n * x)
+            e = math.exp(t * n * n)
+            val += L.phi[n] * e * (cmath.exp(1j * n * x) + cmath.exp(-1j * n * x))
+    if abs(val.imag) < 1e-12:
+        return val.real
     return val
 
 
@@ -560,8 +554,6 @@ def _colleague_roots(phi: np.ndarray, t: np.ndarray):
                 ratio[under] = np.copysign(np.exp(log), split)
                 ok = np.isfinite(ratio).all(axis=1)
             ratio = ratio[ok]
-    if not len(ratio):
-        return np.zeros((0, g), dtype=complex), ok, errors
     if g == 1:
         mat = -ratio[:, :1, None]
     else:

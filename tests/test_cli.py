@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -24,7 +25,10 @@ from ffnewman.cli import (
     build_parser,
     main,
 )
-from ffnewman.families import MAX_WORKERS, SweepItem, sweep_fixed_q
+from ffnewman.families import F3_GENUS_SERIES, MAX_WORKERS, SweepItem, sato_tate_sweep, sweep_fixed_q
+from ffnewman.fp_poly import FpPolynomial
+from ffnewman.lfunction import build_lfunction
+from ffnewman.newman import double_zero_lower_bound
 
 TABLE_C = {
     1: "1,-3",
@@ -249,6 +253,35 @@ def test_newman_all_on_genus2_has_null_exact(capsys):
     )
 
 
+REPEATED_ZERO = (
+    "repeated zero: G undefined (L has a repeated root, so Xi_0 has a double zero"
+    " and Lambda_D = 0)"
+)
+
+
+def test_newman_all_reports_a_stopple_error_in_its_field(capsys):
+    # a repeated-root D: the other methods answer, stopple's ValueError
+    # becomes its field and the run still succeeds
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", UserWarning)  # bisect's printed warning
+        code, out, err = run_cli(
+            ["newman", "--q", "3", "--d", "1,0,1,0,2,2,2,0,1,1", "--method", "all"], capsys
+        )
+    assert code == EXIT_OK
+    assert err.startswith("warning: Xi_0 has an exact double zero")
+    estimates = json.loads(out)["estimates"]
+    assert estimates["stopple"] == {"error": REPEATED_ZERO}
+    assert estimates["bisect"]["kind"] == "exact"
+
+
+def test_newman_stopple_alone_exits_invalid_on_a_repeated_zero(capsys):
+    code, out, err = run_cli(
+        ["newman", "--q", "3", "--d", "1,0,1,0,2,2,2,0,1,1", "--method", "stopple"], capsys
+    )
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "error: %s\n" % REPEATED_ZERO
+
+
 def test_table_rows(capsys):
     code, out, _ = run_cli(["table"], capsys)
     assert code == EXIT_OK
@@ -437,6 +470,22 @@ def test_sato_tate_rejects_degenerate_cubic(capsys):
     assert "monic" in err
 
 
+def test_sato_tate_hasse_violation_exits_numerical(monkeypatch, capsys):
+    # a trace kernel that breaks the Hasse bound at one prime: the run stops
+    # with exit 3 before any CSV is written
+    real = families._bsgs_traces
+
+    def broken(dz, ps, *rest, **kwargs):
+        return [31 if p == 233 else a for p, a in zip(ps, real(dz, ps, *rest, **kwargs))]
+
+    monkeypatch.setattr(families, "_bsgs_traces", broken)
+    code, out, err = run_cli(
+        ["sato-tate", "--dz", "1,1,0,1", "--pmax", "300", "--workers", "1"], capsys
+    )
+    assert (code, out) == (cli.EXIT_NUMERICAL, "")
+    assert err == "numerical failure: Hasse bound violated: a_p=31 at p=233\n"
+
+
 @pytest.mark.parametrize("workers", [0, -3, MAX_WORKERS + 1, 10**6])
 def test_sweeps_reject_bad_workers(monkeypatch, capsys, workers):
     # rejected before any output and before a pool is started
@@ -540,6 +589,55 @@ def test_classical_rejects_bad_quad_points(monkeypatch, capsys, points):
     )
     assert (code, out) == (EXIT_INVALID, "")
     assert "quad-points must be between 16 and %d" % QUAD_POINTS_MAX in err
+
+
+def csv_module_text(rows):
+    """The rows as the csv module writes them, with "\\n" line ends."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def csv_rows_text(text):
+    """The header and data lines of a CSV output, without its comment lines."""
+    return "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("#"))
+
+
+def test_table_csv_matches_the_csv_module(capsys):
+    rows = [["genus", "d_coeffs", "c_coeffs", "double_zero_bound"]]
+    for dco in F3_GENUS_SERIES:
+        L = build_lfunction(3, FpPolynomial(dco, 3))
+        value = double_zero_lower_bound(L).value
+        rows.append([L.g, _coeff_text(dco), _coeff_text(L.c[: L.g + 1]), _fmt(value)])
+    code, out, _ = run_cli(["table"], capsys)
+    assert code == EXIT_OK
+    assert csv_rows_text(out) == csv_module_text(rows)
+    assert csv_rows_text(out).count('"') == 4 * 7  # both coefficient lists of each row quoted
+
+
+def test_sato_tate_csv_matches_the_csv_module(capsys):
+    # x^3 + 2 has bad reduction at 3 only, so one row has empty fields
+    rows = [["p", "a_p", "theta_p", "lambda_p", "skipped_reason"]]
+    for r in sato_tate_sweep((2, 0, 0, 1), 2000).items:
+        a_p = "" if r.a_p is None else r.a_p
+        rows.append([r.p, a_p, _fmt(r.theta_p), _fmt(r.lambda_p), r.skipped or ""])
+    code, out, _ = run_cli(
+        ["sato-tate", "--dz", "2,0,0,1", "--pmax", "2000", "--workers", "1"], capsys
+    )
+    assert code == EXIT_OK
+    assert csv_rows_text(out) == csv_module_text(rows)
+    assert "\n3,,,,D must be squarefree\n" in out
+
+
+def test_classical_csv_matches_the_csv_module(capsys):
+    args = ["classical", "--t", "-1.5", "--x-min", "10", "--x-max", "12", "--step", "0.25"]
+    rows = [["x", "xi_t"]]
+    for k in range(9):
+        x = 10.0 + k * 0.25
+        rows.append([_fmt(x), _fmt(classical.xi_t_classical(-1.5, x))])
+    code, out, _ = run_cli(args, capsys)
+    assert code == EXIT_OK
+    assert csv_rows_text(out) == csv_module_text(rows)
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
@@ -691,25 +789,26 @@ def test_cli_sweep_builds_a_sweep_item_only_for_a_block_best(monkeypatch, tmp_pa
     assert 0 < len(built) <= len(tasks)
 
 
-class _InterruptSecondBlock(io.StringIO):
-    """An output stream whose second write of sweep rows is interrupted."""
+class _InterruptBlock(io.StringIO):
+    """An output stream whose n-th write of sweep rows is interrupted."""
 
-    blocks = 0
+    def __init__(self, n):
+        super().__init__()
+        self.n = n
+        self.blocks = 0
 
     def write(self, text):
         if ",double_zero," in text:
             self.blocks += 1
-            if self.blocks == 2:
+            if self.blocks == self.n:
                 raise KeyboardInterrupt
         return super().write(text)
 
 
-def test_interrupted_block_write_resumes_after_the_last_whole_block(monkeypatch, tmp_path):
-    blocks = []
-    sweep_fixed_q(3, 3, on_block=blocks.append)
-    first = next(b for b in blocks if len(b.ks))
-    token = "%d:%d" % cli._next_enum_position(3, first.degree, int(first.ks[-1]))
-    stream = _InterruptSecondBlock()
+def interrupted_sweep(monkeypatch, n):
+    """The text of `sweep --q 3 --max-genus 3` interrupted at its n-th write
+    of rows, as lines."""
+    stream = _InterruptBlock(n)
 
     @contextlib.contextmanager
     def output(path):
@@ -718,7 +817,15 @@ def test_interrupted_block_write_resumes_after_the_last_whole_block(monkeypatch,
     with monkeypatch.context() as m:
         m.setattr(cli, "_output", output)
         assert main(["sweep", "--q", "3", "--max-genus", "3", "--workers", "1"]) == cli.EXIT_INTERRUPT
-    partial = stream.getvalue().splitlines(keepends=True)
+    return stream.getvalue().splitlines(keepends=True)
+
+
+def test_interrupted_block_write_resumes_after_the_last_whole_block(monkeypatch, tmp_path):
+    blocks = []
+    sweep_fixed_q(3, 3, on_block=blocks.append)
+    first = next(b for b in blocks if len(b.ks))
+    token = "%d:%d" % cli._next_enum_position(3, first.degree, int(first.ks[-1]))
+    partial = interrupted_sweep(monkeypatch, 2)
     assert partial[-1] == "# resume_token: degree=%s index=%s\n" % tuple(token.split(":"))
     rows = "".join(partial[3:-1])
     rows += cli_sweep_body(tmp_path, 3, 3, "double-zero", resume=token)
@@ -729,3 +836,19 @@ def test_interrupted_block_write_resumes_after_the_last_whole_block(monkeypatch,
 
     assert data(rows) == data(full)
     assert len(data(full)) > len("".join(partial[3:-1])) > 0
+
+
+def test_interrupted_sweep_resumes_inside_a_degree(monkeypatch, tmp_path):
+    # the third block of rows ends at index 2047 of degree 7's 2187, so the
+    # token names the next index of that degree, not the next degree
+    partial = interrupted_sweep(monkeypatch, 4)
+    assert partial[-1] == "# resume_token: degree=7 index=2048\n"
+    rows = "".join(partial[3:-1])
+    rows += cli_sweep_body(tmp_path, 3, 3, "double-zero", resume="7:2048")
+    full = cli_sweep_body(tmp_path, 3, 3, "double-zero")
+
+    def data(text):
+        return "".join(ln for ln in text.splitlines(keepends=True) if ",double_zero," in ln)
+
+    assert data(rows) == data(full)
+    assert data("".join(partial[3:-1])).count("\n") > 0

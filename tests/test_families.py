@@ -24,6 +24,7 @@ from ffnewman.fp_poly import FpPolynomial
 from ffnewman.lfunction import (
     FAMILY_CHUNK,
     LFunctionData,
+    NumericalError,
     build_lfunction,
     complete_coefficients,
     family_coefficients,
@@ -122,6 +123,20 @@ def test_hasse_bound():
                 continue
             a = trace_of_frobenius(dz, p)
             assert a * a < 4 * p
+
+
+def test_trace_checks_the_hasse_bound(monkeypatch):
+    # a trace kernel that breaks the bound is caught, not returned
+    real = families._bsgs_traces
+
+    def broken(dz, ps, *rest, **kwargs):
+        return [31 if p == 233 else a for p, a in zip(ps, real(dz, ps, *rest, **kwargs))]
+
+    monkeypatch.setattr(families, "_bsgs_traces", broken)
+    with pytest.raises(NumericalError) as error:
+        trace_of_frobenius(DZ_A, 233)
+    assert str(error.value) == "Hasse bound violated: a_p=31 at p=233"
+    assert trace_of_frobenius(DZ_A, 239) == real(DZ_A, [239])[0]
 
 
 def test_trace_equals_minus_signed_c1():
