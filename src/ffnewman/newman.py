@@ -13,11 +13,10 @@ same one zeros_at_t uses. No grid is sampled. Routes provided:
                            from genus1_lambda, which the Sato-Tate sweep
                            shares
   lambda_bisect            monotone bisection on the all-zeros-real predicate,
-                           its bracket expanded down to BRACKET_FLOOR at most;
-                           lambda_bisect_block runs a block in lockstep, one
-                           eigvals call per round; a row with a Newton
-                           collision time t* bisects by comparison with t*
-                           and asks the predicate only at its final ends
+                           expanded down to BRACKET_FLOOR at most; for a block
+                           (lambda_bisect_block) by comparison with a Newton
+                           collision time t*, checked at the final ends, or
+                           plainly, one eigvals call per round
   double_zero_lower_bound  largest t with Xi_t(0) = 0, a root of a sum of
                            g + 1 powers of e^t: any double zero time is
                            <= Lambda_D; a Rolle chain of derivatives isolates
@@ -236,112 +235,113 @@ def _collision_times(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.where(best > -np.inf, best, np.nan)
 
 
+def _bisect_path(answer, tol_t: float):
+    """Bisection's step rule, from the state the t = 0 check leaves: next
+    time -1, bracket (-1, 0). While answer(t) is True (all-real at t) the
+    bracket expands to max(min(2t, -1), BRACKET_FLOOR); then it halves until
+    no wider than tol_t or two adjacent floats. answer(t) is None where not
+    asked yet. Returns the final (lo, hi), None when True at BRACKET_FLOOR,
+    or the first time t on the path whose answer is None."""
+    t, lo, hi, grow = -1.0, -1.0, 0.0, True
+    while grow or (hi - lo > tol_t and lo != t != hi):
+        real = answer(t)
+        if real is None:
+            return t
+        if not real:
+            lo, grow = t, False
+        elif t <= BRACKET_FLOOR:
+            return None
+        else:
+            hi, lo = t, max(min(2.0 * t, -1.0), BRACKET_FLOOR) if grow else lo
+        t = lo if grow else 0.5 * (lo + hi)
+    return lo, hi
+
+
+def _ask(phi: np.ndarray, asks: list) -> list:
+    """The predicate at each (row of phi, t) pair of asks, in one stacked
+    _real_rows call (none for no pairs): True, False or the error message."""
+    if not asks:
+        return []
+    rows, t = zip(*asks)
+    real, _, errors = _real_rows(phi[list(rows)], np.array(t))
+    return [errors.get(i, v) for i, v in enumerate(real.tolist())]
+
+
+def _bisected(end, c, tol_t: float):
+    """The terminal rule of a row, c its c_0..c_2g. end is its final bracket
+    (lo, hi), (NaN, NaN) if not all-real at t = 0, None if all-real at
+    BRACKET_FLOOR (bracket_exhausted), or a solver error message. No
+    all-real time below -2 tol_t and a repeated root of L is kind exact,
+    value 0, without a warning; else false at t = 0 is a NumericalError."""
+    if isinstance(end, str):
+        return NumericalError(end)
+    if end is None:
+        return NewmanEstimate(
+            kind="bracket_exhausted",
+            value=BRACKET_FLOOR,
+            bracket=(BRACKET_FLOOR, BRACKET_FLOOR),
+            tol=tol_t,
+            notes="predicate never failed above the floor: Lambda_D <= %g" % BRACKET_FLOOR,
+        )
+    lo, hi = end
+    if not hi < -2.0 * tol_t and has_repeated_root(c):
+        return _REPEATED_ROOT
+    if math.isnan(hi):
+        return NumericalError("zeros of Xi_0 not all real; numerical breakdown")
+    return NewmanEstimate(
+        kind="bisect",
+        value=0.5 * (lo + hi),
+        bracket=end,
+        tol=tol_t,
+        notes="bisection of the all-zeros-real predicate",
+    )
+
+
 def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
-    """lambda_bisect for every row of phi (Phi_0..Phi_g), in lockstep; c[i]
-    is row i's c_0..c_2g, read only by the exact repeated-root test.
-
-    A row with at most one nonzero Phi_n is minus_infinity. Every other row
-    starts at t = 0 with no all-real time hi, expands through -1, -2, -4, ...
-    down to BRACKET_FLOOR while the predicate holds, then bisects until the
-    bracket is no wider than tol_t (positive and finite, else ValueError) or
-    is two adjacent floats. Each round is the one _real_rows call, on every
-    unfinished row. A row ends by the first rule that applies: a solver
-    error is a NumericalError; the predicate true at the floor is
-    bracket_exhausted; no all-real time below -2 tol_t (the predicate false
-    at t = 0 included) and a repeated root of L (has_repeated_root) is kind
-    exact, value 0, without a warning; false at t = 0 is a NumericalError;
-    the rest is bisect. Returns, per row, its estimate or its exception.
-
-    Guided rows: a row all-real at t = 0 runs its whole path by comparison
-    with its collision time t* (_collision_times, from that round's roots),
-    t > t*, to a final bracket (lo, hi), unless it reaches BRACKET_FLOOR; the
-    next round asks the predicate at lo and, if hi < 0, at hi. It is
-    monotone, so false at lo and true at hi make the bracket plain
-    bisection's, bit for bit. Else the row falls back to the t = 0 state
-    (next time -1, bracket (-1, 0)), or, false at both ends with a repeated
-    root, ends exact at once. So at most 3 predicate rows per guided row.
+    """lambda_bisect for every row of phi (Phi_0..Phi_g), c[i] row i's
+    c_0..c_2g: per row its estimate or its exception. A row with at most one
+    nonzero Phi_n is minus_infinity; the rest are asked the predicate at
+    t = 0 in one call. A row all-real there runs its path (_bisect_path;
+    tol_t positive and finite, else ValueError) by comparison with its
+    collision time t* (_collision_times, from that call's roots): all-real
+    at t > t*, which a NaN t* never is. One call then asks the predicate at
+    each final lo and each hi < 0. It is monotone, so false at lo and true
+    at hi make the bracket plain bisection's, bit for bit; false at both
+    with a repeated root of L ends exact. The rest bisect plainly, one call
+    per round, each asked at the first time on its path with no answer yet.
     """
     check_tol(tol_t)
     live = np.count_nonzero(phi, axis=1) > 1
     out = [None if v else _MINUS_INFINITY for v in live.tolist()]
-    rows, phi = np.nonzero(live)[0], phi[live]
-    lo = t = np.zeros(len(rows))  # lo while expanding: the next time to try
-    hi = np.full(len(rows), np.nan)  # NaN until the predicate holds
-    expanding = np.ones(len(rows), dtype=bool)
-    check = np.zeros(len(rows), dtype=bool)  # guided: ask at lo (= t) and hi
-    while len(rows):
-        n = len(rows)
-        ends = np.nonzero(check & (hi < 0.0))[0]
-        at = np.concatenate([np.arange(n), ends])
-        real, u, errors = _real_rows(phi[at], np.concatenate([t, hi[ends]]))
-        failed = np.isin(np.arange(n), at[list(errors)])  # an error at t or hi
-        back = check & (real[:n] | failed)  # true at lo, or an error
-        back[ends] |= ~real[n:]  # false at hi
-        real = real[:n]
-        first = real & np.isnan(hi)
-        hi = np.where(real, t, hi)
-        grown = np.maximum(np.minimum(2.0 * t, -1.0), BRACKET_FLOOR)
-        lo = np.where(real, np.where(expanding, grown, lo), t)
-        exhausted = expanding & real & (t <= BRACKET_FLOOR)
-        expanding &= real
-        t = np.where(expanding, lo, 0.5 * (lo + hi))
-        narrow = ~(hi - lo > tol_t) | (t == lo) | (t == hi)  # or adjacent floats
-        done = exhausted | (~expanding & narrow) | failed
-        for j in np.nonzero(back & ~real & ~failed)[0].tolist():  # false at both ends
-            back[j] = not has_repeated_root(c[rows[j]])  # exact by the terminal rule
-            hi[j] = 0.0
-        t[back], lo[back], hi[back], expanding[back] = -1.0, -1.0, 0.0, True
-        done &= ~back
-        check[:] = False
-        if first.any():
-            with np.errstate(all="ignore"):
-                stars = _collision_times(phi[first], u[first[real]])
-            ok = ~np.isnan(stars)  # the rest are bisected unguided
-            for j, star in zip(np.nonzero(first)[0][ok].tolist(), stars[ok].tolist()):
-                t_j, lo_j, hi_j, grow = t.item(j), lo.item(j), hi.item(j), True
-                while grow or (hi_j - lo_j > tol_t and lo_j != t_j != hi_j):
-                    if not t_j > BRACKET_FLOOR:
-                        break
-                    if t_j > star:
-                        hi_j = t_j
-                        if grow:
-                            lo_j = max(min(2.0 * t_j, -1.0), BRACKET_FLOOR)
-                    else:
-                        lo_j, grow = t_j, False
-                    t_j = lo_j if grow else 0.5 * (lo_j + hi_j)
-                else:
-                    t[j], lo[j], hi[j] = lo_j, lo_j, hi_j
-                    expanding[j], check[j] = False, True
-        for j in np.nonzero(done)[0].tolist():
-            lo_j, hi_j = float(lo[j]), float(hi[j])
-            if j in errors:
-                e = NumericalError(errors[j])
-            elif exhausted[j]:
-                e = NewmanEstimate(
-                    kind="bracket_exhausted",
-                    value=BRACKET_FLOOR,
-                    bracket=(BRACKET_FLOOR, hi_j),
-                    tol=tol_t,
-                    notes="predicate never failed above the floor: Lambda_D <= %g"
-                    % BRACKET_FLOOR,
-                )
-            elif not hi_j < -2.0 * tol_t and has_repeated_root(c[rows[j]]):
-                e = _REPEATED_ROOT
-            elif math.isnan(hi_j):
-                e = NumericalError("zeros of Xi_0 not all real; numerical breakdown")
-            else:
-                e = NewmanEstimate(
-                    kind="bisect",
-                    value=0.5 * (lo_j + hi_j),
-                    bracket=(lo_j, hi_j),
-                    tol=tol_t,
-                    notes="bisection of the all-zeros-real predicate",
-                )
-            out[rows[j]] = e
-        keep = ~done
-        rows, phi, lo, hi, t, expanding, check = (
-            v[keep] for v in (rows, phi, lo, hi, t, expanding, check)
-        )
+    rows, phi = np.nonzero(live)[0].tolist(), phi[live]
+    if not rows:
+        return out
+    real, u, errors = _real_rows(phi, np.zeros(len(rows)))
+    # row -> what _bisected ends it with
+    ends = {j: errors.get(j, (math.nan, math.nan)) for j in np.nonzero(~real)[0].tolist()}
+    with np.errstate(all="ignore"):
+        guided = zip(np.nonzero(real)[0].tolist(), _collision_times(phi[real], u).tolist())
+    paths = {j: _bisect_path(star.__lt__, tol_t) for j, star in guided}
+    asks = [(j, t) for j, path in paths.items() if path for t in path if t < 0.0]
+    answers = dict(zip(asks, _ask(phi, asks)))
+    for j, path in paths.items():
+        checked = [answers.get((j, t), True) for t in path or ()]
+        if checked == [False, True]:
+            ends[j] = path
+        elif checked == [False, False] and has_repeated_root(c[rows[j]]):
+            ends[j] = path[1], 0.0  # all-real only at t = 0: exact
+    plain = {j: {} for j in paths if j not in ends}  # row -> its answers by time
+    while plain:
+        paths = {j: _bisect_path(known.get, tol_t) for j, known in plain.items()}
+        asks = [(j, t) for j, t in paths.items() if isinstance(t, float)]
+        ends.update((j, end) for j, end in paths.items() if not isinstance(end, float))
+        for (j, t), real in zip(asks, _ask(phi, asks)):
+            plain[j][t] = real
+            if isinstance(real, str):
+                ends[j] = real
+        plain = {j: known for j, known in plain.items() if j not in ends}
+    for j, end in ends.items():
+        out[rows[j]] = _bisected(end, c[rows[j]], tol_t)
     return out
 
 

@@ -26,6 +26,7 @@ from ffnewman.lfunction import (
     complete_coefficients,
     family_coefficients,
     lfunction_from_coefficients,
+    phi_rows,
     zeros_at_t,
 )
 from ffnewman.newman import (
@@ -459,11 +460,13 @@ def test_bisect_block_equals_per_row_bit_for_bit(q, degree, monkeypatch):
         monkeypatch.setattr(newman, "_real_rows", counted)
         block = lambda_bisect_block(np.array([L.phi for L in Ls]), [L.c for L in Ls])
         monkeypatch.undo()
-        # the predicate traffic of the lockstep loop: one call per round, and
-        # a guided row asks only at t = 0 and its two final ends (36 rows
-        # unguided); at (3, 7) the odd-harmonic rows have no t*
+        # the predicate traffic: one call at t = 0, one for the guided
+        # rows' final ends, then one per round of plain bisection. A guided
+        # row asks only at t = 0 and its two final ends; at (3, 7) the
+        # odd-harmonic rows have no t*, so their all-false guess fails its
+        # check at lo and they bisect plainly (35 rounds)
         live = sum(np.count_nonzero(L.phi) > 1 for L in Ls)
-        traffic = {(5, 5): (2, 7334), (3, 7): (36, 5880)}[q, degree]
+        traffic = {(5, 5): (2, 7334), (3, 7): (37, 5928)}[q, degree]
         assert (len(calls), sum(calls)) == traffic
         assert sum(calls) <= {(5, 5): 3, (3, 7): 5}[q, degree] * live
         for L, got in zip(Ls, block):
@@ -496,8 +499,8 @@ def guided_run(Ls, monkeypatch, tol_t=1e-10, collision=None):
     """lambda_bisect_block on the rows of Ls, with _collision_times replaced
     by collision(phi, u) when given, the rows (as Phi tuples) whose
     predicate was asked at t = -1, and the number of predicate rows: a
-    guided row answers that expansion step by comparison, so only an
-    unguided row or one that fell back asks it."""
+    guided row answers that expansion step by comparison, so only a row
+    that fell back to plain bisection asks it."""
     asked = set()
     traffic = []
     real_rows = newman._real_rows
@@ -518,6 +521,9 @@ def guided_run(Ls, monkeypatch, tol_t=1e-10, collision=None):
 
 
 def unguided(phi, u):
+    # a NaN t* answers every comparison false, so each row's guess is the
+    # last bracket below t = 0; unless Lambda_D lies in it, the check at lo
+    # fails and the row bisects plainly
     return np.full(len(phi), np.nan)
 
 
@@ -602,6 +608,71 @@ def test_guided_row_asks_the_predicate_at_most_three_times(q, degree, monkeypatc
     guided = [L.phi for L, v in zip(Ls, tstar.tolist()) if not math.isnan(v)]
     assert len(guided) > len(Ls) / 2
     assert max(asked[p] for p in guided) <= 3
+
+
+def plain_bisection(L, tol_t=1e-10):
+    """Test oracle: plain bisection of all_zeros_real, one time at a time,
+    for an L all-real at t = 0 that stops being so above -50: expand
+    through -1, -2, -4, ..., then halve until the bracket is no wider than
+    tol_t or its midpoint rounds to an end. Returns the final (lo, hi)."""
+    hi, t = 0.0, -1.0
+    while all_zeros_real(L, t):
+        assert t > -50.0
+        hi, t = t, max(2.0 * t, -50.0)
+    lo, mid = t, 0.5 * (t + hi)
+    while hi - lo > tol_t and mid != lo and mid != hi:
+        if all_zeros_real(L, mid):
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return lo, hi
+
+
+@pytest.mark.parametrize("q,degree,no_tstar", [(5, 5, 0), (3, 7, 4)])
+def test_bisect_block_brackets_equal_plain_bisection(q, degree, no_tstar):
+    # every kind-bisect row of the block, guided by t* or by the all-false
+    # guess of a row without one, ends on the oracle's bracket bit for bit
+    Ls = [L for L in {L.c: L for L in family(q, degree)}.values() if np.count_nonzero(L.phi) > 1]
+    phi = np.array([L.phi for L in Ls])
+    block = lambda_bisect_block(phi, [L.c for L in Ls])
+    real, u, _ = newman._real_rows(phi, np.zeros(len(Ls)))
+    with np.errstate(all="ignore"):
+        tstar = dict(zip(np.nonzero(real)[0].tolist(), newman._collision_times(phi[real], u)))
+    bisected = [i for i, e in enumerate(block) if e.kind == "bisect"]
+    assert len(bisected) == {(5, 5): 76, (3, 7): 215}[q, degree]
+    assert sum(math.isnan(tstar[i]) for i in bisected) == no_tstar
+    for i in bisected:
+        assert block[i].bracket == plain_bisection(Ls[i]), (Ls[i].D, block[i])
+
+
+def test_bisect_block_checks_a_row_without_tstar_with_the_guided_rows(monkeypatch):
+    # the distinct c_0..c_4 of (3, 9): one row, all-real at t = 0, has no
+    # converged t*. Its all-false guess is checked with the guided rows'
+    # ends, and the predicate is false at lo: L has a repeated root, so the
+    # row ends exact 0 and the block takes 2 calls. Bisected plainly, that
+    # one row kept the block asking for 36 rounds (5,045 predicate rows).
+    c, squarefree = family_coefficients(3, 9, 0, 3**9)
+    keys = np.unique(c[squarefree], axis=0)
+    assert len(keys) == 1683
+    phi = phi_rows(3, keys)
+    calls = []
+    real_rows = newman._real_rows
+
+    def counted(phi, t):
+        calls.append(len(t))
+        return real_rows(phi, t)
+
+    monkeypatch.setattr(newman, "_real_rows", counted)
+    block = lambda_bisect_block(phi, [complete_coefficients(3, k) for k in keys.tolist()])
+    monkeypatch.undo()
+    assert (len(calls), sum(calls)) == (2, 5011)
+    live = np.nonzero(np.count_nonzero(phi, axis=1) > 1)[0]
+    real, u, _ = newman._real_rows(phi[live], np.zeros(len(live)))
+    with np.errstate(all="ignore"):
+        tstar = newman._collision_times(phi[live][real], u)
+    (i,) = live[real][np.isnan(tstar)].tolist()
+    assert (block[i].kind, block[i].value) == ("exact", 0.0)
 
 
 def test_bisect_block_isolates_a_bad_row():
