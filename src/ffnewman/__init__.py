@@ -1,65 +1,52 @@
 """Quadratic Dirichlet L-functions over F_p(T), their heat-flow deformation,
 and De Bruijn-Newman constants per discriminant and over families."""
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .classical import phi_u, xi_t_classical
-from .families import (
-    ks_distance,
-    sato_tate_sweep,
-    semicircle_cdf,
-    sweep_fixed_q,
-    trace_of_frobenius,
-)
-from .finite_field import legendre_int
-from .fp_poly import FpPolynomial, enumerate_monic, is_irreducible, is_squarefree
-from .lfunction import (
-    LFunctionData,
-    ZeroSet,
-    build_lfunction,
-    dirichlet_coefficients,
-    good_pair_check,
-    xi_eval,
-    zeros_at_t,
-)
-from .newman import (
-    NewmanEstimate,
-    StoppleData,
-    double_zero_lower_bound,
-    lambda_bisect,
-    lambda_exact_genus1,
-    stopple_data,
-    strip_bound,
-)
-from .quad_character import chi
+# exported name -> submodule, imported on first use (PEP 562): `import
+# ffnewman` loads no numpy, so the CLI can configure it before it loads
+_EXPORTS = {
+    "phi_u": "classical",
+    "xi_t_classical": "classical",
+    "ks_distance": "families",
+    "sato_tate_sweep": "families",
+    "semicircle_cdf": "families",
+    "sweep_fixed_q": "families",
+    "trace_of_frobenius": "families",
+    "legendre_int": "finite_field",
+    "FpPolynomial": "fp_poly",
+    "enumerate_monic": "fp_poly",
+    "is_irreducible": "fp_poly",
+    "is_squarefree": "fp_poly",
+    "LFunctionData": "lfunction",
+    "ZeroSet": "lfunction",
+    "build_lfunction": "lfunction",
+    "dirichlet_coefficients": "lfunction",
+    "good_pair_check": "lfunction",
+    "xi_eval": "lfunction",
+    "zeros_at_t": "lfunction",
+    "NewmanEstimate": "newman",
+    "StoppleData": "newman",
+    "double_zero_lower_bound": "newman",
+    "lambda_bisect": "newman",
+    "lambda_exact_genus1": "newman",
+    "stopple_data": "newman",
+    "strip_bound": "newman",
+    "chi": "quad_character",
+}
 
-__all__ = [
-    "FpPolynomial",
-    "LFunctionData",
-    "NewmanEstimate",
-    "StoppleData",
-    "ZeroSet",
-    "__version__",
-    "build_lfunction",
-    "chi",
-    "dirichlet_coefficients",
-    "double_zero_lower_bound",
-    "enumerate_monic",
-    "good_pair_check",
-    "is_irreducible",
-    "is_squarefree",
-    "ks_distance",
-    "lambda_bisect",
-    "lambda_exact_genus1",
-    "legendre_int",
-    "phi_u",
-    "sato_tate_sweep",
-    "semicircle_cdf",
-    "stopple_data",
-    "strip_bound",
-    "sweep_fixed_q",
-    "trace_of_frobenius",
-    "xi_eval",
-    "xi_t_classical",
-    "zeros_at_t",
-]
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module("." + _EXPORTS[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

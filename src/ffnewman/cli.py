@@ -28,6 +28,9 @@ import sys
 import warnings
 from functools import lru_cache
 
+# before numpy loads: no work here uses BLAS threads, and idle OpenBLAS ones spin
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__
@@ -128,8 +131,7 @@ def _csv_begin(stream, config: dict, columns) -> None:
 
 
 def _emit_json(stream, payload: dict) -> None:
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")
+    stream.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _coeff_text(coeffs) -> str:

@@ -223,7 +223,7 @@ def _collision_times(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
     jn = 1j * m[:, 1]
     for _ in range(NEWTON_STEPS):
         w = a * np.exp(T[..., None] * n2 + X[..., None] * jn)
-        s = np.einsum("rsn,nk->rsk", w, m)  # not @: BLAS threads take other workers' cores
+        s = np.einsum("rsn,nk->rsk", w, m)  # not @: a library caller's BLAS may be threaded
         F, Ft = s.real[..., 0], s.real[..., 2]
         mFx, mFxt = s.imag[..., 1], s.imag[..., 3]  # -F_x and -F_xt
         det = mFx * mFxt + Ft * Ft

@@ -664,6 +664,29 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["c"] == [1, -3, 3]
 
 
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_cli_runs_openblas_on_one_thread_unless_preset(preset):
+    # a fresh interpreter: this one imported numpy, and set the variable,
+    # when it imported the CLI
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = (
+        "import os, ffnewman.cli\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        "if os.path.exists('/proc/self/status'):\n"
+        "    print([l.split()[1] for l in open('/proc/self/status') if l.startswith('Threads:')][0])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.split()
+    assert lines[0] == (preset or "1")
+    if preset is None and len(lines) > 1:
+        assert lines[1] == "1"  # no OpenBLAS helper thread
+
+
 def test_interrupted_sweep_writes_resume_token(tmp_path):
     # drive main() in a child process and interrupt it mid-sweep; bisection
     # up to genus 3 over F_5 keeps it running for about ten seconds, well
