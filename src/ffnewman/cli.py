@@ -251,17 +251,19 @@ def _d_texts(q: int, degree: int, ks) -> list:
     return list(map(",".join, zip(*reversed(parts))))
 
 
-def _sweep_lines(g: int, d_texts, entries, which, label: str) -> list:
+def _sweep_lines(g: int, d_texts, c, results, which, label: str) -> list:
     """The sweep CSV lines of genus-g rows: row i is D text d_texts[i], then
-    entries[which[i]], a (c_0..c_g, estimate, error) entry as in
-    SweepBlock.entries, then the method label. Each entry's text after D is
-    formatted once. The D and c fields always hold a comma (g >= 1) and no
-    field a quote or a line break, so quoting those two is all the CSV
-    escaping there is; a missing c or value prints empty."""
+    the key c[which[i]] (c_0..c_g) and the value of results[which[i]], as in
+    SweepBlock, then the method label. Each key's text after D is formatted
+    once. The D and c fields always hold a comma (g >= 1) and no field a
+    quote or a line break, so quoting those two is all the CSV escaping
+    there is; an error result prints c and value empty, no bound the value."""
     tails = []
-    for c, e, _ in entries:
-        ctext = "" if c is None else '"%s"' % _coeff_text(c)
-        tails.append('",%s,%s,%s\n' % (ctext, label, _fmt(None if e is None else e.value)))
+    for key, r in zip(c, results):
+        if isinstance(r, Exception):
+            tails.append('",,%s,\n' % label)
+        else:
+            tails.append('","%s",%s,%s\n' % (_coeff_text(key), label, _fmt(r.value)))
     prefix = '%d,"' % g
     return [prefix + d + tails[i] for d, i in zip(d_texts, which)]
 
@@ -291,28 +293,25 @@ def cmd_sweep(args) -> int:
 
         def on_block(block):
             """Write the block's rows, D texts from the digit tables and the
-            rest from _sweep_lines, and any error line after its row, in one
-            write."""
+            rest from _sweep_lines, and any error line after its row (its
+            text from the row's SweepItem), in one write."""
             nonlocal resume
             if not len(block.ks):
                 return
             g = (block.degree - 1) // 2
-            which = block.which.tolist()
-            lines = _sweep_lines(
-                g, _d_texts(args.q, block.degree, block.ks), block.entries, which, method
-            )
-            errors = [i for i, (_, _, error) in enumerate(block.entries) if error is not None]
-            for r in np.flatnonzero(np.isin(block.which, errors)).tolist():
-                lines[r] += "# error: degree=%d index=%d: %s\n" % (
-                    block.degree, block.ks[r], block.entries[which[r]][2]
-                )
+            d_texts = _d_texts(args.q, block.degree, block.ks)
+            lines = _sweep_lines(g, d_texts, block.c, block.results, block.which.tolist(), method)
+            errors = [i for i, r in enumerate(block.results) if isinstance(r, Exception)]
+            rows = np.flatnonzero(np.isin(block.which, errors))
+            for r, it in zip(rows.tolist(), block.items(rows)):
+                lines[r] += "# error: degree=%d index=%d: %s\n" % (it.degree, it.index, it.error)
             f.write("".join(lines))
             resume = _next_enum_position(args.q, block.degree, int(block.ks[-1]))
 
         def write_best(item, label):
             g = (item.degree - 1) // 2
-            entry = (item.c[: g + 1], item.estimate, item.error)
-            f.write(_sweep_lines(g, [_coeff_text(item.d_coeffs)], [entry], [0], label)[0])
+            d_text = _coeff_text(item.d_coeffs)
+            f.write(_sweep_lines(g, [d_text], [item.c[: g + 1]], [item.estimate], [0], label)[0])
 
         try:
             report = sweep_fixed_q(

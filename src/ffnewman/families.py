@@ -14,9 +14,9 @@ mask for the whole task, and the estimator runs once per task on the Phi array
 LFunctionData per D. An estimate depends on D only through its L-polynomial (q
 and c_0..c_g), and a fixed-q family has far fewer of those than discriminants,
 so each worker solves every distinct L-polynomial once per sweep: a memo of at
-most MEMO_SIZE entries, keyed on c_0..c_g and emptied when a sweep starts,
+most MEMO_SIZE results, keyed on c_0..c_g and emptied when a sweep starts,
 serves the repeats, and a task returns one SweepBlock: its squarefree indices,
-one (c_0..c_g, result) per distinct key, and each row's key (_sweep_chunk).
+its distinct keys, the estimator's own result for each, and each row's key.
 The reciprocity ladder is not used here; it cross-checks the explicit formula
 in the tests. The sweep is a stream of blocks: each goes to the caller's
 on_block, which can write all its rows at once, and is dropped. Only the
@@ -35,6 +35,7 @@ in-process.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import multiprocessing
 from contextlib import contextmanager
@@ -43,10 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite_field import check_odd_prime, legendre_table
+from .fp_poly import _monic_rows
 from .lfunction import (
     FAMILY_CHUNK,
     NumericalError,
-    _digits,
     complete_coefficients,
     family_coefficients,
     family_tables,
@@ -107,28 +108,33 @@ class SweepItem:
 @dataclass(frozen=True, eq=False)
 class SweepBlock:
     """One task's rows of a fixed-q sweep, as arrays: ks holds the indices of
-    its squarefree D of one degree (int64, increasing), entries one
-    (c_0..c_g, estimate, error) per distinct c_0..c_g of the task (c and
-    estimate None on an error), and which[i] is the entry of row ks[i]. c is
-    the half of the coefficients that the CSV prints; items completes it."""
+    its squarefree D of one degree (int64, increasing), c the task's distinct
+    c_0..c_g (tuples, the memo's keys: the half of the coefficients that the
+    CSV prints), results the estimator's result for each, a NewmanEstimate
+    or an exception, and which[i] is the key of row ks[i]."""
 
     q: int
     degree: int
     ks: np.ndarray
     which: np.ndarray
-    entries: list
+    c: list
+    results: list
 
     def items(self, rows=slice(None)) -> list:
-        """The SweepItems of the given rows, in order (all rows by default),
-        with c completed to c_0..c_2g."""
+        """The SweepItems of the given rows (a slice or index array, all by
+        default), in order: c completed to c_0..c_2g, and an exception as
+        the error text "<Type>: <message>", with c and estimate None."""
         ks = self.ks[rows]
-        d_coeffs = np.ones((len(ks), self.degree + 1), dtype=np.int64)
-        d_coeffs[:, : self.degree] = _digits(self.q, self.degree, ks)[:, ::-1]
-        entries = map(self.entries.__getitem__, self.which[rows].tolist())
-        return [
-            SweepItem(self.degree, k, tuple(d), c and complete_coefficients(self.q, c), e, error)
-            for k, d, (c, e, error) in zip(ks.tolist(), d_coeffs.tolist(), entries)
-        ]
+        d_coeffs = _monic_rows(self.q, self.degree, ks).tolist()
+        items = []
+        for k, d, i in zip(ks.tolist(), d_coeffs, self.which[rows].tolist()):
+            r, error = self.results[i], None
+            if isinstance(r, Exception):
+                c, r, error = None, None, "%s: %s" % (type(r).__name__, r)
+            else:
+                c = complete_coefficients(self.q, self.c[i])
+            items.append(SweepItem(self.degree, k, tuple(d), c, r, error))
+        return items
 
 
 @dataclass(frozen=True)
@@ -194,17 +200,18 @@ def check_workers(workers: int) -> None:
 
 
 @contextmanager
-def _ordered_map(fn, tasks, count: int, workers: int):
-    """fn over the count tasks, results in task order: the builtin map when
-    min(workers, count) is at most one, else the imap of a pool of that many
-    processes, which is torn down on exit, also when the caller stops early
-    or raises."""
-    if min(workers, count) <= 1:
-        yield map(fn, tasks)
+def _ordered_map(fn, tasks, workers: int):
+    """fn over the tasks, an iterable read lazily, results in task order: the
+    builtin map when its first `workers` tasks are at most one, else the imap of
+    a pool of that many processes, torn down on any exit, early or raised."""
+    tasks = iter(tasks)
+    head = list(itertools.islice(tasks, workers))
+    if len(head) <= 1:
+        yield map(fn, itertools.chain(head, tasks))
         return
-    pool = multiprocessing.Pool(min(workers, count))
+    pool = multiprocessing.Pool(len(head))
     try:
-        yield pool.imap(fn, tasks)
+        yield pool.imap(fn, itertools.chain(head, tasks))
     finally:
         pool.terminate()
         pool.join()
@@ -222,19 +229,18 @@ _memo: dict = {}
 
 def _sweep_chunk(args):
     """Estimates for the squarefree D with indices lo <= k < hi of one degree:
-    (number skipped, SweepBlock). The block has one entry per distinct
-    c_0..c_g of the task.
+    (number skipped, SweepBlock), one result per distinct c_0..c_g.
 
     Every estimator reads D only through (q, c_0..c_g), so each distinct
     L-polynomial is solved once per process and sweep: a key the memo holds
-    reuses its estimate or error text, and the other keys go to the
-    estimator (lambda_bisect_block or double_zero_block, on their phi_rows
-    array) in one call, of at most SWEEP_SPAN rows; only bisection's
-    repeated-root test reads the completed c_0..c_2g. q and the method are
-    fixed for the memo's lifetime, since sweep_fixed_q empties it at the
-    start. A row's estimate does not depend on the rest of its block, so a
-    reused entry is the value a fresh solve gives. The memo keeps the last
-    MEMO_SIZE keys inserted.
+    reuses its result, and the other keys go to the estimator
+    (lambda_bisect_block or double_zero_block, on their phi_rows array) in
+    one call, of at most SWEEP_SPAN rows; only bisection's repeated-root
+    test reads the completed c_0..c_2g. Memo and block keep each result as
+    the estimator returned it. q and the method are fixed for the memo's
+    lifetime, since sweep_fixed_q empties it at the start. A row's estimate
+    does not depend on the rest of its block, so a reused result is the one
+    a fresh solve gives. The memo keeps the last MEMO_SIZE keys inserted.
     """
     q, degree, lo, hi, method = args
     c_half, squarefree = family_coefficients(q, degree, lo, hi)
@@ -250,13 +256,10 @@ def _sweep_chunk(args):
     else:
         solved = double_zero_block(phi)
     for i, r in zip(fresh, solved):
-        if isinstance(r, Exception):
-            r = "%s: %s" % (type(r).__name__, r)
         while len(_memo) >= MEMO_SIZE:
             del _memo[next(iter(_memo))]
         _memo[keys[i]] = results[i] = r
-    entries = [(None, None, r) if isinstance(r, str) else (k, r, None) for k, r in zip(keys, results)]
-    return hi - lo - len(ks), SweepBlock(q, degree, ks, which, entries)
+    return hi - lo - len(ks), SweepBlock(q, degree, ks, which, keys, results)
 
 
 def _chunk_tasks(q: int, max_genus: int, method: str, start: tuple):
@@ -315,18 +318,15 @@ def sweep_fixed_q(
     SweepItem. A pool has at most one process per task.
     """
     start = check_sweep(q, max_genus, method, start, workers)
-    degrees = range(start[0], 2 * max_genus + 2, 2)
     # forked workers copy the memo (for this q and method only) and the tables
     _memo.clear()
-    for degree in degrees:
+    for degree in range(start[0], 2 * max_genus + 2, 2):
         family_tables(q, degree)
-    # the tasks _chunk_tasks will yield, counted without running it
-    count = sum(-(-(q**d - (start[1] if d == start[0] else 0)) // SWEEP_SPAN) for d in degrees)
     tasks = _chunk_tasks(q, max_genus, method, start)
     processed = 0
     skipped = 0
     best_per_genus: dict = {}
-    with _ordered_map(_sweep_chunk, tasks, count, workers) as results:
+    with _ordered_map(_sweep_chunk, tasks, workers) as results:
         for n_skipped, block in results:
             skipped += n_skipped
             processed += len(block.ks)
@@ -334,9 +334,8 @@ def sweep_fixed_q(
                 on_block(block)
             # the block's best is its first row of largest value; rows
             # without a value (an error or no bound) never count
-            values = np.array(
-                [np.nan if e is None or e.value is None else e.value for _, e, _ in block.entries]
-            )
+            values = [None if isinstance(r, Exception) else r.value for r in block.results]
+            values = np.array(values, dtype=float)
             present = values[~np.isnan(values)]
             if not len(present):
                 continue
@@ -656,7 +655,7 @@ def sato_tate_sweep(dz, p_max: int, workers: int = 1) -> SatoTateReport:
     big = [p for p in good if p > BSGS_MIN_P]
     runs = [big[i : i + SATO_TATE_RUN] for i in range(0, len(big), SATO_TATE_RUN)]
     first_pass = functools.partial(_bsgs_traces, dz, last=1)
-    with _ordered_map(first_pass, runs, len(runs), workers) as results:
+    with _ordered_map(first_pass, runs, workers) as results:
         traces = dict(zip(big, (a_p for run in results for a_p in run)))
     # every prime left open, whatever its run, in one set of passes from the
     # second usable point on, then the small primes by the point count

@@ -2,7 +2,7 @@
 and the Legendre symbol by two routes that the tests cross-check:
 legendre_table, the one square-marking table (read by the character kernel
 and the Sato-Tate point count), and legendre_int, Euler's criterion for one
-scalar (run by the reciprocity ladder and the Sato-Tate twist sign).
+scalar, run by the reciprocity ladder only (Sato-Tate lanes use _pow_lanes).
 Elements of F_p are plain ints in [0, p); fp_poly's kernels reduce results."""
 
 from __future__ import annotations

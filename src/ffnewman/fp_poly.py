@@ -269,19 +269,28 @@ def _tuple_to_index(f: tuple, p: int) -> int:
     return k
 
 
+def _digits(q: int, width: int, ks: np.ndarray) -> np.ndarray:
+    """Base-q digits of each k, least significant first: shape (len(ks), width)."""
+    return (ks[:, None] // q ** np.arange(width, dtype=np.int64)) % q
+
+
+def _monic_rows(p: int, n: int, ks: np.ndarray) -> np.ndarray:
+    """The monic f of degree n with monic_by_index indices ks as rows c_0..c_n."""
+    return np.pad(_digits(p, n, ks)[:, ::-1], [(0, 0), (0, 1)], constant_values=1)
+
+
 def _monic_array(p: int, n: int) -> np.ndarray:
     """Every monic f of degree n as a row c_0..c_n, in monic_by_index order."""
-    digits = np.indices((p,) * n, dtype=np.int64).reshape(n, p**n).T  # c_0 first
-    return np.column_stack([digits, np.ones(p**n, dtype=np.int64)])
+    return _monic_rows(p, n, np.arange(p**n))
 
 
 @lru_cache(maxsize=64)
 def _irreducible_array(p: int, n: int) -> np.ndarray:
     """The monic irreducible polynomials of degree n >= 1 over F_p as rows
-    c_0..c_n (int64, read-only), in enumeration order: every monic f of
-    degree n not hit by a block of about p^e/(n + 1) monic irreducibles of
-    degree e <= n/2 times every monic cofactor of degree n - e (about p^n
-    coefficients at once). About p^n/n of them; the last 64 (p, n) cached."""
+    c_0..c_n (int64, read-only; the last 64 (p, n) cached), in enumeration
+    order: rows only for the indices, about p^n/n, of the monic f of degree n
+    not hit by a block of about p^e/(n + 1) monic irreducibles of degree
+    e <= n/2 times every monic cofactor of degree n - e (p^n coefficients at once)."""
     weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)  # index of c_0..c_(n-1)
     composite = np.zeros(p**n, dtype=bool)
     for e in range(1, n // 2 + 1):
@@ -293,6 +302,6 @@ def _irreducible_array(p: int, n: int) -> np.ndarray:
             for i in range(e + 1):
                 prod[:, :, i : i + n - e + 1] += P[:, i, None, None] * cofactors
             composite[(prod[:, :, :n] % p) @ weights] = True
-    out = _monic_array(p, n)[~composite]
+    out = _monic_rows(p, n, np.flatnonzero(~composite))
     out.flags.writeable = False
     return out

@@ -48,7 +48,8 @@ from functools import lru_cache
 import numpy as np
 
 from .finite_field import check_odd_prime, legendre_table
-from .fp_poly import FpPolynomial, _factorize_monic, _irreducible_array, _monic_array, is_squarefree
+from .fp_poly import FpPolynomial, _digits, _factorize_monic, _irreducible_array, _monic_array
+from .fp_poly import is_squarefree
 from .quad_character import _validate_modulus
 
 # discriminants per block of family_coefficients; bounds its working arrays
@@ -153,11 +154,6 @@ def _factor_powers(q: int, P: tuple, count: int) -> np.ndarray:
     powers = _powers_mod(np.array([P]), count, q)[:, 0]
     powers.flags.writeable = False
     return powers
-
-
-def _digits(q: int, width: int, ks: np.ndarray) -> np.ndarray:
-    """Base-q digits of each k, least significant first: shape (len(ks), width)."""
-    return (ks[:, None] // q ** np.arange(width, dtype=np.int64)) % q
 
 
 def _chi_rows(q: int, D: FpPolynomial, top: int) -> tuple:

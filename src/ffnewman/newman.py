@@ -235,17 +235,18 @@ def _collision_times(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.where(best > -np.inf, best, np.nan)
 
 
-def _bisect_path(answer, tol_t: float):
-    """Bisection's step rule, from the state the t = 0 check leaves: next
-    time -1, bracket (-1, 0). While answer(t) is True (all-real at t) the
-    bracket expands to max(min(2t, -1), BRACKET_FLOOR); then it halves until
-    no wider than tol_t or two adjacent floats. answer(t) is None where not
-    asked yet. Returns the final (lo, hi), None when True at BRACKET_FLOOR,
-    or the first time t on the path whose answer is None."""
-    t, lo, hi, grow = -1.0, -1.0, 0.0, True
+def _bisect_path(answer, tol_t: float, state: list):
+    """Bisection's step rule, resumed from state [t, lo, hi, grow] (next time,
+    bracket, still expanding; the t = 0 check leaves [-1, -1, 0, True]). While
+    answer(t) is True (all-real at t) the bracket expands to max(min(2t, -1),
+    BRACKET_FLOOR); then it halves until no wider than tol_t or two adjacent
+    floats. Returns the final (lo, hi), None when True at BRACKET_FLOOR, or
+    the first time t not answered yet (answer None), state left there."""
+    t, lo, hi, grow = state
     while grow or (hi - lo > tol_t and lo != t != hi):
         real = answer(t)
         if real is None:
+            state[:] = t, lo, hi, grow
             return t
         if not real:
             lo, grow = t, False
@@ -308,7 +309,7 @@ def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
     each final lo and each hi < 0. It is monotone, so false at lo and true
     at hi make the bracket plain bisection's, bit for bit; false at both
     with a repeated root of L ends exact. The rest bisect plainly, one call
-    per round, each asked at the first time on its path with no answer yet.
+    per round, each resuming its path's state after its answer.
     """
     check_tol(tol_t)
     live = np.count_nonzero(phi, axis=1) > 1
@@ -317,11 +318,11 @@ def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
     if not rows:
         return out
     real, u, errors = _real_rows(phi, np.zeros(len(rows)))
-    # row -> what _bisected ends it with
+    # row -> what _bisected ends it with (or, for a plain row, its next time)
     ends = {j: errors.get(j, (math.nan, math.nan)) for j in np.nonzero(~real)[0].tolist()}
     with np.errstate(all="ignore"):
         guided = zip(np.nonzero(real)[0].tolist(), _collision_times(phi[real], u).tolist())
-    paths = {j: _bisect_path(star.__lt__, tol_t) for j, star in guided}
+    paths = {j: _bisect_path(star.__lt__, tol_t, [-1.0, -1.0, 0.0, True]) for j, star in guided}
     asks = [(j, t) for j, path in paths.items() if path for t in path if t < 0.0]
     answers = dict(zip(asks, _ask(phi, asks)))
     for j, path in paths.items():
@@ -330,16 +331,12 @@ def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
             ends[j] = path
         elif checked == [False, False] and has_repeated_root(c[rows[j]]):
             ends[j] = path[1], 0.0  # all-real only at t = 0: exact
-    plain = {j: {} for j in paths if j not in ends}  # row -> its answers by time
+    plain = {j: [-1.0, -1.0, 0.0, True] for j in paths if j not in ends}  # row -> path state
     while plain:
-        paths = {j: _bisect_path(known.get, tol_t) for j, known in plain.items()}
-        asks = [(j, t) for j, t in paths.items() if isinstance(t, float)]
-        ends.update((j, end) for j, end in paths.items() if not isinstance(end, float))
-        for (j, t), real in zip(asks, _ask(phi, asks)):
-            plain[j][t] = real
-            if isinstance(real, str):
-                ends[j] = real
-        plain = {j: known for j, known in plain.items() if j not in ends}
+        asks = [(j, state[0]) for j, state in plain.items()]
+        for (j, t), ans in zip(asks, _ask(phi, asks)):
+            ends[j] = ans if isinstance(ans, str) else _bisect_path({t: ans}.get, tol_t, plain[j])
+        plain = {j: state for j, state in plain.items() if isinstance(ends[j], float)}
     for j, end in ends.items():
         out[rows[j]] = _bisected(end, c[rows[j]], tol_t)
     return out

@@ -648,6 +648,36 @@ def one_row_solve(method, q, c_half):
     return c, r, None
 
 
+@pytest.mark.parametrize("method", ["double_zero", "bisect"])
+def test_sweep_keeps_each_result_as_the_estimator_returned_it(monkeypatch, method):
+    # the memo and each block hold the estimator's own objects, an exception
+    # included; only a SweepItem names an error as "<Type>: <message>"
+    name = "lambda_bisect_block" if method == "bisect" else "double_zero_block"
+    block = getattr(families, name)
+    returned = []
+
+    def failing(phi, *rest):
+        solved = block(phi, *rest)
+        solved = [ArithmeticError("row %d" % i) if i % 3 == 0 else r for i, r in enumerate(solved)]
+        returned.extend(solved)
+        return solved
+
+    monkeypatch.setattr(families, name, failing)
+    blocks = []
+    sweep_fixed_q(5, 2, method=method, on_block=blocks.append)
+    ids = {id(r) for r in returned}
+    held = list(families._memo.values()) + [r for b in blocks for r in b.results]
+    assert held and all(id(r) in ids for r in held)
+    assert any(isinstance(r, ArithmeticError) for r in held)
+    for b in blocks:
+        for item, i in zip(b.items(), b.which.tolist()):
+            r = b.results[i]
+            if isinstance(r, Exception):
+                assert (item.c, item.estimate, item.error) == (None, None, "ArithmeticError: %s" % r)
+            else:
+                assert item.estimate is r and item.error is None and item.c[: len(b.c[i])] == b.c[i]
+
+
 @pytest.mark.parametrize("q,max_genus,method", [(5, 2, "bisect"), (3, 3, "double_zero")])
 def test_sweep_memo_rows_equal_fresh_one_row_solves(monkeypatch, q, max_genus, method):
     # pins the memo's soundness: a row served from the memo equals a fresh

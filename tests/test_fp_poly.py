@@ -7,6 +7,7 @@ from itertools import zip_longest
 import numpy as np
 import pytest
 
+from ffnewman import fp_poly
 from ffnewman.fp_poly import (
     FpPolynomial,
     _deriv,
@@ -241,11 +242,22 @@ def test_irreducible_counts_match_necklace_formula():
             assert direct[n] == mobius_irreducible_count(p, n)
 
 
-def test_monic_irreducibles_match_trial_division():
+def test_monic_irreducibles_match_trial_division(monkeypatch):
+    # the rows are built for the sieve's survivors only, never for all p^n
+    # monic f of degree n (cofactors of lower degree are built whole)
+    built = []
+    monic_array = fp_poly._monic_array
+
+    def spy(p, n):
+        built.append((p, n))
+        return monic_array(p, n)
+
+    monkeypatch.setattr(fp_poly, "_monic_array", spy)
     for p, maxdeg in [(3, 6), (5, 4), (7, 3)]:
         for n in range(1, maxdeg + 1):
-            got = _irreducible_array(p, n).tolist()
-            assert got == [
+            got = _irreducible_array.__wrapped__(p, n).tolist()
+            assert (p, n) not in built
+            assert got == _irreducible_array(p, n).tolist() == [
                 list(f.coeffs) for f in enumerate_monic(p, n) if is_irreducible(f)
             ]
             assert len(got) == mobius_irreducible_count(p, n)

@@ -500,23 +500,39 @@ def guided_run(Ls, monkeypatch, tol_t=1e-10, collision=None):
     by collision(phi, u) when given, the rows (as Phi tuples) whose
     predicate was asked at t = -1, and the number of predicate rows: a
     guided row answers that expansion step by comparison, so only a row
-    that fell back to plain bisection asks it."""
+    that fell back to plain bisection asks it. A plain row resumes its path
+    after each answer, so from the first plain round on (the first call
+    that asks at t = -1) the step rule takes at most two answers per
+    predicate row: the one asked, and the next time, not yet asked."""
     asked = set()
     traffic = []
+    plain = [0, 0]  # predicate rows and step-rule answers from the first plain round on
     real_rows = newman._real_rows
+    bisect_path = newman._bisect_path
 
     def spy(phi, t):
         asked.update(tuple(p) for p in phi[t == -1.0].tolist())
         traffic.append(len(t))
+        if plain[0] or (t == -1.0).any():
+            plain[0] += len(t)
         return real_rows(phi, t)
+
+    def counted_path(answer, *rest):
+        def counted(t):
+            plain[1] += plain[0] > 0
+            return answer(t)
+
+        return bisect_path(counted, *rest)
 
     with monkeypatch.context() as m:
         m.setattr(newman, "_real_rows", spy)
+        m.setattr(newman, "_bisect_path", counted_path)
         if collision is not None:
             m.setattr(newman, "_collision_times", collision)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             out = lambda_bisect_block(np.array([L.phi for L in Ls]), [L.c for L in Ls], tol_t)
+    assert plain[1] <= 2 * plain[0]
     return out, asked, sum(traffic)
 
 
