@@ -251,19 +251,20 @@ def _d_texts(q: int, degree: int, ks) -> list:
     return list(map(",".join, zip(*reversed(parts))))
 
 
-def _sweep_lines(g: int, d_texts, c, results, which, label: str) -> list:
+def _sweep_lines(g: int, d_texts, c, values, errors, which, label: str) -> list:
     """The sweep CSV lines of genus-g rows: row i is D text d_texts[i], then
-    the key c[which[i]] (c_0..c_g) and the value of results[which[i]], as in
+    the key c[which[i]] (c_0..c_g) and its value values[which[i]], as in
     SweepBlock, then the method label. Each key's text after D is formatted
     once. The D and c fields always hold a comma (g >= 1) and no field a
     quote or a line break, so quoting those two is all the CSV escaping
-    there is; an error result prints c and value empty, no bound the value."""
-    tails = []
-    for key, r in zip(c, results):
-        if isinstance(r, Exception):
-            tails.append('",,%s,\n' % label)
-        else:
-            tails.append('","%s",%s,%s\n' % (_coeff_text(key), label, _fmt(r.value)))
+    there is; a key in errors prints c and value empty, a NaN value (no
+    bound) the value."""
+    tails = [
+        '",,%s,\n' % label
+        if i in errors
+        else '","%s",%s,%s\n' % (_coeff_text(key), label, "" if math.isnan(v) else _fmt(v))
+        for i, (key, v) in enumerate(zip(c, values))
+    ]
     prefix = '%d,"' % g
     return [prefix + d + tails[i] for d, i in zip(d_texts, which)]
 
@@ -300,9 +301,9 @@ def cmd_sweep(args) -> int:
                 return
             g = (block.degree - 1) // 2
             d_texts = _d_texts(args.q, block.degree, block.ks)
-            lines = _sweep_lines(g, d_texts, block.c, block.results, block.which.tolist(), method)
-            errors = [i for i, r in enumerate(block.results) if isinstance(r, Exception)]
-            rows = np.flatnonzero(np.isin(block.which, errors))
+            values, which = block.results["value"].tolist(), block.which.tolist()
+            lines = _sweep_lines(g, d_texts, block.c, values, block.errors, which, method)
+            rows = np.flatnonzero(np.isin(block.which, list(block.errors)))
             for r, it in zip(rows.tolist(), block.items(rows)):
                 lines[r] += "# error: degree=%d index=%d: %s\n" % (it.degree, it.index, it.error)
             f.write("".join(lines))
@@ -310,8 +311,8 @@ def cmd_sweep(args) -> int:
 
         def write_best(item, label):
             g = (item.degree - 1) // 2
-            d_text = _coeff_text(item.d_coeffs)
-            f.write(_sweep_lines(g, [d_text], [item.c[: g + 1]], [item.estimate], [0], label)[0])
+            row = [_coeff_text(item.d_coeffs)], [item.c[: g + 1]], [item.estimate.value]
+            f.write(_sweep_lines(g, *row, {}, [0], label)[0])
 
         try:
             report = sweep_fixed_q(

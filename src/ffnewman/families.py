@@ -16,11 +16,14 @@ and c_0..c_g), and a fixed-q family has far fewer of those than discriminants,
 so each worker solves every distinct L-polynomial once per sweep: a memo of at
 most MEMO_SIZE results, keyed on c_0..c_g and emptied when a sweep starts,
 serves the repeats, and a task returns one SweepBlock: its squarefree indices,
-its distinct keys, the estimator's own result for each, and each row's key.
-The reciprocity ladder is not used here; it cross-checks the explicit formula
-in the tests. The sweep is a stream of blocks: each goes to the caller's
+its distinct keys, the estimator's result row for each (an array of kind
+codes, values and brackets, as newman's block estimators return them) with
+the messages of the keys that ended in an error, and each row's key. The
+reciprocity ladder is not used here; it cross-checks the explicit formula in
+the tests. The sweep is a stream of blocks: each goes to the caller's
 on_block, which can write all its rows at once, and is dropped. Only the
-bests, found in numpy, become SweepItems, and the SweepReport keeps only
+bests, found in numpy, become SweepItems (SweepBlock.items builds a row's
+NewmanEstimate with the method's converter), and the SweepReport keeps only
 counts and bests, so memory does not grow with the family. The Sato-Tate sweep
 of a monic integer cubic keeps every prime's record in its SatoTateReport, in
 plain integers: p is bad exactly when it divides the discriminant, and a_p
@@ -53,7 +56,14 @@ from .lfunction import (
     family_tables,
     phi_rows,
 )
-from .newman import NewmanEstimate, double_zero_block, genus1_lambda, lambda_bisect_block
+from .newman import (
+    NewmanEstimate,
+    bisect_estimates,
+    double_zero_block,
+    double_zero_estimates,
+    genus1_lambda,
+    lambda_bisect_block,
+)
 
 __all__ = [
     "BadReduction",
@@ -110,30 +120,36 @@ class SweepBlock:
     """One task's rows of a fixed-q sweep, as arrays: ks holds the indices of
     its squarefree D of one degree (int64, increasing), c the task's distinct
     c_0..c_g (tuples, the memo's keys: the half of the coefficients that the
-    CSV prints), results the estimator's result for each, a NewmanEstimate
-    or an exception, and which[i] is the key of row ks[i]."""
+    CSV prints), results the method's estimator result row for each (a
+    newman.RESULT array: kind code, value and bracket, NaN where there is
+    none), errors the message of each key that ended in an error (its value
+    NaN), and which[i] is the key of row ks[i]."""
 
     q: int
     degree: int
+    method: str
     ks: np.ndarray
     which: np.ndarray
     c: list
-    results: list
+    results: np.ndarray
+    errors: dict
 
     def items(self, rows=slice(None)) -> list:
         """The SweepItems of the given rows (a slice or index array, all by
-        default), in order: c completed to c_0..c_2g, and an exception as
-        the error text "<Type>: <message>", with c and estimate None."""
+        default), in order, each estimate from the method's converter: c
+        completed to c_0..c_2g, and an error as the text "<Type>: <message>",
+        with c and estimate None."""
         ks = self.ks[rows]
         d_coeffs = _monic_rows(self.q, self.degree, ks).tolist()
+        which = self.which[rows].tolist()
+        errors = {j: self.errors[i] for j, i in enumerate(which) if i in self.errors}
+        convert = bisect_estimates if self.method == "bisect" else double_zero_estimates
+        estimates = convert((self.results[which], errors))
         items = []
-        for k, d, i in zip(ks.tolist(), d_coeffs, self.which[rows].tolist()):
-            r, error = self.results[i], None
-            if isinstance(r, Exception):
-                c, r, error = None, None, "%s: %s" % (type(r).__name__, r)
-            else:
-                c = complete_coefficients(self.q, self.c[i])
-            items.append(SweepItem(self.degree, k, tuple(d), c, r, error))
+        for j, (k, d, e) in enumerate(zip(ks.tolist(), d_coeffs, estimates)):
+            error = "%s: %s" % (type(e).__name__, e) if j in errors else None
+            c = None if error else complete_coefficients(self.q, self.c[which[j]])
+            items.append(SweepItem(self.degree, k, tuple(d), c, None if error else e, error))
         return items
 
 
@@ -229,18 +245,18 @@ _memo: dict = {}
 
 def _sweep_chunk(args):
     """Estimates for the squarefree D with indices lo <= k < hi of one degree:
-    (number skipped, SweepBlock), one result per distinct c_0..c_g.
+    (number skipped, SweepBlock), one result row per distinct c_0..c_g.
 
     Every estimator reads D only through (q, c_0..c_g), so each distinct
     L-polynomial is solved once per process and sweep: a key the memo holds
-    reuses its result, and the other keys go to the estimator
-    (lambda_bisect_block or double_zero_block, on their phi_rows array) in
-    one call, of at most SWEEP_SPAN rows; only bisection's repeated-root
-    test reads the completed c_0..c_2g. Memo and block keep each result as
-    the estimator returned it. q and the method are fixed for the memo's
-    lifetime, since sweep_fixed_q empties it at the start. A row's estimate
-    does not depend on the rest of its block, so a reused result is the one
-    a fresh solve gives. The memo keeps the last MEMO_SIZE keys inserted.
+    reuses its result row and error message, and the other keys go to the
+    estimator (lambda_bisect_block or double_zero_block, on their phi_rows
+    array) in one call, of at most SWEEP_SPAN rows; c_0..c_2g is completed
+    only for a row that reaches bisection's repeated-root test. q and the
+    method are fixed for the memo's lifetime, since sweep_fixed_q empties it
+    at the start. A row's result does not depend on the rest of its block,
+    so a reused result is the one a fresh solve gives. The memo keeps the
+    last MEMO_SIZE keys inserted.
     """
     q, degree, lo, hi, method = args
     c_half, squarefree = family_coefficients(q, degree, lo, hi)
@@ -248,18 +264,20 @@ def _sweep_chunk(args):
     distinct, which = np.unique(c_half[squarefree], axis=0, return_inverse=True)
     keys = list(map(tuple, distinct.tolist()))
     # take the hits before inserting: an eviction could drop one of them
-    results = [_memo.get(key) for key in keys]
-    fresh = [i for i, r in enumerate(results) if r is None]
+    entries = [_memo.get(key) for key in keys]  # (result row, error message or None)
+    fresh = [i for i, e in enumerate(entries) if e is None]
     phi = phi_rows(q, distinct[fresh])
     if method == "bisect":
-        solved = lambda_bisect_block(phi, [complete_coefficients(q, keys[i]) for i in fresh])
+        solved, errors = lambda_bisect_block(phi, lambda j: complete_coefficients(q, keys[fresh[j]]))
     else:
-        solved = double_zero_block(phi)
-    for i, r in zip(fresh, solved):
+        solved, errors = double_zero_block(phi)
+    for j, (i, r) in enumerate(zip(fresh, solved.tolist())):
         while len(_memo) >= MEMO_SIZE:
             del _memo[next(iter(_memo))]
-        _memo[keys[i]] = results[i] = r
-    return hi - lo - len(ks), SweepBlock(q, degree, ks, which, keys, results)
+        _memo[keys[i]] = entries[i] = r, errors.get(j)
+    results = np.array([r for r, _ in entries], solved.dtype)
+    errors = {i: m for i, (_, m) in enumerate(entries) if m is not None}
+    return hi - lo - len(ks), SweepBlock(q, degree, method, ks, which, keys, results, errors)
 
 
 def _chunk_tasks(q: int, max_genus: int, method: str, start: tuple):
@@ -334,8 +352,7 @@ def sweep_fixed_q(
                 on_block(block)
             # the block's best is its first row of largest value; rows
             # without a value (an error or no bound) never count
-            values = [None if isinstance(r, Exception) else r.value for r in block.results]
-            values = np.array(values, dtype=float)
+            values = block.results["value"]
             present = values[~np.isnan(values)]
             if not len(present):
                 continue

@@ -133,17 +133,17 @@ def complete_coefficients(q: int, c_half) -> tuple:
 
 def _powers_mod(P: np.ndarray, count: int, q: int) -> np.ndarray:
     """T^i mod P for i < count and every monic row P (ascending, shape
-    (m, d + 1)); returns shape (count, m, d)."""
+    (m, d + 1)); returns shape (count, d, m): out[i, :, j] is T^i mod P_j."""
     m, d = P.shape[0], P.shape[1] - 1
-    out = np.zeros((count, m, d), dtype=np.int64)
-    r = np.zeros((m, d), dtype=np.int64)
-    r[:, 0] = 1
+    out = np.zeros((count, d, m), dtype=np.int64)
+    r = np.zeros((d, m), dtype=np.int64)
+    r[0] = 1
     for i in range(count):
         out[i] = r
-        top = r[:, -1].copy()
-        r = np.roll(r, 1, axis=1)
-        r[:, 0] = 0
-        r = (r - top[:, None] * P[:, :d]) % q
+        top = r[-1].copy()
+        r = np.roll(r, 1, axis=0)
+        r[0] = 0
+        r = (r - top * P[:, :d].T) % q
     return out
 
 
@@ -151,7 +151,7 @@ def _powers_mod(P: np.ndarray, count: int, q: int) -> np.ndarray:
 def _factor_powers(q: int, P: tuple, count: int) -> np.ndarray:
     """_powers_mod for the one monic P, shape (count, d), cached: the small
     irreducible factors recur across the D of one field. Read-only."""
-    powers = _powers_mod(np.array([P]), count, q)[:, 0]
+    powers = _powers_mod(np.array([P]), count, q)[:, :, 0]
     powers.flags.writeable = False
     return powers
 
@@ -239,7 +239,6 @@ def _residue_tables(q: int, degree: int) -> tuple:
     out = []
     for d in range(1, (degree - 1) // 2 + 1):
         R = _powers_mod(_irreducible_array(q, d), degree + 1, q)
-        R = np.ascontiguousarray(R.transpose(0, 2, 1))
         F = _frobenius(q, R[: 2 * d - 1])
         R.flags.writeable = F.flags.writeable = False
         out.append((R, F))

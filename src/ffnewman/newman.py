@@ -29,9 +29,15 @@ nonzero (Phi_n is 0 exactly when c_(g-n) is), and Lambda_D = 0 when L has a
 repeated root, a double zero of Xi_0 (has_repeated_root, by fp_poly's one
 Euclid); both are decided in exact arithmetic, never by search. The block
 routines take arrays: phi, shape (rows, g + 1), from lfunction.phi_rows, and
-for bisection each row's integer c_0..c_2g. They have no side effects; only
-the one-row lambda_bisect warns about a repeated root. The CLI's one
-dataclass walker is the JSON view of these results.
+for bisection a callable giving a row's integer c_0..c_2g, asked only of the
+rows that reach the repeated-root test. They return arrays too: a RESULT
+row per phi row (a KINDS code, the value and the bracket, NaN where there
+is none) and a dict from row to the message of a row that ended in an
+error. A NewmanEstimate is built only where one is handed out, by the
+route's converter (bisect_estimates, double_zero_estimates): in the one-row
+calls and for a sweep row that is expanded. The blocks have no side
+effects; only the one-row lambda_bisect warns about a repeated root. The
+CLI's one dataclass walker is the JSON view of the estimates.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -172,18 +178,49 @@ def all_zeros_real(L: LFunctionData, t: float) -> bool:
     return bool(real[0])
 
 
-# the estimates of every L with at most one nonzero Phi_n, or a repeated root
-_MINUS_INFINITY = NewmanEstimate(
-    kind="minus_infinity",
-    value=float("-inf"),
-    notes="at most one nonzero Fourier coefficient: zeros are real at every t",
-)
-_REPEATED_ROOT = NewmanEstimate(
-    kind="exact",
-    value=0.0,
-    notes="L has a repeated root (exact gcd(L, L')): the double zero of "
-    "Xi_0 forces Lambda_D = 0",
-)
+# the kind codes of a block estimator's result rows: kind KINDS[code] of a
+# NewmanEstimate, or error for a row whose message is in the block's errors
+KINDS = "bisect exact minus_infinity bracket_exhausted double_zero_lower_bound no_bound error".split()
+BISECT, EXACT, MINUS_INFINITY, EXHAUSTED, DOUBLE_ZERO, NO_BOUND, ERROR = range(len(KINDS))
+
+# one result row of a block estimator: kind code, value (NaN: none) and
+# bracket lo, hi (NaN: none)
+RESULT = np.dtype([("kind", np.int8), ("value", float), ("lo", float), ("hi", float)])
+
+# the notes of each kind's estimates; {} is a double-zero bound's point
+_NOTES = {
+    BISECT: "bisection of the all-zeros-real predicate",
+    EXACT: "L has a repeated root (exact gcd(L, L')): the double zero of Xi_0 forces Lambda_D = 0",
+    MINUS_INFINITY: "at most one nonzero Fourier coefficient: zeros are real at every t",
+    EXHAUSTED: "predicate never failed above the floor: Lambda_D <= %g" % BRACKET_FLOOR,
+    DOUBLE_ZERO: "largest positive root of the degree-g^2 double-zero polynomial at {}",
+    NO_BOUND: "double-zero polynomial at {} has no positive real root",
+}
+
+
+def _estimates(block, tol: dict, where: str = "") -> list:
+    """Per row of a block result (out, errors): the NumericalError of its
+    message, or its NewmanEstimate, with tol[kind] (None if absent) and the
+    kind's notes at point where. A NaN value is None, a NaN lo no bracket."""
+    out, errors = block
+    return [
+        NumericalError(errors[i]) if i in errors else NewmanEstimate(
+            KINDS[k], None if math.isnan(v) else v, None if math.isnan(lo) else (lo, hi),
+            tol.get(k), _NOTES[k].format(where))
+        for i, (k, v, lo, hi) in enumerate(out.tolist())
+    ]
+
+
+def bisect_estimates(block, tol_t: float = 1e-10) -> list:
+    """The converter of lambda_bisect_block(..., tol_t)'s result: per row its
+    NewmanEstimate, or the NumericalError of its message."""
+    return _estimates(block, {BISECT: tol_t, EXHAUSTED: tol_t})
+
+
+def double_zero_estimates(block, at_pi: bool = False) -> list:
+    """The converter of double_zero_block(..., at_pi)'s result: per row its
+    NewmanEstimate, or the NumericalError of its message."""
+    return _estimates(block, {DOUBLE_ZERO: 1e-12}, "x=pi" if at_pi else "x=0")
 
 
 def check_tol(tol_t: float) -> None:
@@ -268,58 +305,52 @@ def _ask(phi: np.ndarray, asks: list) -> list:
     return [errors.get(i, v) for i, v in enumerate(real.tolist())]
 
 
-def _bisected(end, c, tol_t: float):
-    """The terminal rule of a row, c its c_0..c_2g. end is its final bracket
-    (lo, hi), (NaN, NaN) if not all-real at t = 0, None if all-real at
-    BRACKET_FLOOR (bracket_exhausted), or a solver error message. No
-    all-real time below -2 tol_t and a repeated root of L is kind exact,
-    value 0, without a warning; else false at t = 0 is a NumericalError."""
+def _bisected(end, repeated, tol_t: float):
+    """The terminal rule of a row: its RESULT row, or its error message. end
+    is its final bracket (lo, hi), (NaN, NaN) if not all-real at t = 0, None
+    if all-real at BRACKET_FLOOR (bracket_exhausted), or a solver error
+    message; repeated() is the row's exact repeated-root test. No all-real
+    time below -2 tol_t and a repeated root of L is kind exact, value 0,
+    without a warning; else false at t = 0 is an error."""
     if isinstance(end, str):
-        return NumericalError(end)
+        return end
     if end is None:
-        return NewmanEstimate(
-            kind="bracket_exhausted",
-            value=BRACKET_FLOOR,
-            bracket=(BRACKET_FLOOR, BRACKET_FLOOR),
-            tol=tol_t,
-            notes="predicate never failed above the floor: Lambda_D <= %g" % BRACKET_FLOOR,
-        )
+        return EXHAUSTED, BRACKET_FLOOR, BRACKET_FLOOR, BRACKET_FLOOR
     lo, hi = end
-    if not hi < -2.0 * tol_t and has_repeated_root(c):
-        return _REPEATED_ROOT
+    if not hi < -2.0 * tol_t and repeated():
+        return EXACT, 0.0, math.nan, math.nan
     if math.isnan(hi):
-        return NumericalError("zeros of Xi_0 not all real; numerical breakdown")
-    return NewmanEstimate(
-        kind="bisect",
-        value=0.5 * (lo + hi),
-        bracket=end,
-        tol=tol_t,
-        notes="bisection of the all-zeros-real predicate",
-    )
+        return "zeros of Xi_0 not all real; numerical breakdown"
+    return BISECT, 0.5 * (lo + hi), lo, hi
 
 
-def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
-    """lambda_bisect for every row of phi (Phi_0..Phi_g), c[i] row i's
-    c_0..c_2g: per row its estimate or its exception. A row with at most one
-    nonzero Phi_n is minus_infinity; the rest are asked the predicate at
-    t = 0 in one call. A row all-real there runs its path (_bisect_path;
-    tol_t positive and finite, else ValueError) by comparison with its
-    collision time t* (_collision_times, from that call's roots): all-real
-    at t > t*, which a NaN t* never is. One call then asks the predicate at
-    each final lo and each hi < 0. It is monotone, so false at lo and true
-    at hi make the bracket plain bisection's, bit for bit; false at both
-    with a repeated root of L ends exact. The rest bisect plainly, one call
-    per round, each resuming its path's state after its answer.
+def lambda_bisect_block(phi: np.ndarray, coefficients, tol_t: float = 1e-10) -> tuple:
+    """lambda_bisect for every row of phi (Phi_0..Phi_g): (out, errors), out
+    a RESULT array of each row's kind code, value and bracket, and errors
+    the dict from row to the message of a row that ended in an error (kind
+    error). coefficients(i) is row i's c_0..c_2g, asked only of a row that
+    reaches the exact repeated-root test, which runs at most once. A row
+    with at most one nonzero Phi_n is minus_infinity; the rest are asked the
+    predicate at t = 0 in one call. A row all-real there runs its path
+    (_bisect_path; tol_t positive and finite, else ValueError) by comparison
+    with its collision time t* (_collision_times, from that call's roots):
+    all-real at t > t*, which a NaN t* never is. One call then asks the
+    predicate at each final lo and each hi < 0. It is monotone, so false at
+    lo and true at hi make the bracket plain bisection's, bit for bit; false
+    at both with a repeated root of L ends exact. The rest bisect plainly,
+    one call per round, each resuming its path's state after its answer.
+    bisect_estimates converts the result.
     """
     check_tol(tol_t)
     live = np.count_nonzero(phi, axis=1) > 1
-    out = [None if v else _MINUS_INFINITY for v in live.tolist()]
+    out = np.array([(MINUS_INFINITY, -math.inf, math.nan, math.nan)] * len(phi), RESULT)
     rows, phi = np.nonzero(live)[0].tolist(), phi[live]
     if not rows:
-        return out
-    real, u, errors = _real_rows(phi, np.zeros(len(rows)))
+        return out, {}
+    repeated = lru_cache(maxsize=None)(lambda j: has_repeated_root(coefficients(rows[j])))
+    real, u, failed = _real_rows(phi, np.zeros(len(rows)))
     # row -> what _bisected ends it with (or, for a plain row, its next time)
-    ends = {j: errors.get(j, (math.nan, math.nan)) for j in np.nonzero(~real)[0].tolist()}
+    ends = {j: failed.get(j, (math.nan, math.nan)) for j in np.nonzero(~real)[0].tolist()}
     with np.errstate(all="ignore"):
         guided = zip(np.nonzero(real)[0].tolist(), _collision_times(phi[real], u).tolist())
     paths = {j: _bisect_path(star.__lt__, tol_t, [-1.0, -1.0, 0.0, True]) for j, star in guided}
@@ -329,7 +360,7 @@ def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
         checked = [answers.get((j, t), True) for t in path or ()]
         if checked == [False, True]:
             ends[j] = path
-        elif checked == [False, False] and has_repeated_root(c[rows[j]]):
+        elif checked == [False, False] and repeated(j):
             ends[j] = path[1], 0.0  # all-real only at t = 0: exact
     plain = {j: [-1.0, -1.0, 0.0, True] for j in paths if j not in ends}  # row -> path state
     while plain:
@@ -337,9 +368,11 @@ def lambda_bisect_block(phi: np.ndarray, c, tol_t: float = 1e-10) -> list:
         for (j, t), ans in zip(asks, _ask(phi, asks)):
             ends[j] = ans if isinstance(ans, str) else _bisect_path({t: ans}.get, tol_t, plain[j])
         plain = {j: state for j, state in plain.items() if isinstance(ends[j], float)}
-    for j, end in ends.items():
-        out[rows[j]] = _bisected(end, c[rows[j]], tol_t)
-    return out
+    ended = {rows[j]: _bisected(end, partial(repeated, j), tol_t) for j, end in ends.items()}
+    errors = {i: e for i, e in ended.items() if isinstance(e, str)}
+    ended.update(dict.fromkeys(errors, (ERROR, math.nan, math.nan, math.nan)))
+    out[list(ended)] = list(ended.values())
+    return out, errors
 
 
 def lambda_bisect(L: LFunctionData, tol_t: float = 1e-10) -> NewmanEstimate:
@@ -349,10 +382,10 @@ def lambda_bisect(L: LFunctionData, tol_t: float = 1e-10) -> NewmanEstimate:
     some t < 0 (in-scope constants are O(0.1)); BRACKET_FLOOR is a safety
     net. A repeated root of L also warns here, naming the caller.
     """
-    (e,) = lambda_bisect_block(np.array([L.phi]), [L.c], tol_t)
+    (e,) = bisect_estimates(lambda_bisect_block(np.array([L.phi]), lambda i: L.c, tol_t), tol_t)
     if isinstance(e, Exception):
         raise e
-    if e is _REPEATED_ROOT:
+    if e.kind == "exact":
         warnings.warn(
             "Xi_0 has an exact double zero (a repeated root of L) for D=%s over "
             "F_%d: Lambda_D = 0" % (L.D, L.q),
@@ -497,12 +530,14 @@ def _largest_positive_roots(a: np.ndarray):
     return np.where(largest < np.inf, largest, np.nan), ok
 
 
-def double_zero_block(phi: np.ndarray, at_pi: bool = False) -> list:
+def double_zero_block(phi: np.ndarray, at_pi: bool = False) -> tuple:
     """double_zero_lower_bound for every row of phi (Phi_0..Phi_g), in
-    lockstep. The double-zero polynomial is sum_n a_n y^(n^2) with a_0 =
-    Phi_0, a_n = 2 Phi_n, odd n negated at x = pi. Returns, per row, its
-    NewmanEstimate, or a NumericalError for a row that is not finite or
-    would overflow.
+    lockstep: (out, errors), out a RESULT array of each row's kind code and
+    value (log of the largest positive root; no bracket), and errors the
+    dict from row to the message of a row that is not finite or would
+    overflow (kind error). The double-zero polynomial is sum_n a_n y^(n^2)
+    with a_0 = Phi_0, a_n = 2 Phi_n, odd n negated at x = pi.
+    double_zero_estimates converts the result.
     """
     a = np.array(phi, dtype=float)
     a[:, 1:] *= 2.0
@@ -510,29 +545,13 @@ def double_zero_block(phi: np.ndarray, at_pi: bool = False) -> list:
         a[:, 1::2] *= -1.0
     with np.errstate(all="ignore"):
         largest, ok = _largest_positive_roots(a)
-    where = "x=pi" if at_pi else "x=0"
-    # the estimates of a block share their notes strings
-    none = NewmanEstimate(
-        kind="no_bound",
-        value=None,
-        notes="double-zero polynomial at %s has no positive real root" % where,
-    )
-    notes = "largest positive root of the degree-g^2 double-zero polynomial at %s" % where
-    out = []
-    for y, solved in zip(largest.tolist(), ok.tolist()):
-        if not solved:
-            out.append(
-                NumericalError("double-zero polynomial is not finite or would overflow")
-            )
-        elif math.isnan(y):
-            out.append(none)
-        else:
-            out.append(
-                NewmanEstimate(
-                    kind="double_zero_lower_bound", value=math.log(y), tol=1e-12, notes=notes
-                )
-            )
-    return out
+    out = np.empty(len(a), RESULT)
+    out["kind"] = np.where(ok, np.where(np.isnan(largest), NO_BOUND, DOUBLE_ZERO), ERROR)
+    # NaN where unsolved; math.log, as np.log can differ in the last bit
+    out["value"] = list(map(math.log, largest.tolist()))
+    out["lo"] = out["hi"] = math.nan
+    bad = np.flatnonzero(~ok).tolist()
+    return out, dict.fromkeys(bad, "double-zero polynomial is not finite or would overflow")
 
 
 def double_zero_lower_bound(L: LFunctionData, at_pi: bool = False) -> NewmanEstimate:
@@ -550,7 +569,7 @@ def double_zero_lower_bound(L: LFunctionData, at_pi: bool = False) -> NewmanEsti
     (alternating signs); it is an extra, not part of the published table.
     This is the one-row case of double_zero_block.
     """
-    (e,) = double_zero_block(np.array([L.phi]), at_pi)
+    (e,) = double_zero_estimates(double_zero_block(np.array([L.phi]), at_pi), at_pi)
     if isinstance(e, Exception):
         raise e
     return e

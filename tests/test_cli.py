@@ -28,7 +28,7 @@ from ffnewman.cli import (
 from ffnewman.families import F3_GENUS_SERIES, MAX_WORKERS, SweepItem, sato_tate_sweep, sweep_fixed_q
 from ffnewman.fp_poly import FpPolynomial
 from ffnewman.lfunction import build_lfunction
-from ffnewman.newman import double_zero_lower_bound
+from ffnewman.newman import ERROR, double_zero_lower_bound
 
 TABLE_C = {
     1: "1,-3",
@@ -789,8 +789,10 @@ def test_block_writer_prints_error_lines_after_their_rows(monkeypatch, tmp_path,
     block = getattr(families, name)
 
     def failing(phi, *rest):
-        solved = block(phi, *rest)
-        return [ArithmeticError("row %d" % i) if i % 3 == 0 else r for i, r in enumerate(solved)]
+        out, errors = block(phi, *rest)
+        errors = {**errors, **{i: "row %d" % i for i in range(0, len(out), 3)}}
+        out[list(errors)] = ERROR, math.nan, math.nan, math.nan
+        return out, errors
 
     monkeypatch.setattr(families, name, failing)
     expect = oracle_sweep_body(5, 2, method)

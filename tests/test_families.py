@@ -3,11 +3,12 @@
 import math
 import warnings
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from ffnewman import families
+from ffnewman import families, newman
 from ffnewman.families import (
     F3_GENUS_SERIES,
     BadReduction,
@@ -33,8 +34,14 @@ from ffnewman.lfunction import (
     phi_rows,
 )
 from ffnewman.newman import (
+    ERROR,
+    RESULT,
+    NewmanEstimate,
+    bisect_estimates,
     double_zero_block,
+    double_zero_estimates,
     double_zero_lower_bound,
+    has_repeated_root,
     lambda_bisect,
     lambda_bisect_block,
 )
@@ -632,6 +639,28 @@ def test_sweep_builds_no_per_row_objects(monkeypatch, max_genus, method, one_row
         for item in items:
             L = build_lfunction(3, FpPolynomial(item.d_coeffs, 3))
             assert (item.c, item.estimate) == (L.c, one_row(L)), item
+    # with no on_block, a NewmanEstimate is built only for a best (one per
+    # SweepItem), and c_0..c_2g is completed only for a best and for a row
+    # that reaches bisection's exact repeated-root test
+    counts = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    with monkeypatch.context() as m:
+        for cls in (NewmanEstimate, families.SweepItem):
+            m.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+        m.setattr(families, "complete_coefficients", counting("complete", complete_coefficients))
+        m.setattr(newman, "has_repeated_root", counting("repeated", has_repeated_root))
+        assert sweep_fixed_q(3, max_genus, method=method, workers=1) == report
+    tasks = len(list(families._chunk_tasks(3, max_genus, method, (3, 0))))
+    assert 0 < counts["NewmanEstimate"] == counts["SweepItem"] <= tasks
+    assert counts["complete"] == counts["repeated"] + counts["SweepItem"]
+    assert counts["repeated"] < len({it.c for it in items}) / 4
 
 
 def one_row_solve(method, q, c_half):
@@ -640,42 +669,63 @@ def one_row_solve(method, q, c_half):
     c = complete_coefficients(q, c_half)
     phi = phi_rows(q, [c_half])
     if method == "bisect":
-        (r,) = lambda_bisect_block(phi, [c])
+        (r,) = bisect_estimates(lambda_bisect_block(phi, [c].__getitem__))
     else:
-        (r,) = double_zero_block(phi)
+        (r,) = double_zero_estimates(double_zero_block(phi))
     if isinstance(r, Exception):
         return None, None, "%s: %s" % (type(r).__name__, r)
     return c, r, None
 
 
-@pytest.mark.parametrize("method", ["double_zero", "bisect"])
-def test_sweep_keeps_each_result_as_the_estimator_returned_it(monkeypatch, method):
-    # the memo and each block hold the estimator's own objects, an exception
-    # included; only a SweepItem names an error as "<Type>: <message>"
-    name = "lambda_bisect_block" if method == "bisect" else "double_zero_block"
-    block = getattr(families, name)
-    returned = []
+def inject_errors(solve):
+    """The block estimator solve with every third row of each call made an
+    error, with message "row <i>" (kind error, value and bracket NaN)."""
 
     def failing(phi, *rest):
-        solved = block(phi, *rest)
-        solved = [ArithmeticError("row %d" % i) if i % 3 == 0 else r for i, r in enumerate(solved)]
-        returned.extend(solved)
-        return solved
+        out, errors = solve(phi, *rest)
+        errors = {**errors, **{i: "row %d" % i for i in range(0, len(out), 3)}}
+        out[list(errors)] = ERROR, math.nan, math.nan, math.nan
+        return out, errors
 
-    monkeypatch.setattr(families, name, failing)
+    return failing
+
+
+@pytest.mark.parametrize("method", ["double_zero", "bisect"])
+def test_sweep_keeps_each_result_as_the_estimator_returned_it(monkeypatch, method):
+    # the memo and each block hold the estimator's own result rows and
+    # messages, an error included; only a SweepItem names an error as
+    # "<Type>: <message>", from the method's converter
+    name = "lambda_bisect_block" if method == "bisect" else "double_zero_block"
+    failing = inject_errors(getattr(families, name))
+    returned = {}  # Phi row -> (result row bytes, message)
+
+    def recording(phi, *rest):
+        out, errors = failing(phi, *rest)
+        for i, (p, r) in enumerate(zip(phi.tolist(), out)):
+            returned[tuple(p)] = r.tobytes(), errors.get(i)
+        return out, errors
+
+    monkeypatch.setattr(families, name, recording)
     blocks = []
     sweep_fixed_q(5, 2, method=method, on_block=blocks.append)
-    ids = {id(r) for r in returned}
-    held = list(families._memo.values()) + [r for b in blocks for r in b.results]
-    assert held and all(id(r) in ids for r in held)
-    assert any(isinstance(r, ArithmeticError) for r in held)
+
+    def held(key, row, message):
+        assert returned[tuple(phi_rows(5, [key])[0].tolist())] == (row.tobytes(), message)
+
+    for key, (row, message) in families._memo.items():
+        held(key, np.array(row, RESULT), message)
+    assert any(b.errors for b in blocks)
+    convert = bisect_estimates if method == "bisect" else double_zero_estimates
     for b in blocks:
+        for i, key in enumerate(b.c):
+            held(key, b.results[i], b.errors.get(i))
         for item, i in zip(b.items(), b.which.tolist()):
-            r = b.results[i]
-            if isinstance(r, Exception):
-                assert (item.c, item.estimate, item.error) == (None, None, "ArithmeticError: %s" % r)
+            if i in b.errors:
+                error = "NumericalError: %s" % b.errors[i]
+                assert (item.c, item.estimate, item.error) == (None, None, error)
             else:
-                assert item.estimate is r and item.error is None and item.c[: len(b.c[i])] == b.c[i]
+                (e,) = convert((b.results[i : i + 1], {}))
+                assert item.estimate == e and item.error is None and item.c[: len(b.c[i])] == b.c[i]
 
 
 @pytest.mark.parametrize("q,max_genus,method", [(5, 2, "bisect"), (3, 3, "double_zero")])
@@ -803,7 +853,8 @@ def test_sweep_block_rows_expand_alone_as_together():
 
 def test_sweep_completes_coefficients_at_most_once_per_task(monkeypatch):
     # entries carry c_0..c_g; c_0..c_2g is built only for a best (at most one
-    # per task) and for the fresh keys of a bisect task
+    # per task) and, in a bisect task, for a row that reaches the exact
+    # repeated-root test
     calls = []
     complete = families.complete_coefficients
 

@@ -32,7 +32,9 @@ from ffnewman.lfunction import (
 from ffnewman.newman import (
     NewmanEstimate,
     all_zeros_real,
+    bisect_estimates,
     double_zero_block,
+    double_zero_estimates,
     double_zero_lower_bound,
     has_repeated_root,
     lambda_bisect,
@@ -435,7 +437,7 @@ def test_only_the_one_row_bisection_warns_and_names_its_caller():
     L = build_lfunction(5, P([0, 1, 0, 0, 0, 1], 5))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        (block,) = lambda_bisect_block(np.array([L.phi]), [L.c])
+        (block,) = bisect_estimates(lambda_bisect_block(np.array([L.phi]), [L.c].__getitem__))
     assert caught == []
     assert (block.kind, block.value) == ("exact", 0.0)
     with pytest.warns(UserWarning, match="^Xi_0 has an exact double zero") as record:
@@ -458,7 +460,9 @@ def test_bisect_block_equals_per_row_bit_for_bit(q, degree, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         monkeypatch.setattr(newman, "_real_rows", counted)
-        block = lambda_bisect_block(np.array([L.phi for L in Ls]), [L.c for L in Ls])
+        block = bisect_estimates(
+            lambda_bisect_block(np.array([L.phi for L in Ls]), [L.c for L in Ls].__getitem__)
+        )
         monkeypatch.undo()
         # the predicate traffic: one call at t = 0, one for the guided
         # rows' final ends, then one per round of plain bisection. A guided
@@ -490,7 +494,7 @@ def test_bisect_block_solves_each_row_at_t0_once(monkeypatch):
     monkeypatch.setattr(newman, "_colleague_roots", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        lambda_bisect_block(np.array([L.phi for L in Ls]), [L.c for L in Ls])
+        lambda_bisect_block(np.array([L.phi for L in Ls]), [L.c for L in Ls].__getitem__)
     live = sum(np.count_nonzero(L.phi) > 1 for L in Ls)
     assert sum(solved) == live == 80
 
@@ -531,7 +535,8 @@ def guided_run(Ls, monkeypatch, tol_t=1e-10, collision=None):
             m.setattr(newman, "_collision_times", collision)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            out = lambda_bisect_block(np.array([L.phi for L in Ls]), [L.c for L in Ls], tol_t)
+            phi, cs = np.array([L.phi for L in Ls]), [L.c for L in Ls]
+            out = bisect_estimates(lambda_bisect_block(phi, cs.__getitem__, tol_t), tol_t)
     assert plain[1] <= 2 * plain[0]
     return out, asked, sum(traffic)
 
@@ -577,7 +582,15 @@ def test_guided_bisection_falls_back_from_a_wrong_collision_time(shift, monkeypa
         ]
     else:
         Ls = family(5, 5)
-    got, asked, traffic = guided_run(Ls, monkeypatch, collision=wrong if shift else None)
+    repeated = Counter()  # c -> exact repeated-root tests of the guided run
+
+    def counted(c):
+        repeated[c] += 1
+        return has_repeated_root(c)
+
+    with monkeypatch.context() as m:
+        m.setattr(newman, "has_repeated_root", counted)
+        got, asked, traffic = guided_run(Ls, monkeypatch, collision=wrong if shift else None)
     plain, _, _ = guided_run(Ls, monkeypatch, collision=unguided)
     assert got == plain
     live = [L for L in Ls if np.count_nonzero(L.phi) > 1]
@@ -586,6 +599,7 @@ def test_guided_bisection_falls_back_from_a_wrong_collision_time(shift, monkeypa
     if shift is None:
         assert [(e.kind, e.value) for e in got] == [("exact", 0.0)] * 2
         assert traffic == 2 * 3
+        assert repeated == {L.c: 1 for L in Ls}
 
 
 def test_guided_bisection_at_a_wide_tol_needs_no_fallback(monkeypatch):
@@ -620,7 +634,7 @@ def test_guided_row_asks_the_predicate_at_most_three_times(q, degree, monkeypatc
         return real_rows(phi, t)
 
     monkeypatch.setattr(newman, "_real_rows", spy)
-    lambda_bisect_block(phi, [L.c for L in Ls])
+    lambda_bisect_block(phi, [L.c for L in Ls].__getitem__)
     guided = [L.phi for L, v in zip(Ls, tstar.tolist()) if not math.isnan(v)]
     assert len(guided) > len(Ls) / 2
     assert max(asked[p] for p in guided) <= 3
@@ -651,7 +665,7 @@ def test_bisect_block_brackets_equal_plain_bisection(q, degree, no_tstar):
     # guess of a row without one, ends on the oracle's bracket bit for bit
     Ls = [L for L in {L.c: L for L in family(q, degree)}.values() if np.count_nonzero(L.phi) > 1]
     phi = np.array([L.phi for L in Ls])
-    block = lambda_bisect_block(phi, [L.c for L in Ls])
+    block = bisect_estimates(lambda_bisect_block(phi, [L.c for L in Ls].__getitem__))
     real, u, _ = newman._real_rows(phi, np.zeros(len(Ls)))
     with np.errstate(all="ignore"):
         tstar = dict(zip(np.nonzero(real)[0].tolist(), newman._collision_times(phi[real], u)))
@@ -660,6 +674,19 @@ def test_bisect_block_brackets_equal_plain_bisection(q, degree, no_tstar):
     assert sum(math.isnan(tstar[i]) for i in bisected) == no_tstar
     for i in bisected:
         assert block[i].bracket == plain_bisection(Ls[i]), (Ls[i].D, block[i])
+
+
+def test_bisect_block_kinds_count_from_its_arrays():
+    # one bincount of the kind column counts the rows of each kind, as the
+    # converter's estimates name them, over every distinct c_0..c_3 of (3, 7)
+    Ls = list({L.c: L for L in family(3, 7)}.values())
+    cs = [L.c for L in Ls]
+    out, errors = lambda_bisect_block(np.array([L.phi for L in Ls]), cs.__getitem__)
+    counts = np.bincount(out["kind"], minlength=len(newman.KINDS))
+    kinds = Counter(e.kind for e in bisect_estimates((out, errors)))
+    assert dict(zip(newman.KINDS, counts.tolist())) == {k: kinds[k] for k in newman.KINDS}
+    assert kinds["bisect"] == 215 and kinds["exact"] > 0 and kinds["minus_infinity"] > 0
+    assert errors == {}
 
 
 def test_bisect_block_checks_a_row_without_tstar_with_the_guided_rows(monkeypatch):
@@ -680,7 +707,8 @@ def test_bisect_block_checks_a_row_without_tstar_with_the_guided_rows(monkeypatc
         return real_rows(phi, t)
 
     monkeypatch.setattr(newman, "_real_rows", counted)
-    block = lambda_bisect_block(phi, [complete_coefficients(3, k) for k in keys.tolist()])
+    cs = [complete_coefficients(3, k) for k in keys.tolist()]
+    block = bisect_estimates(lambda_bisect_block(phi, cs.__getitem__))
     monkeypatch.undo()
     assert (len(calls), sum(calls)) == (2, 5011)
     live = np.nonzero(np.count_nonzero(phi, axis=1) > 1)[0]
@@ -697,7 +725,8 @@ def test_bisect_block_isolates_a_bad_row():
     under = dataclasses.replace(L, phi=(L.phi[0], L.phi[1], 1e-320))
     variant = build_lfunction(5, P(D_VARIANT, 5))
     rows = [L, over, variant, under]
-    out = lambda_bisect_block(np.array([r.phi for r in rows]), [r.c for r in rows])
+    phi, cs = np.array([r.phi for r in rows]), [r.c for r in rows]
+    out = bisect_estimates(lambda_bisect_block(phi, cs.__getitem__))
     assert out[0] == lambda_bisect(L)
     assert out[2] == lambda_bisect(variant)
     assert isinstance(out[1], NumericalError)
@@ -724,11 +753,15 @@ def test_bisect_block_terminal_rules():
     assert not all_zeros_real(nonic, 0.0)
     assert all_zeros_real(quintic, 0.0)
 
-    g1 = lambda_bisect_block(np.array([cubic.phi, (1e-30, 1.0)]), [cubic.c] * 2)
-    (g4,) = lambda_bisect_block(np.array([nonic.phi]), [nonic.c])
-    g2 = lambda_bisect_block(
-        np.array([quintic.phi, (10.0, 1.0, 1.0), over, under, L.phi]),
-        [quintic.c] + [L.c] * 4,
+    g1 = bisect_estimates(
+        lambda_bisect_block(np.array([cubic.phi, (1e-30, 1.0)]), ([cubic.c] * 2).__getitem__)
+    )
+    (g4,) = bisect_estimates(lambda_bisect_block(np.array([nonic.phi]), [nonic.c].__getitem__))
+    g2 = bisect_estimates(
+        lambda_bisect_block(
+            np.array([quintic.phi, (10.0, 1.0, 1.0), over, under, L.phi]),
+            ([quintic.c] + [L.c] * 4).__getitem__,
+        )
     )
     assert g1[0].kind == "minus_infinity" and g1[0].value == float("-inf")
     assert (g1[1].kind, g1[1].value, g1[1].bracket) == (
@@ -796,7 +829,7 @@ def dense_double_zero_oracle(L, at_pi):
 @pytest.mark.parametrize("at_pi", [False, True])
 def test_double_zero_block_equals_per_row_bit_for_bit(q, degree, at_pi):
     Ls = family(q, degree)
-    block = double_zero_block(np.array([L.phi for L in Ls]), at_pi)
+    block = double_zero_estimates(double_zero_block(np.array([L.phi for L in Ls]), at_pi), at_pi)
     for L, got in zip(Ls, block):
         assert got == double_zero_lower_bound(L, at_pi), (L.D, got)
     assert {e.kind for e in block} == {"double_zero_lower_bound", "no_bound"}
@@ -806,7 +839,8 @@ def test_double_zero_block_equals_per_row_bit_for_bit(q, degree, at_pi):
 @pytest.mark.parametrize("at_pi", [False, True])
 def test_double_zero_matches_dense_roots_oracle(q, degree, at_pi):
     Ls = family(q, degree)
-    for L, e in zip(Ls, double_zero_block(np.array([L.phi for L in Ls]), at_pi)):
+    block = double_zero_estimates(double_zero_block(np.array([L.phi for L in Ls]), at_pi), at_pi)
+    for L, e in zip(Ls, block):
         kind, y = dense_double_zero_oracle(L, at_pi)
         assert e.kind == kind, (L.D, e, y)
         if y is not None:
@@ -841,7 +875,7 @@ def test_double_zero_block_isolates_rows_it_cannot_solve():
     L = L_main()
     inf = dataclasses.replace(L, phi=(L.phi[0], math.inf, L.phi[2]))
     tiny = dataclasses.replace(L, phi=(L.phi[0], L.phi[1], 1e-150))
-    out = double_zero_block(np.array([inf.phi, L.phi, tiny.phi]))
+    out = double_zero_estimates(double_zero_block(np.array([inf.phi, L.phi, tiny.phi])))
     assert out[1] == double_zero_lower_bound(L)
     for bad, e in ((inf, out[0]), (tiny, out[2])):
         assert isinstance(e, NumericalError)
