@@ -261,7 +261,11 @@ def _sweep_chunk(args):
     q, degree, lo, hi, method = args
     c_half, squarefree = family_coefficients(q, degree, lo, hi)
     ks = np.flatnonzero(squarefree) + lo
-    distinct, which = np.unique(c_half[squarefree], axis=0, return_inverse=True)
+    rows = c_half[squarefree]
+    order = np.lexsort(rows.T[::-1])  # by c_0, then c_1, ...: np.unique's order
+    # a key starts at each sorted row unlike the one before (an empty task has none)
+    new = np.r_[True, (np.diff(rows[order], axis=0) != 0).any(axis=1)][: len(rows)]
+    distinct, which = rows[order][new], (np.cumsum(new) - 1)[np.argsort(order)]
     keys = list(map(tuple, distinct.tolist()))
     # take the hits before inserting: an eviction could drop one of them
     entries = [_memo.get(key) for key in keys]  # (result row, error message or None)

@@ -1,9 +1,10 @@
 """Prime-field helpers for F_p, p an odd prime: primality, the modulus check,
 and the Legendre symbol by two routes that the tests cross-check:
-legendre_table, the one square-marking table (read by the character kernel
-and the Sato-Tate point count), and legendre_int, Euler's criterion for one
-scalar, run by the reciprocity ladder only (Sato-Tate lanes use _pow_lanes).
-Elements of F_p are plain ints in [0, p); fp_poly's kernels reduce results."""
+legendre_table, the one square-marking table of F_p (read by the
+enumeration oracle's Euler kernel and the Sato-Tate point count), and
+legendre_int, Euler's criterion for one scalar, run by the reciprocity
+ladder only (Sato-Tate lanes use _pow_lanes). Elements of F_p are plain
+ints in [0, p); fp_poly's kernels reduce results."""
 
 from __future__ import annotations
 

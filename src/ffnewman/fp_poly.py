@@ -9,8 +9,9 @@ empty tuple): _mod_monic, the reciprocity ladder's inner loop in the
 character module; _gcd, the one Euclid (monic divisors over F_p,
 pseudo-division over Q), run by gcd, is_squarefree (gcd(D, D')) and
 newman.has_repeated_root; _factorize_monic, trial division, the one factoring
-kernel, run by is_irreducible and the enumeration oracle of the lfunction
-module (_chi_rows). Last come the deterministic enumeration of monic
+kernel, run by is_irreducible (which picks the modulus of each field of the
+lfunction module's root tables) and by that module's enumeration oracle
+(_chi_rows). Last come the deterministic enumeration of monic
 polynomials and the monic irreducibles of each degree (the primes of the
 explicit formula).
 """

@@ -21,21 +21,28 @@ call a zero real when its |Im x| is at most REAL_TOL.
 The exact integers c_0..c_g come from the explicit formula: chi_D(P) at the
 monic irreducible P of degree d <= g gives the power sums S_k, and Newton's
 identities give the c_n (_newton_coefficients). build_lfunction runs it for
-one D, family_coefficients for a whole index range of D at once; both reduce
-D mod every P through one table of T^i mod P (_residue_tables), a range
-through its high/low digit split (_split_tables), and take chi_D(P) from one
-kernel (_euler_values: the norm to F_q, read off finite_field.legendre_table),
-for a range through per-P tables (_chi_tables). A range reads those and the
-split from one cached builder per (q, degree), family_tables, which a fixed-q
-sweep calls before it forks. The tests check both routes against the
-reciprocity ladder quad_character.chi summed over the same P, and against the
-enumeration oracle enumerated_coefficients, c_n as the sum of chi_D over every
-monic f of degree n, with dirichlet_coefficients, its c_0..c_g completed by
-the integer functional equation c_(g+n) = q^n c_(g-n). The oracle's characters
-come from _chi_rows, which factors D and applies _euler_values at each factor.
-The ladder takes Euler's criterion of a scalar (legendre_int), not the table,
-so it shares no code with any of them: it is the independent check of that
-kernel. The JSON view of this data is the CLI's.
+one D, family_coefficients for a whole index range of D at once. Both take
+chi_D(P) as chi(D(theta_P)), with theta_P a root of P in F_(q^d) and chi
+the quadratic character of that field, times the reciprocity sign: per
+(q, d) one model F_q[T]/(P0) holds chi, marked from the squares of all its
+elements, and one root of each P, the least element of each Frobenius orbit
+of size d (_field_tables); per (q, deg D) a table of the roots' powers
+(_root_powers) turns D(theta_P) into one matmul (_root_values). A range
+reads D mod P from the high/low digit split of T^i mod P (_split_tables)
+and chi_D(P) from per-P tables, the character at r(theta_P) for every
+residue r (_chi_tables), both from one cached builder per (q, degree),
+family_tables, which a fixed-q sweep calls before it forks. The tests check
+both routes against the reciprocity ladder quad_character.chi summed over
+the same P, and against the enumeration oracle enumerated_coefficients, c_n
+as the sum of chi_D over every monic f of degree n, with
+dirichlet_coefficients, its c_0..c_g completed by the integer functional
+equation c_(g+n) = q^n c_(g-n). The oracle's characters come from
+_chi_rows, which factors D and applies Euler's criterion through the norm
+(_euler_values, with _frobenius) at each factor: a kernel that runs on
+neither route, which share with it only the enumeration helpers (_digits),
+T^i mod P (_powers_mod) and the product mod P (_mulmod). The ladder takes
+Euler's criterion of a scalar (legendre_int), so it shares no code with any
+of them. The JSON view of this data is the CLI's.
 """
 
 from __future__ import annotations
@@ -49,12 +56,16 @@ import numpy as np
 
 from .finite_field import check_odd_prime, legendre_table
 from .fp_poly import FpPolynomial, _digits, _factorize_monic, _irreducible_array, _monic_array
-from .fp_poly import is_squarefree
+from .fp_poly import is_irreducible, is_squarefree, monic_by_index
 from .quad_character import _validate_modulus
 
 # discriminants per block of family_coefficients; bounds its working arrays
 # (a fixed-q sweep task spans several blocks: families.SWEEP_SPAN)
 FAMILY_CHUNK = 256
+
+# field elements, or roots times residues, per step of the root tables
+# (_field_tables, _root_powers, _root_values); bounds their int64 temporaries
+FIELD_CHUNK = 1 << 16
 
 # a zero x of Xi_t is real when |Im x| <= REAL_TOL
 REAL_TOL = 1e-9
@@ -147,25 +158,18 @@ def _powers_mod(P: np.ndarray, count: int, q: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1024)
-def _factor_powers(q: int, P: tuple, count: int) -> np.ndarray:
-    """_powers_mod for the one monic P, shape (count, d), cached: the small
-    irreducible factors recur across the D of one field. Read-only."""
-    powers = _powers_mod(np.array([P]), count, q)[:, :, 0]
-    powers.flags.writeable = False
-    return powers
-
-
 def _chi_rows(q: int, D: FpPolynomial, top: int) -> tuple:
     """chi_D(f) for every monic f of degree 0..top: one int64 array per
     degree n, indexed like monic_by_index(q, n, k). The enumeration oracle.
 
     It shares nothing with the reciprocity ladder, and with the explicit
-    formula only the enumeration, _powers_mod and the kernel, not their
-    cached tables: D is factored once by trial division, and at each monic
-    irreducible factor P of degree d, f mod P is one matmul against
-    T^i mod P and its character _euler_values, with its one P broadcast, on
-    the distinct residues only. chi_D(f) is the product over P.
+    formula only the enumeration, _powers_mod and _mulmod, not their tables
+    or its character kernel: D is factored once by trial division, and at
+    each monic irreducible factor P of degree d, f mod P is one matmul
+    against T^i mod P, and its character is _euler_values (Euler's
+    criterion through the norm, which runs on neither route) with its one
+    P broadcast, on the distinct residues only. chi_D(f) is the product
+    over P.
     """
     if D.p != q:
         raise ValueError("D is over F_%d, not F_%d" % (D.p, q))
@@ -177,19 +181,20 @@ def _chi_rows(q: int, D: FpPolynomial, top: int) -> tuple:
     chi = np.ones(len(F), dtype=np.int64)
     for P in _factorize_monic(q, D.coeffs):
         d = len(P) - 1
-        powers = _factor_powers(q, P, max(top + 1, 2 * d - 1))
+        powers = _powers_mod(np.array([P]), max(top + 1, 2 * d - 1), q)
         residues, inverse = np.unique(
-            ((F @ powers[: top + 1]) % q) @ q ** np.arange(d, dtype=np.int64),
+            ((F @ powers[: top + 1, :, 0]) % q) @ q ** np.arange(d, dtype=np.int64),
             return_inverse=True,
         )
         r = np.ascontiguousarray(_digits(q, d, residues).T)
-        low = powers[: 2 * d - 1, :, None]
+        low = powers[: 2 * d - 1]
         chi *= _euler_values(q, low, _frobenius(q, low), r)[inverse]
     return tuple(np.split(chi, np.cumsum([q**n for n in range(top)])))
 
 
 def _mulmod(q: int, low: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a b mod P_j, for residues and reduction table low as in _euler_values."""
+    """a b mod P_j, for residues and reduction table low as in _euler_values
+    (the product in F_(q^d) of _field_tables and _root_powers, too)."""
     d = a.shape[0]
     prod = np.zeros((2 * d - 1, a.shape[1]), dtype=np.int64)
     for i in range(d):
@@ -214,13 +219,14 @@ def _frobenius(q: int, low: np.ndarray) -> np.ndarray:
 
 def _euler_values(q: int, low: np.ndarray, frob: np.ndarray, r: np.ndarray):
     """Euler's criterion r^((q^d - 1)/2) mod P_j, as 0 or +-1, for residues
-    modulo monic irreducibles P_j of degree d: the one character kernel.
-    Column j of r (shape (d, m)) is a residue mod P_j, low[k, :, j] is
-    T^k mod P_j for k <= 2d - 2 and frob is _frobenius(q, low); their last
-    axis is 1 for one P shared by every column (_chi_tables, _chi_rows).
-    The power is N(r)^((q - 1)/2) for the norm N(r) = prod_{k<d} r^(q^k),
-    d - 1 Frobenius steps and products, which lies in F_q: its Legendre
-    symbol. A norm outside F_q means a reducible modulus: ArithmeticError."""
+    modulo monic irreducibles P_j of degree d: the enumeration oracle's
+    character kernel. Column j of r (shape (d, m)) is a residue mod P_j,
+    low[k, :, j] is T^k mod P_j for k <= 2d - 2 and frob is
+    _frobenius(q, low); their last axis is 1 for one P shared by every
+    column (_chi_rows). The power is N(r)^((q - 1)/2) for the norm
+    N(r) = prod_{k<d} r^(q^k), d - 1 Frobenius steps and products, which
+    lies in F_q: its Legendre symbol. A norm outside F_q means a reducible
+    modulus: ArithmeticError."""
     acc = x = r
     for _ in range(r.shape[0] - 1):
         x = np.einsum("ijm,jm->im", frob, x) % q
@@ -230,36 +236,95 @@ def _euler_values(q: int, low: np.ndarray, frob: np.ndarray, r: np.ndarray):
     return legendre_table(q)[acc[0]]
 
 
+@lru_cache(maxsize=64)
+def _field_tables(q: int, d: int) -> tuple:
+    """The model F_q[T]/(P0) of F_(q^d), P0 the first monic irreducible of
+    degree d from T^d + 1 on in enumeration order (by is_irreducible), its
+    element sum x_i T^i indexed by sum x_i q^i: (low, chi, roots).
+
+    low[k] is T^k mod P0 for k <= 2d - 2, the reduction table of _mulmod;
+    chi, int8 of q^d entries, is the quadratic character: 0 at 0, 1 at the
+    square of every element, else -1; roots holds one root of each monic
+    irreducible of degree d, as rows of digits in the smallest unsigned
+    dtype that holds q - 1: the least element of each Frobenius orbit of
+    size d, i.e. each element below its d - 1 conjugates x^(q^k), taken by
+    the matrix of x -> x^q (column i is T^(q i) mod P0), in index order.
+    The elements are run FIELD_CHUNK at a time. Read-only."""
+    k = q ** (d - 1)
+    while not is_irreducible(monic_by_index(q, d, k)):
+        k += 1
+    powers = _powers_mod(np.array([monic_by_index(q, d, k).coeffs]), q * (d - 1) + 1, q)
+    low, frob = powers[: 2 * d - 1], powers[::q, :, 0].T
+    weights = q ** np.arange(d, dtype=np.int64)
+    chi = np.full(q**d, -1, dtype=np.int8)
+    roots = []
+    for lo in range(0, q**d, FIELD_CHUNK):
+        idx = np.arange(lo, min(lo + FIELD_CHUNK, q**d), dtype=np.int64)
+        x = np.ascontiguousarray(_digits(q, d, idx).T)
+        chi[weights @ _mulmod(q, low, x, x)] = 1
+        least, y = np.ones(len(idx), dtype=bool), x
+        for _ in range(d - 1):
+            y = frob @ y % q
+            least &= idx < weights @ y
+        roots.append(x[:, least].T.astype(np.min_scalar_type(q - 1)))
+    chi[0] = 0
+    out = (low, chi, np.concatenate(roots))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 @lru_cache(maxsize=32)
-def _residue_tables(q: int, degree: int) -> tuple:
-    """Per irreducible degree d = 1..g of a degree-`degree` D: (R, F) for the
-    monic irreducibles P of degree d in enumeration order. R[i, :, j] is
-    T^i mod the j-th P, i <= degree; its first 2d - 1 rows are the kernel's
-    reduction table (2d - 2 < degree), and F is their _frobenius. Read-only."""
+def _root_powers(q: int, degree: int) -> tuple:
+    """Per irreducible degree d = 1..g of a degree-`degree` D: W of shape
+    (degree + 1, m, d) in the dtype of the roots, W[i, j] the digits of
+    theta^i for the j-th root theta of _field_tables(q, d), i <= degree,
+    FIELD_CHUNK roots at a time. Read-only."""
     out = []
     for d in range(1, (degree - 1) // 2 + 1):
-        R = _powers_mod(_irreducible_array(q, d), degree + 1, q)
-        F = _frobenius(q, R[: 2 * d - 1])
-        R.flags.writeable = F.flags.writeable = False
-        out.append((R, F))
+        low, _, roots = _field_tables(q, d)
+        W = np.empty((degree + 1, *roots.shape), dtype=roots.dtype)
+        W[0] = np.arange(d) == 0
+        for lo in range(0, len(roots), FIELD_CHUNK):
+            x = theta = roots[lo : lo + FIELD_CHUNK].T.astype(np.int64)
+            for i in range(1, degree + 1):
+                W[i, lo : lo + FIELD_CHUNK] = x.T
+                x = _mulmod(q, low, x, theta)
+        W.flags.writeable = False
+        out.append(W)
     return tuple(out)
+
+
+def _root_values(q: int, C: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The element index of f(theta) for each row f = c_0..c_(n-1) of C
+    (n <= len(W)) at each root theta of W (_root_powers): shape (rows, m),
+    one matmul C @ W per block of roots, each block about FIELD_CHUNK d
+    values. The matmul runs in float64, which BLAS takes and which is exact
+    while a sum of n products (q - 1)^2 stays below 2^53, else in int64."""
+    n, (_, m, d) = C.shape[1], W.shape
+    step = max(1, FIELD_CHUNK // len(C))
+    dtype = np.float64 if n * (q - 1) ** 2 < 2**53 else np.int64
+    C, weights = C.astype(dtype), q ** np.arange(d, dtype=np.int64)
+    blocks = (C @ W[:n, lo : lo + step].reshape(n, -1).astype(dtype) for lo in range(0, m, step))
+    idx = [(v.astype(np.int64) % q).reshape(len(C), -1, d) @ weights for v in blocks]
+    return np.concatenate(idx, axis=1)
 
 
 def _chi_tables(q: int, degree: int) -> tuple:
     """Per irreducible degree d = 1..g: chi of shape (m, q^d), where
     chi[j, r] is chi_D(P_j) for D mod P_j = r, the residue indexed by
     sum r_i q^i, over the monic irreducible P_j of degree d in the order of
-    _residue_tables: Euler's criterion (_euler_values) on every residue, one
-    P at a time, times the reciprocity sign (-1)^(((q-1)/2) d)."""
+    _irreducible_array(q, d): the quadratic character of F_(q^d) at
+    r(theta_j), theta_j the one root of P_j among _field_tables' roots,
+    times the reciprocity sign (-1)^(((q-1)/2) d). Two _root_values calls
+    give it: every P_j at every root, to pair them, then every residue at
+    every theta_j, read in _field_tables' chi."""
     out = []
-    for d, (R, F) in enumerate(_residue_tables(q, degree), 1):
-        r = np.ascontiguousarray(_digits(q, d, np.arange(q**d, dtype=np.int64)).T)
+    for d, W in enumerate(_root_powers(q, degree), 1):
+        theta = np.argmax(_root_values(q, _irreducible_array(q, d), W) == 0, axis=1)
+        residues = _digits(q, d, np.arange(q**d, dtype=np.int64))
         sign = -1 if ((q - 1) // 2 * d) % 2 else 1
-        chi = np.empty((R.shape[2], q**d), dtype=np.int8)
-        for j in range(R.shape[2]):
-            one = slice(j, j + 1)
-            chi[j] = sign * _euler_values(q, R[: 2 * d - 1, :, one], F[:, :, one], r)
-        out.append(chi)
+        out.append(sign * _field_tables(q, d)[1][_root_values(q, residues, W[:, theta])].T)
     return tuple(out)
 
 
@@ -268,7 +333,7 @@ def _split_tables(q: int, degree: int) -> tuple:
     P of degree d <= g, split at the w-th base-q digit of the index, with
     q^w <= FAMILY_CHUNK. A residue is laid out as (2, g, m), D then D', its
     components r_0..r_(d-1) padded with zeros to g, for all m such P in the
-    order of _residue_tables; the index sum r_i q^i is unchanged by the pad.
+    order of _irreducible_array; the index sum r_i q^i is unchanged by the pad.
 
     Index k = h q^w + l has its high part h in c_0..c_(degree-w-1) and its
     low part l in c_(degree-w)..c_(degree-1), so D mod P is the sum of a high
@@ -278,16 +343,14 @@ def _split_tables(q: int, degree: int) -> tuple:
     c_0..c_(degree-w-1), then the monic 1, to the high residues (int64, not
     reduced)."""
     g = (degree - 1) // 2
-    tables = _residue_tables(q, degree)
-    m = sum(R.shape[2] for R, _ in tables)
+    # R[i, :, j]: T^i mod the j-th P, i <= degree, its components padded to g
+    R = [_powers_mod(_irreducible_array(q, d), degree + 1, q) for d in range(1, g + 1)]
+    R = np.concatenate([np.pad(r, [(0, 0), (0, g - r.shape[1]), (0, 0)]) for r in R], axis=2)
+    m = R.shape[2]
     # W[j]: the residues of T^j (for D) and of j T^(j-1) (for D'), j <= degree
     W = np.zeros((degree + 1, 2, g, m), dtype=np.int64)
-    col = 0
-    for d, (R, _) in enumerate(tables, 1):
-        cols = slice(col, col + R.shape[2])
-        W[:, 0, :d, cols] = R
-        W[1:, 1, :d, cols] = R[:-1] * np.arange(1, degree + 1)[:, None, None] % q
-        col = cols.stop
+    W[:, 0] = R
+    W[1:, 1] = R[:-1] * np.arange(1, degree + 1)[:, None, None] % q
     W = W.reshape(degree + 1, -1)
     w = 0
     while w < degree and q ** (w + 1) <= FAMILY_CHUNK:
@@ -304,8 +367,10 @@ def family_tables(q: int, degree: int) -> tuple:
     """All that family_coefficients reads for one (q, degree), built once per
     process: (w, high, low) of _split_tables, then chi, offsets and first,
     the per-P tables of _chi_tables in one flat int8 table, with P's row
-    from offsets[P] on and the P of degree d from column first[d - 1] on. A
-    fixed-q sweep calls it before its pool forks. Read-only."""
+    from offsets[P] on and the P of degree d from column first[d - 1] on.
+    The per-P tables come from the roots of _field_tables, so building them
+    runs no Euler kernel: one _root_values call over every residue per
+    degree. A fixed-q sweep calls it before its pool forks. Read-only."""
     chi_tables = _chi_tables(q, degree)
     chi = np.concatenate([t.ravel() for t in chi_tables])
     starts = np.cumsum([0] + [t.size for t in chi_tables])
@@ -416,20 +481,22 @@ def phi_rows(q: int, c) -> np.ndarray:
 
 def build_lfunction(q: int, D: FpPolynomial) -> LFunctionData:
     """LFunctionData of a good pair by the explicit formula, one vectorised
-    pass per degree d <= g over all m monic irreducible P of that degree:
-    D mod P for every P is one matmul against their residue table
-    (_residue_tables), chi_D(P) is Euler's criterion (_euler_values) times
-    the reciprocity sign (-1)^(((q-1)/2) d), and _newton_coefficients turns
-    the sums into c_0..c_g; the functional equation fills the rest. The
-    largest intermediate is (deg D + 1)(q - 1)^2, in that matmul."""
+    pass per degree d <= g over the m monic irreducible P of that degree,
+    through one root theta_P of each in F_(q^d): D(theta_P) for every P is
+    one matmul against the cached powers of the roots (_root_values on
+    _root_powers), chi_D(P) is one gather from the field's quadratic
+    character (_field_tables) times the reciprocity sign
+    (-1)^(((q-1)/2) d), and _newton_coefficients turns the sums into
+    c_0..c_g; the functional equation fills the rest. The largest
+    intermediate is (deg D + 1)(q - 1)^2, in that matmul, which runs in
+    FIELD_CHUNK-root blocks, so memory beyond the cached tables stays
+    bounded at large q."""
     require_good_pair(q, D)
     g = (D.degree - 1) // 2
-    C = np.array(D.coeffs, dtype=np.int64)
-    A = [0] * (g + 1)
-    B = [0] * (g + 1)
-    for d, (R, F) in enumerate(_residue_tables(q, D.degree), 1):
-        r = (C @ R.reshape(D.degree + 1, -1) % q).reshape(d, -1)
-        vals = _euler_values(q, R[: 2 * d - 1], F, r)
+    C = np.array([D.coeffs], dtype=np.int64)
+    A, B = [0] * (g + 1), [0] * (g + 1)
+    for d, W in enumerate(_root_powers(q, D.degree), 1):
+        vals = _field_tables(q, d)[1][_root_values(q, C, W)]
         sign = -1 if ((q - 1) // 2 * d) % 2 else 1
         A[d] = sign * int(vals.sum())
         B[d] = int(np.count_nonzero(vals))

@@ -9,8 +9,8 @@ of the package uses it: it is the independent cross-check the tests run the
 explicit formula against (build_lfunction and family_coefficients, summed
 over the same monic irreducible P of degree <= g), and the enumeration
 oracle lfunction._chi_rows against. That oracle factors D by trial division
-and applies the character kernel at each factor, vectorised over every
-monic f up to a degree; the kernel reads the square-marking
+and applies its Euler kernel at each factor, vectorised over every monic f
+up to a degree; the kernel reads the square-marking
 finite_field.legendre_table, so it shares no code with the ladder.
 """
 

@@ -1,9 +1,12 @@
-"""The explicit-formula coefficients of build_lfunction (one D, a stacked
-Euler power per degree) and of family_coefficients (a whole index range of D,
-per-P tables that the same Euler kernel fills, and squarefreeness from
-D mod P and D' mod P), cross-checked against the reciprocity ladder
-quad_character.chi summed over the same monic irreducibles, and the per-P
-tables against the ladder residue by residue."""
+"""The explicit-formula coefficients of build_lfunction (one D, its value
+at one root of each irreducible per degree) and of family_coefficients (a
+whole index range of D, per-P tables read from the same roots, and
+squarefreeness from D mod P and D' mod P), cross-checked against the
+reciprocity ladder quad_character.chi summed over the same monic
+irreducibles, and the per-P tables against the ladder residue by residue.
+The root tables of each F_(q^d) are checked element by element: the roots
+against Gauss's count and the sieve's irreducibles, the character against
+the enumeration oracle's Euler kernel."""
 
 import random
 
@@ -176,3 +179,150 @@ def test_rows_divisible_by_t_squared_take_no_residue_work(monkeypatch):
     c, squarefree = family_coefficients(q, degree, 0, q ** (degree - 2))
     assert not squarefree.any() and c.shape == (q ** (degree - 2), 5)
     assert calls == []
+
+
+# Every F_(q^d) with q^d <= 6,561 for q in 3..13: the fields whose root
+# tables are checked element by element.
+SMALL_FIELDS = [(q, d) for q in (3, 5, 7, 11, 13) for d in range(1, 9) if q**d <= 6561]
+
+
+def _mobius(n):
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+def _model(q, d):
+    """The model's modulus P0, recomputed from the sieve: the first monic
+    irreducible of degree d from index q^(d-1) (T^d + 1) on."""
+    irreducibles = _irreducible_array(q, d)
+    index = irreducibles[:, :d] @ q ** np.arange(d - 1, -1, -1)
+    return irreducibles[np.argmax(index >= q ** (d - 1))]
+
+
+def _field_mul(q, P0, a, b):
+    """a b mod P0 for stacks of digit rows (shape (n, d)): the schoolbook
+    product, then its top coefficient cancelled by P0 one degree at a time
+    (not the reduction table the root tables use)."""
+    d = len(P0) - 1
+    prod = np.zeros((len(a), 2 * d - 1), dtype=np.int64)
+    for i in range(d):
+        prod[:, i : i + d] += a[:, i : i + 1] * b
+    for k in range(2 * d - 2, d - 1, -1):
+        prod[:, k - d : k + 1] -= prod[:, k : k + 1] % q * P0
+    return prod[:, :d] % q
+
+
+@pytest.mark.parametrize("q,d", SMALL_FIELDS)
+def test_roots_are_one_per_irreducible(q, d):
+    # one root per monic irreducible of degree d: as many as Gauss's count
+    # (1/d) sum_(e|d) mu(d/e) q^e, each the least of its d conjugates, and
+    # their minimal polynomials prod_k (X - theta^(q^k)), with theta^q by
+    # plain powering, are _irreducible_array(q, d) as a set
+    roots = lfunction._field_tables(q, d)[2].astype(np.int64)
+    count = sum(_mobius(d // e) * q**e for e in range(1, d + 1) if d % e == 0) // d
+    assert roots.shape == (count, d) == (len(_irreducible_array(q, d)), d)
+    P0 = _model(q, d)
+    weights = q ** np.arange(d)
+    conjugates = [roots]
+    for _ in range(d - 1):
+        x = conjugates[-1]
+        power = x
+        for _ in range(q - 1):
+            power = _field_mul(q, P0, power, x)
+        conjugates.append(power)
+        assert (roots @ weights < power @ weights).all()
+    one = np.zeros_like(roots)
+    one[:, 0] = 1
+    poly = [one]  # coefficients in F_(q^d), X^0 first
+    for x in conjugates:
+        times_x = [np.zeros_like(one)] + poly
+        poly = [(a - _field_mul(q, P0, x, b)) % q for a, b in zip(times_x, poly + [0 * one])]
+    poly = np.stack(poly, axis=1)  # (m, d + 1, d)
+    assert not poly[:, :, 1:].any()  # the coefficients lie in F_q
+    assert sorted(map(tuple, poly[:, :, 0].tolist())) == sorted(
+        map(tuple, _irreducible_array(q, d).tolist())
+    )
+
+
+@pytest.mark.parametrize("q,d", SMALL_FIELDS)
+def test_field_character_matches_euler_through_the_norm(q, d):
+    # chi at every element against the enumeration oracle's kernel, Euler's
+    # criterion through the norm, with the model's one P0 for every column
+    low, chi, _ = lfunction._field_tables(q, d)
+    assert chi.dtype == np.int8 and chi.shape == (q**d,)
+    assert np.array_equal(low, lfunction._powers_mod(np.array([_model(q, d)]), 2 * d - 1, q))
+    r = np.ascontiguousarray(lfunction._digits(q, d, np.arange(q**d)).T)
+    euler = lfunction._euler_values(q, low, lfunction._frobenius(q, low), r)
+    assert np.array_equal(chi, euler)
+
+
+@pytest.fixture
+def fresh_root_tables():
+    """Empty the caches of every table built from the roots, before and
+    after the test, so it builds them under its own patches."""
+    caches = [lfunction._field_tables, lfunction._root_powers, lfunction.family_tables]
+    for f in caches:
+        f.cache_clear()
+    yield
+    for f in caches:
+        f.cache_clear()
+
+
+def test_root_tables_do_not_depend_on_the_chunk(monkeypatch, fresh_root_tables):
+    # 7 elements or roots per step, a size that divides no q^d: every table
+    # is run in many ragged steps, and must come out the same
+    cases = [(3, 9), (5, 5), (13, 5)]
+
+    def tables():
+        out = []
+        for q, degree in cases:
+            out += [lfunction._field_tables(q, d) for d in range(1, (degree - 1) // 2 + 1)]
+            out += [lfunction._root_powers(q, degree), lfunction._chi_tables(q, degree)]
+            for k in range(0, q**degree, q**degree // 50 + 1):
+                D = monic_by_index(q, degree, k)
+                if is_squarefree(D):
+                    out.append(build_lfunction(q, D).c)
+        return out
+
+    def flat(tables):
+        for t in tables:
+            yield from flat(t) if isinstance(t, tuple) else [np.asarray(t)]
+
+    whole = list(flat(tables()))
+    for f in (lfunction._field_tables, lfunction._root_powers):
+        f.cache_clear()
+    monkeypatch.setattr(lfunction, "FIELD_CHUNK", 7)
+    chunked = list(flat(tables()))
+    assert len(whole) == len(chunked) > 100
+    for a, b in zip(whole, chunked):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_coefficient_routes_run_no_euler_kernel(monkeypatch, fresh_root_tables):
+    # the Frobenius norm belongs to the enumeration oracle alone: both
+    # coefficient routes, tables and all, take chi from the roots
+    calls = []
+    for name in ("_euler_values", "_frobenius"):
+        monkeypatch.setattr(lfunction, name, lambda *args, name=name: calls.append(name))
+    for q, degree in [(3, 9), (5, 5), (7, 5), (13, 3)]:
+        lfunction.family_tables(q, degree)
+        build_lfunction(q, monic_by_index(q, degree, q**degree - 1))
+    assert calls == []
+
+
+@pytest.mark.parametrize("q", [99991, 99999989])
+def test_root_values_stay_exact_past_float64(q):
+    # sum_i C_i W_i mod q with every entry q - 2, odd: at the second q each
+    # product passes 2^53, where float64 would round it and the matmul must
+    # run in int64
+    C = np.full((1, 4), q - 2)
+    W = np.full((4, 3, 2), q - 2, dtype=np.uint32)
+    digit = 4 * (q - 2) ** 2 % q
+    assert lfunction._root_values(q, C, W).tolist() == [[digit * (1 + q)] * 3]
