@@ -11,9 +11,8 @@ pseudo-division over Q), run by gcd, is_squarefree (gcd(D, D')) and
 newman.has_repeated_root; _factorize_monic, trial division, the one factoring
 kernel, run by is_irreducible (which picks the modulus of each field of the
 lfunction module's root tables) and by that module's enumeration oracle
-(_chi_rows). Last come the deterministic enumeration of monic
-polynomials and the monic irreducibles of each degree (the primes of the
-explicit formula).
+(_chi_rows). Last comes the deterministic enumeration of monic
+polynomials, one at a time or as numpy rows of coefficients.
 """
 
 from __future__ import annotations
@@ -283,26 +282,3 @@ def _monic_rows(p: int, n: int, ks: np.ndarray) -> np.ndarray:
 def _monic_array(p: int, n: int) -> np.ndarray:
     """Every monic f of degree n as a row c_0..c_n, in monic_by_index order."""
     return _monic_rows(p, n, np.arange(p**n))
-
-
-@lru_cache(maxsize=64)
-def _irreducible_array(p: int, n: int) -> np.ndarray:
-    """The monic irreducible polynomials of degree n >= 1 over F_p as rows
-    c_0..c_n (int64, read-only; the last 64 (p, n) cached), in enumeration
-    order: rows only for the indices, about p^n/n, of the monic f of degree n
-    not hit by a block of about p^e/(n + 1) monic irreducibles of degree
-    e <= n/2 times every monic cofactor of degree n - e (p^n coefficients at once)."""
-    weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)  # index of c_0..c_(n-1)
-    composite = np.zeros(p**n, dtype=bool)
-    for e in range(1, n // 2 + 1):
-        cofactors = _monic_array(p, n - e)
-        irreducibles = _irreducible_array(p, e)
-        step = max(1, p**e // (n + 1))
-        for P in np.split(irreducibles, range(step, len(irreducibles), step)):
-            prod = np.zeros((len(P), len(cofactors), n + 1), dtype=np.int64)
-            for i in range(e + 1):
-                prod[:, :, i : i + n - e + 1] += P[:, i, None, None] * cofactors
-            composite[(prod[:, :, :n] % p) @ weights] = True
-    out = _monic_rows(p, n, np.flatnonzero(~composite))
-    out.flags.writeable = False
-    return out

@@ -28,10 +28,10 @@ the quadratic character of that field, times the reciprocity sign: per
 elements, and one root of each P, the least element of each Frobenius orbit
 of size d (_field_tables); per (q, deg D) a table of the roots' powers
 (_root_powers) turns D(theta_P) into one matmul (_root_values). A range
-reads D mod P from the high/low digit split of T^i mod P (_split_tables)
-and chi_D(P) from per-P tables, the character at r(theta_P) for every
-residue r (_chi_tables), both from one cached builder per (q, degree),
-family_tables, which a fixed-q sweep calls before it forks. The tests check
+reads D(theta_P) from a high/low digit split of the same powers
+(_split_tables) and chi_D(P) from the same character tables, one offset
+per degree, both from one cached builder per (q, degree), family_tables,
+which a fixed-q sweep calls before it forks. The tests check
 both routes against the reciprocity ladder quad_character.chi summed over
 the same P, and against the enumeration oracle enumerated_coefficients, c_n
 as the sum of chi_D over every monic f of degree n, with
@@ -55,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 
 from .finite_field import check_odd_prime, legendre_table
-from .fp_poly import FpPolynomial, _digits, _factorize_monic, _irreducible_array, _monic_array
+from .fp_poly import FpPolynomial, _digits, _factorize_monic, _monic_array
 from .fp_poly import is_irreducible, is_squarefree, monic_by_index
 from .quad_character import _validate_modulus
 
@@ -310,54 +310,41 @@ def _root_values(q: int, C: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.concatenate(idx, axis=1)
 
 
-def _chi_tables(q: int, degree: int) -> tuple:
-    """Per irreducible degree d = 1..g: chi of shape (m, q^d), where
-    chi[j, r] is chi_D(P_j) for D mod P_j = r, the residue indexed by
-    sum r_i q^i, over the monic irreducible P_j of degree d in the order of
-    _irreducible_array(q, d): the quadratic character of F_(q^d) at
-    r(theta_j), theta_j the one root of P_j among _field_tables' roots,
-    times the reciprocity sign (-1)^(((q-1)/2) d). Two _root_values calls
-    give it: every P_j at every root, to pair them, then every residue at
-    every theta_j, read in _field_tables' chi."""
-    out = []
-    for d, W in enumerate(_root_powers(q, degree), 1):
-        theta = np.argmax(_root_values(q, _irreducible_array(q, d), W) == 0, axis=1)
-        residues = _digits(q, d, np.arange(q**d, dtype=np.int64))
-        sign = -1 if ((q - 1) // 2 * d) % 2 else 1
-        out.append(sign * _field_tables(q, d)[1][_root_values(q, residues, W[:, theta])].T)
-    return tuple(out)
-
-
 def _split_tables(q: int, degree: int) -> tuple:
-    """(w, high, low): the residues of D and D' modulo every monic irreducible
-    P of degree d <= g, split at the w-th base-q digit of the index, with
-    q^w <= FAMILY_CHUNK. A residue is laid out as (2, g, m), D then D', its
-    components r_0..r_(d-1) padded with zeros to g, for all m such P in the
-    order of _irreducible_array; the index sum r_i q^i is unchanged by the pad.
+    """(w, high, low): D(theta) and D'(theta) at the one root theta of every
+    monic irreducible P of degree d <= g in _field_tables(q, d), split at
+    the w-th base-q digit of the index, with q^w <= FAMILY_CHUNK. A value is
+    an element of that field's model, its digits x_0..x_(d-1) padded with
+    zeros to g (the element index sum x_i q^i is unchanged by the pad),
+    laid out as (g, 2, m): digit x_i of D then of D', for all m such P in
+    the root order of _field_tables, degree by degree. D(theta) =
+    (D mod P)(theta) is 0 exactly when P divides D.
 
     Index k = h q^w + l has its high part h in c_0..c_(degree-w-1) and its
-    low part l in c_(degree-w)..c_(degree-1), so D mod P is the sum of a high
-    and a low residue, mod q, and so is D' mod P. low[l] holds the low
-    residues of every l < q^w, reduced mod q, in int8 when the sum of two
-    still fits (2(q - 1) < 128), else int16 or int64. high maps the digits
-    c_0..c_(degree-w-1), then the monic 1, to the high residues (int64, not
-    reduced)."""
+    low part l in c_(degree-w)..c_(degree-1). D(theta) is linear in the c_i,
+    so it is the sum of a high and a low value, mod q, and so is D'(theta).
+    low[l], of shape (g, 2, m), holds the low values of every l < q^w,
+    reduced mod q, in int8 when the sum of two still fits (2(q - 1) < 128),
+    else int16 or int64. high maps the digits c_0..c_(degree-w-1), then the
+    monic 1, to the high values (int64, not reduced)."""
     g = (degree - 1) // 2
-    # R[i, :, j]: T^i mod the j-th P, i <= degree, its components padded to g
-    R = [_powers_mod(_irreducible_array(q, d), degree + 1, q) for d in range(1, g + 1)]
-    R = np.concatenate([np.pad(r, [(0, 0), (0, g - r.shape[1]), (0, 0)]) for r in R], axis=2)
+    # R[i, :, j]: the digits of theta^i at the j-th root, i <= degree, padded to g
+    R = [np.pad(P, [(0, 0), (0, 0), (0, g - P.shape[2])]) for P in _root_powers(q, degree)]
+    R = np.concatenate(R, axis=1).transpose(0, 2, 1).astype(np.int64)
     m = R.shape[2]
-    # W[j]: the residues of T^j (for D) and of j T^(j-1) (for D'), j <= degree
-    W = np.zeros((degree + 1, 2, g, m), dtype=np.int64)
-    W[:, 0] = R
-    W[1:, 1] = R[:-1] * np.arange(1, degree + 1)[:, None, None] % q
+    # W[j]: the values of T^j (for D) and of j T^(j-1) (for D') at theta, j <= degree
+    W = np.zeros((degree + 1, g, 2, m), dtype=np.int64)
+    W[:, :, 0] = R
+    W[1:, :, 1] = R[:-1] * np.arange(1, degree + 1)[:, None, None] % q
     W = W.reshape(degree + 1, -1)
     w = 0
     while w < degree and q ** (w + 1) <= FAMILY_CHUNK:
         w += 1
     dtype = np.int8 if 2 * (q - 1) < 2**7 else np.int16 if 2 * (q - 1) < 2**15 else np.int64
-    digits = _digits(q, w, np.arange(q**w, dtype=np.int64))[:, ::-1]
-    low = (digits @ W[degree - w : degree] % q).astype(dtype).reshape(q**w, 2, g, m)
+    low = np.empty((q**w, W.shape[1]), dtype=dtype)  # one row at a time: no int64 table
+    for l, digits in enumerate(_digits(q, w, np.arange(q**w, dtype=np.int64))[:, ::-1]):
+        low[l] = digits @ W[degree - w : degree] % q
+    low = low.reshape(q**w, g, 2, m)
     high = np.concatenate((W[: degree - w], W[degree:]))
     return w, high, low
 
@@ -365,17 +352,21 @@ def _split_tables(q: int, degree: int) -> tuple:
 @lru_cache(maxsize=16)
 def family_tables(q: int, degree: int) -> tuple:
     """All that family_coefficients reads for one (q, degree), built once per
-    process: (w, high, low) of _split_tables, then chi, offsets and first,
-    the per-P tables of _chi_tables in one flat int8 table, with P's row
-    from offsets[P] on and the P of degree d from column first[d - 1] on.
-    The per-P tables come from the roots of _field_tables, so building them
-    runs no Euler kernel: one _root_values call over every residue per
-    degree. A fixed-q sweep calls it before its pool forks. Read-only."""
-    chi_tables = _chi_tables(q, degree)
-    chi = np.concatenate([t.ravel() for t in chi_tables])
-    starts = np.cumsum([0] + [t.size for t in chi_tables])
-    offsets = np.concatenate([s + np.arange(0, t.size, t.shape[1]) for s, t in zip(starts, chi_tables)])
-    first = np.cumsum([0] + [t.shape[0] for t in chi_tables[:-1]])
+    process: (w, high, low) of _split_tables, then chi, offsets and first.
+    chi is the quadratic character of each F_(q^d), d <= g, from
+    _field_tables, times the reciprocity sign (-1)^(((q-1)/2) d), in one
+    flat int8 table of sum_d q^d entries; offsets[j] is where the table of
+    the j-th P's degree starts, and the P of degree d are the columns from
+    first[d - 1] on. So chi_D(P_j) is chi[offsets[j] + index of D(theta_j)].
+    Everything comes from the field and root tables of build_lfunction: no
+    Euler kernel, and no list of the irreducibles. A fixed-q sweep calls it
+    before its pool forks. Read-only."""
+    g = (degree - 1) // 2
+    fields = [_field_tables(q, d) for d in range(1, g + 1)]
+    chi = np.concatenate([f[1] * (-1) ** ((q - 1) // 2 * d) for d, f in enumerate(fields, 1)])
+    m = [len(f[2]) for f in fields]
+    offsets = np.repeat(np.cumsum([0] + [q**d for d in range(1, g)]), m)
+    first = np.cumsum([0] + m[:-1])
     out = (*_split_tables(q, degree), chi, offsets, first)
     for a in out[1:]:
         a.flags.writeable = False
@@ -388,15 +379,17 @@ def family_coefficients(q: int, degree: int, start: int, stop: int):
 
     The explicit formula, i.e. the log-derivative route of Kedlaya-Sutherland
     (ANTS VIII, 2008), over the whole range at once in integer numpy: for
-    every monic irreducible P of degree d <= g, D mod P is a high residue
-    (one small matmul over the few high parts of a block) plus a low one
-    (gathered from the split tables), mod q, and chi_D(P) comes from the
-    per-P tables; both are built once, by the cached family_tables. Then
+    every monic irreducible P of degree d <= g, D(theta_P) at its root
+    theta_P is a high value (one small matmul over the few high parts of a
+    block) plus a low one (gathered from the split tables), mod q, and
+    chi_D(P) is the field's character there times the reciprocity sign,
+    one gather; both tables are built once, by the cached family_tables. Then
     S_k = sum over d | k of sum over deg P = d of d chi_D(P)^(k/d), and
     Newton's identities n c_n = sum_{k=1..n} S_k c_(n-k) give c_1..c_g
     exactly (_newton_coefficients). D is squarefree iff no such P^2 divides
     it; P is separable, so P^2 | D exactly when P divides both D and D',
-    and D' mod P comes from the same split. An index below q^(degree-2) has
+    i.e. when D(theta_P) and D'(theta_P) are both 0, and D'(theta_P) comes
+    from the same split. An index below q^(degree-2) has
     c_0 = c_1 = 0, so T^2 divides D: those rows are not squarefree and take
     no residue work.
 
@@ -426,13 +419,15 @@ def family_coefficients(q: int, degree: int, start: int, stop: int):
         top = np.ones((h[-1] - h[0] + 1, degree - w + 1), dtype=np.int64)
         top[:, :-1] = _digits(q, degree - w, np.arange(h[0], h[-1] + 1))[:, ::-1]
         top = (top @ high % q).astype(low.dtype).reshape(-1, *low.shape[1:])
-        res = top[h - h[0]] + low[l]
-        res -= (res >= q) * low.dtype.type(q)  # % q, as both terms were < q
-        idx = res[:, :, -1].astype(index_type)  # r_(g-1), then Horner's rule
-        for i in range(g - 2, -1, -1):
+        # idx (rows, 2, m): the element indices of D(theta_P) and D'(theta_P),
+        # by Horner's rule over the digits x_(g-1)..x_0, one digit at a time
+        # (all g at once made temporaries that malloc gave back and refaulted)
+        idx = np.zeros((hi - lo, *low.shape[2:]), dtype=index_type)
+        for i in range(g - 1, -1, -1):
+            x = top[:, i][h - h[0]] + low[:, i][l]
+            x -= (x >= q) * low.dtype.type(q)  # % q, as both terms were < q
             idx *= q
-            idx += res[:, :, i]
-        # idx is (rows, 2, m): the residue indices of D and D' at each P
+            idx += x
         vals = chi[idx[:, 0] + offsets]
         rows = slice(lo - first_row, hi - first_row)
         A[rows] = np.add.reduceat(vals, first, axis=1, dtype=np.int64)

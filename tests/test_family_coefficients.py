@@ -1,12 +1,14 @@
 """The explicit-formula coefficients of build_lfunction (one D, its value
 at one root of each irreducible per degree) and of family_coefficients (a
-whole index range of D, per-P tables read from the same roots, and
-squarefreeness from D mod P and D' mod P), cross-checked against the
-reciprocity ladder quad_character.chi summed over the same monic
-irreducibles, and the per-P tables against the ladder residue by residue.
-The root tables of each F_(q^d) are checked element by element: the roots
-against Gauss's count and the sieve's irreducibles, the character against
-the enumeration oracle's Euler kernel."""
+whole index range of D, D(theta_P) from a digit split of the same roots'
+powers, read in the same field tables, and squarefreeness from D(theta_P)
+and D'(theta_P)), cross-checked against the reciprocity ladder
+quad_character.chi summed over the same monic irreducibles, and the
+family's character table against the ladder residue by residue at the
+minimal polynomial of every root. The root tables of each F_(q^d) are
+checked element by element: the roots against Gauss's count and the tests'
+sieve of the irreducibles, the character against the enumeration oracle's
+Euler kernel."""
 
 import random
 
@@ -17,20 +19,20 @@ from ffnewman import lfunction, quad_character
 from ffnewman.fp_poly import (
     FpPolynomial,
     _deriv,
-    _irreducible_array,
     is_squarefree,
     monic_by_index,
     monic_index,
 )
 from ffnewman.lfunction import (
     FAMILY_CHUNK,
-    _chi_tables,
     _newton_coefficients,
     build_lfunction,
     dirichlet_coefficients,
     family_coefficients,
 )
 from ffnewman.quad_character import chi
+
+from irreducibles import irreducible_array
 
 
 def ladder_coefficients(q, D):
@@ -41,7 +43,7 @@ def ladder_coefficients(q, D):
     A = [0] * (g + 1)
     B = [0] * (g + 1)
     for d in range(1, g + 1):
-        vals = [chi(D, FpPolynomial(P, q)) for P in _irreducible_array(q, d)]
+        vals = [chi(D, FpPolynomial(P, q)) for P in irreducible_array(q, d)]
         A[d] = sum(vals)
         B[d] = len(vals) - vals.count(0)
     return tuple(_newton_coefficients(A, B))
@@ -131,24 +133,6 @@ def test_squarefree_mask_matches(q, degree, stride):
         assert family_coefficients(q, degree, k, k + 1)[1].tolist() == [False], D
 
 
-@pytest.mark.parametrize("q,degree", [(3, 9), (5, 5), (7, 5), (13, 5)])
-def test_family_tables_match_ladder_pointwise(q, degree):
-    # table d - 1, row j, column r holds chi_D(P_j) for D mod P_j = r: the
-    # ladder's character of r modulo P_j times the reciprocity sign
-    # (-1)^(((q-1)/2) d), at every residue r = sum r_i q^i
-    tables = _chi_tables(q, degree)
-    assert len(tables) == (degree - 1) // 2
-    for d, table in enumerate(tables, 1):
-        sign = (-1) ** ((q - 1) // 2 * d)
-        irreducibles = _irreducible_array(q, d)
-        assert table.shape == (len(irreducibles), q**d)
-        for j, P in enumerate(irreducibles):
-            P = FpPolynomial(P, q)
-            for r in range(q**d):
-                f = FpPolynomial(tuple(r // q**i % q for i in range(d)), q)
-                assert table[j, r] == sign * chi(P, f), (d, P, r)
-
-
 def test_rows_do_not_depend_on_the_split():
     q, degree = 3, 9
     lo, hi = 1000, 1000 + 3 * FAMILY_CHUNK
@@ -201,7 +185,7 @@ def _mobius(n):
 def _model(q, d):
     """The model's modulus P0, recomputed from the sieve: the first monic
     irreducible of degree d from index q^(d-1) (T^d + 1) on."""
-    irreducibles = _irreducible_array(q, d)
+    irreducibles = irreducible_array(q, d)
     index = irreducibles[:, :d] @ q ** np.arange(d - 1, -1, -1)
     return irreducibles[np.argmax(index >= q ** (d - 1))]
 
@@ -219,36 +203,80 @@ def _field_mul(q, P0, a, b):
     return prod[:, :d] % q
 
 
+def _conjugates(q, P0, roots):
+    """theta^(q^k) for k < d at each root row theta, theta^q by plain
+    powering with _field_mul (not the Frobenius matrix of the field tables)."""
+    out = [roots]
+    for _ in range(len(P0) - 2):
+        x = power = out[-1]
+        for _ in range(q - 1):
+            power = _field_mul(q, P0, power, x)
+        out.append(power)
+    return out
+
+
+def _minimal_polynomials(q, P0, roots):
+    """prod_k (X - theta^(q^k)) at each root row theta, its coefficients in
+    F_(q^d), X^0 first: shape (m, d + 1, d)."""
+    one = np.zeros_like(roots)
+    one[:, 0] = 1
+    poly = [one]
+    for x in _conjugates(q, P0, roots):
+        times_x = [np.zeros_like(one)] + poly
+        poly = [(a - _field_mul(q, P0, x, b)) % q for a, b in zip(times_x, poly + [0 * one])]
+    return np.stack(poly, axis=1)
+
+
 @pytest.mark.parametrize("q,d", SMALL_FIELDS)
 def test_roots_are_one_per_irreducible(q, d):
     # one root per monic irreducible of degree d: as many as Gauss's count
     # (1/d) sum_(e|d) mu(d/e) q^e, each the least of its d conjugates, and
-    # their minimal polynomials prod_k (X - theta^(q^k)), with theta^q by
-    # plain powering, are _irreducible_array(q, d) as a set
+    # their minimal polynomials are irreducible_array(q, d) as a set
     roots = lfunction._field_tables(q, d)[2].astype(np.int64)
     count = sum(_mobius(d // e) * q**e for e in range(1, d + 1) if d % e == 0) // d
-    assert roots.shape == (count, d) == (len(_irreducible_array(q, d)), d)
+    assert roots.shape == (count, d) == (len(irreducible_array(q, d)), d)
     P0 = _model(q, d)
     weights = q ** np.arange(d)
-    conjugates = [roots]
-    for _ in range(d - 1):
-        x = conjugates[-1]
-        power = x
-        for _ in range(q - 1):
-            power = _field_mul(q, P0, power, x)
-        conjugates.append(power)
+    for power in _conjugates(q, P0, roots)[1:]:
         assert (roots @ weights < power @ weights).all()
-    one = np.zeros_like(roots)
-    one[:, 0] = 1
-    poly = [one]  # coefficients in F_(q^d), X^0 first
-    for x in conjugates:
-        times_x = [np.zeros_like(one)] + poly
-        poly = [(a - _field_mul(q, P0, x, b)) % q for a, b in zip(times_x, poly + [0 * one])]
-    poly = np.stack(poly, axis=1)  # (m, d + 1, d)
+    poly = _minimal_polynomials(q, P0, roots)
     assert not poly[:, :, 1:].any()  # the coefficients lie in F_q
     assert sorted(map(tuple, poly[:, :, 0].tolist())) == sorted(
-        map(tuple, _irreducible_array(q, d).tolist())
+        map(tuple, irreducible_array(q, d).tolist())
     )
+
+
+@pytest.mark.parametrize("q,degree", [(3, 9), (5, 5), (7, 5), (13, 5)])
+def test_family_tables_match_ladder_pointwise(q, degree):
+    # P_j, the j-th P of the family's tables, is the minimal polynomial of
+    # the j-th root theta_j of _field_tables(q, d). At D mod P_j = r,
+    # D(theta_j) = r(theta_j), so the entry of the flat table at
+    # offsets[j] + (index of r(theta_j)) must be the ladder's character of r
+    # modulo P_j times the reciprocity sign (-1)^(((q-1)/2) d), at every
+    # residue r = sum r_i q^i
+    g = (degree - 1) // 2
+    table, offsets, first = lfunction.family_tables(q, degree)[3:]
+    assert table.shape == (sum(q**d for d in range(1, g + 1)),)
+    j = 0
+    for d in range(1, g + 1):
+        assert first[d - 1] == j
+        sign = (-1) ** ((q - 1) // 2 * d)
+        P0 = _model(q, d)
+        roots = lfunction._field_tables(q, d)[2].astype(np.int64)
+        minimal = _minimal_polynomials(q, P0, roots)
+        assert not minimal[:, :, 1:].any()
+        residues = np.arange(q**d)[:, None] // q ** np.arange(d) % q  # rows r_0..r_(d-1)
+        for theta, P in zip(roots, minimal[:, :, 0]):
+            value = np.zeros_like(residues)  # r(theta) by Horner's rule
+            for i in range(d - 1, -1, -1):
+                value = _field_mul(q, P0, value, theta[None])
+                value[:, 0] = (value[:, 0] + residues[:, i]) % q
+            got = table[offsets[j] + value @ q ** np.arange(d)]
+            P = FpPolynomial(P, q)
+            expect = [sign * chi(P, FpPolynomial(r, q)) for r in residues.tolist()]
+            assert got.tolist() == expect, (d, P)
+            j += 1
+    assert j == len(offsets)
 
 
 @pytest.mark.parametrize("q,d", SMALL_FIELDS)
@@ -284,7 +312,7 @@ def test_root_tables_do_not_depend_on_the_chunk(monkeypatch, fresh_root_tables):
         out = []
         for q, degree in cases:
             out += [lfunction._field_tables(q, d) for d in range(1, (degree - 1) // 2 + 1)]
-            out += [lfunction._root_powers(q, degree), lfunction._chi_tables(q, degree)]
+            out += [lfunction._root_powers(q, degree), lfunction.family_tables(q, degree)]
             for k in range(0, q**degree, q**degree // 50 + 1):
                 D = monic_by_index(q, degree, k)
                 if is_squarefree(D):
@@ -296,7 +324,7 @@ def test_root_tables_do_not_depend_on_the_chunk(monkeypatch, fresh_root_tables):
             yield from flat(t) if isinstance(t, tuple) else [np.asarray(t)]
 
     whole = list(flat(tables()))
-    for f in (lfunction._field_tables, lfunction._root_powers):
+    for f in (lfunction._field_tables, lfunction._root_powers, lfunction.family_tables):
         f.cache_clear()
     monkeypatch.setattr(lfunction, "FIELD_CHUNK", 7)
     chunked = list(flat(tables()))
@@ -315,6 +343,23 @@ def test_coefficient_routes_run_no_euler_kernel(monkeypatch, fresh_root_tables):
         lfunction.family_tables(q, degree)
         build_lfunction(q, monic_by_index(q, degree, q**degree - 1))
     assert calls == []
+
+
+@pytest.mark.parametrize("q,degree,rows", [(67, 5, 512), (131, 5, 512), (67, 7, 64)])
+def test_large_q_family_rows_match_build_lfunction(q, degree, rows):
+    # past the q <= 13 of FAMILIES: 2(q - 1) >= 128, so the low residues are
+    # int16, and at (67, 7) q^g > 2^15, so the residue index is int64
+    g = (degree - 1) // 2
+    low, table = lfunction.family_tables(q, degree)[2:4]
+    assert low.dtype == np.int16
+    assert table.size == sum(q**d for d in range(1, g + 1))
+    start = random.Random(q * degree).randrange(q ** (degree - 2), q**degree - rows)
+    c, squarefree = family_coefficients(q, degree, start, start + rows)
+    for i, k in enumerate(range(start, start + rows)):
+        D = monic_by_index(q, degree, k)
+        assert squarefree[i] == is_squarefree(D), k
+        if i % 16 == 0 and squarefree[i]:
+            assert tuple(c[i].tolist()) == build_lfunction(q, D).c[: g + 1], k
 
 
 @pytest.mark.parametrize("q", [99991, 99999989])

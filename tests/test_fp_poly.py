@@ -1,5 +1,6 @@
 """Polynomials over F_p: the division kernels, gcd, squarefree and
-irreducibility tests, enumeration, codec."""
+irreducibility tests, enumeration, codec, and the tests' sieve of the monic
+irreducibles against trial division."""
 
 import random
 from itertools import zip_longest
@@ -7,12 +8,10 @@ from itertools import zip_longest
 import numpy as np
 import pytest
 
-from ffnewman import fp_poly
 from ffnewman.fp_poly import (
     FpPolynomial,
     _deriv,
     _divmod,
-    _irreducible_array,
     _mod_monic,
     enumerate_monic,
     gcd,
@@ -23,6 +22,8 @@ from ffnewman.fp_poly import (
     parse_int_coeffs,
     poly_to_text,
 )
+
+import irreducibles
 
 
 def P(coeffs, p):
@@ -243,21 +244,23 @@ def test_irreducible_counts_match_necklace_formula():
 
 
 def test_monic_irreducibles_match_trial_division(monkeypatch):
-    # the rows are built for the sieve's survivors only, never for all p^n
-    # monic f of degree n (cofactors of lower degree are built whole)
+    # the tests' sieve (tests/irreducibles.py) against is_irreducible; its
+    # rows are built for the survivors only, never for all p^n monic f of
+    # degree n (cofactors of lower degree are built whole)
     built = []
-    monic_array = fp_poly._monic_array
+    monic_array = irreducibles._monic_array
 
     def spy(p, n):
         built.append((p, n))
         return monic_array(p, n)
 
-    monkeypatch.setattr(fp_poly, "_monic_array", spy)
+    monkeypatch.setattr(irreducibles, "_monic_array", spy)
+    irreducible_array = irreducibles.irreducible_array
     for p, maxdeg in [(3, 6), (5, 4), (7, 3)]:
         for n in range(1, maxdeg + 1):
-            got = _irreducible_array.__wrapped__(p, n).tolist()
+            got = irreducible_array.__wrapped__(p, n).tolist()
             assert (p, n) not in built
-            assert got == _irreducible_array(p, n).tolist() == [
+            assert got == irreducible_array(p, n).tolist() == [
                 list(f.coeffs) for f in enumerate_monic(p, n) if is_irreducible(f)
             ]
             assert len(got) == mobius_irreducible_count(p, n)
