@@ -26,23 +26,24 @@ chi_D(P) as chi(D(theta_P)), with theta_P a root of P in F_(q^d) and chi
 the quadratic character of that field, times the reciprocity sign: per
 (q, d) one model F_q[T]/(P0) holds chi, marked from the squares of all its
 elements, and one root of each P, the least element of each Frobenius orbit
-of size d (_field_tables); per (q, deg D) a table of the roots' powers
-(_root_powers) turns D(theta_P) into one matmul (_root_values). A range
-reads D(theta_P) from a high/low digit split of the same powers
-(_split_tables) and chi_D(P) from the same character tables, one offset
-per degree, both from one cached builder per (q, degree), family_tables,
-which a fixed-q sweep calls before it forks. The tests check
-both routes against the reciprocity ladder quad_character.chi summed over
-the same P, and against the enumeration oracle enumerated_coefficients, c_n
-as the sum of chi_D over every monic f of degree n, with
-dirichlet_coefficients, its c_0..c_g completed by the integer functional
-equation c_(g+n) = q^n c_(g-n). The oracle's characters come from
-_chi_rows, which factors D and applies Euler's criterion through the norm
-(_euler_values, with _frobenius) at each factor: a kernel that runs on
-neither route, which share with it only the enumeration helpers (_digits),
-T^i mod P (_powers_mod) and the product mod P (_mulmod). The ladder takes
-Euler's criterion of a scalar (legendre_int), so it shares no code with any
-of them. The JSON view of this data is the CLI's.
+of size d (_field_tables). Per (q, deg D) one cached table serves both
+routes (_root_powers): the powers of every root of every degree d <= g,
+padded to g digits, and the signed character tables with each root's offset
+into them. One D reads D(theta_P) from one matmul against the powers
+(_root_values), a range from a high/low digit split of the same powers
+(family_tables, which a fixed-q sweep builds before it forks); both turn
+the element indices into character sums in one place (_character_sums).
+The tests check both routes against the reciprocity ladder
+quad_character.chi summed over the same P, and against the enumeration
+oracle enumerated_coefficients, c_n as the sum of chi_D over every monic f
+of degree n, with dirichlet_coefficients, its c_0..c_g completed by the
+integer functional equation c_(g+n) = q^n c_(g-n). The oracle's characters
+come from _chi_rows, which factors D and applies Euler's criterion through
+the norm (_euler_values, with _frobenius) at each factor: a kernel that
+runs on neither route, which share with it only the enumeration helpers
+(_digits), T^i mod P (_powers_mod) and the product mod P (_mulmod). The
+ladder takes Euler's criterion of a scalar (legendre_int), so it shares no
+code with any of them. The JSON view of this data is the CLI's.
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ from .quad_character import _validate_modulus
 # (a fixed-q sweep task spans several blocks: families.SWEEP_SPAN)
 FAMILY_CHUNK = 256
 
-# field elements, or roots times residues, per step of the root tables
-# (_field_tables, _root_powers, _root_values); bounds their int64 temporaries
+# field elements, roots, or roots times rows, per step of the root tables and
+# their readers (_field_tables, _root_powers, _root_values, _character_sums);
+# bounds their int64 temporaries
 FIELD_CHUNK = 1 << 16
 
 # a zero x of Xi_t is real when |Im x| <= REAL_TOL
@@ -276,49 +278,90 @@ def _field_tables(q: int, d: int) -> tuple:
 
 @lru_cache(maxsize=32)
 def _root_powers(q: int, degree: int) -> tuple:
-    """Per irreducible degree d = 1..g of a degree-`degree` D: W of shape
-    (degree + 1, m, d) in the dtype of the roots, W[i, j] the digits of
-    theta^i for the j-th root theta of _field_tables(q, d), i <= degree,
-    FIELD_CHUNK roots at a time. Read-only."""
-    out = []
-    for d in range(1, (degree - 1) // 2 + 1):
-        low, _, roots = _field_tables(q, d)
-        W = np.empty((degree + 1, *roots.shape), dtype=roots.dtype)
-        W[0] = np.arange(d) == 0
+    """The one table of both coefficient routes for a degree-`degree` D:
+    (R, chi, offsets, first), read by _root_values and family_tables (R) and
+    by _character_sums (the rest). Read-only.
+
+    R, of shape (degree + 1, m, g) in the dtype of the roots, holds in
+    R[i, j] the digits of theta_j^i, i <= degree, padded with zeros to g
+    (the element index sum x_i q^i is unchanged by the pad), for the m roots
+    theta_j of every degree d = 1..g in _field_tables(q, d) order, degree by
+    degree, FIELD_CHUNK roots at a time. chi is the quadratic character of
+    each F_(q^d) times the reciprocity sign (-1)^(((q-1)/2) d), in one flat
+    int8 table of sum_d q^d entries, F_q first. The roots of degree d are
+    the columns first[d - 1] <= j < first[d], and offsets[j], in the smallest
+    unsigned dtype that holds sum_d q^d, is where the table of root j's field
+    starts: chi_D(P_j) is chi[offsets[j] + index of D(theta_j)]."""
+    g = (degree - 1) // 2
+    fields = [_field_tables(q, d) for d in range(1, g + 1)]
+    first = np.cumsum([0] + [len(roots) for _, _, roots in fields])
+    R = np.zeros((degree + 1, first[-1], g), dtype=fields[0][2].dtype)
+    R[0, :, 0] = 1
+    for d, (low, _, roots) in enumerate(fields, 1):
         for lo in range(0, len(roots), FIELD_CHUNK):
             x = theta = roots[lo : lo + FIELD_CHUNK].T.astype(np.int64)
+            cols = slice(first[d - 1] + lo, first[d - 1] + lo + theta.shape[1])
             for i in range(1, degree + 1):
-                W[i, lo : lo + FIELD_CHUNK] = x.T
+                R[i, cols, :d] = x.T
                 x = _mulmod(q, low, x, theta)
-        W.flags.writeable = False
-        out.append(W)
-    return tuple(out)
+    chi = np.concatenate([f[1] * (-1) ** ((q - 1) // 2 * d) for d, f in enumerate(fields, 1)])
+    starts = np.cumsum([0] + [q**d for d in range(1, g)], dtype=np.min_scalar_type(len(chi)))
+    offsets = np.repeat(starts, np.diff(first))
+    out = (R, chi, offsets, first)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
-def _root_values(q: int, C: np.ndarray, W: np.ndarray) -> np.ndarray:
+def _root_values(q: int, C: np.ndarray, R: np.ndarray) -> np.ndarray:
     """The element index of f(theta) for each row f = c_0..c_(n-1) of C
-    (n <= len(W)) at each root theta of W (_root_powers): shape (rows, m),
-    one matmul C @ W per block of roots, each block about FIELD_CHUNK d
-    values. The matmul runs in float64, which BLAS takes and which is exact
-    while a sum of n products (q - 1)^2 stays below 2^53, else in int64."""
-    n, (_, m, d) = C.shape[1], W.shape
-    step = max(1, FIELD_CHUNK // len(C))
+    (n <= len(R)) at each root theta of R (_root_powers): shape (rows, m), in
+    the smallest signed dtype that holds q^g (int32 at q = 211 and g = 3,
+    half the memory of int64), one array filled by one matmul C @ R per
+    block of FIELD_CHUNK / (rows g) roots, which keeps C @ R at about
+    FIELD_CHUNK values and its float64 copy of R at n FIELD_CHUNK / rows.
+    The matmul runs in float64, which BLAS takes and which is exact while a
+    sum of n products (q - 1)^2 stays below 2^53, else in int64."""
+    n, (_, m, g) = C.shape[1], R.shape
+    step = max(1, FIELD_CHUNK // (len(C) * g))
     dtype = np.float64 if n * (q - 1) ** 2 < 2**53 else np.int64
-    C, weights = C.astype(dtype), q ** np.arange(d, dtype=np.int64)
-    blocks = (C @ W[:n, lo : lo + step].reshape(n, -1).astype(dtype) for lo in range(0, m, step))
-    idx = [(v.astype(np.int64) % q).reshape(len(C), -1, d) @ weights for v in blocks]
-    return np.concatenate(idx, axis=1)
+    C, weights = C.astype(dtype), q ** np.arange(g, dtype=np.int64)
+    idx = np.empty((len(C), m), dtype=np.min_scalar_type(-(q**g)))
+    for lo in range(0, m, step):
+        v = (C @ R[:n, lo : lo + step].reshape(n, -1).astype(dtype)).astype(np.int64) % q
+        np.matmul(v.reshape(len(C), -1, g), weights, out=idx[:, lo : lo + step])
+    return idx
 
 
-def _split_tables(q: int, degree: int) -> tuple:
-    """(w, high, low): D(theta) and D'(theta) at the one root theta of every
-    monic irreducible P of degree d <= g in _field_tables(q, d), split at
-    the w-th base-q digit of the index, with q^w <= FAMILY_CHUNK. A value is
-    an element of that field's model, its digits x_0..x_(d-1) padded with
-    zeros to g (the element index sum x_i q^i is unchanged by the pad),
-    laid out as (g, 2, m): digit x_i of D then of D', for all m such P in
-    the root order of _field_tables, degree by degree. D(theta) =
-    (D mod P)(theta) is 0 exactly when P divides D.
+def _character_sums(q: int, degree: int, idx: np.ndarray) -> tuple:
+    """(A, B) for _newton_coefficients from idx, the element index of
+    D(theta) at every root of _root_powers(q, degree), one row per D: int32
+    of shape (g, rows), A[d - 1] and B[d - 1] the sums of chi_D(P) and of
+    chi_D(P)^2 over the monic irreducible P of degree d. chi_D(P) is the
+    signed character of F_(q^d) at D(theta_P): one gather from the flat
+    table at the index plus the root's offset, FIELD_CHUNK roots at a time,
+    then one np.add.reduceat per sum over the degrees' columns. The only
+    character sum of both coefficient routes."""
+    _, chi, offsets, first = _root_powers(q, degree)
+    vals = np.empty(idx.shape, dtype=np.int8)
+    for lo in range(0, idx.shape[1], FIELD_CHUNK):
+        cols = slice(lo, lo + FIELD_CHUNK)
+        vals[:, cols] = chi[np.add(idx[:, cols], offsets[cols], dtype=np.intp)]
+    # int32 sums (a degree has fewer than 2^31 roots): their cast is half of int64's
+    A, B = (np.add.reduceat(v, first[:-1], axis=1, dtype=np.int32) for v in (vals, vals != 0))
+    return A.T, B.T
+
+
+@lru_cache(maxsize=16)
+def family_tables(q: int, degree: int) -> tuple:
+    """(w, high, low): D(theta) and D'(theta) at every root theta of
+    _root_powers(q, degree), split at the w-th base-q digit of the index,
+    with q^w <= FAMILY_CHUNK. A value is laid out as (g, 2, m): digit x_i of
+    D then of D', padded to g as in R, for all m roots in R's order. D(theta)
+    = (D mod P)(theta) is 0 exactly when P divides D. Built once per
+    process from R alone, high from its own rows of R and low from the w
+    rows it reads, with no int64 copy of all of R; a fixed-q sweep calls it
+    before its pool forks. Read-only.
 
     Index k = h q^w + l has its high part h in c_0..c_(degree-w-1) and its
     low part l in c_(degree-w)..c_(degree-1). D(theta) is linear in the c_i,
@@ -327,47 +370,23 @@ def _split_tables(q: int, degree: int) -> tuple:
     reduced mod q, in int8 when the sum of two still fits (2(q - 1) < 128),
     else int16 or int64. high maps the digits c_0..c_(degree-w-1), then the
     monic 1, to the high values (int64, not reduced)."""
-    g = (degree - 1) // 2
-    # R[i, :, j]: the digits of theta^i at the j-th root, i <= degree, padded to g
-    R = [np.pad(P, [(0, 0), (0, 0), (0, g - P.shape[2])]) for P in _root_powers(q, degree)]
-    R = np.concatenate(R, axis=1).transpose(0, 2, 1).astype(np.int64)
-    m = R.shape[2]
-    # W[j]: the values of T^j (for D) and of j T^(j-1) (for D') at theta, j <= degree
-    W = np.zeros((degree + 1, g, 2, m), dtype=np.int64)
-    W[:, :, 0] = R
-    W[1:, :, 1] = R[:-1] * np.arange(1, degree + 1)[:, None, None] % q
-    W = W.reshape(degree + 1, -1)
-    w = 0
-    while w < degree and q ** (w + 1) <= FAMILY_CHUNK:
-        w += 1
+    R = _root_powers(q, degree)[0]
+    _, m, g = R.shape
+    w = max(k for k in range(degree + 1) if q**k <= FAMILY_CHUNK)
+
+    def values(powers):
+        # the values of T^j (for D) and of j T^(j-1) (for D', 0 at j = 0) at theta
+        out = np.zeros((len(powers), g, 2, m), dtype=np.int64)
+        for row, j in zip(out, powers):
+            row[:, 0], row[:, 1] = R[j].T, R[j - 1].T * np.int64(j) % q
+        return out.reshape(len(powers), -1)
+
+    W = values(range(degree - w, degree))
     dtype = np.int8 if 2 * (q - 1) < 2**7 else np.int16 if 2 * (q - 1) < 2**15 else np.int64
     low = np.empty((q**w, W.shape[1]), dtype=dtype)  # one row at a time: no int64 table
     for l, digits in enumerate(_digits(q, w, np.arange(q**w, dtype=np.int64))[:, ::-1]):
-        low[l] = digits @ W[degree - w : degree] % q
-    low = low.reshape(q**w, g, 2, m)
-    high = np.concatenate((W[: degree - w], W[degree:]))
-    return w, high, low
-
-
-@lru_cache(maxsize=16)
-def family_tables(q: int, degree: int) -> tuple:
-    """All that family_coefficients reads for one (q, degree), built once per
-    process: (w, high, low) of _split_tables, then chi, offsets and first.
-    chi is the quadratic character of each F_(q^d), d <= g, from
-    _field_tables, times the reciprocity sign (-1)^(((q-1)/2) d), in one
-    flat int8 table of sum_d q^d entries; offsets[j] is where the table of
-    the j-th P's degree starts, and the P of degree d are the columns from
-    first[d - 1] on. So chi_D(P_j) is chi[offsets[j] + index of D(theta_j)].
-    Everything comes from the field and root tables of build_lfunction: no
-    Euler kernel, and no list of the irreducibles. A fixed-q sweep calls it
-    before its pool forks. Read-only."""
-    g = (degree - 1) // 2
-    fields = [_field_tables(q, d) for d in range(1, g + 1)]
-    chi = np.concatenate([f[1] * (-1) ** ((q - 1) // 2 * d) for d, f in enumerate(fields, 1)])
-    m = [len(f[2]) for f in fields]
-    offsets = np.repeat(np.cumsum([0] + [q**d for d in range(1, g)]), m)
-    first = np.cumsum([0] + m[:-1])
-    out = (*_split_tables(q, degree), chi, offsets, first)
+        low[l] = digits @ W % q
+    out = (w, values([*range(degree - w), degree]), low.reshape(q**w, g, 2, m))
     for a in out[1:]:
         a.flags.writeable = False
     return out
@@ -378,13 +397,13 @@ def family_coefficients(q: int, degree: int, start: int, stop: int):
     whose enumeration indices (monic_by_index order) are start <= k < stop.
 
     The explicit formula, i.e. the log-derivative route of Kedlaya-Sutherland
-    (ANTS VIII, 2008), over the whole range at once in integer numpy: for
-    every monic irreducible P of degree d <= g, D(theta_P) at its root
-    theta_P is a high value (one small matmul over the few high parts of a
-    block) plus a low one (gathered from the split tables), mod q, and
-    chi_D(P) is the field's character there times the reciprocity sign,
-    one gather; both tables are built once, by the cached family_tables. Then
-    S_k = sum over d | k of sum over deg P = d of d chi_D(P)^(k/d), and
+    (ANTS VIII, 2008), over the whole range at once in integer numpy: at the
+    root theta_P of every monic irreducible P of degree d <= g in
+    _root_powers, D(theta_P) is a high value (one small matmul over the few
+    high parts of a block) plus a low one (gathered from the split tables of
+    the cached family_tables), mod q, and _character_sums turns the element
+    indices into the sums of chi_D(P) per degree, as for build_lfunction.
+    Then S_k = sum over d | k of sum over deg P = d of d chi_D(P)^(k/d), and
     Newton's identities n c_n = sum_{k=1..n} S_k c_(n-k) give c_1..c_g
     exactly (_newton_coefficients). D is squarefree iff no such P^2 divides
     it; P is separable, so P^2 | D exactly when P divides both D and D',
@@ -406,11 +425,9 @@ def family_coefficients(q: int, degree: int, start: int, stop: int):
     if not 0 <= start <= stop <= q**degree:
         raise ValueError("index range [%d, %d) out of range" % (start, stop))
     g = (degree - 1) // 2
-    w, high, low, chi, offsets, first = family_tables(q, degree)
-    index_type = np.int16 if q**g <= 2**15 else np.int64
+    w, high, low = family_tables(q, degree)
     first_row = min(max(start, q ** (degree - 2)), stop)
-    # A[:, d - 1], B[:, d - 1]: sums of chi_D(P) and of chi_D(P)^2 over deg P = d
-    A = np.zeros((stop - first_row, g), dtype=np.int64)
+    A = np.zeros((g, stop - first_row), dtype=np.int64)
     B = np.zeros_like(A)
     squarefree = np.zeros(stop - start, dtype=bool)
     for lo in range(first_row, stop, FAMILY_CHUNK):
@@ -422,41 +439,40 @@ def family_coefficients(q: int, degree: int, start: int, stop: int):
         # idx (rows, 2, m): the element indices of D(theta_P) and D'(theta_P),
         # by Horner's rule over the digits x_(g-1)..x_0, one digit at a time
         # (all g at once made temporaries that malloc gave back and refaulted)
-        idx = np.zeros((hi - lo, *low.shape[2:]), dtype=index_type)
+        idx = np.zeros((hi - lo, *low.shape[2:]), dtype=np.min_scalar_type(-(q**g)))
         for i in range(g - 1, -1, -1):
             x = top[:, i][h - h[0]] + low[:, i][l]
             x -= (x >= q) * low.dtype.type(q)  # % q, as both terms were < q
             idx *= q
             idx += x
-        vals = chi[idx[:, 0] + offsets]
         rows = slice(lo - first_row, hi - first_row)
-        A[rows] = np.add.reduceat(vals, first, axis=1, dtype=np.int64)
-        B[rows] = np.add.reduceat(vals != 0, first, axis=1, dtype=np.int64)
+        A[:, rows], B[:, rows] = _character_sums(q, degree, idx[:, 0])
         # no P divides both D and D'
         squarefree[lo - start : hi - start] = (idx[:, 0] | idx[:, 1]).all(axis=1)
     c = np.zeros((stop - start, g + 1), dtype=np.int64)
-    for n, cn in enumerate(_newton_coefficients([None, *A.T], [None, *B.T])):
+    for n, cn in enumerate(_newton_coefficients(A, B)):
         c[first_row - start :, n] = cn
     return c, squarefree
 
 
-def _newton_coefficients(A: list, B: list) -> list:
-    """c_0..c_g of the explicit formula from A[d] and B[d] (index 0 unused),
-    the sums of chi_D(P) and of chi_D(P)^2 over the monic irreducible P of
-    degree d = 1..g: S_k = sum over d | k of d A[d] (odd k/d) or d B[d]
+def _newton_coefficients(A, B) -> list:
+    """c_0..c_g of the explicit formula from A[d - 1] and B[d - 1], the sums
+    of chi_D(P) and of chi_D(P)^2 over the monic irreducible P of degree
+    d = 1..g: S_k = sum over d | k of d A[d - 1] (odd k/d) or d B[d - 1]
     (even k/d), then Newton's identities n c_n = sum_{k=1..n} S_k c_(n-k),
-    exact, with a remainder check. Python ints give one D; int64 arrays give
-    a stack of D, elementwise."""
-    g = len(A) - 1
+    exact, with a remainder check. Python ints give one D; int64 arrays
+    (rows of _character_sums) give a stack of D, elementwise."""
+    g = len(A)
     S = [0] * (g + 1)
     for k in range(1, g + 1):
         for d in range(1, k + 1):
             if k % d == 0:
-                S[k] += d * (A[d] if (k // d) % 2 else B[d])
+                S[k] += d * (A[d - 1] if (k // d) % 2 else B[d - 1])
     c = [1]
     for n in range(1, g + 1):
         num = sum(S[k] * c[n - k] for k in range(1, n + 1))
-        if np.any(num % n):
+        rem = num % n
+        if rem.any() if isinstance(rem, np.ndarray) else rem:
             raise ArithmeticError("Newton identity left a remainder at n=%d" % n)
         c.append(num // n)
     return c
@@ -475,27 +491,20 @@ def phi_rows(q: int, c) -> np.ndarray:
 
 
 def build_lfunction(q: int, D: FpPolynomial) -> LFunctionData:
-    """LFunctionData of a good pair by the explicit formula, one vectorised
-    pass per degree d <= g over the m monic irreducible P of that degree,
-    through one root theta_P of each in F_(q^d): D(theta_P) for every P is
-    one matmul against the cached powers of the roots (_root_values on
-    _root_powers), chi_D(P) is one gather from the field's quadratic
-    character (_field_tables) times the reciprocity sign
-    (-1)^(((q-1)/2) d), and _newton_coefficients turns the sums into
-    c_0..c_g; the functional equation fills the rest. The largest
-    intermediate is (deg D + 1)(q - 1)^2, in that matmul, which runs in
-    FIELD_CHUNK-root blocks, so memory beyond the cached tables stays
-    bounded at large q."""
+    """LFunctionData of a good pair by the explicit formula, in one pass over
+    the m monic irreducible P of degree d <= g, through one root theta_P of
+    each in F_(q^d): D(theta_P) for every P is one matmul against the cached
+    powers of the roots (_root_values on _root_powers' R), _character_sums
+    reads chi_D(P) from the signed character tables of the same entry, and
+    _newton_coefficients turns the sums into c_0..c_g; the functional
+    equation fills the rest. The largest intermediate is
+    (deg D + 1)(q - 1)^2, in that matmul, which runs in FIELD_CHUNK-root
+    blocks, so memory beyond the cached tables and the index of every root
+    stays bounded at large q."""
     require_good_pair(q, D)
-    g = (D.degree - 1) // 2
-    C = np.array([D.coeffs], dtype=np.int64)
-    A, B = [0] * (g + 1), [0] * (g + 1)
-    for d, W in enumerate(_root_powers(q, D.degree), 1):
-        vals = _field_tables(q, d)[1][_root_values(q, C, W)]
-        sign = -1 if ((q - 1) // 2 * d) % 2 else 1
-        A[d] = sign * int(vals.sum())
-        B[d] = int(np.count_nonzero(vals))
-    c = complete_coefficients(q, _newton_coefficients(A, B))
+    idx = _root_values(q, np.array([D.coeffs], dtype=np.int64), _root_powers(q, D.degree)[0])
+    A, B = _character_sums(q, D.degree, idx)
+    c = complete_coefficients(q, _newton_coefficients(A[:, 0].tolist(), B[:, 0].tolist()))
     return lfunction_from_coefficients(q, D, c)
 
 

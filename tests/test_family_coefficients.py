@@ -1,10 +1,10 @@
 """The explicit-formula coefficients of build_lfunction (one D, its value
-at one root of each irreducible per degree) and of family_coefficients (a
-whole index range of D, D(theta_P) from a digit split of the same roots'
-powers, read in the same field tables, and squarefreeness from D(theta_P)
-and D'(theta_P)), cross-checked against the reciprocity ladder
-quad_character.chi summed over the same monic irreducibles, and the
-family's character table against the ladder residue by residue at the
+at one root of each irreducible) and of family_coefficients (a whole index
+range of D, D(theta_P) from a digit split of the same roots' powers, and
+squarefreeness from D(theta_P) and D'(theta_P)), which share one root table
+and one character sum, cross-checked against the reciprocity ladder
+quad_character.chi summed over the same monic irreducibles, and the shared
+character table and sum against the ladder residue by residue at the
 minimal polynomial of every root. The root tables of each F_(q^d) are
 checked element by element: the roots against Gauss's count and the tests'
 sieve of the irreducibles, the character against the enumeration oracle's
@@ -39,13 +39,11 @@ def ladder_coefficients(q, D):
     """c_0..c_g by the explicit formula with the reciprocity ladder as the
     character: chi_D(P) = chi(D, P) at every monic irreducible P of degree
     d <= g, summed and passed through _newton_coefficients."""
-    g = (D.degree - 1) // 2
-    A = [0] * (g + 1)
-    B = [0] * (g + 1)
-    for d in range(1, g + 1):
+    A, B = [], []
+    for d in range(1, (D.degree - 1) // 2 + 1):
         vals = [chi(D, FpPolynomial(P, q)) for P in irreducible_array(q, d)]
-        A[d] = sum(vals)
-        B[d] = len(vals) - vals.count(0)
+        A.append(sum(vals))
+        B.append(len(vals) - vals.count(0))
     return tuple(_newton_coefficients(A, B))
 
 
@@ -248,15 +246,19 @@ def test_roots_are_one_per_irreducible(q, d):
 
 @pytest.mark.parametrize("q,degree", [(3, 9), (5, 5), (7, 5), (13, 5)])
 def test_family_tables_match_ladder_pointwise(q, degree):
-    # P_j, the j-th P of the family's tables, is the minimal polynomial of
-    # the j-th root theta_j of _field_tables(q, d). At D mod P_j = r,
-    # D(theta_j) = r(theta_j), so the entry of the flat table at
-    # offsets[j] + (index of r(theta_j)) must be the ladder's character of r
-    # modulo P_j times the reciprocity sign (-1)^(((q-1)/2) d), at every
-    # residue r = sum r_i q^i
+    # P_j, the j-th P of the shared root table, is the minimal polynomial of
+    # the j-th root theta_j of _field_tables(q, d), and R[i, j] holds theta_j^i
+    # padded to g digits. At D mod P_j = r, D(theta_j) = r(theta_j), so the
+    # entry of the flat table at offsets[j] + (index of r(theta_j)) must be the
+    # ladder's character of r modulo P_j times the reciprocity sign
+    # (-1)^(((q-1)/2) d), at every residue r = sum r_i q^i; and
+    # _character_sums of an index that is r(theta_j) at root j and 0 (where
+    # chi is 0) at every other root must give that value in A at degree d,
+    # its square in B, and 0 at every other degree
     g = (degree - 1) // 2
-    table, offsets, first = lfunction.family_tables(q, degree)[3:]
+    R, table, offsets, first = lfunction._root_powers(q, degree)
     assert table.shape == (sum(q**d for d in range(1, g + 1)),)
+    assert R.shape == (degree + 1, first[-1], g) == (degree + 1, len(offsets), g)
     j = 0
     for d in range(1, g + 1):
         assert first[d - 1] == j
@@ -265,16 +267,28 @@ def test_family_tables_match_ladder_pointwise(q, degree):
         roots = lfunction._field_tables(q, d)[2].astype(np.int64)
         minimal = _minimal_polynomials(q, P0, roots)
         assert not minimal[:, :, 1:].any()
+        power = np.zeros_like(roots)
+        power[:, 0] = 1
+        for i in range(degree + 1):  # theta^i, by _field_mul
+            assert np.array_equal(R[i, j : j + len(roots), :d], power)
+            power = _field_mul(q, P0, power, roots)
+        assert not R[:, j : j + len(roots), d:].any()
         residues = np.arange(q**d)[:, None] // q ** np.arange(d) % q  # rows r_0..r_(d-1)
         for theta, P in zip(roots, minimal[:, :, 0]):
             value = np.zeros_like(residues)  # r(theta) by Horner's rule
             for i in range(d - 1, -1, -1):
                 value = _field_mul(q, P0, value, theta[None])
                 value[:, 0] = (value[:, 0] + residues[:, i]) % q
-            got = table[offsets[j] + value @ q ** np.arange(d)]
             P = FpPolynomial(P, q)
             expect = [sign * chi(P, FpPolynomial(r, q)) for r in residues.tolist()]
-            assert got.tolist() == expect, (d, P)
+            assert table[offsets[j] + value @ q ** np.arange(d)].tolist() == expect, (d, P)
+            idx = np.zeros((q**d, len(offsets)), dtype=np.int64)
+            idx[:, j] = value @ q ** np.arange(d)
+            A, B = lfunction._character_sums(q, degree, idx)
+            assert A.shape == B.shape == (g, q**d)
+            assert A[d - 1].tolist() == expect, (d, P)
+            assert B[d - 1].tolist() == [e * e for e in expect], (d, P)
+            assert not np.delete(A, d - 1, axis=0).any() and not np.delete(B, d - 1, axis=0).any()
             j += 1
     assert j == len(offsets)
 
@@ -313,6 +327,7 @@ def test_root_tables_do_not_depend_on_the_chunk(monkeypatch, fresh_root_tables):
         for q, degree in cases:
             out += [lfunction._field_tables(q, d) for d in range(1, (degree - 1) // 2 + 1)]
             out += [lfunction._root_powers(q, degree), lfunction.family_tables(q, degree)]
+            out += family_coefficients(q, degree, q**degree - 50, q**degree)
             for k in range(0, q**degree, q**degree // 50 + 1):
                 D = monic_by_index(q, degree, k)
                 if is_squarefree(D):
@@ -345,13 +360,38 @@ def test_coefficient_routes_run_no_euler_kernel(monkeypatch, fresh_root_tables):
     assert calls == []
 
 
+def test_routes_share_one_root_table(fresh_root_tables):
+    # after the family's tables, build_lfunction at that degree builds no
+    # table of its own: it reads the same _root_powers entry, and through it
+    # the same field tables
+    caches = (lfunction._root_powers, lfunction._field_tables)
+    for q, degree in [(3, 9), (5, 5), (13, 5)]:
+        lfunction.family_tables(q, degree)
+        misses = [f.cache_info().misses for f in caches]
+        build_lfunction(q, monic_by_index(q, degree, q**degree - 1))
+        assert [f.cache_info().misses for f in caches] == misses, (q, degree)
+
+
+def test_newton_remainder_raises():
+    # S_1 = 1, S_2 = 0: 2 c_2 = S_1 c_1 + S_2 = 1 is odd, for one D as Python
+    # ints and for the second row of a stack (the first row, 2 c_2 = 2, is fine)
+    with pytest.raises(ArithmeticError, match="n=2"):
+        _newton_coefficients([1, 0], [0, 0])
+    with pytest.raises(ArithmeticError, match="n=2"):
+        _newton_coefficients(np.array([[1, 1], [0, 0]]), np.array([[1, 0], [0, 0]]))
+    assert _newton_coefficients(np.array([[1], [0]]), np.array([[1], [0]]))[2].tolist() == [1]
+
+
 @pytest.mark.parametrize("q,degree,rows", [(67, 5, 512), (131, 5, 512), (67, 7, 64)])
 def test_large_q_family_rows_match_build_lfunction(q, degree, rows):
     # past the q <= 13 of FAMILIES: 2(q - 1) >= 128, so the low residues are
-    # int16, and at (67, 7) q^g > 2^15, so the residue index is int64
+    # int16, and at (67, 7) q^g > 2^15, so the residue index is int32. The
+    # routes share their tables, so the first squarefree row's c_1 is also
+    # checked against the reciprocity ladder's sum over the P = T + a
     g = (degree - 1) // 2
-    low, table = lfunction.family_tables(q, degree)[2:4]
-    assert low.dtype == np.int16
+    low = lfunction.family_tables(q, degree)[2]
+    R, table = lfunction._root_powers(q, degree)[:2]
+    assert low.dtype == np.int16 and R.dtype == np.uint8
     assert table.size == sum(q**d for d in range(1, g + 1))
     start = random.Random(q * degree).randrange(q ** (degree - 2), q**degree - rows)
     c, squarefree = family_coefficients(q, degree, start, start + rows)
@@ -360,14 +400,20 @@ def test_large_q_family_rows_match_build_lfunction(q, degree, rows):
         assert squarefree[i] == is_squarefree(D), k
         if i % 16 == 0 and squarefree[i]:
             assert tuple(c[i].tolist()) == build_lfunction(q, D).c[: g + 1], k
+    i = int(np.argmax(squarefree))
+    D = monic_by_index(q, degree, start + i)
+    assert c[i, 1] == sum(chi(D, FpPolynomial((a, 1), q)) for a in range(q))
 
 
 @pytest.mark.parametrize("q", [99991, 99999989])
 def test_root_values_stay_exact_past_float64(q):
-    # sum_i C_i W_i mod q with every entry q - 2, odd: at the second q each
+    # sum_i C_i R_i mod q with every digit q - 2, odd: at the second q each
     # product passes 2^53, where float64 would round it and the matmul must
-    # run in int64
+    # run in int64. R has 4 powers of 3 roots, 2 digits each; the third root
+    # lies in the smaller field, its second digit the pad 0
     C = np.full((1, 4), q - 2)
-    W = np.full((4, 3, 2), q - 2, dtype=np.uint32)
+    R = np.full((4, 3, 2), q - 2, dtype=np.uint32)
+    R[:, 2, 1] = 0
     digit = 4 * (q - 2) ** 2 % q
-    assert lfunction._root_values(q, C, W).tolist() == [[digit * (1 + q)] * 3]
+    idx = lfunction._root_values(q, C, R)
+    assert idx.dtype == np.int64 and idx.tolist() == [[digit * (1 + q)] * 2 + [digit]]
