@@ -7,9 +7,10 @@ genus-1 closed form ties Lambda to the Frobenius trace a_p and the angle
 statistics follow the semicircle law.
 
 The fixed-q sweep runs in tasks of SWEEP_SPAN consecutive indices of one
-degree: the explicit formula (lfunction.family_coefficients, in blocks of
-FAMILY_CHUNK, from lfunction.family_tables) gives c_0..c_g and the squarefree
-mask for the whole task, and the estimator runs once per task on the Phi array
+degree: the explicit formula (lfunction.family_coefficients, in blocks of at
+most FAMILY_CHUNK, fewer where the roots are many, from
+lfunction.family_tables) gives c_0..c_g and the squarefree mask for the
+whole task, and the estimator runs once per task on the Phi array
 (lfunction.phi_rows) of its distinct c_0..c_g, building no FpPolynomial or
 LFunctionData per D. An estimate depends on D only through its L-polynomial (q
 and c_0..c_g), and a fixed-q family has far fewer of those than discriminants,

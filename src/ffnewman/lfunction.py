@@ -39,11 +39,13 @@ oracle enumerated_coefficients, c_n as the sum of chi_D over every monic f
 of degree n, with dirichlet_coefficients, its c_0..c_g completed by the
 integer functional equation c_(g+n) = q^n c_(g-n). The oracle's characters
 come from _chi_rows, which factors D and applies Euler's criterion through
-the norm (_euler_values, with _frobenius) at each factor: a kernel that
-runs on neither route, which share with it only the enumeration helpers
-(_digits), T^i mod P (_powers_mod) and the product mod P (_mulmod). The
-ladder takes Euler's criterion of a scalar (legendre_int), so it shares no
-code with any of them. The JSON view of this data is the CLI's.
+the norm (_euler_values) at each factor P, in the model F_q[T]/(P): a
+kernel that runs on neither route, which share with it only the enumeration
+helpers (_digits), T^i mod P (_powers_mod), the model's reduction table and
+Frobenius matrix, both rows of one _powers_mod (_model), and the product mod
+P (_mulmod). The ladder takes Euler's criterion of a scalar (legendre_int),
+so it shares no code with any of them. The JSON view of this data is the
+CLI's.
 """
 
 from __future__ import annotations
@@ -60,8 +62,9 @@ from .fp_poly import FpPolynomial, _digits, _factorize_monic, _monic_array
 from .fp_poly import is_irreducible, is_squarefree, monic_by_index
 from .quad_character import _validate_modulus
 
-# discriminants per block of family_coefficients; bounds its working arrays
-# (a fixed-q sweep task spans several blocks: families.SWEEP_SPAN)
+# most discriminants per block of family_coefficients, which takes fewer where
+# rows times roots would pass 64 FIELD_CHUNK (a fixed-q sweep task spans
+# several blocks: families.SWEEP_SPAN)
 FAMILY_CHUNK = 256
 
 # field elements, roots, or roots times rows, per step of the root tables and
@@ -144,20 +147,27 @@ def complete_coefficients(q: int, c_half) -> tuple:
     return tuple(c)
 
 
-def _powers_mod(P: np.ndarray, count: int, q: int) -> np.ndarray:
-    """T^i mod P for i < count and every monic row P (ascending, shape
-    (m, d + 1)); returns shape (count, d, m): out[i, :, j] is T^i mod P_j."""
-    m, d = P.shape[0], P.shape[1] - 1
-    out = np.zeros((count, d, m), dtype=np.int64)
-    r = np.zeros((d, m), dtype=np.int64)
-    r[0] = 1
-    for i in range(count):
-        out[i] = r
-        top = r[-1].copy()
-        r = np.roll(r, 1, axis=0)
-        r[0] = 0
-        r = (r - top * P[:, :d].T) % q
+def _powers_mod(P, count: int, q: int) -> np.ndarray:
+    """T^i mod P for i < count, P monic of degree d (ascending coefficients):
+    shape (count, d), row i the digits of T^i mod P."""
+    P = np.asarray(P, dtype=np.int64)
+    d = len(P) - 1
+    out = np.zeros((count, d), dtype=np.int64)
+    out[0, 0] = 1
+    for i in range(1, count):
+        out[i, 1:] = out[i - 1, :-1]
+        out[i] = (out[i] - out[i - 1, -1] * P[:d]) % q
     return out
+
+
+def _model(q: int, P) -> tuple:
+    """(low, frob), the model F_q[T]/(P) for P monic of degree d: low[k] is
+    T^k mod P for k <= 2d - 2, the reduction table of _mulmod, and frob the
+    (d, d) matrix of x -> x^q, column i T^(q i) mod P. Both are rows of one
+    _powers_mod, whose q(d - 1) + 1 rows are at least 2d - 1 for q >= 3."""
+    d = len(P) - 1
+    powers = _powers_mod(P, q * (d - 1) + 1, q)
+    return powers[: 2 * d - 1], powers[::q].T
 
 
 def _chi_rows(q: int, D: FpPolynomial, top: int) -> tuple:
@@ -165,12 +175,12 @@ def _chi_rows(q: int, D: FpPolynomial, top: int) -> tuple:
     degree n, indexed like monic_by_index(q, n, k). The enumeration oracle.
 
     It shares nothing with the reciprocity ladder, and with the explicit
-    formula only the enumeration, _powers_mod and _mulmod, not their tables
-    or its character kernel: D is factored once by trial division, and at
-    each monic irreducible factor P of degree d, f mod P is one matmul
-    against T^i mod P, and its character is _euler_values (Euler's
-    criterion through the norm, which runs on neither route) with its one
-    P broadcast, on the distinct residues only. chi_D(f) is the product
+    formula only the enumeration, _powers_mod, _model and _mulmod, not their
+    tables or its character kernel: D is factored once by trial division,
+    and at each monic irreducible factor P of degree d, f mod P is one
+    matmul against T^i mod P, and its character is _euler_values (Euler's
+    criterion through the norm, which runs on neither route) in the model
+    F_q[T]/(P), on the distinct residues only. chi_D(f) is the product
     over P.
     """
     if D.p != q:
@@ -183,55 +193,37 @@ def _chi_rows(q: int, D: FpPolynomial, top: int) -> tuple:
     chi = np.ones(len(F), dtype=np.int64)
     for P in _factorize_monic(q, D.coeffs):
         d = len(P) - 1
-        powers = _powers_mod(np.array([P]), max(top + 1, 2 * d - 1), q)
         residues, inverse = np.unique(
-            ((F @ powers[: top + 1, :, 0]) % q) @ q ** np.arange(d, dtype=np.int64),
+            (F @ _powers_mod(P, top + 1, q) % q) @ q ** np.arange(d, dtype=np.int64),
             return_inverse=True,
         )
         r = np.ascontiguousarray(_digits(q, d, residues).T)
-        low = powers[: 2 * d - 1]
-        chi *= _euler_values(q, low, _frobenius(q, low), r)[inverse]
+        chi *= _euler_values(q, *_model(q, P), r)[inverse]
     return tuple(np.split(chi, np.cumsum([q**n for n in range(top)])))
 
 
 def _mulmod(q: int, low: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a b mod P_j, for residues and reduction table low as in _euler_values
-    (the product in F_(q^d) of _field_tables and _root_powers, too)."""
+    """a b mod P for residues as columns (shape (d, n)) and the reduction
+    table low of _model (the product in F_(q^d) of _field_tables and
+    _root_powers, too)."""
     d = a.shape[0]
     prod = np.zeros((2 * d - 1, a.shape[1]), dtype=np.int64)
     for i in range(d):
         prod[i : i + d] += a[i] * b
-    return np.einsum("kij,kj->ij", low, prod % q) % q  # at most (2d - 1)(q - 1)^2
-
-
-def _frobenius(q: int, low: np.ndarray) -> np.ndarray:
-    """The matrices of x -> x^q mod P_j for the reduction table low, shape
-    (d, d, m): column i is T^(q i), a power of T^q, by repeated squaring."""
-    if len(low) == 1:
-        return low  # d = 1: x^q = x, and low[0] = 1
-    T = Tq = low[1]  # T mod P_j
-    for bit in bin(q)[3:]:  # left to right
-        Tq = _mulmod(q, low, Tq, Tq)
-        Tq = _mulmod(q, low, Tq, T) if bit == "1" else Tq
-    F = [low[0], Tq]
-    for _ in range(2, low.shape[1]):
-        F.append(_mulmod(q, low, F[-1], Tq))
-    return np.stack(F, axis=1)
+    return low.T @ (prod % q) % q  # at most (2d - 1)(q - 1)^2
 
 
 def _euler_values(q: int, low: np.ndarray, frob: np.ndarray, r: np.ndarray):
-    """Euler's criterion r^((q^d - 1)/2) mod P_j, as 0 or +-1, for residues
-    modulo monic irreducibles P_j of degree d: the enumeration oracle's
-    character kernel. Column j of r (shape (d, m)) is a residue mod P_j,
-    low[k, :, j] is T^k mod P_j for k <= 2d - 2 and frob is
-    _frobenius(q, low); their last axis is 1 for one P shared by every
-    column (_chi_rows). The power is N(r)^((q - 1)/2) for the norm
-    N(r) = prod_{k<d} r^(q^k), d - 1 Frobenius steps and products, which
-    lies in F_q: its Legendre symbol. A norm outside F_q means a reducible
-    modulus: ArithmeticError."""
+    """Euler's criterion r^((q^d - 1)/2) mod P, as 0 or +-1, for residues
+    modulo one monic irreducible P of degree d: the enumeration oracle's
+    character kernel. Each column of r (shape (d, n)) is a residue mod P,
+    and (low, frob) is _model(q, P). The power is N(r)^((q - 1)/2) for the
+    norm N(r) = prod_{k<d} r^(q^k), d - 1 Frobenius steps and products,
+    which lies in F_q: its Legendre symbol. A norm outside F_q means a
+    reducible modulus: ArithmeticError."""
     acc = x = r
     for _ in range(r.shape[0] - 1):
-        x = np.einsum("ijm,jm->im", frob, x) % q
+        x = frob @ x % q
         acc = _mulmod(q, low, acc, x)
     if acc[1:].any():
         raise ArithmeticError("the norm left F_%d: a modulus is reducible" % q)
@@ -250,13 +242,12 @@ def _field_tables(q: int, d: int) -> tuple:
     irreducible of degree d, as rows of digits in the smallest unsigned
     dtype that holds q - 1: the least element of each Frobenius orbit of
     size d, i.e. each element below its d - 1 conjugates x^(q^k), taken by
-    the matrix of x -> x^q (column i is T^(q i) mod P0), in index order.
+    the Frobenius matrix of _model(q, P0), in index order.
     The elements are run FIELD_CHUNK at a time. Read-only."""
     k = q ** (d - 1)
     while not is_irreducible(monic_by_index(q, d, k)):
         k += 1
-    powers = _powers_mod(np.array([monic_by_index(q, d, k).coeffs]), q * (d - 1) + 1, q)
-    low, frob = powers[: 2 * d - 1], powers[::q, :, 0].T
+    low, frob = _model(q, monic_by_index(q, d, k).coeffs)
     weights = q ** np.arange(d, dtype=np.int64)
     chi = np.full(q**d, -1, dtype=np.int8)
     roots = []
@@ -415,9 +406,12 @@ def family_coefficients(q: int, degree: int, start: int, stop: int):
     Returns (c, squarefree): int64 of shape (stop - start, g + 1) and bool of
     shape (stop - start,). For squarefree D a row equals
     dirichlet_coefficients(q, D)[:g + 1]; other rows are not the coefficients
-    of a good pair. Work runs in blocks of FAMILY_CHUNK D, so memory beyond
-    the outputs and the per-row sums that feed Newton's identities (int64,
-    two arrays of c's size) is bounded whatever the range.
+    of a good pair. Work runs in blocks of FAMILY_CHUNK D, or fewer, at
+    least one, where m roots would make a block hold more than
+    64 FIELD_CHUNK rows times roots (m > 16,384, e.g. from q = 67 at genus
+    3), so memory beyond the tables, the outputs and the per-row sums that
+    feed Newton's identities (int64, two arrays of c's size) is bounded
+    whatever the range and q.
     """
     check_odd_prime(q)
     if degree < 3 or degree % 2 == 0:
@@ -430,8 +424,9 @@ def family_coefficients(q: int, degree: int, start: int, stop: int):
     A = np.zeros((g, stop - first_row), dtype=np.int64)
     B = np.zeros_like(A)
     squarefree = np.zeros(stop - start, dtype=bool)
-    for lo in range(first_row, stop, FAMILY_CHUNK):
-        hi = min(lo + FAMILY_CHUNK, stop)
+    step = min(FAMILY_CHUNK, max(1, 64 * FIELD_CHUNK // low.shape[-1]))
+    for lo in range(first_row, stop, step):
+        hi = min(lo + step, stop)
         h, l = np.divmod(np.arange(lo, hi, dtype=np.int64), q**w)
         top = np.ones((h[-1] - h[0] + 1, degree - w + 1), dtype=np.int64)
         top[:, :-1] = _digits(q, degree - w, np.arange(h[0], h[-1] + 1))[:, ::-1]

@@ -299,10 +299,10 @@ def test_field_character_matches_euler_through_the_norm(q, d):
     # criterion through the norm, with the model's one P0 for every column
     low, chi, _ = lfunction._field_tables(q, d)
     assert chi.dtype == np.int8 and chi.shape == (q**d,)
-    assert np.array_equal(low, lfunction._powers_mod(np.array([_model(q, d)]), 2 * d - 1, q))
+    model = lfunction._model(q, _model(q, d))
+    assert np.array_equal(low, model[0])
     r = np.ascontiguousarray(lfunction._digits(q, d, np.arange(q**d)).T)
-    euler = lfunction._euler_values(q, low, lfunction._frobenius(q, low), r)
-    assert np.array_equal(chi, euler)
+    assert np.array_equal(chi, lfunction._euler_values(q, *model, r))
 
 
 @pytest.fixture
@@ -352,8 +352,7 @@ def test_coefficient_routes_run_no_euler_kernel(monkeypatch, fresh_root_tables):
     # the Frobenius norm belongs to the enumeration oracle alone: both
     # coefficient routes, tables and all, take chi from the roots
     calls = []
-    for name in ("_euler_values", "_frobenius"):
-        monkeypatch.setattr(lfunction, name, lambda *args, name=name: calls.append(name))
+    monkeypatch.setattr(lfunction, "_euler_values", lambda *args: calls.append(args))
     for q, degree in [(3, 9), (5, 5), (7, 5), (13, 3)]:
         lfunction.family_tables(q, degree)
         build_lfunction(q, monic_by_index(q, degree, q**degree - 1))
@@ -382,19 +381,30 @@ def test_newton_remainder_raises():
     assert _newton_coefficients(np.array([[1], [0]]), np.array([[1], [0]]))[2].tolist() == [1]
 
 
-@pytest.mark.parametrize("q,degree,rows", [(67, 5, 512), (131, 5, 512), (67, 7, 64)])
-def test_large_q_family_rows_match_build_lfunction(q, degree, rows):
+@pytest.mark.parametrize("q,degree,rows", [(67, 5, 512), (131, 5, 512), (67, 7, 256)])
+def test_large_q_family_rows_match_build_lfunction(q, degree, rows, monkeypatch):
     # past the q <= 13 of FAMILIES: 2(q - 1) >= 128, so the low residues are
     # int16, and at (67, 7) q^g > 2^15, so the residue index is int32. The
     # routes share their tables, so the first squarefree row's c_1 is also
-    # checked against the reciprocity ladder's sum over the P = T + a
+    # checked against the reciprocity ladder's sum over the P = T + a. No
+    # block holds more than 64 FIELD_CHUNK rows times roots: at (67, 7),
+    # 102,510 roots, a block of FAMILY_CHUNK rows would hold 26M
     g = (degree - 1) // 2
     low = lfunction.family_tables(q, degree)[2]
     R, table = lfunction._root_powers(q, degree)[:2]
     assert low.dtype == np.int16 and R.dtype == np.uint8
     assert table.size == sum(q**d for d in range(1, g + 1))
+    blocks, character_sums = [], lfunction._character_sums
+
+    def spy(q, degree, idx):
+        blocks.append(idx.shape)
+        return character_sums(q, degree, idx)
+
+    monkeypatch.setattr(lfunction, "_character_sums", spy)
     start = random.Random(q * degree).randrange(q ** (degree - 2), q**degree - rows)
     c, squarefree = family_coefficients(q, degree, start, start + rows)
+    assert sum(n for n, _ in blocks) == rows
+    assert max(n * m for n, m in blocks) <= 64 * lfunction.FIELD_CHUNK, blocks
     for i, k in enumerate(range(start, start + rows)):
         D = monic_by_index(q, degree, k)
         assert squarefree[i] == is_squarefree(D), k

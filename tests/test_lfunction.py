@@ -122,8 +122,7 @@ def test_character_kernel_rejects_a_reducible_modulus():
     r = np.array([[0], [1]])
 
     def kernel(P):
-        low = lfunction._powers_mod(np.array([P]), 3, 3)
-        return lfunction._euler_values(3, low, lfunction._frobenius(3, low), r)
+        return lfunction._euler_values(3, *lfunction._model(3, P), r)
 
     assert kernel((1, 0, 1)).tolist() == [1]
     with pytest.raises(ArithmeticError, match="reducible"):
