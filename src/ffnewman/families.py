@@ -32,8 +32,8 @@ comes from baby-step giant-step on the curve or its twist, O(p^(1/4)) group
 steps, run in lockstep over numpy lanes (_bsgs_lanes): one pass per task of
 SATO_TATE_RUN consecutive good primes, then the few primes the passes left
 open all together, and the O(p) point count for small p and as the fallback.
-A pool never has more processes than tasks; with one task the map runs
-in-process.
+A sweep forks a pool only when each of its processes gets POOL_MIN_TASKS
+tasks; a smaller sweep runs in-process.
 """
 
 from __future__ import annotations
@@ -216,17 +216,26 @@ def check_workers(workers: int) -> None:
         raise ValueError("workers must be 1 to %d, got %d" % (MAX_WORKERS, workers))
 
 
+# tasks per pool process (_ordered_map): with fewer, the fork and the IPC
+# cost more than a second process saves
+POOL_MIN_TASKS = 16
+
+
 @contextmanager
 def _ordered_map(fn, tasks, workers: int):
     """fn over the tasks, an iterable read lazily, results in task order: the
-    builtin map when its first `workers` tasks are at most one, else the imap of
-    a pool of that many processes, torn down on any exit, early or raised."""
+    imap of a pool with one process per POOL_MIN_TASKS of the first
+    workers * POOL_MIN_TASKS tasks, so min(workers, tasks // POOL_MIN_TASKS)
+    processes, or the builtin map when that is at most one. The pool is
+    forked, so workers inherit the parent's tables and its emptied memo, and
+    it is torn down on any exit, early or raised."""
     tasks = iter(tasks)
-    head = list(itertools.islice(tasks, workers))
-    if len(head) <= 1:
+    head = list(itertools.islice(tasks, workers * POOL_MIN_TASKS))
+    procs = len(head) // POOL_MIN_TASKS
+    if procs <= 1:
         yield map(fn, itertools.chain(head, tasks))
         return
-    pool = multiprocessing.Pool(len(head))
+    pool = multiprocessing.get_context("fork").Pool(procs)
     try:
         yield pool.imap(fn, itertools.chain(head, tasks))
     finally:
@@ -338,7 +347,8 @@ def sweep_fixed_q(
     in the canonical order arrives (SweepBlock.items expands its rows). The
     sweep keeps no row but the bests of its report, so its memory does not
     grow with the family, and only a row that becomes a best is built as a
-    SweepItem. A pool has at most one process per task.
+    SweepItem. The tasks run in a forked pool only when each process gets
+    POOL_MIN_TASKS of them (_ordered_map), else in this process.
     """
     start = check_sweep(q, max_genus, method, start, workers)
     # forked workers copy the memo (for this q and method only) and the tables

@@ -6,7 +6,6 @@ import csv
 import io
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -316,7 +315,7 @@ def test_sweep_small(capsys):
     assert empties, "expected some no-bound cubics"
 
 
-def test_sweep_workers_byte_identical(tmp_path):
+def test_sweep_workers_byte_identical(tmp_path, forked):
     a = tmp_path / "w1.csv"
     b = tmp_path / "w2.csv"
     assert main(["sweep", "--q", "3", "--max-genus", "2", "--workers", "1", "--out", str(a)]) == EXIT_OK
@@ -324,7 +323,7 @@ def test_sweep_workers_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sweep_workers_byte_identical_across_chunks(tmp_path):
+def test_sweep_workers_byte_identical_across_chunks(tmp_path, forked):
     a = tmp_path / "w1.csv"
     b = tmp_path / "w2.csv"
     assert main(["sweep", "--q", "3", "--max-genus", "3", "--workers", "1", "--out", str(a)]) == EXIT_OK
@@ -332,7 +331,7 @@ def test_sweep_workers_byte_identical_across_chunks(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_bisect_sweep_workers_byte_identical(tmp_path):
+def test_bisect_sweep_workers_byte_identical(tmp_path, forked):
     a = tmp_path / "w1.csv"
     b = tmp_path / "w2.csv"
     args = ["sweep", "--q", "5", "--max-genus", "2", "--method", "bisect"]
@@ -487,12 +486,10 @@ def test_sato_tate_hasse_violation_exits_numerical(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("workers", [0, -3, MAX_WORKERS + 1, 10**6])
-def test_sweeps_reject_bad_workers(monkeypatch, capsys, workers):
-    # rejected before any output and before a pool is started
-    def refuse(*args, **kwargs):
-        raise AssertionError("started a pool")
-
-    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+def test_sweeps_reject_bad_workers(monkeypatch, capsys, pool_starts, workers):
+    # rejected before any output and before a pool is started, even with a
+    # pool for every task
+    monkeypatch.setattr(families, "POOL_MIN_TASKS", 1)
     for args in (
         ["sweep", "--q", "3", "--max-genus", "1"],
         ["sato-tate", "--dz", "1,1,0,1", "--pmax", "30"],
@@ -500,6 +497,7 @@ def test_sweeps_reject_bad_workers(monkeypatch, capsys, workers):
         code, out, err = run_cli(args + ["--workers=%d" % workers], capsys)
         assert (code, out) == (EXIT_INVALID, "")
         assert "workers must be 1 to %d, got %d" % (MAX_WORKERS, workers) in err
+    assert pool_starts == []
 
 
 def test_default_workers_is_capped():

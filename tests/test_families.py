@@ -422,16 +422,14 @@ def test_sato_tate_rejects_bad_cubic():
 
 
 @pytest.mark.parametrize("workers", [0, -3, families.MAX_WORKERS + 1, 10**6])
-def test_sweeps_reject_bad_workers(monkeypatch, workers):
-    # rejected before any pool exists: Pool is patched to fail
-    def refuse(*args, **kwargs):
-        raise AssertionError("started a pool")
-
-    monkeypatch.setattr(families.multiprocessing, "Pool", refuse)
+def test_sweeps_reject_bad_workers(monkeypatch, pool_starts, workers):
+    # rejected before any pool exists, even with a pool for every task
+    monkeypatch.setattr(families, "POOL_MIN_TASKS", 1)
     with pytest.raises(ValueError, match="^workers must be 1 to 64, got"):
         sweep_fixed_q(3, 1, workers=workers)
     with pytest.raises(ValueError, match="^workers must be 1 to 64, got"):
         sato_tate_sweep(DZ_A, 30, workers=workers)
+    assert pool_starts == []
 
 
 def sweep_items(*args, **kwargs):
@@ -442,18 +440,39 @@ def sweep_items(*args, **kwargs):
     return report, seen
 
 
-@pytest.mark.parametrize(
-    "run",
-    [lambda: sweep_fixed_q(3, 1, workers=2), lambda: sato_tate_sweep(DZ_A, 30, workers=2)],
-    ids=["fixed_q", "sato_tate"],
-)
-def test_one_task_sweeps_start_no_pool(monkeypatch, run):
-    # a pool has at most one process per task, and one task runs in-process
-    def refuse(*args, **kwargs):
-        raise AssertionError("started a pool")
+# (sweep, its number of tasks): the call at a given worker count
+POOL_RUNS = {
+    ("fixed_q", 1): lambda w: sweep_fixed_q(3, 1, workers=w),
+    ("fixed_q", 14): lambda w: sweep_fixed_q(3, 4, workers=w),
+    ("sato_tate", 0): lambda w: sato_tate_sweep(DZ_A, 30, workers=w),
+    ("sato_tate", 20): lambda w: sato_tate_sweep(DZ_A, 50000, workers=w),
+}
 
-    monkeypatch.setattr(families.multiprocessing, "Pool", refuse)
-    assert run().processed > 0
+
+@pytest.mark.parametrize(
+    "sweep,tasks,workers,floor",
+    [
+        pytest.param("fixed_q", 1, 2, None, id="fixed_q"),
+        pytest.param("sato_tate", 0, 2, None, id="sato_tate"),
+        pytest.param("fixed_q", 14, 2, None, id="fixed_q-14"),
+        pytest.param("sato_tate", 20, 2, None, id="sato_tate-20"),
+        pytest.param("fixed_q", 14, 2, 7, id="fixed_q-14-floor7"),
+        pytest.param("fixed_q", 14, 2, 8, id="fixed_q-14-floor8"),
+        pytest.param("fixed_q", 14, 3, 4, id="fixed_q-14-w3-floor4"),
+        pytest.param("fixed_q", 14, 3, 1, id="fixed_q-14-w3-floor1"),
+        pytest.param("sato_tate", 20, 2, 10, id="sato_tate-20-floor10"),
+        pytest.param("sato_tate", 20, 3, 8, id="sato_tate-20-w3-floor8"),
+    ],
+)
+def test_sweep_pool_size_follows_task_count(monkeypatch, pool_starts, sweep, tasks, workers, floor):
+    # a pool has min(workers, tasks // POOL_MIN_TASKS) processes, and none
+    # when that is at most one: the benchmark's 14-task sweep and 20-run
+    # Sato-Tate sweep run in-process at the default floor
+    if floor is not None:
+        monkeypatch.setattr(families, "POOL_MIN_TASKS", floor)
+    procs = min(workers, tasks // families.POOL_MIN_TASKS)
+    assert POOL_RUNS[sweep, tasks](workers).processed > 0
+    assert pool_starts == ([procs] if procs > 1 else [])
 
 
 def test_sweep_fixed_q_genus1():
@@ -490,7 +509,7 @@ def same_counts_and_bests(a, b):
     assert a.best_overall == b.best_overall
 
 
-def test_sweep_workers_deterministic():
+def test_sweep_workers_deterministic(forked):
     one, one_items = sweep_items(3, 2, workers=1)
     two, two_items = sweep_items(3, 2, workers=2)
     assert len(one_items) == len(two_items) == one.processed
@@ -504,7 +523,7 @@ def test_sweep_workers_deterministic():
     same_counts_and_bests(one, two)
 
 
-def test_sweep_builds_chi_tables_before_forking():
+def test_sweep_builds_chi_tables_before_forking(forked):
     # forked workers share the parent's tables instead of each building them
     family_tables.cache_clear()
     sweep_fixed_q(3, 2, workers=2)
@@ -525,7 +544,7 @@ def test_sweep_resume_matches_suffix():
         assert (a.degree, a.index, a.c) == (b.degree, b.index, b.c)
 
 
-def test_sweep_workers_deterministic_across_chunks():
+def test_sweep_workers_deterministic_across_chunks(forked):
     # genus <= 3 spans several FAMILY_CHUNK blocks per degree
     one, one_items = sweep_items(3, 3, workers=1)
     two, two_items = sweep_items(3, 3, workers=2)
@@ -770,7 +789,7 @@ def test_sweep_rows_do_not_depend_on_memo_size(monkeypatch, size):
         assert len(families._memo) == size
 
 
-def test_sweep_memo_starts_empty_each_sweep(monkeypatch):
+def test_sweep_memo_starts_empty_each_sweep(monkeypatch, forked):
     # pins the memo's scope: the key is c_0..c_g alone, so it holds only for
     # one q and method. The genus-1 rows c_0, c_1 of F_3 recur over F_5 with
     # another L-polynomial, and each method answers its own, so sweeps run
