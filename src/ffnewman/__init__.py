@@ -15,17 +15,13 @@ _EXPORTS = {
     "semicircle_cdf": "families",
     "sweep_fixed_q": "families",
     "trace_of_frobenius": "families",
-    "legendre_int": "finite_field",
     "FpPolynomial": "fp_poly",
-    "enumerate_monic": "fp_poly",
     "is_irreducible": "fp_poly",
     "is_squarefree": "fp_poly",
     "LFunctionData": "lfunction",
     "ZeroSet": "lfunction",
     "build_lfunction": "lfunction",
-    "dirichlet_coefficients": "lfunction",
     "good_pair_check": "lfunction",
-    "xi_eval": "lfunction",
     "zeros_at_t": "lfunction",
     "NewmanEstimate": "newman",
     "StoppleData": "newman",
@@ -34,7 +30,6 @@ _EXPORTS = {
     "lambda_exact_genus1": "newman",
     "stopple_data": "newman",
     "strip_bound": "newman",
-    "chi": "quad_character",
 }
 
 __all__ = sorted([*_EXPORTS, "__version__"])

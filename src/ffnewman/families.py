@@ -20,8 +20,7 @@ serves the repeats, and a task returns one SweepBlock: its squarefree indices,
 its distinct keys, the estimator's result row for each (an array of kind
 codes, values and brackets, as newman's block estimators return them) with
 the messages of the keys that ended in an error, and each row's key. The
-reciprocity ladder is not used here; it cross-checks the explicit formula in
-the tests. The sweep is a stream of blocks: each goes to the caller's
+sweep is a stream of blocks: each goes to the caller's
 on_block, which can write all its rows at once, and is dropped. Only the
 bests, found in numpy, become SweepItems (SweepBlock.items builds a row's
 NewmanEstimate with the method's converter), and the SweepReport keeps only

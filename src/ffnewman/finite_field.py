@@ -1,9 +1,6 @@
 """Prime-field helpers for F_p, p an odd prime: primality, the modulus check,
-and the Legendre symbol by two routes that the tests cross-check:
-legendre_table, the one square-marking table of F_p (read by the
-enumeration oracle's Euler kernel and the Sato-Tate point count), and
-legendre_int, Euler's criterion for one scalar, run by the reciprocity
-ladder only (Sato-Tate lanes use _pow_lanes). Elements of F_p are plain
+and legendre_table, the one square-marking table of the Legendre symbol
+on F_p (read by the Sato-Tate point count). Elements of F_p are plain
 ints in [0, p); fp_poly's kernels reduce results."""
 
 from __future__ import annotations
@@ -34,18 +31,6 @@ def check_odd_prime(p: int) -> None:
     """Raise ValueError unless p is an odd prime (the only legal moduli here)."""
     if not isinstance(p, int) or p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError("modulus must be an odd prime, got %r" % (p,))
-
-
-def legendre_int(a: int, p: int) -> int:
-    """Legendre symbol of the integer a mod the odd prime p, by Euler's criterion.
-
-    Returns 0 iff p | a, +1 for nonzero squares, -1 otherwise.
-    """
-    check_odd_prime(p)
-    r = pow(a % p, (p - 1) // 2, p)
-    if r <= 1:
-        return r
-    return -1  # Euler gives p - 1 here
 
 
 @lru_cache(maxsize=64)

@@ -5,14 +5,13 @@ constructor checks p and reduces the integers mod p, and the class gives
 degree, monicity, the monic multiple and the text codec used by the CLI. It
 has no ring operators. The rest is kernels on raw coefficient tuples,
 ascending degree order with no trailing zeros (the zero polynomial is the
-empty tuple): _mod_monic, the reciprocity ladder's inner loop in the
-character module; _gcd, the one Euclid (monic divisors over F_p,
+empty tuple): _gcd, the one Euclid (monic divisors over F_p,
 pseudo-division over Q), run by gcd, is_squarefree (gcd(D, D')) and
 newman.has_repeated_root; _factorize_monic, trial division, the one factoring
 kernel, run by is_irreducible (which picks the modulus of each field of the
-lfunction module's root tables) and by that module's enumeration oracle
-(_chi_rows). Last comes the deterministic enumeration of monic
-polynomials, one at a time or as numpy rows of coefficients.
+lfunction module's root tables). Last comes the deterministic enumeration
+of monic polynomials by index, one at a time or as numpy rows of
+coefficients.
 """
 
 from __future__ import annotations
@@ -30,22 +29,6 @@ def _trim(c: list) -> tuple:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def _mod_monic(f: tuple, g: tuple, p: int) -> tuple:
-    """f mod g for monic g with deg g >= 1. The ladder's inner loop."""
-    dg = len(g) - 1
-    r = list(f)
-    while len(r) - 1 >= dg:
-        c = r[-1]
-        if c:
-            base = len(r) - 1 - dg
-            for i in range(dg):
-                r[base + i] = (r[base + i] - c * g[i]) % p
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    return tuple(r)
 
 
 def _divmod(a: tuple, b: tuple, p: int) -> tuple:
@@ -222,28 +205,12 @@ def _monic_tuple_by_index(p: int, n: int, k: int) -> tuple:
 
 
 def monic_by_index(p: int, n: int, k: int) -> FpPolynomial:
-    """Seekable access into the enumerate_monic stream: 0 <= k < p**n."""
+    """The k-th monic polynomial of degree n over F_p, 0 <= k < p**n, in
+    lexicographic order of the ascending coefficient vector."""
     check_odd_prime(p)
     if n < 0 or not 0 <= k < p**n:
         raise ValueError("index %d out of range for degree %d over F_%d" % (k, n, p))
     return FpPolynomial(_monic_tuple_by_index(p, n, k), p)
-
-
-def monic_index(P: FpPolynomial) -> int:
-    """Inverse of monic_by_index for a monic polynomial of its own degree."""
-    if not P.is_monic:
-        raise ValueError("monic_index of a non-monic polynomial")
-    return _tuple_to_index(P.coeffs, P.p)
-
-
-def enumerate_monic(p: int, n: int):
-    """Yield the p**n monic polynomials of degree exactly n, lexicographically
-    by ascending coefficient vector; monic_by_index(p, n, k) is the k-th."""
-    check_odd_prime(p)
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    for k in range(p**n):
-        yield FpPolynomial(_monic_tuple_by_index(p, n, k), p)
 
 
 def poly_to_text(P: FpPolynomial) -> str:
@@ -262,13 +229,6 @@ def parse_int_coeffs(s: str) -> tuple:
         raise ValueError("bad polynomial text %r: expected comma-separated integers" % s)
 
 
-def _tuple_to_index(f: tuple, p: int) -> int:
-    k = 0
-    for i in range(len(f) - 1):
-        k = k * p + f[i]
-    return k
-
-
 def _digits(q: int, width: int, ks: np.ndarray) -> np.ndarray:
     """Base-q digits of each k, least significant first: shape (len(ks), width)."""
     return (ks[:, None] // q ** np.arange(width, dtype=np.int64)) % q
@@ -278,7 +238,3 @@ def _monic_rows(p: int, n: int, ks: np.ndarray) -> np.ndarray:
     """The monic f of degree n with monic_by_index indices ks as rows c_0..c_n."""
     return np.pad(_digits(p, n, ks)[:, ::-1], [(0, 0), (0, 1)], constant_values=1)
 
-
-def _monic_array(p: int, n: int) -> np.ndarray:
-    """Every monic f of degree n as a row c_0..c_n, in monic_by_index order."""
-    return _monic_rows(p, n, np.arange(p**n))

@@ -7,7 +7,7 @@ line it becomes the real trigonometric polynomial
     Xi_t(x) = Phi_0 + sum_{n=1}^{g} Phi_n e^(t n^2) (e^(inx) + e^(-inx)),
 
 with Phi_n = c_(g-n) q^(n/2); t is the deformation time. This module computes
-the coefficients, evaluates Xi_t, and extracts its 2g zeros per period.
+the coefficients and extracts the 2g zeros of Xi_t per period.
 phi_rows is the one Phi_n formula, on a stack of rows c_0..c_g: one row for
 an LFunctionData, or a sweep block of family_coefficients rows, which stays
 arrays down to the newman block estimators (no LFunctionData per D).
@@ -33,34 +33,22 @@ into them. One D reads D(theta_P) from one matmul against the powers
 (_root_values), a range from a high/low digit split of the same powers
 (family_tables, which a fixed-q sweep builds before it forks); both turn
 the element indices into character sums in one place (_character_sums).
-The tests check both routes against the reciprocity ladder
-quad_character.chi summed over the same P, and against the enumeration
-oracle enumerated_coefficients, c_n as the sum of chi_D over every monic f
-of degree n, with dirichlet_coefficients, its c_0..c_g completed by the
-integer functional equation c_(g+n) = q^n c_(g-n). The oracle's characters
-come from _chi_rows, which factors D and applies Euler's criterion through
-the norm (_euler_values) at each factor P, in the model F_q[T]/(P): a
-kernel that runs on neither route, which share with it only the enumeration
-helpers (_digits), T^i mod P (_powers_mod), the model's reduction table and
-Frobenius matrix, both rows of one _powers_mod (_model), and the product mod
-P (_mulmod). The ladder takes Euler's criterion of a scalar (legendre_int),
-so it shares no code with any of them. The JSON view of this data is the
-CLI's.
+complete_coefficients fills c_(g+1)..c_2g by the integer functional
+equation c_(g+n) = q^n c_(g-n). The tests check both routes against
+independent references that live with them (tests/oracles.py). The JSON
+view of this data is the CLI's.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .finite_field import check_odd_prime, legendre_table
-from .fp_poly import FpPolynomial, _digits, _factorize_monic, _monic_array
-from .fp_poly import is_irreducible, is_squarefree, monic_by_index
-from .quad_character import _validate_modulus
+from .finite_field import check_odd_prime
+from .fp_poly import FpPolynomial, _digits, is_irreducible, is_squarefree, monic_by_index
 
 # most discriminants per block of family_coefficients, which takes fewer where
 # rows times roots would pass 64 FIELD_CHUNK (a fixed-q sweep task spans
@@ -120,23 +108,6 @@ class LFunctionData:
     phi_exact: tuple
 
 
-def enumerated_coefficients(q: int, D: FpPolynomial, top: int) -> tuple:
-    """c_0..c_top as literal character sums: c_n is the sum of chi_D over
-    every monic f of degree n, from the enumeration oracle _chi_rows. Any
-    top >= 0 is allowed (_chi_rows rejects the rest), so tests can check the
-    functional equation and that c_n vanishes from degree deg D on."""
-    require_good_pair(q, D)
-    return tuple(int(row.sum()) for row in _chi_rows(q, D, top))
-
-
-def dirichlet_coefficients(q: int, D: FpPolynomial) -> tuple:
-    """c_0..c_2g of L(s, chi_D) from the enumeration oracle: c_0..c_g as
-    character sums, the upper half by the functional equation. The
-    reference the tests compare build_lfunction and family_coefficients
-    against."""
-    return complete_coefficients(q, enumerated_coefficients(q, D, (D.degree - 1) // 2))
-
-
 def complete_coefficients(q: int, c_half) -> tuple:
     """c_0..c_2g from c_0..c_g by the exact integer functional equation
     c_(g+n) = q^n c_(g-n)."""
@@ -170,64 +141,15 @@ def _model(q: int, P) -> tuple:
     return powers[: 2 * d - 1], powers[::q].T
 
 
-def _chi_rows(q: int, D: FpPolynomial, top: int) -> tuple:
-    """chi_D(f) for every monic f of degree 0..top: one int64 array per
-    degree n, indexed like monic_by_index(q, n, k). The enumeration oracle.
-
-    It shares nothing with the reciprocity ladder, and with the explicit
-    formula only the enumeration, _powers_mod, _model and _mulmod, not their
-    tables or its character kernel: D is factored once by trial division,
-    and at each monic irreducible factor P of degree d, f mod P is one
-    matmul against T^i mod P, and its character is _euler_values (Euler's
-    criterion through the norm, which runs on neither route) in the model
-    F_q[T]/(P), on the distinct residues only. chi_D(f) is the product
-    over P.
-    """
-    if D.p != q:
-        raise ValueError("D is over F_%d, not F_%d" % (D.p, q))
-    _validate_modulus(q, D.coeffs)
-    if top < 0:
-        raise ValueError("top degree must be >= 0")
-    rows = [np.pad(_monic_array(q, n), [(0, 0), (0, top - n)]) for n in range(top + 1)]
-    F = np.concatenate(rows)  # every monic f of degree 0..top, as c_0..c_top
-    chi = np.ones(len(F), dtype=np.int64)
-    for P in _factorize_monic(q, D.coeffs):
-        d = len(P) - 1
-        residues, inverse = np.unique(
-            (F @ _powers_mod(P, top + 1, q) % q) @ q ** np.arange(d, dtype=np.int64),
-            return_inverse=True,
-        )
-        r = np.ascontiguousarray(_digits(q, d, residues).T)
-        chi *= _euler_values(q, *_model(q, P), r)[inverse]
-    return tuple(np.split(chi, np.cumsum([q**n for n in range(top)])))
-
-
 def _mulmod(q: int, low: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a b mod P for residues as columns (shape (d, n)) and the reduction
-    table low of _model (the product in F_(q^d) of _field_tables and
-    _root_powers, too)."""
+    table low of _model: the product in F_(q^d) of _field_tables and
+    _root_powers."""
     d = a.shape[0]
     prod = np.zeros((2 * d - 1, a.shape[1]), dtype=np.int64)
     for i in range(d):
         prod[i : i + d] += a[i] * b
     return low.T @ (prod % q) % q  # at most (2d - 1)(q - 1)^2
-
-
-def _euler_values(q: int, low: np.ndarray, frob: np.ndarray, r: np.ndarray):
-    """Euler's criterion r^((q^d - 1)/2) mod P, as 0 or +-1, for residues
-    modulo one monic irreducible P of degree d: the enumeration oracle's
-    character kernel. Each column of r (shape (d, n)) is a residue mod P,
-    and (low, frob) is _model(q, P). The power is N(r)^((q - 1)/2) for the
-    norm N(r) = prod_{k<d} r^(q^k), d - 1 Frobenius steps and products,
-    which lies in F_q: its Legendre symbol. A norm outside F_q means a
-    reducible modulus: ArithmeticError."""
-    acc = x = r
-    for _ in range(r.shape[0] - 1):
-        x = frob @ x % q
-        acc = _mulmod(q, low, acc, x)
-    if acc[1:].any():
-        raise ArithmeticError("the norm left F_%d: a modulus is reducible" % q)
-    return legendre_table(q)[acc[0]]
 
 
 @lru_cache(maxsize=64)
@@ -405,8 +327,8 @@ def family_coefficients(q: int, degree: int, start: int, stop: int):
 
     Returns (c, squarefree): int64 of shape (stop - start, g + 1) and bool of
     shape (stop - start,). For squarefree D a row equals
-    dirichlet_coefficients(q, D)[:g + 1]; other rows are not the coefficients
-    of a good pair. Work runs in blocks of FAMILY_CHUNK D, or fewer, at
+    build_lfunction(q, D).c[:g + 1]; other rows are not the coefficients of
+    a good pair. Work runs in blocks of FAMILY_CHUNK D, or fewer, at
     least one, where m roots would make a block hold more than
     64 FIELD_CHUNK rows times roots (m > 16,384, e.g. from q = 67 at genus
     3), so memory beyond the tables, the outputs and the per-row sums that
@@ -511,22 +433,6 @@ def lfunction_from_coefficients(q: int, D: FpPolynomial, c: tuple) -> LFunctionD
     phi = tuple(phi_rows(q, [c[: g + 1]])[0].tolist())
     phi_exact = tuple((c[g - n], n) for n in range(g + 1))
     return LFunctionData(q=q, D=D, g=g, c=c, phi=phi, phi_exact=phi_exact)
-
-
-def xi_eval(L: LFunctionData, t: float, x):
-    """Xi_t(x) by the two-sided exponential kernel, for real or complex x;
-    the imaginary part is dropped when below 1e-12 in magnitude, so real x
-    gives a float (e^(iy) + e^(-iy) is exactly 2 cos y there). This is the
-    oracle the tests check the nonreal zeros of zeros_at_t against: it
-    evaluates Xi_t directly, not through P_t or arccos."""
-    val = complex(L.phi[0])
-    for n in range(1, L.g + 1):
-        if L.phi[n]:
-            e = math.exp(t * n * n)
-            val += L.phi[n] * e * (cmath.exp(1j * n * x) + cmath.exp(-1j * n * x))
-    if abs(val.imag) < 1e-12:
-        return val.real
-    return val
 
 
 @dataclass(frozen=True)

@@ -464,9 +464,9 @@ def _largest_positive_roots(a: np.ndarray):
     so a row starts at the lowest such k. Below it, G_k is monotone between
     0, the roots of G_(k+1) and a bound B, so each of these intervals whose
     end signs differ holds one root, and a root of G_(k+1) where G_k is
-    exactly 0 is one too. A two-term G_k is solved in closed form; the other
-    brackets of a level, over all rows, go to _refine with tol 1e-12. Level
-    0 solves only for the largest root. No row's bits depend on the others.
+    exactly 0 is one too. The brackets of a level, over all rows, go to
+    _refine with tol 1e-12. Level 0 solves only for the largest root. No
+    row's bits depend on the others.
     """
     g = a.shape[1] - 1
     M, E, W = _rolle_chain(g)
@@ -481,14 +481,11 @@ def _largest_positive_roots(a: np.ndarray):
         a[~ok] = np.arange(g + 1) == g  # y^(g^2): no positive root
         B[~ok] = 1.0
     # first[:, k]: the lowest n >= k with a_n != 0, so s[:, k] is the sign
-    # of G_k just above 0; two[:, k]: G_k has two terms
-    nonzero = a != 0
+    # of G_k just above 0
     first = np.minimum.accumulate(
-        np.where(nonzero, np.arange(g + 1), g)[:, ::-1], axis=1
+        np.where(a != 0, np.arange(g + 1), g)[:, ::-1], axis=1
     )[:, ::-1]
     s = np.sign(a)[np.arange(len(a))[:, None], first]
-    two = np.add.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1] == 2
-    any_two = np.logical_or.reduce(two, axis=0).tolist()
     variations = np.add.accumulate(s[:, :0:-1] != s[:, -2::-1], axis=1, dtype=int)
     start = np.add.reduce(variations > 1, axis=1)
     s = np.where(start[:, None] >= np.arange(g + 1), s, 1.0)  # no root above start
@@ -511,13 +508,6 @@ def _largest_positive_roots(a: np.ndarray):
             zero &= last
         roots = np.where(zero, P[:, 1:], np.inf)  # inf: no root
         bi, bj = np.nonzero(change)
-        if any_two[k]:
-            # c_n y^E_n + c_g y^E_g = 0 at y = (-c_n / c_g)^(1 / (E_g - E_n))
-            t = two[bi, k]
-            ti, tj = bi[t], bj[t]
-            n = first[ti, k]
-            roots[ti, tj] = (-C[ti, n] / C[ti, g]) ** (1.0 / (E[k, g] - E[k, n]))
-            bi, bj = bi[~t], bj[~t]
         if len(bi):
             roots[bi, bj] = _refine(
                 C[bi] * -S[bi, bj, None], E[k], W[k], P[bi, bj], P[bi, bj + 1], 1e-12

@@ -9,7 +9,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ffnewman.fp_poly import _monic_array, _monic_rows
+from ffnewman.fp_poly import _monic_rows
+
+from oracles import _monic_array
 
 
 @lru_cache(maxsize=64)

@@ -7,24 +7,10 @@ Run as part of the normal pytest suite; each test prints
 import random
 import time
 
-import numpy as np
-
 from ffnewman.classical import xi_t_classical
 from ffnewman.families import F3_GENUS_SERIES, sato_tate_sweep
-from ffnewman.fp_poly import (
-    FpPolynomial,
-    _mod_monic,
-    enumerate_monic,
-    is_irreducible,
-    is_squarefree,
-    monic_index,
-)
-from ffnewman.lfunction import (
-    _chi_rows,
-    build_lfunction,
-    enumerated_coefficients,
-    zeros_at_t,
-)
+from ffnewman.fp_poly import FpPolynomial, is_irreducible, is_squarefree
+from ffnewman.lfunction import build_lfunction, zeros_at_t
 from ffnewman.newman import (
     all_zeros_real,
     double_zero_lower_bound,
@@ -32,7 +18,17 @@ from ffnewman.newman import (
     lambda_exact_genus1,
     strip_bound,
 )
-from ffnewman.quad_character import chi
+
+from oracles import (
+    _chi_rows,
+    _mod_monic,
+    chi,
+    enumerate_monic,
+    enumerated_coefficients,
+    monic_index,
+    mul,
+    squarefree_monic,
+)
 
 # Reference seven-row table over F_3: exact integer coefficient vectors and
 # the published double-zero lower bounds (matched to 1% relative).
@@ -68,12 +64,6 @@ def _report(capsys, n, bad, detail):
     with capsys.disabled():
         print(line, flush=True)
     assert ok, line
-
-
-def good_discriminants(q, deg):
-    for D in enumerate_monic(q, deg):
-        if is_squarefree(D):
-            yield D
 
 
 def test_criterion_1_reference_table(capsys):
@@ -161,7 +151,7 @@ def test_criterion_4_cubic_cross_method(capsys):
     worst_dz = 0.0
     for p in (3, 5, 7):
         n = 0
-        for D in good_discriminants(p, 3):
+        for D in squarefree_monic(p, 3):
             n += 1
             L = build_lfunction(p, D)
             exact = lambda_exact_genus1(L)
@@ -201,7 +191,7 @@ def test_criterion_5_structural_identities(capsys):
     for q, degs in [(3, (3, 5, 7)), (5, (3, 5))]:
         for deg in degs:
             g = (deg - 1) // 2
-            for D in good_discriminants(q, deg):
+            for D in squarefree_monic(q, deg):
                 # c_0..c_2g and c_(deg D), all as character sums
                 c = enumerated_coefficients(q, D, deg)
                 c, c_deg = c[:-1], c[-1]
@@ -272,9 +262,6 @@ def test_criterion_6_character_oracle(capsys):
                     bad.append("random mismatch p=%d D=%s f=%s" % (p, D, f))
                     break
     # multiplicativity and periodicity on the same material; every f is monic
-    def times(f, h):
-        return FpPolynomial(np.convolve(f.coeffs, h.coeffs), f.p)
-
     def mod(f, D):
         return FpPolynomial(_mod_monic(f.coeffs, D.coeffs, D.p), D.p)
 
@@ -283,13 +270,13 @@ def test_criterion_6_character_oracle(capsys):
         _, h = rand_pairs[k + 1]
         if h.p != D.p:
             continue
-        if chi(D, times(f, h)) != chi(D, f) * chi(D, h):
+        if chi(D, mul(f, h)) != chi(D, f) * chi(D, h):
             bad.append("multiplicativity broken at %s" % (D,))
         if chi(D, mod(f, D)) != chi(D, f):
             bad.append("periodicity broken at %s" % (D,))
     for D in moduli3[::11]:
         for f in fs3[::13]:
-            if chi(D, times(f, f)) != chi(D, f) ** 2:
+            if chi(D, mul(f, f)) != chi(D, f) ** 2:
                 bad.append("multiplicativity broken on grid at %s" % (D,))
             if chi(D, mod(f, D)) != chi(D, f):
                 bad.append("periodicity broken on grid at %s" % (D,))
@@ -364,7 +351,7 @@ def test_criterion_8_heat_flow_invariants(capsys):
         e = lambda_bisect(L2)
         if not e.value < 0:
             bad.append("Lambda not negative for %s" % (L2.D,))
-    for D in good_discriminants(3, 3):
+    for D in squarefree_monic(3, 3):
         e = lambda_bisect(build_lfunction(3, D))
         if not e.value < 0:
             bad.append("Lambda not negative for cubic %s" % (D,))

@@ -20,7 +20,6 @@ from ffnewman.families import (
     sweep_fixed_q,
     trace_of_frobenius,
 )
-from ffnewman.finite_field import legendre_int
 from ffnewman.fp_poly import FpPolynomial
 from ffnewman.lfunction import (
     FAMILY_CHUNK,
@@ -45,6 +44,8 @@ from ffnewman.newman import (
     lambda_bisect,
     lambda_bisect_block,
 )
+
+from oracles import legendre_int
 
 DZ_A = (1, 1, 0, 1)  # y^2 = x^3 + x + 1
 DZ_B = (1, 2, 0, 1)  # y^2 = x^3 + 2x + 1

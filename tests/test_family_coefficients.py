@@ -3,7 +3,7 @@ at one root of each irreducible) and of family_coefficients (a whole index
 range of D, D(theta_P) from a digit split of the same roots' powers, and
 squarefreeness from D(theta_P) and D'(theta_P)), which share one root table
 and one character sum, cross-checked against the reciprocity ladder
-quad_character.chi summed over the same monic irreducibles, and the shared
+chi (tests/oracles.py) summed over the same monic irreducibles, and the shared
 character table and sum against the ladder residue by residue at the
 minimal polynomial of every root. The root tables of each F_(q^d) are
 checked element by element: the roots against Gauss's count and the tests'
@@ -15,24 +15,18 @@ import random
 import numpy as np
 import pytest
 
-from ffnewman import lfunction, quad_character
-from ffnewman.fp_poly import (
-    FpPolynomial,
-    _deriv,
-    is_squarefree,
-    monic_by_index,
-    monic_index,
-)
+from ffnewman import lfunction
+from ffnewman.fp_poly import FpPolynomial, _deriv, is_squarefree, monic_by_index
 from ffnewman.lfunction import (
     FAMILY_CHUNK,
     _newton_coefficients,
     build_lfunction,
-    dirichlet_coefficients,
     family_coefficients,
 )
-from ffnewman.quad_character import chi
 
+import oracles
 from irreducibles import irreducible_array
+from oracles import chi, dirichlet_coefficients, mobius, monic_index
 
 
 def ladder_coefficients(q, D):
@@ -102,7 +96,7 @@ def test_build_lfunction_runs_no_ladder(monkeypatch):
     # lfunction binds no name of its own to the ladder, so patching the
     # module's covers every route to it
     assert not hasattr(lfunction, "_chi_ladder")
-    monkeypatch.setattr(quad_character, "_chi_ladder", _no_ladder)
+    monkeypatch.setattr(oracles, "_chi_ladder", _no_ladder)
     for q, D, c in grid:
         assert build_lfunction(q, D).c[: len(c)] == c, (q, D)
 
@@ -168,18 +162,6 @@ def test_rows_divisible_by_t_squared_take_no_residue_work(monkeypatch):
 SMALL_FIELDS = [(q, d) for q in (3, 5, 7, 11, 13) for d in range(1, 9) if q**d <= 6561]
 
 
-def _mobius(n):
-    out, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            out = -out
-        p += 1
-    return -out if n > 1 else out
-
-
 def _model(q, d):
     """The model's modulus P0, recomputed from the sieve: the first monic
     irreducible of degree d from index q^(d-1) (T^d + 1) on."""
@@ -231,7 +213,7 @@ def test_roots_are_one_per_irreducible(q, d):
     # (1/d) sum_(e|d) mu(d/e) q^e, each the least of its d conjugates, and
     # their minimal polynomials are irreducible_array(q, d) as a set
     roots = lfunction._field_tables(q, d)[2].astype(np.int64)
-    count = sum(_mobius(d // e) * q**e for e in range(1, d + 1) if d % e == 0) // d
+    count = sum(mobius(d // e) * q**e for e in range(1, d + 1) if d % e == 0) // d
     assert roots.shape == (count, d) == (len(irreducible_array(q, d)), d)
     P0 = _model(q, d)
     weights = q ** np.arange(d)
@@ -302,7 +284,7 @@ def test_field_character_matches_euler_through_the_norm(q, d):
     model = lfunction._model(q, _model(q, d))
     assert np.array_equal(low, model[0])
     r = np.ascontiguousarray(lfunction._digits(q, d, np.arange(q**d)).T)
-    assert np.array_equal(chi, lfunction._euler_values(q, *model, r))
+    assert np.array_equal(chi, oracles._euler_values(q, *model, r))
 
 
 @pytest.fixture
@@ -352,7 +334,8 @@ def test_coefficient_routes_run_no_euler_kernel(monkeypatch, fresh_root_tables):
     # the Frobenius norm belongs to the enumeration oracle alone: both
     # coefficient routes, tables and all, take chi from the roots
     calls = []
-    monkeypatch.setattr(lfunction, "_euler_values", lambda *args: calls.append(args))
+    assert not hasattr(lfunction, "_euler_values")
+    monkeypatch.setattr(oracles, "_euler_values", lambda *args: calls.append(args))
     for q, degree in [(3, 9), (5, 5), (7, 5), (13, 3)]:
         lfunction.family_tables(q, degree)
         build_lfunction(q, monic_by_index(q, degree, q**degree - 1))

@@ -2,13 +2,10 @@
 
 import pytest
 
-from ffnewman.finite_field import (
-    check_odd_prime,
-    is_prime,
-    legendre_int,
-    legendre_table,
-)
+from ffnewman.finite_field import check_odd_prime, is_prime, legendre_table
 from ffnewman.fp_poly import FpPolynomial
+
+from oracles import legendre_int
 
 SMALL_ODD_PRIMES = [3, 5, 7, 11, 13]
 

@@ -5,41 +5,26 @@ irreducibles against trial division."""
 import random
 from itertools import zip_longest
 
-import numpy as np
 import pytest
 
 from ffnewman.fp_poly import (
     FpPolynomial,
     _deriv,
     _divmod,
-    _mod_monic,
-    enumerate_monic,
     gcd,
     is_irreducible,
     is_squarefree,
     monic_by_index,
-    monic_index,
     parse_int_coeffs,
     poly_to_text,
 )
 
 import irreducibles
-
-
-def P(coeffs, p):
-    return FpPolynomial(tuple(coeffs), p)
+from oracles import P, _mod_monic, enumerate_monic, mobius, monic_index, mul
 
 
 def random_poly(rng, p, maxdeg):
     return P([rng.randrange(p) for _ in range(rng.randrange(maxdeg + 2))], p)
-
-
-def mul(f, h):
-    """f h by np.convolve (the zero polynomial is special-cased, since
-    np.convolve rejects an empty sequence); the constructor reduces mod p."""
-    if f.is_zero or h.is_zero:
-        return P([], f.p)
-    return FpPolynomial(np.convolve(f.coeffs, h.coeffs), f.p)
 
 
 def test_construction_trims_and_reduces():
@@ -216,18 +201,7 @@ def test_index_round_trip():
 
 def mobius_irreducible_count(p, n):
     # necklace formula (1/n) sum_{d | n} mu(d) p^(n/d), used as the oracle
-    def mu(m):
-        out, d = 1, 2
-        while d * d <= m:
-            if m % d == 0:
-                m //= d
-                if m % d == 0:
-                    return 0
-                out = -out
-            d += 1
-        return -out if m > 1 else out
-
-    return sum(mu(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+    return sum(mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
 
 
 def test_irreducible_counts_match_necklace_formula():

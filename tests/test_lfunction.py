@@ -8,34 +8,31 @@ import pytest
 
 from ffnewman import lfunction
 from ffnewman.cli import lfunction_jsonable
-from ffnewman.fp_poly import (
-    FpPolynomial,
-    enumerate_monic,
-    is_irreducible,
-    is_squarefree,
-    monic_by_index,
-)
+from ffnewman.fp_poly import is_irreducible, is_squarefree, monic_by_index
 from ffnewman.lfunction import (
     LFunctionData,
     NumericalError,
     _colleague_roots,
     build_lfunction,
-    dirichlet_coefficients,
-    enumerated_coefficients,
     family_coefficients,
     good_pair_check,
     lfunction_from_coefficients,
     phi_rows,
-    xi_eval,
     zeros_at_t,
 )
-from ffnewman.quad_character import chi
+
+import oracles
+from oracles import (
+    P,
+    chi,
+    dirichlet_coefficients,
+    enumerate_monic,
+    enumerated_coefficients,
+    squarefree_monic,
+    xi_eval,
+)
 
 SQ5 = math.sqrt(5.0)
-
-
-def P(coeffs, p):
-    return FpPolynomial(tuple(coeffs), p)
 
 
 # Genus-2 instance over F_5 with Phi = (-1, -sqrt 5, 5); its heat flow has the
@@ -46,12 +43,6 @@ D_MAIN = (2, 1, 0, 1, 2, 1)
 D_VARIANT = (2, 2, 0, 1, 1, 1)
 C_MAIN = (1, -1, -1, -5, 25)
 C_VARIANT = (1, -1, 1, -5, 25)
-
-
-def good_pairs(p, deg):
-    for D in enumerate_monic(p, deg):
-        if is_squarefree(D):
-            yield D
 
 
 def test_good_pair_check_reasons():
@@ -72,7 +63,7 @@ def _no_enumeration(*args, **kwargs):
     raise AssertionError("build_lfunction must not enumerate every monic f")
 
 
-def seeded_good_pairs(p, deg, count=10):
+def seeded_squarefree_monic(p, deg, count=10):
     rng = random.Random(1000 * p + deg)
     out = []
     while len(out) < count:
@@ -91,9 +82,9 @@ def seeded_good_pairs(p, deg, count=10):
 def test_build_lfunction_matches_enumeration(q, deg, every, monkeypatch):
     # the explicit formula against the sum of chi_D over every monic f, with
     # the enumeration oracle disabled while build_lfunction runs
-    Ds = list(good_pairs(q, deg)) if every else seeded_good_pairs(q, deg)
+    Ds = list(squarefree_monic(q, deg)) if every else seeded_squarefree_monic(q, deg)
     expected = [dirichlet_coefficients(q, D) for D in Ds]
-    monkeypatch.setattr(lfunction, "_chi_rows", _no_enumeration)
+    monkeypatch.setattr(oracles, "_chi_rows", _no_enumeration)
     for D, c in zip(Ds, expected):
         assert build_lfunction(q, D).c == c, D
     if every:
@@ -122,7 +113,7 @@ def test_character_kernel_rejects_a_reducible_modulus():
     r = np.array([[0], [1]])
 
     def kernel(P):
-        return lfunction._euler_values(3, *lfunction._model(3, P), r)
+        return oracles._euler_values(3, *lfunction._model(3, P), r)
 
     assert kernel((1, 0, 1)).tolist() == [1]
     with pytest.raises(ArithmeticError, match="reducible"):
@@ -131,7 +122,7 @@ def test_character_kernel_rejects_a_reducible_modulus():
 
 def test_c0_is_one_and_functional_equation():
     for q, deg in [(3, 3), (3, 5)]:
-        for D in good_pairs(q, deg):
+        for D in squarefree_monic(q, deg):
             g = (deg - 1) // 2
             c = enumerated_coefficients(q, D, 2 * g)
             assert c[0] == 1
@@ -142,21 +133,21 @@ def test_c0_is_one_and_functional_equation():
 
 def test_half_equals_full():
     # the functional-equation upper half against enumerating it
-    for D in good_pairs(3, 5):
+    for D in squarefree_monic(3, 5):
         assert dirichlet_coefficients(3, D) == enumerated_coefficients(3, D, 4)
     assert dirichlet_coefficients(5, P(D_MAIN, 5)) == C_MAIN
 
 
 def test_enumeration_matches_ladder_sum():
     # the factor-and-Euler oracle against a per-f reciprocity-ladder sum
-    for D in list(good_pairs(3, 5))[::7]:
+    for D in list(squarefree_monic(3, 5))[::7]:
         assert enumerated_coefficients(3, D, 5) == tuple(
             sum(chi(D, f) for f in enumerate_monic(3, n)) for n in range(0, 6)
         )
 
 
 def test_continuation_coefficients_vanish():
-    for D in list(good_pairs(3, 3))[::3]:
+    for D in list(squarefree_monic(3, 3))[::3]:
         assert enumerated_coefficients(3, D, 4)[3:] == (0, 0)
 
 
@@ -182,7 +173,7 @@ def test_fourier_data_degenerate_cubic():
 
 def test_top_fourier_coefficient_is_q_to_half_g():
     for q, deg in [(3, 3), (3, 5), (5, 3)]:
-        for D in list(good_pairs(q, deg))[::5]:
+        for D in list(squarefree_monic(q, deg))[::5]:
             L = build_lfunction(q, D)
             assert L.phi_exact[L.g] == (1, L.g)
             assert abs(L.phi[L.g] - q ** (L.g / 2.0)) < 1e-12 * q**L.g
@@ -190,7 +181,7 @@ def test_top_fourier_coefficient_is_q_to_half_g():
 
 def test_fourier_exact_matches_float():
     for q, deg in [(3, 5), (5, 3)]:
-        for D in list(good_pairs(q, deg))[::4]:
+        for D in list(squarefree_monic(q, deg))[::4]:
             L = build_lfunction(q, D)
             for n, (a, m) in enumerate(L.phi_exact):
                 assert m == n
@@ -202,7 +193,7 @@ def test_fourier_exact_matches_float():
 
 def test_irreducible_discriminants_have_nonvanishing_phi():
     for q, deg in [(3, 3), (3, 5)]:
-        for D in good_pairs(q, deg):
+        for D in squarefree_monic(q, deg):
             if not is_irreducible(D):
                 continue
             L = build_lfunction(q, D)
@@ -308,7 +299,7 @@ def test_zeros_degenerate_cubic():
 def test_zeros_on_unit_circle_at_t0():
     # Riemann hypothesis statement at t = 0: every zero is real
     for q, deg in [(3, 3), (3, 5)]:
-        for D in list(good_pairs(q, deg))[::6]:
+        for D in list(squarefree_monic(q, deg))[::6]:
             z = zeros_at_t(build_lfunction(q, D), 0.0)
             assert z.nonreal == ()
             assert z.delta < 1e-8
@@ -331,7 +322,7 @@ def test_zeros_are_zeros_of_xi():
     # checked without P_t or arccos: the zeros pair up as x <-> 2pi - x
     # (evenness) and the two-sided complex kernel of xi_eval vanishes at each
     for q, deg in [(3, 5), (5, 5)]:
-        for D in good_pairs(q, deg):
+        for D in squarefree_monic(q, deg):
             L = build_lfunction(q, D)
             for t in [-0.25, 0.0, 0.1]:
                 xs = zeros_at_t(L, t).xs
@@ -400,7 +391,7 @@ def test_phi_rows_of_a_family_block_match_single_d_bit_for_bit(q, degree):
     g = (degree - 1) // 2
     c, squarefree = family_coefficients(q, degree, 0, q**degree)
     phi = phi_rows(q, c[squarefree]).tolist()
-    Ds = [D for D in enumerate_monic(q, degree) if is_squarefree(D)]
+    Ds = list(squarefree_monic(q, degree))
     assert len(Ds) == len(phi)
     for D, row in zip(Ds, phi):
         L = build_lfunction(q, D)

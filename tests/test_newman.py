@@ -11,13 +11,7 @@ import pytest
 from ffnewman import newman
 from ffnewman.cli import dataclass_jsonable
 from ffnewman.families import F3_GENUS_SERIES
-from ffnewman.fp_poly import (
-    FpPolynomial,
-    _gcd,
-    enumerate_monic,
-    is_squarefree,
-    monic_by_index,
-)
+from ffnewman.fp_poly import _gcd, is_squarefree, monic_by_index
 from ffnewman.lfunction import (
     NumericalError,
     ZeroSet,
@@ -46,13 +40,11 @@ from ffnewman.newman import (
     strip_bound,
 )
 
+from oracles import P, enumerate_monic, squarefree_monic
+
 SQ5 = math.sqrt(5.0)
 D_MAIN = (2, 1, 0, 1, 2, 1)
 D_VARIANT = (2, 2, 0, 1, 1, 1)
-
-
-def P(coeffs, p):
-    return FpPolynomial(tuple(coeffs), p)
 
 
 def L_main():
@@ -163,9 +155,7 @@ def test_bisect_minus_infinity_is_algebraic():
 
 
 def test_bisect_agrees_with_exact_on_cubics():
-    for D in list(enumerate_monic(3, 3)):
-        if not is_squarefree(D):
-            continue
+    for D in squarefree_monic(3, 3):
         L = build_lfunction(3, D)
         exact = lambda_exact_genus1(L)
         got = lambda_bisect(L)
@@ -220,9 +210,7 @@ def test_double_zero_bound_no_bound_cases():
 
 def test_double_zero_bound_at_pi():
     # with c_1 > 0 the collision happens at x = pi instead of x = 0
-    for D in enumerate_monic(3, 3):
-        if not is_squarefree(D):
-            continue
+    for D in squarefree_monic(3, 3):
         L = build_lfunction(3, D)
         if L.c[1] <= 0:
             continue

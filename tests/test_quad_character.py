@@ -1,34 +1,24 @@
-"""Quadratic character chi_D on F_p[T]: the ladder against the factor-and-Euler
-oracle lfunction._chi_rows."""
+"""Quadratic character chi_D on F_p[T]: the reciprocity ladder against the
+factor-and-Euler enumeration oracle _chi_rows, both in tests/oracles.py."""
 
 import random
 
 import numpy as np
 import pytest
 
-from ffnewman.finite_field import legendre_int
-from ffnewman.fp_poly import (
-    FpPolynomial,
+from ffnewman.fp_poly import gcd, is_irreducible
+
+from oracles import (
+    P,
+    _chi_rows,
     _mod_monic,
+    chi,
     enumerate_monic,
-    gcd,
-    is_irreducible,
-    is_squarefree,
+    legendre_int,
     monic_index,
+    mul,
+    squarefree_monic,
 )
-from ffnewman.lfunction import _chi_rows
-from ffnewman.quad_character import chi
-
-
-def P(coeffs, p):
-    return FpPolynomial(tuple(coeffs), p)
-
-
-def good_moduli(p, degs):
-    for n in degs:
-        for D in enumerate_monic(p, n):
-            if is_squarefree(D):
-                yield D
 
 
 def test_linear_values_for_cubic_modulus():
@@ -58,7 +48,7 @@ def test_oracle_example():
 
 def test_chi_of_one_and_constants():
     for p in [3, 5, 7]:
-        for D in good_moduli(p, [3]):
+        for D in squarefree_monic(p, 3):
             assert chi(D, P([1], p)) == 1
             if not is_irreducible(D):
                 continue
@@ -70,19 +60,18 @@ def test_chi_of_one_and_constants():
 def test_multiplicativity_exact():
     rng = random.Random(20260815)
     for p in [3, 5]:
-        moduli = list(good_moduli(p, [2, 3]))
+        moduli = list(squarefree_monic(p, 2, 3))
         for _ in range(200):
             D = rng.choice(moduli)
             f = P([rng.randrange(p) for _ in range(rng.randrange(5))] + [1], p)
             h = P([rng.randrange(p) for _ in range(rng.randrange(5))] + [1], p)
-            fh = P(np.convolve(f.coeffs, h.coeffs), p)
-            assert chi(D, fh) == chi(D, f) * chi(D, h)
+            assert chi(D, mul(f, h)) == chi(D, f) * chi(D, h)
 
 
 def test_periodicity_mod_d():
     rng = random.Random(31415)
     for p in [3, 5]:
-        moduli = list(good_moduli(p, [3]))
+        moduli = list(squarefree_monic(p, 3))
         for _ in range(200):
             D = rng.choice(moduli)
             f = P([rng.randrange(p) for _ in range(6)] + [1], p)
@@ -96,14 +85,14 @@ def test_periodicity_mod_d():
 
 def test_zero_iff_common_factor():
     for p in [3, 5]:
-        for D in good_moduli(p, [3]):
+        for D in squarefree_monic(p, 3):
             for f in enumerate_monic(p, 2):
                 expect_zero = gcd(D, f).degree >= 1
                 assert (chi(D, f) == 0) == expect_zero
 
 
 def test_ladder_matches_oracle_exhaustive_f3():
-    for D in good_moduli(3, [1, 2, 3, 4]):
+    for D in squarefree_monic(3, 1, 2, 3, 4):
         rows = _chi_rows(3, D, 4)
         for n in range(0, 5):
             for f in enumerate_monic(3, n):
@@ -113,7 +102,7 @@ def test_ladder_matches_oracle_exhaustive_f3():
 def test_ladder_matches_oracle_random_larger_p():
     rng = random.Random(97)
     for p in [5, 7]:
-        moduli = list(good_moduli(p, [1, 2, 3]))
+        moduli = list(squarefree_monic(p, 1, 2, 3))
         rows = {}
         for _ in range(400):
             D = rng.choice(moduli)
@@ -126,18 +115,17 @@ def test_ladder_matches_oracle_random_larger_p():
 def test_non_monic_f_scaling():
     # (a f / D) = legendre(a)^(deg D) (f / D)
     for p in [3, 5]:
-        for D in good_moduli(p, [3]):
+        for D in squarefree_monic(p, 3):
             for f in enumerate_monic(p, 2):
                 base = chi(D, f)
                 for a in range(2, p):
-                    af = P(np.convolve(f.coeffs, [a]), p)
-                    assert chi(D, af) == legendre_int(a, p) ** D.degree * base
+                    assert chi(D, mul(f, P([a], p))) == legendre_int(a, p) ** D.degree * base
 
 
 def test_chi_rows_match_pointwise_chi():
     # the enumeration oracle of lfunction against the ladder, value by value
     for p, degs, maxdeg in [(3, [1, 2, 3], 4), (5, [3], 3)]:
-        for D in good_moduli(p, degs):
+        for D in squarefree_monic(p, *degs):
             rows = _chi_rows(p, D, maxdeg)
             assert len(rows) == maxdeg + 1
             assert rows[0].tolist() == [1]
