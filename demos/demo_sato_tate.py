@@ -19,18 +19,19 @@ BINS = 18
 
 
 def main():
-    report = sato_tate_sweep(CUBIC, P_MAX)
+    records = []  # the sweep streams each run's records to on_block
+    report = sato_tate_sweep(CUBIC, P_MAX, on_block=records.extend)
     stats = report.statistics
     print("cubic x^3 + x + 1,  odd primes p <= %d" % P_MAX)
     print("processed %d primes, skipped %d (bad reduction)" % (report.processed, report.skipped))
     print()
 
-    thetas = [r.theta_p for r in report.items if r.theta_p is not None]
+    thetas = [r.theta_p for r in records if r.theta_p is not None]
     print("KS distance to the semicircle law: %.6f" % stats["ks_distance"])
     assert abs(stats["ks_distance"] - ks_distance(thetas)) < 1e-15
 
     print("sup of lambda(p): %.12f  attained at p = %d" % (stats["sup_lambda"], stats["argmax_p"]))
-    sup_ap = max((r for r in report.items if r.a_p is not None), key=lambda r: abs(r.a_p) / (2 * math.sqrt(r.p)))
+    sup_ap = max((r for r in records if r.a_p is not None), key=lambda r: abs(r.a_p) / (2 * math.sqrt(r.p)))
     print("  (that prime has a_p = %d, |a_p| / 2 sqrt p = %.6f)" % (sup_ap.a_p, abs(sup_ap.a_p) / (2 * math.sqrt(sup_ap.p))))
     print()
 
@@ -48,7 +49,7 @@ def main():
     print()
     print("supersingular primes (a_p = 0) land exactly at theta = pi/2 and")
     print("carry lambda = -inf; they are kept in the angle statistics:")
-    ss = [r.p for r in report.items if r.a_p == 0]
+    ss = [r.p for r in records if r.a_p == 0]
     print(" ", ss[:12], "..." if len(ss) > 12 else "")
 
 

@@ -13,7 +13,8 @@ quote or a line break. Floats in CSV and JSON print with 12 significant
 digits (_fmt, the one place that format lives) and -inf prints as "-inf".
 Library warnings print as one "warning: <message>" line on stderr. Exit
 codes: 0 success, 2 invalid input, 3 numerical failure, 130 interrupted
-sweep (partial rows plus a resume token are flushed).
+sweep (the rows written so far are flushed, then a resume token for sweep,
+or for sato-tate a line naming the last prime written).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .classical import check_quad_points, xi_t_classical
 from .families import (
     F3_GENUS_SERIES,
     MAX_WORKERS,
+    check_sato_tate,
     check_sweep,
     sato_tate_sweep,
     sweep_fixed_q,
@@ -117,11 +119,8 @@ def _output(path):
         yield sys.stdout
         sys.stdout.flush()
     else:
-        f = open(path, "w")
-        try:
+        with open(path, "w") as f:
             yield f
-        finally:
-            f.close()
 
 
 def _csv_begin(stream, config: dict, columns) -> None:
@@ -130,8 +129,9 @@ def _csv_begin(stream, config: dict, columns) -> None:
     stream.write(",".join(columns) + "\n")
 
 
-def _emit_json(stream, payload: dict) -> None:
-    stream.write(json.dumps(payload, indent=2) + "\n")
+def _write_json(path, payload: dict) -> None:
+    with _output(path) as f:
+        f.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _coeff_text(coeffs) -> str:
@@ -151,8 +151,7 @@ def cmd_lfun(args) -> int:
     # exact: a repeated root of L is a multiple zero of Xi_0, which the
     # floating-point solve may split off the real axis and leave out of gammas
     payload["repeated_root"] = has_repeated_root(L.c)
-    with _output(args.out) as f:
-        _emit_json(f, payload)
+    _write_json(args.out, payload)
     return EXIT_OK
 
 
@@ -193,8 +192,7 @@ def cmd_newman(args) -> int:
         "g": L.g,
         "estimates": estimates,
     }
-    with _output(args.out) as f:
-        _emit_json(f, payload)
+    _write_json(args.out, payload)
     return EXIT_OK
 
 
@@ -336,18 +334,27 @@ def cmd_sweep(args) -> int:
 
 def cmd_sato_tate(args) -> int:
     dz = parse_int_coeffs(args.dz)
-    report = sato_tate_sweep(dz, args.pmax, workers=args.workers)
+    # rejected input leaves no output behind, not even the CSV header
+    check_sato_tate(dz, args.pmax, args.workers)
     config = {"subcommand": "sato-tate", "dz": args.dz, "pmax": args.pmax}
-    columns = ["p", "a_p", "theta_p", "lambda_p", "skipped_reason"]
-    stats = report.statistics
     with _output(args.out) as f:
-        _csv_begin(f, config, columns)
-        for r in report.items:
-            fields = (r.p, _fmt(r.a_p), _fmt(r.theta_p), _fmt(r.lambda_p), r.skipped or "")
-            f.write("%d,%s,%s,%s,%s\n" % fields)
-        f.write("# sup_lambda = %s\n" % (_fmt(stats["sup_lambda"]) or "none"))
-        f.write("# argmax_p = %s\n" % (_fmt(stats["argmax_p"]) or "none"))
-        f.write("# ks_distance = %s\n" % (_fmt(stats["ks_distance"]) or "none"))
+        _csv_begin(f, config, ["p", "a_p", "theta_p", "lambda_p", "skipped_reason"])
+        last = ["none"]  # the prime of the last row written
+
+        def on_block(records):
+            """Write one run's rows in one write: each record's fields, in
+            order (the columns), through _fmt."""
+            f.write("".join(",".join(map(_fmt, vars(r).values())) + "\n" for r in records))
+            last[0] = records[-1].p
+
+        try:
+            report = sato_tate_sweep(dz, args.pmax, workers=args.workers, on_block=on_block)
+        except KeyboardInterrupt:
+            f.write("# interrupted: rows end at p=%s\n" % last[0])
+            f.flush()
+            return EXIT_INTERRUPT
+        for name, v in report.statistics.items():
+            f.write("# %s = %s\n" % (name, _fmt(v) or "none"))
     return EXIT_OK
 
 

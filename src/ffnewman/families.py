@@ -25,19 +25,23 @@ on_block, which can write all its rows at once, and is dropped. Only the
 bests, found in numpy, become SweepItems (SweepBlock.items builds a row's
 NewmanEstimate with the method's converter), and the SweepReport keeps only
 counts and bests, so memory does not grow with the family. The Sato-Tate sweep
-of a monic integer cubic keeps every prime's record in its SatoTateReport, in
-plain integers: p is bad exactly when it divides the discriminant, and a_p
-comes from baby-step giant-step on the curve or its twist, O(p^(1/4)) group
-steps, run in lockstep over numpy lanes (_bsgs_lanes). A task is a run of
-SATO_TATE_RUN consecutive good primes, and it finishes every prime of its
-run: up to four kernel passes, then the O(p) point count for small p and
-for any prime the passes left open.
+of a monic integer cubic works in plain integers: p is bad exactly when it
+divides the discriminant, and a_p comes from baby-step giant-step on the
+curve or its twist, O(p^(1/4)) group steps, run in lockstep over numpy lanes
+(_bsgs_lanes). A task is a run of SATO_TATE_RUN consecutive odd primes, and
+it returns the SatoTateRecord of every prime of its run: up to four kernel
+passes, then the O(p) point count for small p and for any prime the passes
+left open. It is a stream too: each run's records go to on_block and are
+dropped, and the SatoTateReport keeps only counts and statistics, so per
+prime the sweep holds only the prime list and the thetas of the exact KS
+distance.
 A sweep forks a pool only when each of its processes gets POOL_MIN_TASKS
 tasks; a smaller sweep runs in-process.
 """
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import math
@@ -75,6 +79,7 @@ __all__ = [
     "SweepReport",
     "F3_GENUS_SERIES",
     "check_sweep",
+    "check_sato_tate",
     "cubic_discriminant",
     "ks_distance",
     "primes_up_to",
@@ -184,15 +189,13 @@ class SweepReport:
 
 @dataclass(frozen=True)
 class SatoTateReport:
-    """Outcome of a Sato-Tate sweep: one SatoTateRecord per odd prime in
-    order, the counts of good and bad-reduction primes, the running supremum
-    of lambda_p after each record, and a statistics block (sup_lambda,
-    argmax_p, ks_distance)."""
+    """Outcome of a Sato-Tate sweep. Its records went to on_block as they
+    came and are not kept: processed counts the good primes, skipped the
+    bad-reduction primes, and statistics holds sup_lambda, argmax_p (the
+    first prime where lambda_p attains its supremum) and ks_distance."""
 
-    items: tuple
     processed: int
     skipped: int
-    running_sup: tuple
     statistics: dict
 
 
@@ -413,7 +416,7 @@ def _monic_cubic(dz) -> tuple:
 
 def trace_of_frobenius(dz, p: int) -> int:
     """a_p of y^2 = dz(T), exactly, for a monic integer cubic dz and an odd
-    prime p: the sweep's task (_traces) on a run of one prime, so by
+    prime p: the sweep's task (_sato_tate_run) on a run of one prime, so by
     baby-step giant-step for p > BSGS_MIN_P, else, and when that gives up,
     by point counting. A call costs 1-2.5 ms of numpy passes, most of it
     fixed; sweeps send whole runs of primes instead.
@@ -426,23 +429,29 @@ def trace_of_frobenius(dz, p: int) -> int:
     check_odd_prime(p)
     if cubic_discriminant(dz) % p == 0:
         raise BadReduction(_BAD_REDUCTION)
-    return _traces(dz, [p])[0]
+    return _sato_tate_run(dz, [p])[0].a_p
 
 
-def _traces(dz: tuple, ps: list) -> list:
-    """a_p at each odd prime of ps, all of good reduction for the monic cubic
-    dz (not checked again), in the order of ps: by _bsgs_traces for
-    p > BSGS_MIN_P, by the point count for the rest and for the primes it
-    leaves open. The first a_p that breaks the Hasse bound raises
-    NumericalError."""
-    big = [p for p in ps if p > BSGS_MIN_P]
-    found = dict(zip(big, _bsgs_traces(dz, big)))
-    counted = [p for p in ps if found.get(p) is None]
-    found.update((p, _trace_by_count([v % p for v in dz], p)) for p in counted)
-    for p in ps:
-        if found[p] ** 2 >= 4 * p:
-            raise NumericalError("Hasse bound violated: a_p=%d at p=%d" % (found[p], p))
-    return [found[p] for p in ps]
+def _sato_tate_run(dz: tuple, run: list) -> list:
+    """The SatoTateRecord of each odd prime of run, in order, for the monic
+    cubic dz: a skip where p divides its discriminant, else a_p by
+    _bsgs_traces for p > BSGS_MIN_P and by the point count for the rest and
+    for the primes it leaves open. The first a_p that breaks the Hasse
+    bound raises NumericalError."""
+    disc = cubic_discriminant(dz)
+    big = [p for p in run if p > BSGS_MIN_P and disc % p]
+    found = {p: a for p, a in zip(big, _bsgs_traces(dz, big)) if a is not None}
+    records = []
+    for p in run:
+        if disc % p == 0:
+            records.append(SatoTateRecord(p, None, None, None, _BAD_REDUCTION))
+            continue
+        a_p = found[p] if p in found else _trace_by_count([v % p for v in dz], p)
+        if a_p**2 >= 4 * p:
+            raise NumericalError("Hasse bound violated: a_p=%d at p=%d" % (a_p, p))
+        theta = math.acos(a_p / (2.0 * math.sqrt(p)))
+        records.append(SatoTateRecord(p, a_p, theta, genus1_lambda(a_p, p)))
+    return records
 
 
 def _trace_by_count(coeffs, p: int) -> int:
@@ -661,53 +670,55 @@ def _select(mask, P, Q) -> tuple:
     return tuple(np.where(mask, x, y) for x, y in zip(P, Q))
 
 
-# consecutive good primes per Sato-Tate task (_traces): at 256 the passes
-# for a run's few open primes cost up to 30% more kernel time, and at 1024
-# a pass's arrays add 2.6 MB to the sweep's peak RSS
+# consecutive odd primes per Sato-Tate task (_sato_tate_run): at 256 the
+# passes for a run's few open primes cost up to 30% more kernel time, and at
+# 1024 a pass's arrays add 2.6 MB to the sweep's peak RSS
 SATO_TATE_RUN = 512
 
 
-def sato_tate_sweep(dz, p_max: int, workers: int = 1) -> SatoTateReport:
-    """Reduce a fixed squarefree integer cubic mod every odd prime p <= p_max
-    and record (p, a_p, theta_p, lambda_p); bad-reduction primes are recorded
-    as skips. The statistics block carries the running supremum of lambda_p
-    and the Kolmogorov-Smirnov distance of the theta sample to the semicircle
-    law (the distance statistic is this artifact's choice). The records, the
-    thetas and the running supremum come from one pass over the primes."""
+def check_sato_tate(dz, p_max: int, workers: int = 1) -> tuple:
+    """Validate the inputs of sato_tate_sweep, raising ValueError before any
+    work, and return dz as the monic cubic it names."""
     dz = _monic_cubic(dz)
-    disc = cubic_discriminant(dz)
-    if disc == 0:
+    if cubic_discriminant(dz) == 0:
         raise ValueError("dz must be squarefree over Q")
     if p_max < 3:
         raise ValueError("p_max must be >= 3")
     check_workers(workers)
-    ps = [p for p in primes_up_to(p_max) if p > 2]
-    # each task finishes a run of good primes; the primes come from the
-    # sieve and are not checked again
-    good = [p for p in ps if disc % p]
-    runs = [good[i : i + SATO_TATE_RUN] for i in range(0, len(good), SATO_TATE_RUN)]
-    with _ordered_map(functools.partial(_traces, dz), runs, workers) as results:
-        traces = iter([a_p for run in results for a_p in run])
-    records, thetas, running_sup = [], [], []
+    return dz
+
+
+def sato_tate_sweep(dz, p_max: int, workers: int = 1, on_block=None) -> SatoTateReport:
+    """Reduce a fixed squarefree integer cubic mod every odd prime p <= p_max
+    and record (p, a_p, theta_p, lambda_p); bad-reduction primes are recorded
+    as skips. The statistics block carries the supremum of lambda_p, the
+    first prime that attains it, and the Kolmogorov-Smirnov distance of the
+    theta sample to the semicircle law (the distance statistic is this
+    artifact's choice); check_sato_tate says which inputs are rejected.
+
+    Each task is a run of SATO_TATE_RUN consecutive odd primes
+    (_sato_tate_run), in a forked pool only when each process gets
+    POOL_MIN_TASKS of them (_ordered_map). on_block, when given, sees each
+    run's records as one list, in prime order, as soon as its turn comes;
+    the sweep then drops them, keeping per prime only the prime list and
+    the thetas (a float64 array) that the exact KS distance needs."""
+    dz = check_sato_tate(dz, p_max, workers)
+    ps = primes_up_to(p_max)[1:]
+    runs = (ps[i : i + SATO_TATE_RUN] for i in range(0, len(ps), SATO_TATE_RUN))
+    thetas = array.array("d")
     sup = argmax_p = None
-    for p in ps:
-        if disc % p == 0:
-            records.append(SatoTateRecord(p, None, None, None, _BAD_REDUCTION))
-        else:
-            a_p = next(traces)
-            lam = genus1_lambda(a_p, p)
-            thetas.append(math.acos(a_p / (2.0 * math.sqrt(p))))
-            records.append(SatoTateRecord(p, a_p, thetas[-1], lam, None))
-            if sup is None or lam > sup:
-                sup, argmax_p = lam, p
-        running_sup.append(sup)
-    statistics = {
-        "sup_lambda": sup,
-        "argmax_p": argmax_p,
-        "ks_distance": ks_distance(thetas) if thetas else None,
-    }
-    n = len(thetas)
-    return SatoTateReport(tuple(records), n, len(records) - n, tuple(running_sup), statistics)
+    with _ordered_map(functools.partial(_sato_tate_run, dz), runs, workers) as results:
+        for records in results:
+            if on_block is not None:
+                on_block(records)
+            for r in records:
+                if r.skipped is None:
+                    thetas.append(r.theta_p)
+                    if sup is None or r.lambda_p > sup:
+                        sup, argmax_p = r.lambda_p, r.p
+    ks = ks_distance(thetas) if thetas else None
+    statistics = {"sup_lambda": sup, "argmax_p": argmax_p, "ks_distance": ks}
+    return SatoTateReport(len(thetas), len(ps) - len(thetas), statistics)
 
 
 def semicircle_cdf(theta):

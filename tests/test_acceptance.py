@@ -291,11 +291,17 @@ def test_criterion_6_character_oracle(capsys):
 def test_criterion_7_sato_tate_desk_run(capsys):
     t0 = time.time()
     bad = []
-    report = sato_tate_sweep((1, 1, 0, 1), 10000)
+    records = []
+    report = sato_tate_sweep((1, 1, 0, 1), 10000, on_block=records.extend)
     elapsed = time.time() - t0
-    sups = report.running_sup
-    if any(b < a for a, b in zip(sups, sups[1:])):
-        bad.append("running sup not monotone")
+    # the report's sup is the running maximum over the streamed records, at
+    # its first attainment
+    running = argmax = None
+    for r in records:
+        if r.lambda_p is not None and (running is None or r.lambda_p > running):
+            running, argmax = r.lambda_p, r.p
+    if (report.statistics["sup_lambda"], report.statistics["argmax_p"]) != (running, argmax):
+        bad.append("sup is not the running maximum of the records")
     sup = report.statistics["sup_lambda"]
     ks = report.statistics["ks_distance"]
     if abs(sup - SATO_SUP) > 1e-6:

@@ -456,10 +456,15 @@ def test_sato_tate_supersingular_minus_inf(capsys):
     assert all(r[3] == "-inf" for r in zero_rows)
 
 
-def test_sato_tate_rejects_degenerate_cubic(capsys):
-    code, _, err = run_cli(["sato-tate", "--dz", "2,-3,0,1", "--pmax", "50"], capsys)
+def test_sato_tate_rejects_degenerate_cubic(capsys, tmp_path):
+    # rejected before any output: no header, and no --out file
+    out = tmp_path / "st.csv"
+    code, _, err = run_cli(
+        ["sato-tate", "--dz", "2,-3,0,1", "--pmax", "50", "--out", str(out)], capsys
+    )
     assert code == EXIT_INVALID
     assert "squarefree" in err
+    assert not out.exists()
     code, _, err = run_cli(["sato-tate", "--dz", "1,1", "--pmax", "50"], capsys)
     assert code == EXIT_INVALID
     assert "degree 3" in err
@@ -469,20 +474,60 @@ def test_sato_tate_rejects_degenerate_cubic(capsys):
     assert "monic" in err
 
 
+# `sato-tate --dz 1,1,0,1 --pmax 300` in runs of 32 odd primes: two runs,
+# p = 233 in the second
+SATO_RUNS_ARGS = ["sato-tate", "--dz", "1,1,0,1", "--pmax", "300", "--workers", "1"]
+
+
+def sato_runs_text(monkeypatch, capsys) -> list:
+    """The output of SATO_RUNS_ARGS with runs of 32 odd primes, as lines;
+    SATO_TATE_RUN stays 32 for the rest of the test."""
+    monkeypatch.setattr(families, "SATO_TATE_RUN", 32)
+    assert families.primes_up_to(300)[1:].index(233) // 32 == 1
+    code, out, _ = run_cli(SATO_RUNS_ARGS, capsys)
+    assert code == EXIT_OK
+    return out.splitlines(keepends=True)
+
+
 def test_sato_tate_hasse_violation_exits_numerical(monkeypatch, capsys):
-    # a trace kernel that breaks the Hasse bound at one prime: the run stops
-    # with exit 3 before any CSV is written
+    # a trace kernel that breaks the Hasse bound at one prime of the second
+    # run: exit 3, and the output keeps the header and the first run's rows,
+    # as an interrupted sweep does
+    full = sato_runs_text(monkeypatch, capsys)
     real = families._bsgs_traces
 
     def broken(dz, ps, *rest, **kwargs):
         return [31 if p == 233 else a for p, a in zip(ps, real(dz, ps, *rest, **kwargs))]
 
     monkeypatch.setattr(families, "_bsgs_traces", broken)
-    code, out, err = run_cli(
-        ["sato-tate", "--dz", "1,1,0,1", "--pmax", "300", "--workers", "1"], capsys
-    )
-    assert (code, out) == (cli.EXIT_NUMERICAL, "")
+    code, out, err = run_cli(SATO_RUNS_ARGS, capsys)
+    assert (code, out) == (cli.EXIT_NUMERICAL, "".join(full[: 3 + 32]))
     assert err == "numerical failure: Hasse bound violated: a_p=31 at p=233\n"
+
+
+@pytest.mark.parametrize("stop,to_file", [(1, False), (2, False), (2, True)])
+def test_interrupted_sato_tate_keeps_the_rows_written(monkeypatch, capsys, tmp_path, stop, to_file):
+    # KeyboardInterrupt in the task of run `stop`: the rows of the runs before
+    # it stay, flushed, and one line says where they end; exit 130
+    full = sato_runs_text(monkeypatch, capsys)
+    task, runs = families._sato_tate_run, []
+
+    def interrupted(dz, run):
+        runs.append(run)
+        if len(runs) == stop:
+            raise KeyboardInterrupt
+        return task(dz, run)
+
+    monkeypatch.setattr(families, "_sato_tate_run", interrupted)
+    path = tmp_path / "st.csv"
+    code, out, err = run_cli(SATO_RUNS_ARGS + ["--out", str(path)] * to_file, capsys)
+    assert (code, err) == (cli.EXIT_INTERRUPT, "")
+    last = runs[0][-1] if stop == 2 else "none"
+    want = "".join(full[: 3 + 32 * (stop - 1)]) + "# interrupted: rows end at p=%s\n" % last
+    if to_file:
+        assert out == ""
+        out = path.read_text()
+    assert out == want
 
 
 @pytest.mark.parametrize("workers", [0, -3, MAX_WORKERS + 1, 10**6])
@@ -616,7 +661,10 @@ def test_table_csv_matches_the_csv_module(capsys):
 def test_sato_tate_csv_matches_the_csv_module(capsys):
     # x^3 + 2 has bad reduction at 3 only, so one row has empty fields
     rows = [["p", "a_p", "theta_p", "lambda_p", "skipped_reason"]]
-    for r in sato_tate_sweep((2, 0, 0, 1), 2000).items:
+    records = []
+    sato_tate_sweep((2, 0, 0, 1), 2000, on_block=records.extend)
+    assert [r.p for r in records] == families.primes_up_to(2000)[1:]
+    for r in records:
         a_p = "" if r.a_p is None else r.a_p
         rows.append([r.p, a_p, _fmt(r.theta_p), _fmt(r.lambda_p), r.skipped or ""])
     code, out, _ = run_cli(

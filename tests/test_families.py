@@ -1,6 +1,8 @@
 """Family sweeps, elliptic-curve traces, and angle-distribution statistics."""
 
+import dataclasses
 import math
+import tracemalloc
 import warnings
 import weakref
 from collections import Counter
@@ -206,21 +208,26 @@ def test_bsgs_lane_does_not_depend_on_its_run(monkeypatch):
             assert families._bsgs_traces(dz, [p]) == [together[run.index(p)]]
             assert trace_of_frobenius(dz, p) == together[run.index(p)]
     # y^2 = x^3 + 1: many of its primes need several points, so its runs
-    # retry inside their tasks
+    # retry inside their tasks; the streamed records and the report do not
+    # depend on the run size
     sizes = [1, 7, 256, families.SATO_TATE_RUN]
     for dz in [DZ_A, (0, -1, 0, 1), (1, 0, 0, 1)]:
-        reports = []
+        swept = []
         for size in sizes:
             monkeypatch.setattr(families, "SATO_TATE_RUN", size)
-            reports.append(sato_tate_sweep(dz, 1000))
-        assert all(report == reports[0] for report in reports[1:])
+            swept.append(sato_tate_records(dz, 1000))
+        report, records = swept[0]
+        assert [r.p for r in records] == primes_up_to(1000)[1:]
+        assert report.processed + report.skipped == len(records)
+        assert all(s == swept[0] for s in swept[1:])
 
 
 def test_sato_tate_task_finishes_its_run(monkeypatch):
-    # every kernel pass and point count happens inside a task (_traces), at
-    # most four passes per run, and each task returns every trace of its run
+    # every kernel pass and point count happens inside a task
+    # (_sato_tate_run), at most four passes per run, and each task returns
+    # the record of every prime of its run, which on_block sees as one block
     runs, calls, current = [], [], [None]
-    task, kernel, count = families._traces, families._bsgs_lanes, families._trace_by_count
+    task, kernel, count = families._sato_tate_run, families._bsgs_lanes, families._trace_by_count
 
     def traced(dz, run):
         runs.append(run)
@@ -237,21 +244,27 @@ def test_sato_tate_task_finishes_its_run(monkeypatch):
 
         return called
 
-    monkeypatch.setattr(families, "_traces", traced)
+    monkeypatch.setattr(families, "_sato_tate_run", traced)
     monkeypatch.setattr(families, "_bsgs_lanes", spy(kernel, "kernel"))
     monkeypatch.setattr(families, "_trace_by_count", spy(count, "count"))
     monkeypatch.setattr(families, "SATO_TATE_RUN", 64)
-    # y^2 = x^3 + 1: many of its primes need several points
+    # y^2 = x^3 + 1: many of its primes need several points; bad at 3 only
     dz = (1, 0, 0, 1)
-    report = sato_tate_sweep(dz, 6000)
-    good = [r.p for r in report.items if r.skipped is None]
-    assert [p for run in runs for p in run] == good
-    assert len(runs) == -(-len(good) // 64)
+    blocks = []
+    report = sato_tate_sweep(dz, 6000, on_block=blocks.append)
+    ps = primes_up_to(6000)[1:]
+    assert [p for run in runs for p in run] == ps
+    assert len(runs) == -(-len(ps) // 64)
+    assert [[r.p for r in block] for block in blocks] == runs
     assert all(i is not None for _, i in calls)
     passes = Counter(i for name, i in calls if name == "kernel")
     # the runs retry their open primes themselves
     assert 1 < max(passes.values()) <= 4
-    assert [r.a_p for r in report.items if r.skipped is None] == [count_trace(dz, p) for p in good]
+    records = [r for block in blocks for r in block]
+    good = [r.p for r in records if r.skipped is None]
+    assert [r.p for r in records if r.skipped] == [3]
+    assert (report.processed, report.skipped) == (len(good), 1)
+    assert [r.a_p for r in records if r.skipped is None] == [count_trace(dz, p) for p in good]
 
 
 # x0s at which the scalar route (one point at a time, affine) found a unique
@@ -394,9 +407,17 @@ def test_ks_distance_of_semicircle_quantiles():
     assert ks_distance(sample) == pytest.approx(1.0 / (2 * n), abs=1e-4)
 
 
+def sato_tate_records(*args, **kwargs):
+    """(report, every record the sweep passed to on_block, in order)."""
+    seen = []
+    report = sato_tate_sweep(*args, on_block=seen.extend, **kwargs)
+    return report, seen
+
+
 def test_sato_tate_sweep_small():
-    report = sato_tate_sweep(DZ_A, 100)
-    by_p = {r.p: r for r in report.items}
+    report, records = sato_tate_records(DZ_A, 100)
+    assert [r.p for r in records] == primes_up_to(100)[1:]
+    by_p = {r.p: r for r in records}
     assert by_p[5].a_p == -3
     assert by_p[5].theta_p == pytest.approx(
         math.acos(-3.0 / (2.0 * math.sqrt(5.0))), abs=1e-12
@@ -407,36 +428,57 @@ def test_sato_tate_sweep_small():
     assert by_p[31].skipped is not None and "squarefree" in by_p[31].skipped
     assert by_p[31].a_p is None
     assert report.skipped == 1
-    assert report.processed == len(report.items) - 1
+    assert report.processed == len(records) - 1
     # statistics match a direct scan of the records
-    lambdas = [r.lambda_p for r in report.items if r.lambda_p is not None]
+    lambdas = [r.lambda_p for r in records if r.lambda_p is not None]
     assert report.statistics["sup_lambda"] == max(lambdas)
     assert report.statistics["ks_distance"] == pytest.approx(
-        ks_distance([r.theta_p for r in report.items if r.theta_p is not None]),
+        ks_distance([r.theta_p for r in records if r.theta_p is not None]),
         abs=1e-12,
     )
-    assert report.statistics["argmax_p"] in {r.p for r in report.items}
+    assert report.statistics["argmax_p"] in {r.p for r in records}
+    # the report keeps no per-prime field
+    assert [f.name for f in dataclasses.fields(report)] == ["processed", "skipped", "statistics"]
 
 
 def test_sato_tate_lambda_negative_and_sup_monotone():
-    report = sato_tate_sweep(DZ_A, 500)
-    for r in report.items:
+    report, records = sato_tate_records(DZ_A, 500)
+    for r in records:
         if r.lambda_p is None:
             continue
         assert r.lambda_p < 0.0
         assert 0.0 < r.theta_p < math.pi
-    sups = report.running_sup
-    assert all(b >= a for a, b in zip(sups, sups[1:]))
+    # the report's sup is the running maximum over the streamed records, at
+    # its first attainment
+    sup = argmax_p = None
+    for r in records:
+        if r.lambda_p is not None and (sup is None or r.lambda_p > sup):
+            sup, argmax_p = r.lambda_p, r.p
+    assert (report.statistics["sup_lambda"], report.statistics["argmax_p"]) == (sup, argmax_p)
 
 
 def test_sato_tate_zero_trace_gives_minus_inf():
     # a_p = 0 happens for supersingular primes; lambda is -inf there
-    report = sato_tate_sweep(DZ_C, 60)
-    zero = [r for r in report.items if r.a_p == 0]
+    _, records = sato_tate_records(DZ_C, 60)
+    zero = [r for r in records if r.a_p == 0]
     assert zero, "expected at least one supersingular prime below 60"
     for r in zero:
         assert r.lambda_p == float("-inf")
         assert r.theta_p == pytest.approx(math.pi / 2.0, abs=1e-12)
+
+
+def test_sato_tate_sweep_keeps_no_record():
+    # the records go to on_block and are dropped: after the sweep returns,
+    # what it allocated and still holds (its report, and any cache it
+    # filled) stays under 1 MB, where 17,983 records take about 4 MB
+    tracemalloc.start()
+    try:
+        report = sato_tate_sweep(DZ_A, 200000)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (report.processed, report.skipped) == (17982, 1)
+    assert held < 2**20, held
 
 
 def test_sato_tate_ks_shrinks_with_range():

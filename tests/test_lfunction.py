@@ -131,6 +131,37 @@ def test_c0_is_one_and_functional_equation():
                 assert c[g + n] == q**n * c[g - n]
 
 
+def test_symmetry_identities_at_large_q():
+    # where no oracle runs: c_0..c_2g of D are those of D(T + b), of
+    # a^(-n) D(aT) (n = deg D) when a is a square and (-1)^k c_k when it is
+    # not, and obey Weil's |c_k| <= C(2g, k) q^(k/2), compared squared in
+    # integers; the three D of each pair alternate square and non-square a
+    rng = random.Random(43)
+    for q, deg in [(101, 7), (1009, 5)]:
+        Ds = []
+        while len(Ds) < 3:
+            d = [rng.randrange(q) for _ in range(deg)] + [1]
+            if is_squarefree(P(d, q)):
+                Ds.append(d)
+        for i, d in enumerate(Ds):
+            c = build_lfunction(q, P(d, q)).c
+            g = (len(c) - 1) // 2
+            assert all(v * v <= math.comb(2 * g, k) ** 2 * q**k for k, v in enumerate(c))
+            b = rng.randrange(1, q)
+            # D(T + b) = sum_i d_i (T + b)^i
+            shifted = [
+                sum(d[i] * math.comb(i, k) * b ** (i - k) for i in range(k, deg + 1)) % q
+                for k in range(deg + 1)
+            ]
+            assert build_lfunction(q, P(shifted, q)).c == c
+            a = rng.randrange(2, q)
+            while (pow(a, (q - 1) // 2, q) == 1) != (i % 2 == 0):
+                a = rng.randrange(2, q)
+            scaled = [v * pow(a, k - deg, q) % q for k, v in enumerate(d)]
+            sign = 1 if i % 2 == 0 else -1
+            assert build_lfunction(q, P(scaled, q)).c == tuple(v * sign**k for k, v in enumerate(c))
+
+
 def test_half_equals_full():
     # the functional-equation upper half against enumerating it
     for D in squarefree_monic(3, 5):
